@@ -46,6 +46,7 @@ from .spectral import (
     FlatTorus,
     GalerkinSolution,
     IntegrabilityResult,
+    InvariantError,
     NotL2Error,
     SingularProfile,
     SpectralFunction,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,6 +62,15 @@ class SpectralRequest:
     exponent: float
     codim: int | None = None
     hym: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ParseError(f"spectral request: dim must be at least 1, got {self.dim}")
+        if self.modes < 0:
+            raise ParseError(f"spectral request: modes must be nonnegative, got {self.modes}")
+        for name, value in (("s", self.exponent), ("hym", self.hym)):
+            if not math.isfinite(value):
+                raise ParseError(f"spectral request: {name} must be finite, got {value!r}")
 
     def profile(self) -> SingularProfile:
         codim = self.codim if self.codim is not None else self.dim
@@ -155,20 +165,21 @@ def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
 
 
 def render_request(req: AnalysisRequest) -> list[str]:
-    """Inverse of parse_request; parse_request(render_request(r)) == r."""
+    """Inverse of parse_request; parse_request(render_request(r)) == r.
+
+    Values are attached as --flag=value, so a leading negative coordinate
+    is not read as an option.
+    """
     tokens = [
         "analyze",
-        "--type",
-        req.lie_type,
-        "--parabolic",
-        ",".join(str(n) for n in req.parabolic),
-        "--weight",
-        ",".join(str(c) for c in req.weight),
+        f"--type={req.lie_type}",
+        "--parabolic=" + ",".join(str(n) for n in req.parabolic),
+        "--weight=" + ",".join(str(c) for c in req.weight),
     ]
     if req.kahler is not None:
-        tokens += ["--kahler", ",".join(str(c) for c in req.kahler)]
+        tokens.append("--kahler=" + ",".join(str(c) for c in req.kahler))
     if req.line is not None:
-        tokens += ["--line", ",".join(str(c) for c in req.line)]
+        tokens.append("--line=" + ",".join(str(c) for c in req.line))
     if req.spectral is not None:
         s = req.spectral
         spec = f"dim={s.dim},modes={s.modes},s={s.exponent}"
@@ -176,7 +187,7 @@ def render_request(req: AnalysisRequest) -> list[str]:
             spec += f",codim={s.codim}"
         if s.hym != 1.0:
             spec += f",hym={s.hym}"
-        tokens += ["--spectral", spec]
+        tokens.append(f"--spectral={spec}")
     return tokens
 
 
@@ -569,7 +580,7 @@ def _spectral_request_from_args(ns: argparse.Namespace) -> SpectralRequest:
 
 
 def _emit(payload: dict | list) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2))
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False))
     sys.stdout.write("\n")
 
 
@@ -614,7 +625,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return 2
             if not ns.quiet:
                 for entry in reports:
-                    sys.stdout.write(f"ok {entry['name']}\n")
+                    sys.stderr.write(f"ok {entry['name']}\n")
             _emit(reports)
         elif ns.command == "dump-roots":
             rs = build_root_system(ns.type)

@@ -7,18 +7,56 @@ weight psi_n = sum c_j/lambda_j phi_j matches the truncation exactly, and
 Sobolev control of the sequence comes from the Bochner estimate.  This is
 the only module that uses floating point; each operation states its
 tolerance.
+
+Profile coefficients come from one FFT.  On the uniform midpoint grid
+x_k = (k + 1/2) L / N the cosine and sine modes of frequency nu sample to
+Re and Im of exp(2 pi i nu.k / N) exp(i pi sum(nu) / N), so every
+quadrature sum against them is a phase-shifted entry F[nu mod N] of the
+DFT of the sampled profile.  Grids are bounded: by default N^d stays at
+most 512^2 points for d >= 2 (8192 points for d = 1), and no grid may
+exceed _MAX_GRID_POINTS.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 
 class NotL2Error(ValueError):
     """The requested singular profile is not square integrable."""
+
+
+class InvariantError(AssertionError):
+    """A numerical cross-check failed; the message names it and its inputs.
+
+    Raised explicitly, so the checks also run under ``python -O``.
+    """
+
+
+# Grid budget: the default grid for d >= 2 is the finest power-of-two side
+# with at most _DEFAULT_GRID_POINTS nodes, and no grid, default or explicit,
+# may exceed _MAX_GRID_POINTS nodes (about 0.25 GB of working arrays in d = 2).
+_DEFAULT_GRID_POINTS = 512**2
+_MAX_GRID_POINTS = 1 << 22
+# The integer frequency box searched for a mode table, (2b + 1)^d rows of d
+# entries, is bounded by its entry count.
+_MAX_FREQUENCY_BOX = 1 << 22
+
+
+def _default_points_per_axis(dimension: int) -> int:
+    """Grid side used when none is given: 8192 for d = 1, else the largest
+    power of two N with N^d <= 512^2 (512 for d = 2, 64 for d = 3)."""
+    if dimension == 1:
+        return 8192
+    if 2**dimension > _DEFAULT_GRID_POINTS:
+        raise ValueError(f"no default grid for dimension {dimension}: 2^{dimension} points exceed the budget")
+    side = 1
+    while (2 * side) ** dimension <= _DEFAULT_GRID_POINTS:
+        side *= 2
+    return side
 
 
 @dataclass(frozen=True)
@@ -57,10 +95,14 @@ class FlatTorus:
 
     def modes(self, count: int) -> tuple[TorusMode, ...]:
         """Modes 0..count inclusive."""
-        return _mode_table(self.side_lengths, count)
+        return _table_for(self.side_lengths, count).modes[: count + 1]
+
+    def eigenvalues(self, count: int) -> np.ndarray:
+        """Read-only eigenvalues of modes 0..count inclusive."""
+        return _table_for(self.side_lengths, count).eigenvalues[: count + 1]
 
     def eigenvalue(self, index: int) -> float:
-        return self.modes(index)[index].eigenvalue
+        return float(self.eigenvalues(index)[index])
 
     def sample_mode(self, mode: TorusMode, points: np.ndarray) -> np.ndarray:
         """Evaluate an orthonormal eigenfunction on an (N, d) point array."""
@@ -74,46 +116,93 @@ class FlatTorus:
         return amplitude * (np.cos(phase) if mode.trig == "cos" else np.sin(phase))
 
     def midpoint_grid(self, points_per_axis: int) -> np.ndarray:
-        """Uniform midpoint nodes, shape (points_per_axis^d, d)."""
+        """Uniform midpoint nodes, shape (points_per_axis^d, d), in C order.
+
+        Raises ValueError for a grid of more than _MAX_GRID_POINTS nodes.
+        """
+        total = points_per_axis**self.dimension
+        if points_per_axis < 1 or total > _MAX_GRID_POINTS:
+            raise ValueError(
+                f"a grid of {points_per_axis}^{self.dimension} points is outside "
+                f"1..{_MAX_GRID_POINTS} points"
+            )
         axes = [
             (np.arange(points_per_axis) + 0.5) * (length / points_per_axis)
             for length in self.side_lengths
         ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+        return np.stack(mesh, axis=-1).reshape(-1, self.dimension)
 
 
-@lru_cache(maxsize=None)
-def _mode_table(side_lengths: tuple[float, ...], count: int) -> tuple[TorusMode, ...]:
+@dataclass(frozen=True)
+class _ModeTable:
+    """Modes 0..size of a torus, as objects and as read-only arrays."""
+
+    modes: tuple[TorusMode, ...]
+    eigenvalues: np.ndarray  # (size + 1,)
+    frequencies: np.ndarray  # (size + 1, d) integers
+    sine: np.ndarray  # (size + 1,) bools; mode 0 is the constant
+
+
+def _table_for(side_lengths: tuple[float, ...], count: int) -> _ModeTable:
+    """The cached table covering modes 0..count.
+
+    The table for a count is a prefix of the table for any larger count, so
+    only power-of-two sizes are built and cached; at most log2(count) + 1
+    tables exist per torus.
+    """
+    if count < 0:
+        raise ValueError(f"mode count must be nonnegative, got {count}")
+    return _build_table(side_lengths, 1 << max(count - 1, 0).bit_length())
+
+
+@lru_cache(maxsize=64)
+def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
+    """Modes 0..size ordered by (eigenvalue, frequency, cos-before-sin).
+
+    Frequencies are searched in the box [-b, b]^d, b doubling, keeping one
+    representative of each pair +-nu (first nonzero entry positive).  Every
+    frequency outside the box has eigenvalue >= (2 pi (b + 1) / max L)^2,
+    so the representatives below that value are complete and their order
+    is final.  Each eigenvalue is accumulated axis by axis from per-axis
+    squares, the same float operations in the same order at any box size.
+    """
     dim = len(side_lengths)
-    reps_needed = (count + 1) // 2 + 1
+    reps_needed = (size + 1) // 2 + 1
     bound = 1
     while True:
-        reps = []
-        for flat in np.ndindex(*(2 * bound + 1,) * dim):
-            nu = tuple(int(v) - bound for v in flat)
-            if all(v == 0 for v in nu):
-                continue
-            first = next(v for v in nu if v != 0)
-            if first < 0:
-                continue
-            lam = sum((2.0 * math.pi * v / length) ** 2 for v, length in zip(nu, side_lengths))
-            reps.append((lam, nu))
-        reps.sort()
-        # completeness: any frequency outside the box has a larger eigenvalue
+        if (2 * bound + 1) ** dim * dim > _MAX_FREQUENCY_BOX:
+            raise ValueError(f"a {size}-mode table of the {dim}-torus needs a frequency box over the budget")
+        span = np.arange(-bound, bound + 1)
+        nu = np.stack(np.meshgrid(*(span,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        first_nonzero = nu[np.arange(len(nu)), np.argmax(nu != 0, axis=1)]
+        nu = nu[first_nonzero > 0]
+        lam = np.zeros(len(nu))
+        for axis, length in enumerate(side_lengths):
+            squares = np.array([(2.0 * math.pi * int(v) / length) ** 2 for v in span])
+            lam = lam + squares[nu[:, axis] + bound]
         safe = (2.0 * math.pi * (bound + 1) / max(side_lengths)) ** 2
-        usable = [r for r in reps if r[0] < safe]
-        if len(usable) >= reps_needed:
-            reps = usable
+        usable = lam < safe
+        if np.count_nonzero(usable) >= reps_needed:
             break
         bound *= 2
-    modes = [TorusMode(0, 0.0, (0,) * dim, "const")]
-    for lam, nu in reps:
-        for trig in ("cos", "sin"):
-            if len(modes) > count:
-                return tuple(modes)
-            modes.append(TorusMode(len(modes), lam, nu, trig))
-    return tuple(modes)
+    nu, lam = nu[usable], lam[usable]
+    order = np.lexsort((*nu.T[::-1], lam))
+    reps = (size + 1) // 2
+    nu, lam = nu[order[:reps]], lam[order[:reps]]
+    eigenvalues = np.concatenate(([0.0], np.repeat(lam, 2)[:size]))
+    frequencies = np.concatenate((np.zeros((1, dim), dtype=nu.dtype), np.repeat(nu, 2, axis=0)[:size]))
+    sine = np.arange(size + 1) % 2 == 0
+    sine[0] = False
+    modes = tuple(
+        TorusMode(index, lam_j, tuple(nu_j), "const" if index == 0 else "sin" if is_sin else "cos")
+        for index, (lam_j, nu_j, is_sin) in enumerate(
+            zip(eigenvalues.tolist(), frequencies.tolist(), sine.tolist())
+        )
+    )
+    for array in (eigenvalues, frequencies, sine):
+        array.setflags(write=False)
+    return _ModeTable(modes, eigenvalues, frequencies, sine)
 
 
 @dataclass(frozen=True)
@@ -127,12 +216,35 @@ class SpectralFunction:
     def norm_sq(self) -> float:
         return sum(c * c for c in self.coeffs.values()) + self.tail_sq
 
-    @property
+    @cached_property
     def max_index(self) -> int:
         return max(self.coeffs, default=0)
 
     def coefficient(self, index: int) -> float:
         return self.coeffs.get(index, 0.0)
+
+    @cached_property
+    def vector(self) -> np.ndarray:
+        """Coefficients 0..max_index as a dense array (zero where absent).
+
+        Computed on first use; the coefficient dict is not expected to
+        change afterwards.
+        """
+        out = np.zeros(self.max_index + 1)
+        out[np.fromiter(self.coeffs, dtype=np.intp, count=len(self.coeffs))] = list(
+            self.coeffs.values()
+        )
+        return out
+
+    @cached_property
+    def tails_sq(self) -> np.ndarray:
+        """tails_sq[k] = sum_{j >= k} c_j^2 for k = 0..max_index + 1.
+
+        One reverse running sum of nonnegative terms, so tails_sq never
+        increases with k, not even by rounding.
+        """
+        squares = self.vector[::-1] ** 2
+        return np.append(np.cumsum(squares)[::-1], 0.0)
 
 
 @dataclass(frozen=True)
@@ -174,35 +286,40 @@ def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSo
     metric).  The residual against the full f is the tail norm, and the
     spectral H2 norm of psi is reported.
     """
-    modes = manifold.modes(max(n, f.max_index))
-    psi: dict[int, float] = {}
-    eigs: dict[int, float] = {}
-    for j, c in sorted(f.coeffs.items()):
-        if 1 <= j <= n and c != 0.0:
-            lam = modes[j].eigenvalue
-            psi[j] = c / lam
-            eigs[j] = lam
-    tail_sq = f.tail_sq + sum(c * c for j, c in f.coeffs.items() if j > n)
-    h2_sq = sum((1.0 + eigs[j] ** 2) * value**2 for j, value in psi.items())
+    if n < 0:
+        raise ValueError("truncation order must be nonnegative")
+    index, c, lam = _matched_modes(f, 0, n, manifold)
+    kept = c != 0.0
+    index, c, lam = index[kept], c[kept], lam[kept]
+    psi = c / lam
+    tail_sq = f.tail_sq + float(f.tails_sq[min(n + 1, f.max_index + 1)])
+    h2_sq = float(np.sum((1.0 + lam**2) * psi**2))
     return GalerkinSolution(
         truncation=n,
-        psi_coeffs=psi,
-        eigenvalues=eigs,
+        psi_coeffs=dict(zip(index.tolist(), psi.tolist())),
+        eigenvalues=dict(zip(index.tolist(), lam.tolist())),
         source_mode0=f.coefficient(0),
         residual_l2=math.sqrt(tail_sq),
         h2_norm=math.sqrt(h2_sq),
     )
 
 
+def _matched_modes(
+    f: SpectralFunction, m: int, n: int, manifold: FlatTorus
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices j with max(m, 0) < j <= n (within f's range), with their
+    coefficients and eigenvalues."""
+    lo, hi = max(m, 0) + 1, min(n, f.max_index)
+    if hi < lo:
+        empty = np.zeros(0)
+        return np.zeros(0, dtype=np.intp), empty, empty
+    return np.arange(lo, hi + 1), f.vector[lo : hi + 1], manifold.eigenvalues(hi)[lo:]
+
+
 def spectral_h2_gap(f: SpectralFunction, m: int, n: int, manifold: FlatTorus) -> float:
     """Exact squared spectral H2 distance between psi_n and psi_m."""
-    modes = manifold.modes(max(n, f.max_index))
-    total = 0.0
-    for j, c in sorted(f.coeffs.items()):
-        if m < j <= n and j >= 1:
-            lam = modes[j].eigenvalue
-            total += (1.0 + lam**2) * (c / lam) ** 2
-    return total
+    _, c, lam = _matched_modes(f, m, n, manifold)
+    return float(np.sum((1.0 + lam**2) * (c / lam) ** 2))
 
 
 def h2_cauchy_gap(
@@ -212,8 +329,8 @@ def h2_cauchy_gap(
 
     Bound = (1 + C) * sum_{j=m+1}^{n} (1/lambda_j^2 + 1) c_j^2 with
     C = max(1 + |kappa| eps, |kappa| / (4 eps)), eps = 1/(2 |kappa|); for
-    kappa = 0 the Young term drops and C = 1.  The bound is asserted to
-    dominate the directly computed spectral gap.
+    kappa = 0 the Young term drops and C = 1.  The bound is checked to
+    dominate the directly computed spectral gap (InvariantError if not).
     """
     if not n > m_idx >= 0:
         raise ValueError("need n > m >= 0")
@@ -222,15 +339,14 @@ def h2_cauchy_gap(
     else:
         eps = 1.0 / (2.0 * abs(kappa))
         const = max(1.0 + abs(kappa) * eps, abs(kappa) / (4.0 * eps))
-    modes = manifold.modes(max(n, f.max_index))
-    total = 0.0
-    for j, c in sorted(f.coeffs.items()):
-        if m_idx < j <= n and j >= 1:
-            lam = modes[j].eigenvalue
-            total += (1.0 / lam**2 + 1.0) * c * c
-    bound = (1.0 + const) * total
+    _, c, lam = _matched_modes(f, m_idx, n, manifold)
+    bound = (1.0 + const) * float(np.sum((1.0 / lam**2 + 1.0) * c * c))
     gap = spectral_h2_gap(f, m_idx, n, manifold)
-    assert bound >= gap * (1.0 - 1e-12), "Bochner bound must dominate the exact gap"
+    if not bound >= gap * (1.0 - 1e-12):
+        raise InvariantError(
+            f"Bochner bound must dominate the exact H2 gap: bound {bound!r} < gap {gap!r} "
+            f"for n={n}, m={m_idx}, kappa={kappa!r}"
+        )
     return bound
 
 
@@ -258,8 +374,8 @@ class SingularProfile:
     def __post_init__(self) -> None:
         if self.codim < 1 or self.codim > self.ambient_dim:
             raise ValueError("codimension must lie in 1..ambient_dim")
-        if self.exponent <= 0:
-            raise ValueError("exponent must be positive")
+        if not (math.isfinite(self.exponent) and self.exponent > 0):
+            raise ValueError(f"exponent must be positive and finite, got {self.exponent!r}")
 
     @property
     def square_integrable(self) -> bool:
@@ -352,7 +468,11 @@ def profile_mean(
         means.append(float(np.mean(values)))
     if len(means) >= 3:
         first, second = abs(means[1] - means[0]), abs(means[2] - means[1])
-        assert second <= first or first < 1e-12, "midpoint refinement is not converging"
+        if not (second <= first or first < 1e-12):
+            raise InvariantError(
+                f"midpoint refinement must converge: successive differences {first!r} then "
+                f"{second!r} on grids {levels[:3]} for codim={p.codim}, s={p.exponent!r}"
+            )
     return means[-1]
 
 
@@ -364,22 +484,41 @@ def distance_profile_coefficients(
 ) -> SpectralFunction:
     """Eigen-coefficients of the singular profile up to mode n, by quadrature.
 
-    Requires s < k/2 so the profile is square integrable.  The certified
-    tail is the quadrature L2 mass not captured by the materialized modes,
-    which keeps Parseval partial sums monotone and bounded.
+    Requires s < k/2 so the profile is square integrable.  The midpoint
+    quadrature sums of all modes are read off one FFT F of the profile
+    sampled on the N^d grid: with T = F[nu mod N] exp(-i pi sum(nu) / N)
+    sqrt(2/vol) vol/N^d, the cosine coefficient is Re T and the sine
+    coefficient is -Im T (see the module docstring).  The default N follows
+    the grid budget; n must be below the number of grid points.  The
+    certified tail is the quadrature L2 mass not captured by the
+    materialized modes, which keeps Parseval partial sums monotone and
+    bounded.
     """
     if not p.square_integrable:
         raise NotL2Error(f"exponent {p.exponent} >= codim/2 = {p.codim / 2}")
     if points_per_axis is None:
-        points_per_axis = 8192 if manifold.dimension == 1 else 512
+        points_per_axis = _default_points_per_axis(manifold.dimension)
     grid = manifold.midpoint_grid(points_per_axis)
+    if not 0 <= n < grid.shape[0]:
+        raise ValueError(f"mode count {n} is outside 0..{grid.shape[0] - 1} for a {grid.shape[0]}-point grid")
     cell = manifold.volume / grid.shape[0]
     values = _profile_values(p, manifold, grid)
     norm_sq = float(np.sum(values**2)) * cell
-    coeffs: dict[int, float] = {}
+    table = _table_for(manifold.side_lengths, n)
+    nu = table.frequencies[1 : n + 1]
+    # The profile is real, so the FFT keeps half of the last axis and
+    # F[m] = conj(F[-m mod N]) supplies the other half.
+    half = np.fft.rfftn(values.reshape((points_per_axis,) * manifold.dimension))
+    index = nu % points_per_axis
+    mirrored = index[:, -1] > points_per_axis // 2
+    index[mirrored] = -index[mirrored] % points_per_axis
+    entries = half[tuple(index.T)]
+    spectrum = np.where(mirrored, entries.conj(), entries)
+    shared = spectrum * np.exp(-1j * math.pi * nu.sum(axis=1) / points_per_axis)
+    shared *= math.sqrt(2.0 / manifold.volume) * cell
+    trig = np.where(table.sine[1 : n + 1], -shared.imag, shared.real)
+    coeffs = [float(np.sum(values)) * cell / math.sqrt(manifold.volume)] + trig.tolist()
     captured = 0.0
-    for mode in manifold.modes(n):
-        c = float(np.dot(manifold.sample_mode(mode, grid), values)) * cell
-        coeffs[mode.index] = c
+    for c in coeffs:
         captured += c * c
-    return SpectralFunction(coeffs=coeffs, tail_sq=max(norm_sq - captured, 0.0))
+    return SpectralFunction(coeffs=dict(enumerate(coeffs)), tail_sq=max(norm_sq - captured, 0.0))

@@ -75,6 +75,19 @@ def test_request_round_trip_minimal():
     assert parse_request(render_request(req)) == req
 
 
+def test_request_round_trip_leading_negatives():
+    req = AnalysisRequest("A3", (1, 3), (-1, 0, 0))
+    assert parse_request(render_request(req)) == req
+    req = AnalysisRequest(
+        lie_type="A3",
+        parabolic=(2,),
+        weight=(-1, 0, -2),
+        kahler=(Fraction(-1, 2), Fraction(3)),
+        line=(-2, 1),
+    )
+    assert parse_request(render_request(req)) == req
+
+
 def test_report_is_byte_stable():
     req = AnalysisRequest(lie_type="B3", parabolic=(2, 3), weight=(0, 0, 2))
     first = json.dumps(build_analysis_report(req))
@@ -177,8 +190,9 @@ def test_main_paper_suite(capsys):
 
 def test_main_paper_suite_progress_lines(capsys):
     assert main(["paper-suite"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("ok ") == 6
+    captured = capsys.readouterr()
+    assert captured.err.count("ok ") == 6
+    assert len(json.loads(captured.out)) == 6
 
 
 def test_main_paper_suite_mismatch_exit_two(capsys, monkeypatch):
@@ -264,3 +278,72 @@ def test_spectral_subtorus_profile(capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["profile"]["codim"] == 1
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_main_spectral_three_dim_default_grid(capsys):
+    assert main(["spectral", "--dim=3", "--profile=point:s=0.5"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["torus_sides"] == [1.0, 1.0, 1.0]
+    assert payload["residuals"][-1]["n"] == 128
+
+
+def test_main_spectral_residual_ladder_never_increases(capsys):
+    argv = ["spectral", "--dim=2", "--modes=113", "--profile=subtorus:s=0.0838,codim=1"]
+    assert main(argv) == 0
+    residuals = [row["residual"] for row in _strict_json(capsys.readouterr().out)["residuals"]]
+    assert [a >= b for a, b in zip(residuals, residuals[1:])] == [True] * (len(residuals) - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--modes=-3", "--profile=point:s=0.25"], "modes must be nonnegative"),
+        (["--profile=point:s=nan"], "s must be finite"),
+        (["--profile=point:s=inf"], "s must be finite"),
+        (["--profile=subtorus:s=-inf,codim=1"], "s must be finite"),
+        (["--profile=point:s=0.25", "--hym=nan"], "hym must be finite"),
+        (["--profile=point:s=0.25", "--hym=-inf"], "hym must be finite"),
+        (["--dim=0", "--profile=point:s=0.25"], "dim must be at least 1"),
+        (["--dim=12", "--profile=point:s=0.25"], "frequency box over the budget"),
+        (["--dim=40", "--profile=point:s=0.25"], "no default grid for dimension 40"),
+        (["--modes=8192", "--profile=point:s=0.25"], "outside 0..8191 for a 8192-point grid"),
+    ],
+)
+def test_main_spectral_rejects_bad_values(capsys, argv, message):
+    assert main(["spectral", "--modes=8", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("dim=1,modes=-3,s=0.25", "modes must be nonnegative"),
+        ("dim=1,modes=8,s=nan", "s must be finite"),
+        ("dim=1,modes=8,s=0.25,hym=inf", "hym must be finite"),
+    ],
+)
+def test_main_analyze_rejects_bad_spectral_spec(capsys, spec, message):
+    argv = ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", f"--spectral={spec}"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_main_refuses_to_emit_non_standard_json(capsys, monkeypatch):
+    import parabolica.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "_spectral_block", lambda req: {"residual": math.nan})
+    assert main(["spectral", "--modes=8", "--profile=point:s=0.25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parabolica import spectral
 from parabolica import (
     FlatTorus,
+    InvariantError,
     NotL2Error,
     SingularProfile,
     SpectralFunction,
@@ -20,6 +26,7 @@ from parabolica import (
     spectral_h2_gap,
     truncate,
 )
+from parabolica.spectral import TorusMode
 
 CIRCLE = FlatTorus((2 * math.pi,))
 
@@ -254,3 +261,181 @@ def test_flat_torus_validation():
         FlatTorus(())
     with pytest.raises(ValueError):
         FlatTorus((1.0, -2.0))
+
+
+# ---------------------------------------------------------------------------
+# Mode table, FFT coefficients, grid budget and explicit invariants
+# ---------------------------------------------------------------------------
+
+
+def _reference_mode_table(side_lengths, count):
+    """Independent enumeration: every frequency of a doubling box, one
+    np.ndindex step at a time."""
+    dim = len(side_lengths)
+    reps_needed = (count + 1) // 2 + 1
+    bound = 1
+    while True:
+        reps = []
+        for flat in np.ndindex(*(2 * bound + 1,) * dim):
+            nu = tuple(int(v) - bound for v in flat)
+            if all(v == 0 for v in nu):
+                continue
+            first = next(v for v in nu if v != 0)
+            if first < 0:
+                continue
+            lam = sum((2.0 * math.pi * v / length) ** 2 for v, length in zip(nu, side_lengths))
+            reps.append((lam, nu))
+        reps.sort()
+        safe = (2.0 * math.pi * (bound + 1) / max(side_lengths)) ** 2
+        usable = [r for r in reps if r[0] < safe]
+        if len(usable) >= reps_needed:
+            reps = usable
+            break
+        bound *= 2
+    modes = [TorusMode(0, 0.0, (0,) * dim, "const")]
+    for lam, nu in reps:
+        for trig in ("cos", "sin"):
+            if len(modes) > count:
+                return tuple(modes)
+            modes.append(TorusMode(len(modes), lam, nu, trig))
+    return tuple(modes)
+
+
+@pytest.mark.parametrize(
+    "sides, counts",
+    [
+        ((1.0,), (0, 1, 2, 5, 64, 513, 2048)),
+        ((2 * math.pi,), (7, 100)),
+        ((1.0, 2.0), (0, 1, 3, 40, 129, 300)),
+        ((0.7, 1.3), (2, 17, 200)),
+        ((1.0, 1.0, 1.0), (1, 33, 130)),
+        ((0.7, 1.3, 1.0), (9, 64)),
+    ],
+)
+def test_mode_table_matches_reference_enumeration(sides, counts):
+    for count in counts:
+        table = FlatTorus(sides).modes(count)
+        assert table == _reference_mode_table(sides, count), (sides, count)
+        assert all(type(m.eigenvalue) is float for m in table)
+        assert all(type(v) is int for m in table for v in m.frequency)
+        eigs = FlatTorus(sides).eigenvalues(count)
+        assert eigs.tolist() == [m.eigenvalue for m in table]
+
+
+def test_mode_table_cache_is_logarithmic():
+    sides = (0.9, 1.1)  # a torus no other test uses
+    top = 300
+    before = spectral._build_table.cache_info().currsize
+    for count in range(1, top + 1):
+        FlatTorus(sides).modes(count)
+    built = spectral._build_table.cache_info().currsize - before
+    assert built <= math.ceil(math.log2(top)) + 1
+
+
+def test_mode_count_must_be_nonnegative():
+    with pytest.raises(ValueError, match="nonnegative"):
+        CIRCLE.modes(-3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_weight(SpectralFunction(coeffs={1: 1.0}), -1, CIRCLE)
+
+
+def _quadrature_coefficients(profile, torus, n, points_per_axis):
+    """The dense-quadrature oracle: one sampled mode per coefficient."""
+    grid = torus.midpoint_grid(points_per_axis)
+    cell = torus.volume / grid.shape[0]
+    values = spectral._profile_values(profile, torus, grid)
+    return [float(np.dot(torus.sample_mode(m, grid), values)) * cell for m in torus.modes(n)]
+
+
+@pytest.mark.parametrize(
+    "sides, codim, n, points_per_axis",
+    [
+        ((0.7,), 1, 63, 64),  # reaches the Nyquist frequency
+        ((0.7, 1.3), 2, 255, 16),  # frequencies beyond N/2 alias
+        ((0.7, 1.3), 1, 100, 32),
+        ((0.7, 1.3, 1.0), 3, 200, 8),
+        ((0.7, 1.3, 1.0), 2, 60, 12),
+    ],
+)
+def test_fft_coefficients_match_dense_quadrature(sides, codim, n, points_per_axis):
+    torus = FlatTorus(sides)
+    profile = SingularProfile(ambient_dim=len(sides), codim=codim, exponent=0.3, offset=1.5)
+    f = distance_profile_coefficients(profile, torus, n, points_per_axis=points_per_axis)
+    expected = _quadrature_coefficients(profile, torus, n, points_per_axis)
+    assert sorted(f.coeffs) == list(range(n + 1))
+    for j, c in enumerate(expected):
+        assert abs(f.coefficient(j) - c) <= 1e-12, (j, f.coefficient(j), c)
+
+
+def test_default_grid_follows_the_point_budget():
+    assert spectral._default_points_per_axis(1) == 8192
+    assert spectral._default_points_per_axis(2) == 512
+    assert spectral._default_points_per_axis(3) == 64
+    assert spectral._default_points_per_axis(4) == 16
+    with pytest.raises(ValueError, match="no default grid"):
+        spectral._default_points_per_axis(40)
+
+
+def test_explicit_grid_over_budget_is_refused():
+    torus = FlatTorus((1.0, 1.0, 1.0))
+    profile = SingularProfile(ambient_dim=3, codim=3, exponent=0.5)
+    with pytest.raises(ValueError, match="grid of 512\\^3 points"):
+        distance_profile_coefficients(profile, torus, 8, points_per_axis=512)
+    with pytest.raises(ValueError, match="grid of 256\\^3 points"):
+        profile_mean(profile, torus, points_per_axis=256, refinements=0)
+
+
+def test_more_modes_than_grid_points_is_refused():
+    profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
+    with pytest.raises(ValueError, match="mode count 64"):
+        distance_profile_coefficients(profile, CIRCLE, 64, points_per_axis=64)
+
+
+def test_non_finite_exponent_is_refused():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SingularProfile(ambient_dim=1, codim=1, exponent=bad)
+
+
+def test_residual_tail_is_a_running_sum():
+    # equal-magnitude tiny and huge coefficients: the tail at n must equal
+    # the tail at n + 1 plus c_{n+1}^2 exactly, so it never increases
+    rng = random.Random(3)
+    f = SpectralFunction(coeffs={j: rng.choice((1e-9, 1.0, 3e7)) for j in range(300)}, tail_sq=0.5)
+    residuals = [solve_weight(f, n, CIRCLE).residual_l2 for n in range(300)]
+    assert all(b <= a for a, b in zip(residuals, residuals[1:]))
+    assert residuals[-1] == math.sqrt(0.5)
+
+
+def test_bochner_invariant_failure_names_its_inputs(monkeypatch):
+    monkeypatch.setattr(spectral, "spectral_h2_gap", lambda *args: 1e300)
+    f = SpectralFunction(coeffs={j: 1.0 / j for j in range(1, 20)})
+    with pytest.raises(InvariantError, match=r"Bochner bound .* n=10, m=2, kappa=0\.0"):
+        h2_cauchy_gap(f, 10, 2, CIRCLE, kappa=0.0)
+
+
+def test_refinement_invariant_failure_names_its_inputs(monkeypatch):
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(
+        spectral, "_profile_values", lambda p, m, points: rng.normal(size=points.shape[0]) * points.shape[0]
+    )
+    profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
+    with pytest.raises(InvariantError, match=r"midpoint refinement .* grids \[8, 16, 32\]"):
+        profile_mean(profile, CIRCLE, points_per_axis=8, refinements=2)
+
+
+def test_invariants_survive_optimized_mode():
+    script = (
+        "import parabolica.spectral as s\n"
+        "s.spectral_h2_gap = lambda *args: 1e300\n"
+        "f = s.SpectralFunction(coeffs={1: 1.0, 2: 0.5})\n"
+        "try:\n"
+        "    s.h2_cauchy_gap(f, 2, 0, s.FlatTorus((1.0,)), kappa=0.0)\n"
+        "except s.InvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -35,6 +35,7 @@ from .parabolic import (
 )
 from .rootsys import (
     InvalidTypeError,
+    InvariantError,
     RootSystem,
     SimpleLieType,
     Weight,
@@ -46,7 +47,6 @@ from .spectral import (
     FlatTorus,
     GalerkinSolution,
     IntegrabilityResult,
-    InvariantError,
     NotL2Error,
     SingularProfile,
     SpectralFunction,

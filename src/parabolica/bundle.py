@@ -5,6 +5,11 @@ for the Levi.  The questions answered here: the rank of the defining
 module (Weyl dimension formula over the Levi), the first-Chern weight
 lambda(E), and whether E factors as E0 (x) L0 with c1(E0) = 0.  The
 verdict is an integrality test, so every quantity is an exact rational.
+
+``splitting_report`` is the one derivation: it splits the weight, takes
+the Weyl dimension and the Cramer ratios once each, and builds every other
+quantity from those.  Its cross-checks run afterwards in one verification
+step and raise InvariantError, also under ``python -O``.
 """
 from __future__ import annotations
 
@@ -13,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .parabolic import NotDominantError, ParabolicData, decompose_weight, is_dominant_for_levi
-from .rootsys import Weight
+from .parabolic import NotDominantError, ParabolicData, WeightSplit, decompose_weight, is_dominant_for_levi
+from .rootsys import InvariantError, Weight
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,7 @@ class SplittingReport:
     splits: bool
     lambda_L0: Weight | None
     lambda_E0_check: Weight | None
+    split: WeightSplit
 
 
 def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:
@@ -52,7 +58,7 @@ def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:
 
     Computed as prod <lambda_s + rho, alpha^vee> / <rho, alpha^vee> over the
     positive roots of the Levi subsystem, in exact rationals; the result is
-    asserted to be a positive integer.
+    checked to be a positive integer.
     """
     for i in p.picard_nodes:
         if lambda_s[i] != 0:
@@ -67,7 +73,8 @@ def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:
     dim = Fraction(1)
     for root in levi.positive_roots:
         dim *= levi.pairing(shifted, root) / levi.pairing(rho, root)
-    assert dim.denominator == 1 and dim > 0
+    if dim.denominator != 1 or dim <= 0:
+        raise InvariantError(f"Weyl dimension {dim} must be a positive integer: lambda_s {lambda_s}")
     return int(dim)
 
 
@@ -89,55 +96,22 @@ def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]
         replaced = [row[:] for row in base]
         replaced[pos] = coords
         ratios.append(linalg.det(replaced) / denom)
-    solved = linalg.solve(linalg.transpose(base), coords)
-    assert tuple(ratios) == solved, "Cramer determinants disagree with the exact solve"
+    if tuple(ratios) != linalg.solve(linalg.transpose(base), coords):
+        raise InvariantError(
+            f"Cramer determinants must agree with the exact solve: "
+            f"Levi nodes {p.levi_nodes}, lambda_s {lambda_s}"
+        )
     return tuple(ratios)
 
 
 def cramer_coefficients(spec: BundleSpec) -> tuple[Fraction, ...]:
     """First-Chern coefficients a_alpha(E) = rank * det-ratio, alpha in I."""
-    p = spec.parabolic
-    split = decompose_weight(spec.highest_weight, p)
-    rank = weyl_dim(p, split.lambda_s)
-    ratios = criterion_ratios(p, split.lambda_s)
-    coeffs = tuple(rank * r for r in ratios)
-    if p.levi_nodes:
-        b = [rank * split.lambda_s[i] for i in p.levi_nodes]
-        assert coeffs == linalg.solve(linalg.transpose(p.levi_cartan), b)
-    return coeffs
+    return splitting_report(spec).chern.cramer_a
 
 
 def chern_weight(spec: BundleSpec) -> ChernData:
     """lambda(E) from the Cramer coefficients and the central character."""
-    p = spec.parabolic
-    rs = p.rs
-    split = decompose_weight(spec.highest_weight, p)
-    rank = weyl_dim(p, split.lambda_s)
-    coeffs = cramer_coefficients(spec)
-
-    coords = [Fraction(0)] * rs.rank
-    for beta in p.picard_nodes:
-        coords[beta] = sum(
-            (a * rs.cartan[alpha][beta] for a, alpha in zip(coeffs, p.levi_nodes)),
-            Fraction(0),
-        )
-    lambda_e = Weight(tuple(coords)) - rank * split.lambda_c
-
-    det_levi = linalg.det(p.levi_cartan)
-    for a in coeffs:
-        assert (a * det_levi).denominator == 1, "a_alpha denominators must divide det(C_I)"
-    for i in p.levi_nodes:
-        assert lambda_e[i] == 0
-
-    # r*lambda + lambda(E) must land in the span of the Levi simple roots,
-    # with exactly the Cramer coefficients as coordinates.
-    residue = rank * spec.highest_weight + lambda_e
-    in_simple = rs.weight_in_simple_roots(residue)
-    for i in range(rs.rank):
-        expected = coeffs[p.levi_nodes.index(i)] if i in p.levi_nodes else Fraction(0)
-        assert in_simple[i] == expected, "residue identity failed"
-
-    return ChernData(rank=rank, lambda_E=lambda_e, cramer_a=coeffs)
+    return splitting_report(spec).chern
 
 
 def canonical_weight(p: ParabolicData) -> Weight:
@@ -148,49 +122,84 @@ def canonical_weight(p: ParabolicData) -> Weight:
 def splitting_report(spec: BundleSpec) -> SplittingReport:
     """Full splitting verdict with per-generator criterion values.
 
-    criterion[beta] = sum_{alpha in I} det-ratio(alpha) * <alpha, beta^vee>
-    for each node beta outside I.  The bundle splits as E0 (x) L0 with
-    c1(E0) = 0 exactly when every value is an integer, equivalently when
-    lambda(E)/rank is an integral weight; both routes are checked against
-    each other.  Values are reported for every beta, not short-circuited.
+    From the split lambda = lambda_s + lambda_c, the rank r = weyl_dim and
+    the Cramer ratios (one call each):
+
+    * a_alpha = r * det-ratio(alpha) for alpha in I;
+    * criterion[beta] = sum_{alpha in I} det-ratio(alpha) * <alpha, beta^vee>
+      for each node beta outside I, reported for every beta;
+    * lambda(E) = r * (criterion - lambda_c) on the Picard nodes, zero on I.
+
+    The bundle splits as E0 (x) L0 with c1(E0) = 0 exactly when every
+    criterion value is an integer, and then lambda(L0) = lambda(E) / r.
+    The report is returned only after ``_verify`` has cross-checked it.
     """
     p = spec.parabolic
     rs = p.rs
     split = decompose_weight(spec.highest_weight, p)
-    chern = chern_weight(spec)
+    rank = weyl_dim(p, split.lambda_s)
     ratios = criterion_ratios(p, split.lambda_s)
 
-    criterion: dict[int, Fraction] = {}
-    for beta in p.picard_nodes:
-        criterion[beta] = sum(
-            (r * rs.cartan[alpha][beta] for r, alpha in zip(ratios, p.levi_nodes)),
-            Fraction(0),
-        )
+    criterion = {
+        beta: sum((r * rs.cartan[alpha][beta] for r, alpha in zip(ratios, p.levi_nodes)), Fraction(0))
+        for beta in p.picard_nodes
+    }
+    on_picard = Weight(tuple(criterion.get(i, Fraction(0)) for i in range(rs.rank)))
+    lambda_e = rank * (on_picard - split.lambda_c)
+    chern = ChernData(rank=rank, lambda_E=lambda_e, cramer_a=tuple(rank * r for r in ratios))
 
-    per_generator = chern.lambda_E / chern.rank
-    for beta in p.picard_nodes:
-        assert per_generator[beta] == criterion[beta] - split.lambda_c[beta]
-
-    splits_from_criterion = all(v.denominator == 1 for v in criterion.values())
-    splits_from_degrees = per_generator.is_integral
-    assert splits_from_criterion == splits_from_degrees, "criterion and degree tests disagree"
-
-    lambda_l0 = lambda_e0_check = None
-    if splits_from_criterion:
-        lambda_l0 = per_generator
-        lambda_e0_check = chern.lambda_E - chern.rank * lambda_l0
-        assert lambda_e0_check.is_zero
-    return SplittingReport(
+    splits = all(v.denominator == 1 for v in criterion.values())
+    lambda_l0 = lambda_e / rank if splits else None
+    report = SplittingReport(
         chern=chern,
         criterion_values=criterion,
-        splits=splits_from_criterion,
+        splits=splits,
         lambda_L0=lambda_l0,
-        lambda_E0_check=lambda_e0_check,
+        lambda_E0_check=lambda_e - rank * lambda_l0 if splits else None,
+        split=split,
     )
+    _verify(spec, report)
+    return report
 
 
-def line_bundle_weight(coeffs: Sequence[int], p: ParabolicData) -> Weight:
-    """Embed per-generator degrees as an integral weight supported off I.
+def _verify(spec: BundleSpec, report: SplittingReport) -> None:
+    """Every cross-check of a splitting report; InvariantError on the first
+    that fails, naming it and the bundle."""
+    p = spec.parabolic
+    rs = p.rs
+    chern = report.chern
+
+    def require(ok: bool, invariant: str) -> None:
+        if not ok:
+            raise InvariantError(
+                f"{invariant}: {rs.lie_type}, Levi nodes {p.levi_nodes}, highest weight {spec.highest_weight}"
+            )
+
+    det_levi = linalg.det(p.levi_cartan)
+    require(
+        all((a * det_levi).denominator == 1 for a in chern.cramer_a),
+        "a_alpha denominators must divide det(C_I)",
+    )
+    require(all(chern.lambda_E[i] == 0 for i in p.levi_nodes), "lambda(E) must vanish on the Levi nodes")
+
+    # r*lambda + lambda(E) must land in the span of the Levi simple roots,
+    # with exactly the Cramer coefficients as coordinates.
+    on_levi = dict(zip(p.levi_nodes, chern.cramer_a))
+    in_simple = rs.weight_in_simple_roots(chern.rank * spec.highest_weight + chern.lambda_E)
+    require(list(in_simple) == [on_levi.get(i, 0) for i in range(rs.rank)], "residue identity failed")
+
+    per_generator = chern.lambda_E / chern.rank
+    require(
+        all(per_generator[b] == v - report.split.lambda_c[b] for b, v in report.criterion_values.items()),
+        "per-generator degree must equal criterion - lambda_c",
+    )
+    require(report.splits == per_generator.is_integral, "criterion and degree tests disagree")
+    if report.splits:
+        require(report.lambda_E0_check.is_zero, "c1(E0) must vanish")
+
+
+def line_bundle_weight(coeffs: Sequence[int | Fraction], p: ParabolicData) -> Weight:
+    """Embed per-generator degrees as a weight supported off I.
 
     ``coeffs`` are ordered by increasing node index over the complement of I;
     the resulting weight has <w, alpha^vee> equal to the given degree on each
@@ -198,7 +207,7 @@ def line_bundle_weight(coeffs: Sequence[int], p: ParabolicData) -> Weight:
     """
     nodes = p.picard_nodes
     if len(coeffs) != len(nodes):
-        raise ValueError(f"expected {len(nodes)} degree(s), got {len(coeffs)}")
+        raise ValueError(f"expected {len(nodes)} value(s) over the Picard nodes, got {len(coeffs)}")
     coords = [Fraction(0)] * p.rs.rank
     for value, node in zip(coeffs, nodes):
         coords[node] = Fraction(value)

@@ -5,11 +5,13 @@ line (0-based internally); weights are full-rank coordinate vectors over
 the fundamental weights; every rational in a report is rendered as a
 "p/q" string; reports carry a schema_version and are byte-stable for
 identical requests.  Exit codes: 0 success, 1 input error, 2 fixture
-mismatch.
+mismatch, 3 a failed internal invariant (reported on stderr as
+"invariant violated: ...", without a traceback).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,19 +22,14 @@ from typing import Sequence
 from . import __version__, linalg
 from .bundle import (
     BundleSpec,
+    SplittingReport,
     canonical_weight,
     line_bundle_weight,
     splitting_report,
 )
 from .curvature import KahlerClass, einstein_class, endo_eigenvalues, hym_constant, omega_trace
-from .parabolic import (
-    FullSetNotParabolicError,
-    NotDominantError,
-    ParabolicData,
-    build_parabolic,
-    decompose_weight,
-)
-from .rootsys import InvalidTypeError, Weight, build_root_system
+from .parabolic import ParabolicData, build_parabolic
+from .rootsys import InvalidTypeError, InvariantError, Weight, build_root_system
 from .spectral import (
     FlatTorus,
     SingularProfile,
@@ -101,13 +98,33 @@ def _split_fractions(text: str, what: str) -> tuple[Fraction, ...]:
         raise ParseError(f"{what}: expected comma-separated rationals, got {text!r}") from exc
 
 
-def _parse_spectral_spec(text: str) -> SpectralRequest:
+def _parse_fields(text: str, what: str) -> dict[str, str]:
+    """Comma-separated key=value chunks as a dict; ParseError names a bad chunk."""
     fields: dict[str, str] = {}
     for chunk in text.split(","):
         if "=" not in chunk:
-            raise ParseError(f"spectral spec: expected key=value, got {chunk!r}")
+            raise ParseError(f"{what}: expected key=value, got {chunk!r}")
         key, value = chunk.split("=", 1)
         fields[key.strip()] = value.strip()
+    return fields
+
+
+def _levi_nodes(text: str, rank: int) -> tuple[int, ...]:
+    """Validated 1-based Levi nodes, sorted; an empty string names the empty
+    set, whose parabolic is the Borel subgroup (the full flag variety)."""
+    nodes = _split_ints(text, "--parabolic") if text.strip() else ()
+    if len(set(nodes)) != len(nodes):
+        raise ParseError("--parabolic: duplicate node indices")
+    for node in nodes:
+        if not 1 <= node <= rank:
+            raise ParseError(f"--parabolic: node {node} outside 1..{rank}")
+    if len(nodes) == rank:
+        raise ParseError("--parabolic: the full node set is not a parabolic (the variety would be a point)")
+    return tuple(sorted(nodes))
+
+
+def _parse_spectral_spec(text: str) -> SpectralRequest:
+    fields = _parse_fields(text, "spectral spec")
     try:
         return SpectralRequest(
             dim=int(fields.get("dim", "1")),
@@ -124,9 +141,8 @@ def _parse_spectral_spec(text: str) -> SpectralRequest:
 
 def parse_request(tokens: Sequence[str]) -> AnalysisRequest:
     """Validate analyze-style tokens into a request, or raise ParseError."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(list(tokens))
+        ns = _build_parser().parse_args(list(tokens))
     except SystemExit as exc:  # argparse reports the bad token itself
         raise ParseError("unrecognized or malformed arguments") from exc
     if ns.command != "analyze":
@@ -140,14 +156,7 @@ def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
     except InvalidTypeError as exc:
         raise ParseError(str(exc)) from exc
     rank = int(lie_type[1:])
-    nodes = _split_ints(ns.parabolic, "--parabolic")
-    if len(set(nodes)) != len(nodes):
-        raise ParseError("--parabolic: duplicate node indices")
-    for node in nodes:
-        if not 1 <= node <= rank:
-            raise ParseError(f"--parabolic: node {node} outside 1..{rank}")
-    if len(nodes) == rank:
-        raise ParseError("--parabolic: the full node set is not a parabolic (the variety would be a point)")
+    nodes = _levi_nodes(ns.parabolic, rank)
     weight = _split_ints(ns.weight, "--weight")
     if len(weight) != rank:
         raise ParseError(f"--weight: expected {rank} coordinates, got {len(weight)}")
@@ -156,7 +165,7 @@ def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
     spectral = _parse_spectral_spec(ns.spectral) if ns.spectral else None
     return AnalysisRequest(
         lie_type=lie_type,
-        parabolic=tuple(sorted(nodes)),
+        parabolic=nodes,
         weight=weight,
         kahler=kahler,
         line=line,
@@ -210,12 +219,10 @@ def _parabolic_block(p: ParabolicData) -> dict:
     }
 
 
-def _splitting_block(spec: BundleSpec) -> dict:
-    report = splitting_report(spec)
-    split = decompose_weight(spec.highest_weight, spec.parabolic)
+def _splitting_block(report: SplittingReport) -> dict:
     block = {
-        "lambda_s": _weight_json(split.lambda_s),
-        "lambda_c": _weight_json(split.lambda_c),
+        "lambda_s": _weight_json(report.split.lambda_s),
+        "lambda_c": _weight_json(report.split.lambda_c),
         "rank": report.chern.rank,
         "cramer_a": [_frac(a) for a in report.chern.cramer_a],
         "lambda_E": _weight_json(report.chern.lambda_E),
@@ -230,11 +237,12 @@ def _splitting_block(spec: BundleSpec) -> dict:
 
 
 def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None) -> dict:
-    psi = line if line is not None else einstein_class(p).as_weight(p)
+    einstein = einstein_class(p)
+    psi = line if line is not None else einstein.as_weight(p)
     spectrum = endo_eigenvalues(psi, kahler, p)
     block = {
         "kahler_class": [_frac(c) for c in kahler.coeffs],
-        "einstein_class": [_frac(c) for c in einstein_class(p).coeffs],
+        "einstein_class": [_frac(c) for c in einstein.coeffs],
         "normalization": "curvature forms carry a further 2*pi factor at report time",
         "omega_traces": {
             str(alpha + 1): _frac(omega_trace(alpha, kahler, p)) for alpha in p.picard_nodes
@@ -244,7 +252,8 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None)
         "trace": _frac(spectrum.trace()),
     }
     if line is not None:
-        block["hym_constant"] = _frac(hym_constant(line, kahler, p))
+        # psi is the line's weight here, so the trace is its mean-curvature constant
+        block["hym_constant"] = block["trace"]
     return block
 
 
@@ -316,8 +325,7 @@ def _truncation_ladder(modes: int) -> list[int]:
 def build_analysis_report(req: AnalysisRequest) -> dict:
     rs = build_root_system(req.lie_type)
     p = build_parabolic(rs, [n - 1 for n in req.parabolic])
-    weight = Weight.of(*req.weight)
-    spec = BundleSpec(parabolic=p, highest_weight=weight)
+    splitting = splitting_report(BundleSpec(parabolic=p, highest_weight=Weight.of(*req.weight)))
     report = {
         "schema_version": SCHEMA_VERSION,
         "request": {
@@ -331,7 +339,7 @@ def build_analysis_report(req: AnalysisRequest) -> dict:
             "positive_roots": len(rs.positive_roots),
         },
         "parabolic": _parabolic_block(p),
-        "splitting": _splitting_block(spec),
+        "splitting": _splitting_block(splitting),
     }
     kahler = KahlerClass(req.kahler) if req.kahler is not None else None
     if kahler is not None:
@@ -341,9 +349,8 @@ def build_analysis_report(req: AnalysisRequest) -> dict:
         # when the bundle splits and a Kahler class is fixed, the demo's
         # target mean is the constant mean curvature of the split-off L0
         hym_target = None
-        full = splitting_report(spec)
-        if kahler is not None and full.splits:
-            hym_target = float(hym_constant(full.lambda_L0, kahler, p))
+        if kahler is not None and splitting.splits:
+            hym_target = float(hym_constant(splitting.lambda_L0, kahler, p))
         report["spectral"] = _spectral_block(req.spectral, hym_target)
     return report
 
@@ -495,6 +502,7 @@ def _check_fixture(name: str, expected: dict, actual: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parabolica",
@@ -505,12 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, weighted: bool) -> None:
         p.add_argument("--type", required=True, help="Dynkin type, e.g. A3, B3, D4 (case-insensitive)")
-        p.add_argument("--parabolic", required=True, help="Levi nodes, 1-based, e.g. 2,3")
+        p.add_argument("--parabolic", required=True, help="Levi nodes, 1-based, e.g. 2,3 (empty: Borel)")
         if weighted:
             p.add_argument("--weight", required=True, help="highest weight coordinates, e.g. 0,0,2")
-        p.add_argument("--json", action="store_true", help="force JSON output (the default)")
-        p.add_argument("--csv", action="store_true", help="CSV output where supported")
-        p.add_argument("--quiet", action="store_true", help="suppress summary lines")
 
     analyze = sub.add_parser("analyze", help="splitting report for a bundle")
     common(analyze, weighted=True)
@@ -528,21 +533,13 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--modes", type=int, default=128, help="eigenmodes to materialize")
     spec.add_argument("--profile", required=True, help="e.g. point:s=0.25 or subtorus:s=0.4,codim=1")
     spec.add_argument("--hym", type=float, default=1.0, help="target mean-curvature constant")
-    spec.add_argument("--report", choices=("json", "csv"), default="json")
-    spec.add_argument("--json", action="store_true")
-    spec.add_argument("--csv", action="store_true")
-    spec.add_argument("--quiet", action="store_true")
+    spec.add_argument("--csv", action="store_true", help="residual ladder as CSV instead of JSON")
 
     suite = sub.add_parser("paper-suite", help="run the pinned example battery")
-    suite.add_argument("--json", action="store_true")
-    suite.add_argument("--csv", action="store_true")
-    suite.add_argument("--quiet", action="store_true")
+    suite.add_argument("--quiet", action="store_true", help="no ok <name> lines on stderr")
 
     dump = sub.add_parser("dump-roots", help="emit a root-system dump as JSON")
     dump.add_argument("--type", required=True)
-    dump.add_argument("--json", action="store_true")
-    dump.add_argument("--csv", action="store_true")
-    dump.add_argument("--quiet", action="store_true")
     return parser
 
 
@@ -550,12 +547,7 @@ def _parse_profile(text: str) -> tuple[str, dict[str, str]]:
     if ":" not in text:
         raise ParseError(f"--profile: expected kind:key=value[,...], got {text!r}")
     kind, rest = text.split(":", 1)
-    fields: dict[str, str] = {}
-    for chunk in rest.split(","):
-        if "=" not in chunk:
-            raise ParseError(f"--profile: expected key=value, got {chunk!r}")
-        key, value = chunk.split("=", 1)
-        fields[key.strip()] = value.strip()
+    fields = _parse_fields(rest, "--profile")
     if kind not in ("point", "subtorus"):
         raise ParseError(f"--profile: unknown singular-set kind {kind!r}")
     return kind, fields
@@ -586,9 +578,8 @@ def _emit(payload: dict | list) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(tokens)
+        ns = _build_parser().parse_args(tokens)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
@@ -597,8 +588,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             _emit(build_analysis_report(req))
         elif ns.command == "curvature":
             rs = build_root_system(ns.type)
-            nodes = _split_ints(ns.parabolic, "--parabolic")
-            p = build_parabolic(rs, [n - 1 for n in nodes])
+            p = build_parabolic(rs, [n - 1 for n in _levi_nodes(ns.parabolic, rs.rank)])
             kahler = (
                 KahlerClass(_split_fractions(ns.kahler, "--kahler"))
                 if ns.kahler
@@ -611,7 +601,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif ns.command == "spectral":
             req = _spectral_request_from_args(ns)
             block = _spectral_block(req)
-            if ns.csv or ns.report == "csv":
+            if ns.csv:
                 sys.stdout.write("n,residual\n")
                 for row in block.get("residuals", ()):
                     sys.stdout.write(f"{row['n']},{row['residual']!r}\n")
@@ -630,16 +620,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif ns.command == "dump-roots":
             rs = build_root_system(ns.type)
             _emit(rs.to_dict())
-    except (
-        ParseError,
-        InvalidTypeError,
-        FullSetNotParabolicError,
-        NotDominantError,
-        ValueError,
-        IndexError,
-    ) as exc:
+    except (ValueError, IndexError) as exc:  # ParseError and the library's input errors are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except InvariantError as exc:
+        sys.stderr.write(f"invariant violated: {exc}\n")
+        return 3
     return 0
 
 

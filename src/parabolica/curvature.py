@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bundle import line_bundle_weight
 from .parabolic import ParabolicData
-from .rootsys import Root, Weight, fundamental_weight
+from .rootsys import InvariantError, Root, Weight, fundamental_weight
 
 
 class NotKahlerError(ValueError):
@@ -31,13 +32,7 @@ class KahlerClass:
             raise NotKahlerError("all generator coefficients must be positive")
 
     def as_weight(self, p: ParabolicData) -> Weight:
-        nodes = p.picard_nodes
-        if len(self.coeffs) != len(nodes):
-            raise ValueError(f"expected {len(nodes)} coefficient(s), got {len(self.coeffs)}")
-        coords = [Fraction(0)] * p.rs.rank
-        for c, node in zip(self.coeffs, nodes):
-            coords[node] = c
-        return Weight(tuple(coords))
+        return line_bundle_weight(self.coeffs, p)
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,10 @@ def endo_eigenvalues(psi: Weight, omega0: KahlerClass, p: ParabolicData) -> Endo
     eigenvalues = {}
     for root in p.complement_roots:
         denom = rs.pairing(w0, root)
-        assert denom > 0, "Kahler positivity must make every denominator positive"
+        if denom <= 0:
+            raise InvariantError(
+                f"Kahler positivity must make every denominator positive: root {root}, class {w0}"
+            )
         eigenvalues[root] = rs.pairing(psi, root) / denom
     return EndomorphismSpectrum(eigenvalues=eigenvalues)
 
@@ -72,19 +70,15 @@ def omega_trace(alpha: int, omega0: KahlerClass, p: ParabolicData) -> Fraction:
 def hym_constant(line_weight: Weight, omega0: KahlerClass, p: ParabolicData) -> Fraction:
     """Constant mean curvature (over 2*pi) of the invariant metric on a line bundle.
 
-    This is the sum over Phi_I^+ of <lambda(L), beta^vee> / <omega0, beta^vee>,
-    using the exact coroot pairing; naive coefficient counting would be wrong
-    whenever short roots are present.
+    This is the trace of endo_eigenvalues(lambda(L), omega0, p), the sum over
+    Phi_I^+ of <lambda(L), beta^vee> / <omega0, beta^vee>, using the exact
+    coroot pairing; naive coefficient counting would be wrong whenever short
+    roots are present.
     """
-    rs = p.rs
     for i in p.levi_nodes:
         if line_weight[i] != 0:
             raise ValueError("line bundle weights are supported off the Levi nodes")
-    w0 = omega0.as_weight(p)
-    total = Fraction(0)
-    for root in p.complement_roots:
-        total += rs.pairing(line_weight, root) / rs.pairing(w0, root)
-    return total
+    return endo_eigenvalues(line_weight, omega0, p).trace()
 
 
 def einstein_class(p: ParabolicData) -> KahlerClass:

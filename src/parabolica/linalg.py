@@ -19,13 +19,11 @@ def _as_fraction_rows(rows: Sequence[Row]) -> list[list[Fraction]]:
     return out
 
 
-def det(rows: Sequence[Row]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination.
-
-    The empty matrix has determinant 1, so Cramer formulas degenerate
-    gracefully for an empty index set.
+def _eliminate(a: list[list[Fraction]]) -> Fraction:
+    """Bring the leading n x n block of the n-row matrix a to upper-triangular
+    form in place and return its determinant (0, a left partly reduced, if
+    singular).  Further columns, a right-hand side, follow the row operations.
     """
-    a = _as_fraction_rows(rows)
     n = len(a)
     result = Fraction(1)
     for col in range(n):
@@ -44,33 +42,33 @@ def det(rows: Sequence[Row]) -> Fraction:
     return result
 
 
+def det(rows: Sequence[Row]) -> Fraction:
+    """Determinant by fraction-exact Gaussian elimination.
+
+    The empty matrix has determinant 1, so Cramer formulas degenerate
+    gracefully for an empty index set.
+    """
+    return _eliminate(_as_fraction_rows(rows))
+
+
 def solve(rows: Sequence[Row], rhs: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-    """Solve A x = b exactly by Gauss-Jordan elimination.
+    """Solve A x = b exactly: elimination on [A | b], then back substitution.
 
     Raises ValueError on a singular matrix; finite-type Cartan matrices
     are always invertible.
     """
     a = _as_fraction_rows(rows)
-    b = [Fraction(x) for x in rhs]
     n = len(a)
-    if len(b) != n:
+    if len(rhs) != n:
         raise ValueError("dimension mismatch")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        b[col] *= inv
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                b[r] -= factor * b[col]
-    return tuple(b)
+    for row, b in zip(a, rhs):
+        row.append(Fraction(b))
+    if _eliminate(a) == 0:
+        raise ValueError("singular matrix")
+    x = [Fraction(0)] * n
+    for r in reversed(range(n)):
+        x[r] = (a[r][n] - sum((a[r][c] * x[c] for c in range(r + 1, n)), Fraction(0))) / a[r][r]
+    return tuple(x)
 
 
 def transpose(rows: Sequence[Row]) -> tuple[tuple[Fraction, ...], ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .rootsys import Root, RootSystem, Weight, root_system_from_cartan
+from .rootsys import InvariantError, Root, RootSystem, Weight, root_system_from_cartan
 
 
 class FullSetNotParabolicError(ValueError):
@@ -64,8 +64,8 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
         root for root in rs.positive_roots if any(m and i not in inside for i, m in enumerate(root))
     )
     delta = delta_from_root_sum(rs, complement)
-    for i in nodes:
-        assert delta[i] == 0, "delta must pair to zero against Levi coroots"
+    if any(delta[i] != 0 for i in nodes):
+        raise InvariantError(f"delta must vanish on the Levi nodes {nodes} of {rs.lie_type}: delta {delta}")
     return ParabolicData(
         rs=rs,
         levi_nodes=nodes,
@@ -97,5 +97,6 @@ def decompose_weight(weight: Weight, p: ParabolicData) -> WeightSplit:
         raise NotDominantError("weight is not dominant for the Levi factor")
     lambda_s = weight.restricted(p.levi_nodes)
     lambda_c = weight - lambda_s
-    assert lambda_c == weight.restricted(p.picard_nodes)
+    if lambda_c != weight.restricted(p.picard_nodes):
+        raise InvariantError(f"lambda_c must be the weight {weight} off the Levi nodes {p.levi_nodes}")
     return WeightSplit(lambda_s=lambda_s, lambda_c=lambda_c)

@@ -41,6 +41,11 @@ class InvalidTypeError(ValueError):
     """Family/rank combination outside the finite simple types."""
 
 
+class InvariantError(AssertionError):
+    """An internal cross-check failed; the message names it and its inputs.
+    Raised explicitly, so the checks also run under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class SimpleLieType:
     family: str
@@ -108,6 +113,9 @@ class Weight:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coords[i]
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check(other)
@@ -297,12 +305,10 @@ def _symmetrizers(cartan: Sequence[Sequence[int]], left: bool) -> tuple[int, ...
                     component.append(j)
         _component_scaled(values, component)
     result = tuple(int(v) for v in values)
-    for i in range(n):
-        for j in range(n):
-            if left:
-                assert result[i] * cartan[i][j] == result[j] * cartan[j][i]
-            else:
-                assert cartan[i][j] * result[j] == cartan[j][i] * result[i]
+    scaled = [[(result[i] if left else result[j]) * cartan[i][j] for j in range(n)] for i in range(n)]
+    if any(scaled[i][j] != scaled[j][i] for i in range(n) for j in range(n)):
+        side = "D*C" if left else "C*E"
+        raise InvariantError(f"symmetrizer {result} must make {side} symmetric for Cartan matrix {cartan}")
     return result
 
 
@@ -357,8 +363,8 @@ def root_system_from_cartan(
     if lie_type is not None:
         expected = positive_root_count(lie_type)
         if len(rs.positive_roots) != expected:
-            raise AssertionError(
-                f"{lie_type}: enumerated {len(rs.positive_roots)} positive roots, expected {expected}"
+            raise InvariantError(
+                f"positive-root count of {lie_type}: enumerated {len(rs.positive_roots)}, expected {expected}"
             )
     return rs
 

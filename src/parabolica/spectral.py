@@ -24,16 +24,11 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .rootsys import InvariantError
+
 
 class NotL2Error(ValueError):
     """The requested singular profile is not square integrable."""
-
-
-class InvariantError(AssertionError):
-    """A numerical cross-check failed; the message names it and its inputs.
-
-    Raised explicitly, so the checks also run under ``python -O``.
-    """
 
 
 # Grid budget: the default grid for d >= 2 is the finest power-of-two side

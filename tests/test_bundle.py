@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from parabolica import (
     BundleSpec,
+    InvariantError,
     NotDominantError,
+    RootSystem,
     Weight,
     canonical_weight,
     chern_weight,
@@ -17,7 +23,7 @@ from parabolica import (
     splitting_report,
     weyl_dim,
 )
-from parabolica import linalg
+from parabolica import bundle, linalg
 
 from conftest import cached_parabolic, cached_system
 
@@ -207,3 +213,46 @@ def test_bundle_spec_validation(gr2c4):
         BundleSpec(gr2c4, Weight.of("1/2", 0, 0))
     with pytest.raises(ValueError):
         BundleSpec(gr2c4, Weight.of(1, 0))
+
+
+def test_splitting_report_derives_each_input_once(q5, monkeypatch):
+    calls = {}
+    for name in ("decompose_weight", "weyl_dim", "criterion_ratios"):
+        original = getattr(bundle, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(bundle, name, counted)
+    report = splitting_report(BundleSpec(q5, Weight.of(0, 0, 2)))
+    assert calls == {"decompose_weight": 1, "weyl_dim": 1, "criterion_ratios": 1}
+    assert report.split.lambda_s == Weight.of(0, 0, 2)
+    assert report.split.lambda_c.is_zero
+
+
+def test_broken_residue_identity_raises_invariant_error(q5, monkeypatch):
+    monkeypatch.setattr(RootSystem, "weight_in_simple_roots", lambda self, w: (Fraction(0),) * self.rank)
+    message = r"residue identity failed: B3, Levi nodes \(1, 2\), highest weight \(0, 0, 1\)"
+    with pytest.raises(InvariantError, match=message):
+        splitting_report(BundleSpec(q5, Weight.of(0, 0, 1)))
+
+
+def test_bundle_invariants_survive_optimized_mode():
+    script = (
+        "import sys\n"
+        "import parabolica as pb\n"
+        "if not sys.flags.optimize:\n"
+        "    raise SystemExit(4)\n"
+        "p = pb.build_parabolic(pb.build_root_system('B3'), [1, 2])\n"
+        "pb.RootSystem.weight_in_simple_roots = lambda self, w: (0,) * self.rank\n"
+        "try:\n"
+        "    pb.splitting_report(pb.BundleSpec(p, pb.Weight.of(0, 0, 1)))\n"
+        "except pb.InvariantError as exc:\n"
+        "    raise SystemExit(0 if 'residue identity' in str(exc) else 2)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(bundle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -347,3 +347,116 @@ def test_main_refuses_to_emit_non_standard_json(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_build_analysis_report_derives_splitting_once(monkeypatch):
+    import parabolica.cli as cli_module
+
+    calls = []
+    original = cli_module.splitting_report
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(cli_module, "splitting_report", counted)
+    req = AnalysisRequest(
+        lie_type="B3",
+        parabolic=(2, 3),
+        weight=(0, 0, 2),
+        kahler=(Fraction(1),),
+        spectral=SpectralRequest(dim=1, modes=16, exponent=0.25),
+    )
+    report = build_analysis_report(req)
+    assert len(calls) == 1
+    assert report["splitting"]["lambda_s"] == ["0", "0", "2"]
+    assert report["spectral"]["hym_target"] == -5.0
+
+
+def test_main_invariant_violation_exit_three(capsys, monkeypatch):
+    from parabolica.rootsys import RootSystem
+
+    monkeypatch.setattr(RootSystem, "weight_in_simple_roots", lambda self, w: (Fraction(0),) * self.rank)
+    assert main(["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violated: residue identity failed: B3")
+    assert "Traceback" not in captured.err
+
+
+def test_analyze_borel_parabolic(capsys):
+    assert main(["analyze", "--type=A2", "--parabolic=", "--weight=1,0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["parabolic"]["levi_nodes"] == []
+    assert payload["parabolic"]["picard_nodes"] == [1, 2]
+    assert payload["splitting"]["rank"] == 1
+    assert payload["splitting"]["splits"] is True
+    assert payload["splitting"]["lambda_L0"] == ["-1", "0"]
+
+
+def test_request_round_trip_borel():
+    req = AnalysisRequest(lie_type="A2", parabolic=(), weight=(1, 0))
+    assert parse_request(render_request(req)) == req
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["curvature", "--type=A3", "--parabolic=1,1"], "--parabolic: duplicate node indices"),
+        (["curvature", "--type=A3", "--parabolic=4"], "--parabolic: node 4 outside 1..3"),
+        (["curvature", "--type=A3", "--parabolic=1,2,3"], "full node set"),
+        (["analyze", "--type=A3", "--parabolic=1,x", "--weight=0,0,0"], "expected comma-separated integers"),
+    ],
+)
+def test_parabolic_nodes_validated_alike(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--spectral=dim=1,modes"],
+            "spectral spec: expected key=value, got 'modes'",
+        ),
+        (
+            ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--spectral=dim=1"],
+            "spectral spec: missing required field 's'",
+        ),
+        (["spectral", "--profile=point:s=0.25,codim"], "--profile: expected key=value, got 'codim'"),
+        (["spectral", "--profile=point:codim=1"], "--profile: missing exponent s"),
+        (["spectral", "--profile=subtorus:s=0.25"], "--profile: subtorus profiles need codim="),
+    ],
+)
+def test_key_value_specs_share_one_parser(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--json"],
+        ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--csv"],
+        ["curvature", "--type=A3", "--parabolic=1,3", "--quiet"],
+        ["dump-roots", "--type=B3", "--csv"],
+        ["paper-suite", "--csv"],
+        ["spectral", "--profile=point:s=0.25", "--report=csv"],
+        ["spectral", "--profile=point:s=0.25", "--json"],
+        ["spectral", "--profile=point:s=0.25", "--quiet"],
+    ],
+)
+def test_removed_flags_are_rejected(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_parser_is_built_once():
+    from parabolica.cli import _build_parser
+
+    assert _build_parser() is _build_parser()

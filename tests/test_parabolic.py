@@ -152,3 +152,12 @@ def test_levi_subsystem_is_finite_type(name):
         p = cached_parabolic(name, nodes)
         if p.levi_cartan:
             assert linalg.det(p.levi_cartan) > 0
+
+
+def test_delta_check_raises_invariant_error(monkeypatch):
+    from parabolica import InvariantError, parabolic
+
+    monkeypatch.setattr(parabolic, "delta_from_root_sum", lambda rs, roots: Weight.of(1, 1, 1))
+    message = r"delta must vanish on the Levi nodes \(1, 2\) of B3: delta \(1, 1, 1\)"
+    with pytest.raises(InvariantError, match=message):
+        build_parabolic(cached_system("B3"), [1, 2])

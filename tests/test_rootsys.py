@@ -198,3 +198,11 @@ def test_weight_arithmetic():
     assert not w.is_integral and (w + w).is_integral
     assert Weight.zero(2).is_zero
     assert w.restricted([0]).coords == (1, 0)
+
+
+def test_positive_root_count_check_raises_invariant_error(monkeypatch):
+    from parabolica import InvariantError, rootsys
+
+    monkeypatch.setattr(rootsys, "positive_root_count", lambda t: 99)
+    with pytest.raises(InvariantError, match="positive-root count of G2: enumerated 6, expected 99"):
+        build_root_system("G2")

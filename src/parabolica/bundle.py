@@ -56,52 +56,54 @@ class SplittingReport:
 def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:
     """Dimension of the irreducible Levi module with highest weight lambda_s.
 
-    Computed as prod <lambda_s + rho, alpha^vee> / <rho, alpha^vee> over the
-    positive roots of the Levi subsystem, in exact rationals; the result is
-    checked to be a positive integer.
+    Weyl's formula prod <lambda_s + rho, alpha^vee> / prod <rho, alpha^vee>
+    over the positive roots of the Levi subsystem, as two integer products
+    over its coroot table; the quotient is checked to be exact and positive.
     """
+    if not lambda_s.is_integral:
+        raise ValueError("integral lambda_s required")
     for i in p.picard_nodes:
         if lambda_s[i] != 0:
             raise ValueError("lambda_s must be supported on the Levi nodes")
     for i in p.levi_nodes:
         if lambda_s[i] < 0:
             raise NotDominantError("lambda_s must be dominant for the Levi factor")
-    levi = p.levi_system
-    coords = p.levi_coords(lambda_s)
-    rho = levi.weyl_vector()
-    shifted = coords + rho
-    dim = Fraction(1)
-    for root in levi.positive_roots:
-        dim *= levi.pairing(shifted, root) / levi.pairing(rho, root)
-    if dim.denominator != 1 or dim <= 0:
-        raise InvariantError(f"Weyl dimension {dim} must be a positive integer: lambda_s {lambda_s}")
-    return int(dim)
+    shifted = [int(lambda_s[i]) + 1 for i in p.levi_nodes]  # lambda_s + rho over the Levi
+    numerator = denominator = 1
+    for coroot in p.levi_system.coroots.values():
+        numerator *= sum(k * x for k, x in zip(coroot, shifted))
+        denominator *= sum(coroot)  # <rho, alpha^vee> is the coroot's height
+    dim, remainder = divmod(numerator, denominator)
+    if remainder or dim <= 0:
+        raise InvariantError(
+            f"Weyl dimension {Fraction(numerator, denominator)} must be a positive integer: lambda_s {lambda_s}"
+        )
+    return dim
 
 
 def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]:
     """det(C_I(lambda_s, alpha)) / det(C_I) for each alpha in I.
 
     The alpha-row of the Levi Cartan matrix is replaced by the row of
-    pairings (<lambda_s, beta^vee>)_{beta in I}.  The same numbers solve
-    C_I^T x = b with b the lambda_s coordinate vector on I; both routes are
-    computed and must agree exactly.
+    pairings (<lambda_s, beta^vee>)_{beta in I}.  By Cramer's rule these are
+    the solution of C_I^T x = b with b the lambda_s coordinate vector on I,
+    read off the Levi's stored adjugate as adj(C_I^T) b / det(C_I).  An
+    exact elimination solves the same system and must agree.
     """
-    coords = [lambda_s[i] for i in p.levi_nodes]
     if not p.levi_nodes:
         return ()
-    base = [list(row) for row in p.levi_cartan]
-    denom = linalg.det(base)
-    ratios = []
-    for pos in range(len(p.levi_nodes)):
-        replaced = [row[:] for row in base]
-        replaced[pos] = coords
-        ratios.append(linalg.det(replaced) / denom)
-    if tuple(ratios) != linalg.solve(linalg.transpose(base), coords):
+    coords = p.levi_coords(lambda_s)
+    nums, denom = coords.cleared()
+    denom *= p.levi_det
+    ratios = tuple(
+        Fraction(sum(a * x for a, x in zip(row, nums)), denom) for row in p.levi_system.cartan_t_adjugate
+    )
+    if ratios != linalg.solve(linalg.transpose(p.levi_cartan), coords.coords):
         raise InvariantError(
             f"Cramer determinants must agree with the exact solve: "
             f"Levi nodes {p.levi_nodes}, lambda_s {lambda_s}"
         )
-    return tuple(ratios)
+    return ratios
 
 
 def cramer_coefficients(spec: BundleSpec) -> tuple[Fraction, ...]:
@@ -175,9 +177,8 @@ def _verify(spec: BundleSpec, report: SplittingReport) -> None:
                 f"{invariant}: {rs.lie_type}, Levi nodes {p.levi_nodes}, highest weight {spec.highest_weight}"
             )
 
-    det_levi = linalg.det(p.levi_cartan)
     require(
-        all((a * det_levi).denominator == 1 for a in chern.cramer_a),
+        all((a * p.levi_det).denominator == 1 for a in chern.cramer_a),
         "a_alpha denominators must divide det(C_I)",
     )
     require(all(chern.lambda_E[i] == 0 for i in p.levi_nodes), "lambda(E) must vanish on the Levi nodes")

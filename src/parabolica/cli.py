@@ -4,9 +4,10 @@ Conventions: simple-root nodes are 1-based Bourbaki indices on the command
 line (0-based internally); weights are full-rank coordinate vectors over
 the fundamental weights; every rational in a report is rendered as a
 "p/q" string; reports carry a schema_version and are byte-stable for
-identical requests.  Exit codes: 0 success, 1 input error, 2 fixture
-mismatch, 3 a failed internal invariant (reported on stderr as
-"invariant violated: ...", without a traceback).
+identical requests.  Exit codes: 0 success, 1 input error or a reader
+that closed stdout early, 2 fixture mismatch, 3 a failed internal
+invariant (reported on stderr as "invariant violated: ...", without a
+traceback).
 """
 from __future__ import annotations
 
@@ -14,12 +15,13 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import __version__, linalg
+from . import __version__
 from .bundle import (
     BundleSpec,
     SplittingReport,
@@ -213,7 +215,7 @@ def _parabolic_block(p: ParabolicData) -> dict:
         "levi_nodes": [i + 1 for i in p.levi_nodes],
         "picard_nodes": [i + 1 for i in p.picard_nodes],
         "levi_cartan": [list(row) for row in p.levi_cartan],
-        "det_levi_cartan": _frac(linalg.det(p.levi_cartan)),
+        "det_levi_cartan": _frac(p.levi_det),
         "phi_I_plus": [list(r) for r in p.complement_roots],
         "delta": _weight_json(p.delta),
     }
@@ -306,7 +308,7 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> di
             "residuals": residuals,
             "h2_gaps": gaps,
             "hym_target": target,
-            "c0": compatibility_constant(mean, target, torus),
+            "c0": compatibility_constant(mean, target),
         }
     )
     return block
@@ -620,6 +622,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif ns.command == "dump-roots":
             rs = build_root_system(ns.type)
             _emit(rs.to_dict())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point it at devnull so that the
+        # flush at interpreter exit cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, IndexError) as exc:  # ParseError and the library's input errors are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -46,17 +46,27 @@ class EndomorphismSpectrum:
 
 
 def endo_eigenvalues(psi: Weight, omega0: KahlerClass, p: ParabolicData) -> EndomorphismSpectrum:
-    """q_beta = <psi, beta^vee> / <omega0, beta^vee> over Phi_I^+."""
-    rs = p.rs
+    """q_beta = <psi, beta^vee> / <omega0, beta^vee> over Phi_I^+.
+
+    psi and omega0 are brought to integer numerators over one denominator
+    each, so both pairings are integer dot products with the stored coroot
+    and each root costs one Fraction.
+    """
+    if psi.rank != p.rs.rank:
+        raise ValueError("dimension mismatch")
+    coroots = p.rs.coroots
     w0 = omega0.as_weight(p)
+    psi_nums, psi_den = psi.cleared()
+    w0_nums, w0_den = w0.cleared()
     eigenvalues = {}
     for root in p.complement_roots:
-        denom = rs.pairing(w0, root)
+        coroot = coroots[root]
+        denom = sum(k * x for k, x in zip(coroot, w0_nums))
         if denom <= 0:
             raise InvariantError(
                 f"Kahler positivity must make every denominator positive: root {root}, class {w0}"
             )
-        eigenvalues[root] = rs.pairing(psi, root) / denom
+        eigenvalues[root] = Fraction(sum(k * x for k, x in zip(coroot, psi_nums)) * w0_den, denom * psi_den)
     return EndomorphismSpectrum(eigenvalues=eigenvalues)
 
 

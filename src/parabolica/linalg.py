@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-Everything here works on sequences of ints or Fractions and returns
-Fractions; no floating point is ever involved.
+``det`` and ``solve`` work on sequences of ints or Fractions and return
+Fractions; ``adjugate`` stays in the integers.  No floating point is ever
+involved.
 """
 from __future__ import annotations
 
@@ -69,6 +70,38 @@ def solve(rows: Sequence[Row], rhs: Sequence[int | Fraction]) -> tuple[Fraction,
     for r in reversed(range(n)):
         x[r] = (a[r][n] - sum((a[r][c] * x[c] for c in range(r + 1, n)), Fraction(0))) / a[r][r]
     return tuple(x)
+
+
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det(A) and the integer adjugate adj(A) = det(A) * A^-1 of an integer matrix.
+
+    Fraction-free Gauss-Jordan elimination of [A | I] (Bareiss, Math. Comp.
+    22, 1968): after step k every entry is a minor of order k + 1, so each
+    division by the previous pivot is exact and nothing leaves the integers.
+    It ends at [d I | d A^-1] with d = +-det(A), the sign set by the row
+    swaps.  A singular matrix gives (0, ()).
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("square matrix required")
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if pivot is None:
+            return 0, ()
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        top = m[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
 
 
 def transpose(rows: Sequence[Row]) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,9 +2,10 @@
 
 A standard parabolic is named by the set of simple roots spanning its Levi
 factor.  The structure precomputed here is everything the splitting
-criterion needs: the Levi Cartan submatrix (with its own root system),
-the complementary positive roots, and their sum delta, which is the
-anticanonical weight of the flag variety.
+criterion needs: the Levi Cartan submatrix (with its own root system,
+which carries det C_I and the adjugate of C_I^T), the complementary
+positive roots, and their sum delta, which is the anticanonical weight of
+the flag variety.
 """
 from __future__ import annotations
 
@@ -30,6 +31,11 @@ class ParabolicData:
     levi_system: RootSystem
     complement_roots: tuple[Root, ...]
     delta: Weight
+
+    @property
+    def levi_det(self) -> int:
+        """det C_I, stored on the Levi's root system when it was built."""
+        return self.levi_system.cartan_det
 
     @property
     def picard_nodes(self) -> tuple[int, ...]:
@@ -63,7 +69,8 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
     complement = tuple(
         root for root in rs.positive_roots if any(m and i not in inside for i, m in enumerate(root))
     )
-    delta = delta_from_root_sum(rs, complement)
+    # delta = (sum of the complement roots) written over the fundamental weights
+    delta = rs.root_as_weight(tuple(map(sum, zip(*complement))))
     if any(delta[i] != 0 for i in nodes):
         raise InvariantError(f"delta must vanish on the Levi nodes {nodes} of {rs.lie_type}: delta {delta}")
     return ParabolicData(
@@ -77,8 +84,8 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
 
 
 def delta_from_root_sum(rs: RootSystem, roots: Iterable[Root]) -> Weight:
-    """Recompute delta as the plain sum of the given roots; kept separate so
-    tests can cross-check the cached value."""
+    """delta as the sum of the given roots each rewritten as a weight; the
+    test oracle for the value build_parabolic stores."""
     total = Weight.zero(rs.rank)
     for root in roots:
         total = total + rs.root_as_weight(root)

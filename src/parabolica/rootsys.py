@@ -10,13 +10,15 @@ Conventions, fixed once for the whole package:
 * positive roots are stored as integer coefficient vectors over the simple
   roots, sorted by (height, coefficients) for deterministic output.
 
-All arithmetic in this module is exact.
+All arithmetic in this module is exact.  The integer tables a query needs
+(the coroot of every positive root, det C and the adjugate of C^T) are
+computed once, when the root system is built, and checked there.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -114,6 +116,12 @@ class Weight:
     def __getitem__(self, i: int) -> Fraction:
         return self.coords[i]
 
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """(n, d) with coords == n / d: integer numerators over the least
+        common denominator d, so pairings can run in the integers."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        return tuple(c.numerator * (d // c.denominator) for c in self.coords), d
+
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
@@ -160,6 +168,12 @@ class RootSystem:
     ``root_norms`` are the minimal positive integers e with C*E symmetric,
     i.e. e_j is proportional to half the squared length of alpha_j.  Both
     are normalized per connected component.
+
+    The tables below are derived from the fields above when the system is
+    built, and are left out of equality, hashing and repr: ``coroots`` maps
+    each positive root, in ``positive_roots`` order, to the integer
+    coefficients of its coroot over the simple coroots; ``cartan_det`` and
+    ``cartan_t_adjugate`` give the exact inverse of C^T as adjugate / det.
     """
 
     lie_type: SimpleLieType | None
@@ -167,6 +181,9 @@ class RootSystem:
     symmetrizers: tuple[int, ...]
     root_norms: tuple[int, ...]
     positive_roots: tuple[Root, ...]
+    coroots: dict[Root, tuple[int, ...]] = field(compare=False, repr=False)
+    cartan_det: int = field(compare=False, repr=False)
+    cartan_t_adjugate: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -179,27 +196,29 @@ class RootSystem:
 
     def root_norm_sq(self, root: Root) -> Fraction:
         """(beta, beta) in the integer normalization fixed by root_norms."""
-        c, e = self.cartan, self.root_norms
-        total = 0
-        for i, mi in enumerate(root):
-            if mi:
-                for j, mj in enumerate(root):
-                    if mj:
-                        total += mi * mj * c[i][j] * e[j]
-        return Fraction(total)
+        return Fraction(_norm_sq(self.cartan, self.root_norms, root))
 
     def coroot_coefficients(self, root: Root) -> tuple[Fraction, ...]:
-        """Expansion of beta^vee over the simple coroots alpha_j^vee."""
+        """Expansion of beta^vee over the simple coroots alpha_j^vee,
+        2 m_j e_j / (beta, beta) in rationals; ``coroots`` holds the same
+        numbers as integers."""
         norm = self.root_norm_sq(root)
         return tuple(Fraction(2 * m * e, norm) for m, e in zip(root, self.root_norms))
 
     def pairing(self, weight: Weight, root: Root) -> Fraction:
-        """<lambda, beta^vee> = 2(lambda, beta)/(beta, beta), exactly."""
+        """<lambda, beta^vee> for a root beta (positive or negative), read as
+        an integer dot product with the stored coroot."""
         if weight.rank != self.rank or len(root) != self.rank:
             raise ValueError("dimension mismatch")
-        e = self.root_norms
-        num = 2 * sum((m * c * ej for m, c, ej in zip(root, weight.coords, e)), Fraction(0))
-        return num / self.root_norm_sq(root)
+        coroot = self.coroots.get(root)
+        sign = 1
+        if coroot is None:
+            coroot = self.coroots.get(tuple(-m for m in root))
+            sign = -1
+            if coroot is None:
+                raise ValueError(f"{root} is not a root of {self.lie_type or 'this root system'}")
+        nums, denom = weight.cleared()
+        return Fraction(sign * sum(k * x for k, x in zip(coroot, nums)), denom)
 
     def root_as_weight(self, root: Root) -> Weight:
         """beta = sum_i m_i alpha_i rewritten over the fundamental weights."""
@@ -214,8 +233,13 @@ class RootSystem:
         return Weight((Fraction(1),) * self.rank)
 
     def weight_in_simple_roots(self, weight: Weight) -> tuple[Fraction, ...]:
-        """Coordinates of a weight over the simple roots (exact solve of C^T x = c)."""
-        return linalg.solve(linalg.transpose(self.cartan), weight.coords)
+        """Coordinates of a weight over the simple roots: the solution of
+        C^T x = c, read off the stored inverse as adj(C^T) c / det C."""
+        if weight.rank != self.rank:
+            raise ValueError("dimension mismatch")
+        nums, denom = weight.cleared()
+        denom *= self.cartan_det
+        return tuple(Fraction(sum(a * x for a, x in zip(row, nums)), denom) for row in self.cartan_t_adjugate)
 
     def to_dict(self) -> dict:
         return {
@@ -261,6 +285,7 @@ def cartan_matrix(t: SimpleLieType) -> list[list[int]]:
 
 
 def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
+    """Shape, diagonal and sign pattern; _inverse_transpose checks det > 0."""
     n = len(cartan)
     for i in range(n):
         if len(cartan[i]) != n:
@@ -273,8 +298,49 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
                 if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                     raise ValueError("Cartan zero pattern must be symmetric")
-    if n and linalg.det(cartan) <= 0:
+
+
+def _norm_sq(cartan: Sequence[Sequence[int]], root_norms: Sequence[int], root: Root) -> int:
+    """(beta, beta) = sum_ij m_i m_j C_ij e_j."""
+    total = 0
+    for i, mi in enumerate(root):
+        if mi:
+            row = cartan[i]
+            for j, mj in enumerate(root):
+                if mj:
+                    total += mi * mj * row[j] * root_norms[j]
+    return total
+
+
+def _coroot_table(
+    cartan: Sequence[Sequence[int]], root_norms: Sequence[int], roots: Sequence[Root]
+) -> dict[Root, tuple[int, ...]]:
+    """beta -> integer coefficients 2 m_j e_j / (beta, beta) of beta^vee."""
+    table = {}
+    for root in roots:
+        norm = _norm_sq(cartan, root_norms, root)
+        doubled = [2 * m * e for m, e in zip(root, root_norms)]
+        if norm <= 0 or any(x % norm for x in doubled):
+            raise InvariantError(f"coroot of {root} must have integer coefficients: (beta, beta) = {norm}")
+        table[root] = tuple(x // norm for x in doubled)
+    return table
+
+
+def _inverse_transpose(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det C and adj(C^T), checked once through C^T adj(C^T) = det C * I."""
+    transposed = tuple(zip(*cartan))
+    det, adj = linalg.adjugate(transposed)
+    if det <= 0:
         raise ValueError("Cartan matrix is not of finite type")
+    n = len(cartan)
+    for i in range(n):
+        for j in range(n):
+            if sum(transposed[i][k] * adj[k][j] for k in range(n)) != (det if i == j else 0):
+                raise InvariantError(
+                    f"stored inverse of C^T must satisfy C^T X = I: Cartan matrix {cartan}, "
+                    f"adjugate {adj}, det {det}"
+                )
+    return det, adj
 
 
 def _component_scaled(values: list[Fraction | None], component: list[int]) -> None:
@@ -353,12 +419,18 @@ def root_system_from_cartan(
     """Build a root system from any finite-type (possibly reducible) Cartan matrix."""
     _validate_cartan(cartan)
     frozen = tuple(tuple(int(x) for x in row) for row in cartan)
+    det, adjugate = _inverse_transpose(frozen)
+    root_norms = _symmetrizers(frozen, left=False) if frozen else ()
+    positive_roots = _positive_roots(frozen)
     rs = RootSystem(
         lie_type=lie_type,
         cartan=frozen,
         symmetrizers=_symmetrizers(frozen, left=True) if frozen else (),
-        root_norms=_symmetrizers(frozen, left=False) if frozen else (),
-        positive_roots=_positive_roots(frozen),
+        root_norms=root_norms,
+        positive_roots=positive_roots,
+        coroots=_coroot_table(frozen, root_norms, positive_roots),
+        cartan_det=det,
+        cartan_t_adjugate=adjugate,
     )
     if lie_type is not None:
         expected = positive_root_count(lie_type)

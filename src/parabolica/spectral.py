@@ -242,16 +242,29 @@ class SpectralFunction:
         return np.append(np.cumsum(squares)[::-1], 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GalerkinSolution:
-    """Truncated conformal weight psi_n with its diagnostics."""
+    """Truncated conformal weight psi_n with its diagnostics.
+
+    ``modes``, ``psi`` and ``lam`` are aligned arrays over the matched modes
+    with a nonzero coefficient; the dict views are built only when read.
+    """
 
     truncation: int
-    psi_coeffs: dict[int, float]
-    eigenvalues: dict[int, float]
+    modes: np.ndarray
+    psi: np.ndarray
+    lam: np.ndarray
     source_mode0: float
     residual_l2: float
     h2_norm: float
+
+    @property
+    def psi_coeffs(self) -> dict[int, float]:
+        return dict(zip(self.modes.tolist(), self.psi.tolist()))
+
+    @property
+    def eigenvalues(self) -> dict[int, float]:
+        return dict(zip(self.modes.tolist(), self.lam.tolist()))
 
     def curvature_coeffs(self) -> dict[int, float]:
         """Eigen-coefficients of the resulting mean curvature.
@@ -260,8 +273,7 @@ class GalerkinSolution:
         matched mode returns lambda_j * psi_j.
         """
         out = {0: self.source_mode0}
-        for j, value in self.psi_coeffs.items():
-            out[j] = self.eigenvalues[j] * value
+        out.update(zip(self.modes.tolist(), (self.lam * self.psi).tolist()))
         return out
 
 
@@ -291,8 +303,9 @@ def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSo
     h2_sq = float(np.sum((1.0 + lam**2) * psi**2))
     return GalerkinSolution(
         truncation=n,
-        psi_coeffs=dict(zip(index.tolist(), psi.tolist())),
-        eigenvalues=dict(zip(index.tolist(), lam.tolist())),
+        modes=index,
+        psi=psi,
+        lam=lam,
         source_mode0=f.coefficient(0),
         residual_l2=math.sqrt(tail_sq),
         h2_norm=math.sqrt(h2_sq),
@@ -345,14 +358,11 @@ def h2_cauchy_gap(
     return bound
 
 
-def compatibility_constant(
-    profile_mean: float, hym_c: float, manifold: FlatTorus | None = None
-) -> float:
+def compatibility_constant(profile_mean: float, hym_c: float) -> float:
     """Additive shift moving a profile's mean onto the topological target.
 
     The prescribed equation needs (1/2pi) x mean = hym constant, i.e. a
-    target mean of 2 pi * hym_c; only mode-0 arithmetic is involved, so the
-    manifold argument is accepted for interface uniformity but unused.
+    target mean of 2 pi * hym_c; only mode-0 arithmetic is involved.
     """
     return 2.0 * math.pi * float(hym_c) - profile_mean
 

@@ -279,7 +279,7 @@ def test_acceptance_5_spectral_suite():
     dist_sq = np.minimum(gx, 1.0 - gx) ** 2 + np.minimum(gy, 1.0 - gy) ** 2
     oracle_mean = float(np.mean(dist_sq**-0.25))
     target = 2.0 * math.pi * 1.0
-    c0 = compatibility_constant(mean, 1.0, torus)
+    c0 = compatibility_constant(mean, 1.0)
     c0_oracle = target - oracle_mean
     assert abs(c0 - c0_oracle) <= 1e-6
 

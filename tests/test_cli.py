@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +191,40 @@ def test_main_paper_suite(capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert len(payload) == 6
+
+
+# sha256 of `paper-suite --quiet` stdout.  The suite's reports are the pinned
+# outputs of the exact side; a change that moves any byte of them must say so
+# here.
+PAPER_SUITE_SHA256 = "26884516927e8f7a3c777e381da161a6c4118769b985142dc7d0decaff5e8910"
+
+
+def test_paper_suite_quiet_stdout_is_pinned(capsys):
+    assert main(["paper-suite", "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SUITE_SHA256
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # The read end is closed before the child starts, so its first write
+    # fails with EPIPE whatever the pipe's buffer size.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "parabolica.cli", "dump-roots", "--type=E8"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr == ""
 
 
 def test_main_paper_suite_progress_lines(capsys):

@@ -155,9 +155,10 @@ def test_levi_subsystem_is_finite_type(name):
 
 
 def test_delta_check_raises_invariant_error(monkeypatch):
-    from parabolica import InvariantError, parabolic
+    from parabolica import InvariantError, RootSystem
 
-    monkeypatch.setattr(parabolic, "delta_from_root_sum", lambda rs, roots: Weight.of(1, 1, 1))
+    # build_parabolic rewrites the summed complement roots as a weight
+    monkeypatch.setattr(RootSystem, "root_as_weight", lambda self, root: Weight.of(1, 1, 1))
     message = r"delta must vanish on the Levi nodes \(1, 2\) of B3: delta \(1, 1, 1\)"
     with pytest.raises(InvariantError, match=message):
         build_parabolic(cached_system("B3"), [1, 2])

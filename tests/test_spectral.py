@@ -94,6 +94,17 @@ def test_solve_weight_single_high_mode():
     assert math.isclose(sol.h2_norm, math.sqrt((1.0 + lam**2) / lam**2), rel_tol=1e-14)
 
 
+def test_galerkin_solution_keeps_arrays():
+    # modes with a zero coefficient are dropped; the dicts are views of the arrays
+    f = SpectralFunction(coeffs={0: 2.0, 1: 0.5, 2: 0.0, 3: -1.5})
+    sol = solve_weight(f, 3, CIRCLE)
+    assert sol.modes.tolist() == [1, 3]
+    lam = {j: CIRCLE.eigenvalue(j) for j in (1, 3)}
+    assert sol.eigenvalues == lam
+    assert sol.psi_coeffs == {1: 0.5 / lam[1], 3: -1.5 / lam[3]}
+    assert sol.curvature_coeffs() == {0: 2.0, 1: lam[1] * (0.5 / lam[1]), 3: lam[3] * (-1.5 / lam[3])}
+
+
 def test_residual_matches_direct_tail_sum():
     n_max = 1500
     f = SpectralFunction(coeffs={j: 1.0 / j for j in range(1, n_max + 1)})

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg
 from .parabolic import NotDominantError, ParabolicData, WeightSplit, decompose_weight, is_dominant_for_levi
 from .rootsys import InvariantError, Weight
 
@@ -87,23 +86,25 @@ def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]
     The alpha-row of the Levi Cartan matrix is replaced by the row of
     pairings (<lambda_s, beta^vee>)_{beta in I}.  By Cramer's rule these are
     the solution of C_I^T x = b with b the lambda_s coordinate vector on I,
-    read off the Levi's stored adjugate as adj(C_I^T) b / det(C_I).  An
-    exact elimination solves the same system and must agree.
+    read off the Levi's stored adjugate as adj(C_I^T) b / det(C_I).  With
+    b = nums / d cleared to integers, the integer residual check
+    C_I^T (adj(C_I^T) nums) = det(C_I) nums proves it is the unique solution,
+    since C_I^T is nonsingular.
     """
     if not p.levi_nodes:
         return ()
-    coords = p.levi_coords(lambda_s)
-    nums, denom = coords.cleared()
-    denom *= p.levi_det
-    ratios = tuple(
-        Fraction(sum(a * x for a, x in zip(row, nums)), denom) for row in p.levi_system.cartan_t_adjugate
-    )
-    if ratios != linalg.solve(linalg.transpose(p.levi_cartan), coords.coords):
+    nums, denom = p.levi_coords(lambda_s).cleared()
+    det = p.levi_det
+    solution = [sum(a * x for a, x in zip(row, nums)) for row in p.levi_system.cartan_t_adjugate]
+    # row i of C_I^T is column i of C_I
+    residual = [sum(row[i] * y for row, y in zip(p.levi_cartan, solution)) for i in range(len(nums))]
+    if residual != [det * x for x in nums]:
         raise InvariantError(
-            f"Cramer determinants must agree with the exact solve: "
+            f"Cramer determinants must agree with the solution of C_I^T x = b: "
             f"Levi nodes {p.levi_nodes}, lambda_s {lambda_s}"
         )
-    return ratios
+    denom *= det
+    return tuple(Fraction(y, denom) for y in solution)
 
 
 def cramer_coefficients(spec: BundleSpec) -> tuple[Fraction, ...]:

@@ -29,9 +29,9 @@ from .bundle import (
     line_bundle_weight,
     splitting_report,
 )
-from .curvature import KahlerClass, einstein_class, endo_eigenvalues, hym_constant, omega_trace
+from .curvature import KahlerClass, einstein_class, endo_eigenvalues, hym_constant, omega_traces
 from .parabolic import ParabolicData, build_parabolic
-from .rootsys import InvalidTypeError, InvariantError, Weight, build_root_system
+from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, build_root_system
 from .spectral import (
     FlatTorus,
     SingularProfile,
@@ -154,10 +154,10 @@ def parse_request(tokens: Sequence[str]) -> AnalysisRequest:
 
 def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
     try:
-        lie_type = str(build_root_system(ns.type).lie_type)
+        lie_type = SimpleLieType.from_string(ns.type)
     except InvalidTypeError as exc:
         raise ParseError(str(exc)) from exc
-    rank = int(lie_type[1:])
+    rank = lie_type.rank
     nodes = _levi_nodes(ns.parabolic, rank)
     weight = _split_ints(ns.weight, "--weight")
     if len(weight) != rank:
@@ -166,7 +166,7 @@ def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
     line = _split_ints(ns.line, "--line") if ns.line else None
     spectral = _parse_spectral_spec(ns.spectral) if ns.spectral else None
     return AnalysisRequest(
-        lie_type=lie_type,
+        lie_type=str(lie_type),
         parabolic=nodes,
         weight=weight,
         kahler=kahler,
@@ -246,9 +246,7 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None)
         "kahler_class": [_frac(c) for c in kahler.coeffs],
         "einstein_class": [_frac(c) for c in einstein.coeffs],
         "normalization": "curvature forms carry a further 2*pi factor at report time",
-        "omega_traces": {
-            str(alpha + 1): _frac(omega_trace(alpha, kahler, p)) for alpha in p.picard_nodes
-        },
+        "omega_traces": {str(alpha + 1): _frac(t) for alpha, t in omega_traces(kahler, p).items()},
         "psi": _weight_json(psi),
         "eigenvalues": {_root_label(root): _frac(q) for root, q in spectrum.eigenvalues.items()},
         "trace": _frac(spectrum.trace()),

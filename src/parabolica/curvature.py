@@ -8,6 +8,7 @@ reporting convention and is never stored here.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,24 @@ class EndomorphismSpectrum:
         return sum(self.eigenvalues.values(), Fraction(0))
 
 
+def _kahler_denominators(omega0: KahlerClass, p: ParabolicData) -> tuple[list[int], int]:
+    """(denominators, d) with <omega0, beta^vee> = denominators[k] / d for
+    the k-th root beta of Phi_I^+: integer dot products with the stored
+    coroots, each checked positive."""
+    coroots = p.rs.coroots
+    w0 = omega0.as_weight(p)
+    w0_nums, w0_den = w0.cleared()
+    denominators = []
+    for root in p.complement_roots:
+        denom = sum(k * x for k, x in zip(coroots[root], w0_nums))
+        if denom <= 0:
+            raise InvariantError(
+                f"Kahler positivity must make every denominator positive: root {root}, class {w0}"
+            )
+        denominators.append(denom)
+    return denominators, w0_den
+
+
 def endo_eigenvalues(psi: Weight, omega0: KahlerClass, p: ParabolicData) -> EndomorphismSpectrum:
     """q_beta = <psi, beta^vee> / <omega0, beta^vee> over Phi_I^+.
 
@@ -55,19 +74,37 @@ def endo_eigenvalues(psi: Weight, omega0: KahlerClass, p: ParabolicData) -> Endo
     if psi.rank != p.rs.rank:
         raise ValueError("dimension mismatch")
     coroots = p.rs.coroots
-    w0 = omega0.as_weight(p)
+    denominators, w0_den = _kahler_denominators(omega0, p)
     psi_nums, psi_den = psi.cleared()
-    w0_nums, w0_den = w0.cleared()
-    eigenvalues = {}
-    for root in p.complement_roots:
-        coroot = coroots[root]
-        denom = sum(k * x for k, x in zip(coroot, w0_nums))
-        if denom <= 0:
-            raise InvariantError(
-                f"Kahler positivity must make every denominator positive: root {root}, class {w0}"
-            )
-        eigenvalues[root] = Fraction(sum(k * x for k, x in zip(coroot, psi_nums)) * w0_den, denom * psi_den)
+    eigenvalues = {
+        root: Fraction(sum(k * x for k, x in zip(coroots[root], psi_nums)) * w0_den, denom * psi_den)
+        for root, denom in zip(p.complement_roots, denominators)
+    }
     return EndomorphismSpectrum(eigenvalues=eigenvalues)
+
+
+def omega_traces(omega0: KahlerClass, p: ParabolicData) -> dict[int, Fraction]:
+    """omega_trace of every Picard node in one pass over Phi_I^+.
+
+    Each denominator <omega0, beta^vee> is computed once, the coroot
+    coefficients at the Picard nodes are summed per distinct denominator,
+    and each trace is one Fraction over their least common multiple.
+    """
+    nodes = p.picard_nodes
+    coroots = p.rs.coroots
+    denominators, w0_den = _kahler_denominators(omega0, p)
+    by_denom: dict[int, list[int]] = {}
+    for root, denom in zip(p.complement_roots, denominators):
+        sums = by_denom.setdefault(denom, [0] * len(nodes))
+        coroot = coroots[root]
+        for j, alpha in enumerate(nodes):
+            sums[j] += coroot[alpha]
+    common = math.lcm(*by_denom)
+    scaled = [(common // denom, sums) for denom, sums in by_denom.items()]
+    return {
+        alpha: Fraction(w0_den * sum(scale * sums[j] for scale, sums in scaled), common)
+        for j, alpha in enumerate(nodes)
+    }
 
 
 def omega_trace(alpha: int, omega0: KahlerClass, p: ParabolicData) -> Fraction:

@@ -13,18 +13,33 @@ Conventions, fixed once for the whole package:
 All arithmetic in this module is exact.  The integer tables a query needs
 (the coroot of every positive root, det C and the adjugate of C^T) are
 computed once, when the root system is built, and checked there.
+
+Root systems are memoized: ``root_system_from_cartan`` validates its input
+on every call, then builds each (Cartan matrix, type) pair once per process
+behind a least-recently-used cache of ``ROOT_SYSTEM_CACHE_SIZE`` entries.
+``build_root_system`` and the Levi systems of ``parabolic.build_parabolic``
+share that one cache, so equal Levi Cartan matrices share one system.
+Cached systems are shared by every caller, so their tables are read-only:
+tuples, and a ``MappingProxyType`` for ``coroots``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 
 Root = tuple[int, ...]
+
+# Bound of the root-system memo.  The 33 types of rank <= 8 and the 174
+# distinct Cartan matrices among their Levi subsets (the empty one
+# included) take 207 entries, about 1.1 MB under tracemalloc.
+ROOT_SYSTEM_CACHE_SIZE = 256
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -170,10 +185,11 @@ class RootSystem:
     are normalized per connected component.
 
     The tables below are derived from the fields above when the system is
-    built, and are left out of equality, hashing and repr: ``coroots`` maps
-    each positive root, in ``positive_roots`` order, to the integer
-    coefficients of its coroot over the simple coroots; ``cartan_det`` and
-    ``cartan_t_adjugate`` give the exact inverse of C^T as adjugate / det.
+    built, and are left out of equality, hashing and repr: ``coroots`` is a
+    read-only mapping from each positive root, in ``positive_roots`` order,
+    to the integer coefficients of its coroot over the simple coroots;
+    ``cartan_det`` and ``cartan_t_adjugate`` give the exact inverse of C^T
+    as adjugate / det.
     """
 
     lie_type: SimpleLieType | None
@@ -181,7 +197,7 @@ class RootSystem:
     symmetrizers: tuple[int, ...]
     root_norms: tuple[int, ...]
     positive_roots: tuple[Root, ...]
-    coroots: dict[Root, tuple[int, ...]] = field(compare=False, repr=False)
+    coroots: Mapping[Root, tuple[int, ...]] = field(compare=False, repr=False)
     cartan_det: int = field(compare=False, repr=False)
     cartan_t_adjugate: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
@@ -314,7 +330,7 @@ def _norm_sq(cartan: Sequence[Sequence[int]], root_norms: Sequence[int], root: R
 
 def _coroot_table(
     cartan: Sequence[Sequence[int]], root_norms: Sequence[int], roots: Sequence[Root]
-) -> dict[Root, tuple[int, ...]]:
+) -> Mapping[Root, tuple[int, ...]]:
     """beta -> integer coefficients 2 m_j e_j / (beta, beta) of beta^vee."""
     table = {}
     for root in roots:
@@ -323,7 +339,7 @@ def _coroot_table(
         if norm <= 0 or any(x % norm for x in doubled):
             raise InvariantError(f"coroot of {root} must have integer coefficients: (beta, beta) = {norm}")
         table[root] = tuple(x // norm for x in doubled)
-    return table
+    return MappingProxyType(table)
 
 
 def _inverse_transpose(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -416,9 +432,18 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[Root, ...]:
 def root_system_from_cartan(
     cartan: Sequence[Sequence[int]], lie_type: SimpleLieType | None = None
 ) -> RootSystem:
-    """Build a root system from any finite-type (possibly reducible) Cartan matrix."""
+    """Root system of any finite-type (possibly reducible) Cartan matrix.
+
+    The input is validated on every call; the system is built once per
+    (Cartan matrix, type) and then shared from the memo."""
     _validate_cartan(cartan)
-    frozen = tuple(tuple(int(x) for x in row) for row in cartan)
+    return _build_root_system(tuple(tuple(int(x) for x in row) for row in cartan), lie_type)
+
+
+@functools.lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
+def _build_root_system(frozen: tuple[tuple[int, ...], ...], lie_type: SimpleLieType | None) -> RootSystem:
+    """Enumerate the roots and build every stored table, running each build
+    check; a failed check raises, so nothing broken is cached."""
     det, adjugate = _inverse_transpose(frozen)
     root_norms = _symmetrizers(frozen, left=False) if frozen else ()
     positive_roots = _positive_roots(frozen)

@@ -7,8 +7,8 @@ import pytest
 from parabolica import build_parabolic, build_root_system
 
 
-@lru_cache(maxsize=None)
 def cached_system(name: str):
+    """The library memoizes root systems itself."""
     return build_root_system(name)
 
 

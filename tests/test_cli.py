@@ -499,3 +499,35 @@ def test_parser_is_built_once():
     from parabolica.cli import _build_parser
 
     assert _build_parser() is _build_parser()
+
+
+def test_cold_cache_outputs_match_warm(capsys):
+    from parabolica import rootsys
+
+    requests = (
+        ["analyze", "--type=E7", "--parabolic=1,2,3,4,5,6", "--weight=1,0,0,0,0,0,-2", "--kahler=2"],
+        ["paper-suite", "--quiet"],
+    )
+    for argv in requests:
+        rootsys._build_root_system.cache_clear()
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+
+
+def test_analyze_builds_each_root_system_once(monkeypatch, capsys):
+    from parabolica import rootsys
+
+    enumerated = []
+    genuine = rootsys._positive_roots
+    monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: enumerated.append(cartan) or genuine(cartan))
+    argv = ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2"]
+    rootsys._build_root_system.cache_clear()
+    assert parse_request(argv).lie_type == "B3"
+    assert enumerated == []  # parsing only canonicalizes the type
+    assert main(argv) == 0
+    assert len(enumerated) == 2  # G and its Levi
+    enumerated.clear()
+    assert main(argv) == 0
+    assert enumerated == []

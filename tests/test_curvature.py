@@ -17,6 +17,7 @@ from parabolica import (
     hym_constant,
     line_bundle_weight,
     omega_trace,
+    omega_traces,
     splitting_report,
 )
 
@@ -169,3 +170,27 @@ def test_splitting_to_curvature_pipeline(q5):
     assert report.splits
     value = hym_constant(report.lambda_L0, unit_class(q5), q5)
     assert value == -5
+
+
+SWEEP_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", SWEEP_TYPES)
+def test_one_pass_omega_traces_match_omega_trace(name):
+    """Every maximal parabolic and the Borel parabolic of each type, against
+    the Einstein class and a class with distinct fractional coefficients."""
+    rank = int(name[1:])
+    levis = [tuple(i for i in range(rank) if i != k) for k in range(rank)] + [()]
+    for nodes in levis:
+        p = cached_parabolic(name, nodes)
+        fractional = KahlerClass(tuple(Fraction(k + 1, k + 2) for k in range(len(p.picard_nodes))))
+        for kahler in (einstein_class(p), fractional):
+            traces = omega_traces(kahler, p)
+            assert list(traces) == list(p.picard_nodes)
+            assert traces == {alpha: omega_trace(alpha, kahler, p) for alpha in p.picard_nodes}

@@ -239,11 +239,15 @@ def test_endo_eigenvalues_match_fraction_reference(data):
 
 def test_corrupted_tables_raise_under_optimized_mode():
     """Each corruption must be caught by an explicit raise, not an assert:
-    the Cramer-vs-solve check, the residue identity, Weyl-dimension
-    integrality, Kahler positivity and the C^T X = I check of a build."""
+    the Cramer residual check, the residue identity, Weyl-dimension
+    integrality, Kahler positivity and the C^T X = I check of a build.
+    Cached root systems are shared and read-only, so each corruption swaps
+    a corrupted copy into the parabolic, and each build starts from a
+    cleared cache."""
     script = (
-        "import sys\n"
+        "import dataclasses, sys, types\n"
         "import parabolica as pb\n"
+        "from parabolica import rootsys\n"
         "if not sys.flags.optimize:\n"
         "    raise SystemExit(9)\n"
         "def expect(message, run):\n"
@@ -256,29 +260,37 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "        raise SystemExit(f'no InvariantError for {message}')\n"
         "def bump(adj):\n"
         "    return (tuple(x + 1 for x in adj[0]),) + adj[1:]\n"
+        "def fresh():\n"
+        "    rootsys._build_root_system.cache_clear()\n"
+        "    return pb.build_parabolic(pb.build_root_system('B3'), [1, 2])\n"
+        "def corrupt(p, name, **tables):\n"
+        "    object.__setattr__(p, name, dataclasses.replace(getattr(p, name), **tables))\n"
         "spec = lambda p: pb.BundleSpec(p, pb.Weight.of(0, 0, 1))\n"
         # the Levi's stored adjugate gives the Cramer ratios
-        "p = pb.build_parabolic(pb.build_root_system('B3'), [1, 2])\n"
-        "object.__setattr__(p.levi_system, 'cartan_t_adjugate', bump(p.levi_system.cartan_t_adjugate))\n"
+        "p = fresh()\n"
+        "corrupt(p, 'levi_system', cartan_t_adjugate=bump(p.levi_system.cartan_t_adjugate))\n"
         "expect('Cramer determinants must agree', lambda: pb.splitting_report(spec(p)))\n"
         # the full system's stored inverse gives the residue identity
-        "p = pb.build_parabolic(pb.build_root_system('B3'), [1, 2])\n"
-        "object.__setattr__(p.rs, 'cartan_t_adjugate', bump(p.rs.cartan_t_adjugate))\n"
+        "p = fresh()\n"
+        "corrupt(p, 'rs', cartan_t_adjugate=bump(p.rs.cartan_t_adjugate))\n"
         "expect('residue identity failed', lambda: pb.splitting_report(spec(p)))\n"
         # a wrong Levi coroot breaks Weyl-dimension integrality
-        "p = pb.build_parabolic(pb.build_root_system('B3'), [1, 2])\n"
-        "table = p.levi_system.coroots\n"
+        "p = fresh()\n"
+        "table = dict(p.levi_system.coroots)\n"
         "first = next(iter(table))\n"
         "table[first] = tuple(k + 1 for k in table[first])\n"
+        "corrupt(p, 'levi_system', coroots=types.MappingProxyType(table))\n"
         "expect('Weyl dimension', lambda: pb.weyl_dim(p, pb.Weight.of(0, 0, 1)))\n"
         # a negated complement coroot breaks Kahler positivity
-        "table = p.rs.coroots\n"
+        "table = dict(p.rs.coroots)\n"
         "root = p.complement_roots[0]\n"
         "table[root] = tuple(-k for k in table[root])\n"
+        "corrupt(p, 'rs', coroots=types.MappingProxyType(table))\n"
         "expect('Kahler positivity', lambda: pb.endo_eigenvalues(pb.Weight.zero(3), pb.einstein_class(p), p))\n"
         # a wrong adjugate out of the elimination is caught when the system is built
         "genuine = pb.linalg.adjugate\n"
         "pb.linalg.adjugate = lambda rows: (lambda d, a: (d, bump(a)))(*genuine(rows))\n"
+        "rootsys._build_root_system.cache_clear()\n"
         "expect('C^T X = I', lambda: pb.build_root_system('B3'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -204,5 +204,58 @@ def test_positive_root_count_check_raises_invariant_error(monkeypatch):
     from parabolica import InvariantError, rootsys
 
     monkeypatch.setattr(rootsys, "positive_root_count", lambda t: 99)
+    rootsys._build_root_system.cache_clear()  # the check runs when a system is built
     with pytest.raises(InvariantError, match="positive-root count of G2: enumerated 6, expected 99"):
         build_root_system("G2")
+
+
+# ---------------------------------------------------------------------------
+# The root-system memo
+# ---------------------------------------------------------------------------
+
+
+def test_root_system_is_built_once():
+    assert build_root_system("E8") is build_root_system("E8")
+    assert build_root_system("e8") is build_root_system(SimpleLieType("E", 8))
+
+
+def test_equal_levi_cartan_matrices_share_one_levi_system():
+    from parabolica import build_parabolic
+
+    # the A1 x A1 Levi of A3 at nodes {1, 3} and of D4 at nodes {1, 3}
+    first = build_parabolic(build_root_system("A3"), (0, 2))
+    second = build_parabolic(build_root_system("D4"), (0, 2))
+    assert first.levi_cartan == second.levi_cartan
+    assert first.levi_system is second.levi_system
+    # a Levi system is keyed apart from the simple type with the same matrix
+    a2 = build_parabolic(build_root_system("A3"), (0, 1)).levi_system
+    assert a2.cartan == build_root_system("A2").cartan
+    assert a2 is not build_root_system("A2") and a2.lie_type is None
+
+
+def test_cache_reports_its_bound():
+    from parabolica import rootsys
+
+    info = rootsys._build_root_system.cache_info()
+    assert info.maxsize == rootsys.ROOT_SYSTEM_CACHE_SIZE == 256
+
+
+def test_every_type_and_levi_fits_the_cache_bound():
+    from itertools import combinations
+
+    from parabolica import rootsys
+
+    levis = set()
+    for name in ALL_TYPES:
+        cartan = build_root_system(name).cartan
+        for size in range(len(cartan)):
+            for nodes in combinations(range(len(cartan)), size):
+                levis.add(tuple(tuple(cartan[i][j] for j in nodes) for i in nodes))
+    assert len(ALL_TYPES) + len(levis) <= rootsys.ROOT_SYSTEM_CACHE_SIZE
+
+
+def test_cached_tables_are_read_only():
+    rs = build_root_system("B3")
+    with pytest.raises(TypeError):
+        rs.coroots[(1, 0, 0)] = (0, 0, 0)
+    assert rs.coroots[(1, 0, 0)] == (1, 0, 0)

@@ -23,7 +23,7 @@ from .curvature import (
     endo_eigenvalues,
     hym_constant,
     omega_trace,
-    omega_traces,
+    spectrum_and_traces,
 )
 from .parabolic import (
     FullSetNotParabolicError,

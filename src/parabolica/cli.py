@@ -29,7 +29,7 @@ from .bundle import (
     line_bundle_weight,
     splitting_report,
 )
-from .curvature import KahlerClass, einstein_class, endo_eigenvalues, hym_constant, omega_traces
+from .curvature import KahlerClass, einstein_class, hym_constant, spectrum_and_traces
 from .parabolic import ParabolicData, build_parabolic
 from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, build_root_system
 from .spectral import (
@@ -241,12 +241,12 @@ def _splitting_block(report: SplittingReport) -> dict:
 def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None) -> dict:
     einstein = einstein_class(p)
     psi = line if line is not None else einstein.as_weight(p)
-    spectrum = endo_eigenvalues(psi, kahler, p)
+    spectrum, traces = spectrum_and_traces(psi, kahler, p)
     block = {
         "kahler_class": [_frac(c) for c in kahler.coeffs],
         "einstein_class": [_frac(c) for c in einstein.coeffs],
         "normalization": "curvature forms carry a further 2*pi factor at report time",
-        "omega_traces": {str(alpha + 1): _frac(t) for alpha, t in omega_traces(kahler, p).items()},
+        "omega_traces": {str(alpha + 1): _frac(t) for alpha, t in traces.items()},
         "psi": _weight_json(psi),
         "eigenvalues": {_root_label(root): _frac(q) for root, q in spectrum.eigenvalues.items()},
         "trace": _frac(spectrum.trace()),

@@ -64,17 +64,10 @@ def _kahler_denominators(omega0: KahlerClass, p: ParabolicData) -> tuple[list[in
     return denominators, w0_den
 
 
-def endo_eigenvalues(psi: Weight, omega0: KahlerClass, p: ParabolicData) -> EndomorphismSpectrum:
-    """q_beta = <psi, beta^vee> / <omega0, beta^vee> over Phi_I^+.
-
-    psi and omega0 are brought to integer numerators over one denominator
-    each, so both pairings are integer dot products with the stored coroot
-    and each root costs one Fraction.
-    """
+def _spectrum(psi: Weight, denominators: list[int], w0_den: int, p: ParabolicData) -> EndomorphismSpectrum:
     if psi.rank != p.rs.rank:
         raise ValueError("dimension mismatch")
     coroots = p.rs.coroots
-    denominators, w0_den = _kahler_denominators(omega0, p)
     psi_nums, psi_den = psi.cleared()
     eigenvalues = {
         root: Fraction(sum(k * x for k, x in zip(coroots[root], psi_nums)) * w0_den, denom * psi_den)
@@ -83,16 +76,30 @@ def endo_eigenvalues(psi: Weight, omega0: KahlerClass, p: ParabolicData) -> Endo
     return EndomorphismSpectrum(eigenvalues=eigenvalues)
 
 
-def omega_traces(omega0: KahlerClass, p: ParabolicData) -> dict[int, Fraction]:
-    """omega_trace of every Picard node in one pass over Phi_I^+.
+def endo_eigenvalues(psi: Weight, omega0: KahlerClass, p: ParabolicData) -> EndomorphismSpectrum:
+    """q_beta = <psi, beta^vee> / <omega0, beta^vee> over Phi_I^+.
 
-    Each denominator <omega0, beta^vee> is computed once, the coroot
-    coefficients at the Picard nodes are summed per distinct denominator,
-    and each trace is one Fraction over their least common multiple.
+    psi and omega0 are brought to integer numerators over one denominator
+    each, so both pairings are integer dot products with the stored coroot
+    and each root costs one Fraction.
     """
+    return _spectrum(psi, *_kahler_denominators(omega0, p), p)
+
+
+def spectrum_and_traces(
+    psi: Weight, omega0: KahlerClass, p: ParabolicData
+) -> tuple[EndomorphismSpectrum, dict[int, Fraction]]:
+    """endo_eigenvalues(psi, omega0, p) and the omega_trace of every Picard
+    node, from one computation of the denominators <omega0, beta^vee>.
+
+    <omega_alpha, beta^vee> is the alpha-th coefficient of the stored coroot.
+    Roots sharing a denominator are summed as integers, and each trace is one
+    Fraction over the lcm: a Fraction sum per root and node took 4.1 ms
+    instead of 0.56 ms on the E8 Borel parabolic.
+    """
+    denominators, w0_den = _kahler_denominators(omega0, p)
     nodes = p.picard_nodes
     coroots = p.rs.coroots
-    denominators, w0_den = _kahler_denominators(omega0, p)
     by_denom: dict[int, list[int]] = {}
     for root, denom in zip(p.complement_roots, denominators):
         sums = by_denom.setdefault(denom, [0] * len(nodes))
@@ -101,10 +108,11 @@ def omega_traces(omega0: KahlerClass, p: ParabolicData) -> dict[int, Fraction]:
             sums[j] += coroot[alpha]
     common = math.lcm(*by_denom)
     scaled = [(common // denom, sums) for denom, sums in by_denom.items()]
-    return {
+    traces = {
         alpha: Fraction(w0_den * sum(scale * sums[j] for scale, sums in scaled), common)
         for j, alpha in enumerate(nodes)
     }
+    return _spectrum(psi, denominators, w0_den, p), traces
 
 
 def omega_trace(alpha: int, omega0: KahlerClass, p: ParabolicData) -> Fraction:

@@ -14,13 +14,18 @@ All arithmetic in this module is exact.  The integer tables a query needs
 (the coroot of every positive root, det C and the adjugate of C^T) are
 computed once, when the root system is built, and checked there.
 
-Root systems are memoized: ``root_system_from_cartan`` validates its input
-on every call, then builds each (Cartan matrix, type) pair once per process
-behind a least-recently-used cache of ``ROOT_SYSTEM_CACHE_SIZE`` entries.
-``build_root_system`` and the Levi systems of ``parabolic.build_parabolic``
-share that one cache, so equal Levi Cartan matrices share one system.
-Cached systems are shared by every caller, so their tables are read-only:
-tuples, and a ``MappingProxyType`` for ``coroots``.
+Root systems of rank at most ``ROOT_SYSTEM_MEMO_MAX_RANK`` are memoized:
+``root_system_from_cartan`` validates its input on every call, then builds
+each (Cartan matrix, type) pair once per process behind a least-recently-used
+cache of ``ROOT_SYSTEM_CACHE_SIZE`` entries.  ``build_root_system`` and the
+Levi systems of ``parabolic.build_parabolic`` share that one cache, so equal
+Levi Cartan matrices share one system.  The memo holds its entries for the
+life of the process; an entry of rank <= 8 takes at most about 31 KiB (E8),
+so the bound caps it near 8 MB.  A system's tables grow like rank^3 (A60
+takes about 2 MB), so larger systems are built on every call and freed with
+their last reference, as before the memo.  Cached systems are shared by
+every caller, so their tables are read-only: tuples, and a
+``MappingProxyType`` for ``coroots``.
 """
 from __future__ import annotations
 
@@ -36,10 +41,12 @@ from . import linalg
 
 Root = tuple[int, ...]
 
-# Bound of the root-system memo.  The 33 types of rank <= 8 and the 174
-# distinct Cartan matrices among their Levi subsets (the empty one
-# included) take 207 entries, about 1.1 MB under tracemalloc.
+# Bound of the root-system memo, and the largest rank it holds.  The 33
+# types of rank <= 8 and the 174 distinct Cartan matrices among their Levi
+# subsets (the empty one included) take 207 entries, about 1.1 MB under
+# tracemalloc.
 ROOT_SYSTEM_CACHE_SIZE = 256
+ROOT_SYSTEM_MEMO_MAX_RANK = 8
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -434,10 +441,14 @@ def root_system_from_cartan(
 ) -> RootSystem:
     """Root system of any finite-type (possibly reducible) Cartan matrix.
 
-    The input is validated on every call; the system is built once per
-    (Cartan matrix, type) and then shared from the memo."""
+    The input is validated on every call.  Up to rank
+    ROOT_SYSTEM_MEMO_MAX_RANK the system is built once per (Cartan matrix,
+    type) and then shared from the memo; a larger one is built afresh."""
     _validate_cartan(cartan)
-    return _build_root_system(tuple(tuple(int(x) for x in row) for row in cartan), lie_type)
+    frozen = tuple(tuple(int(x) for x in row) for row in cartan)
+    if len(frozen) > ROOT_SYSTEM_MEMO_MAX_RANK:
+        return _build_root_system.__wrapped__(frozen, lie_type)
+    return _build_root_system(frozen, lie_type)
 
 
 @functools.lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)

@@ -531,3 +531,15 @@ def test_analyze_builds_each_root_system_once(monkeypatch, capsys):
     enumerated.clear()
     assert main(argv) == 0
     assert enumerated == []
+
+
+def test_curvature_block_computes_kahler_denominators_once(monkeypatch, capsys):
+    from parabolica import curvature
+
+    calls = []
+    genuine = curvature._kahler_denominators
+    monkeypatch.setattr(curvature, "_kahler_denominators", lambda k, p: calls.append(k) or genuine(k, p))
+    assert main(["curvature", "--type", "A4", "--parabolic", "2,3", "--kahler", "1,2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["omega_traces"]) == 2
+    assert len(calls) == 1

@@ -17,7 +17,7 @@ from parabolica import (
     hym_constant,
     line_bundle_weight,
     omega_trace,
-    omega_traces,
+    spectrum_and_traces,
     splitting_report,
 )
 
@@ -182,15 +182,18 @@ SWEEP_TYPES = (
 
 
 @pytest.mark.parametrize("name", SWEEP_TYPES)
-def test_one_pass_omega_traces_match_omega_trace(name):
+def test_spectrum_and_traces_match_reference(name):
     """Every maximal parabolic and the Borel parabolic of each type, against
-    the Einstein class and a class with distinct fractional coefficients."""
+    the Einstein class and a class with distinct fractional coefficients:
+    the one-pass traces equal omega_trace, and the spectrum endo_eigenvalues."""
     rank = int(name[1:])
     levis = [tuple(i for i in range(rank) if i != k) for k in range(rank)] + [()]
     for nodes in levis:
         p = cached_parabolic(name, nodes)
         fractional = KahlerClass(tuple(Fraction(k + 1, k + 2) for k in range(len(p.picard_nodes))))
+        psi = fundamental_weight(p.rs.rank, p.picard_nodes[0])
         for kahler in (einstein_class(p), fractional):
-            traces = omega_traces(kahler, p)
+            spectrum, traces = spectrum_and_traces(psi, kahler, p)
             assert list(traces) == list(p.picard_nodes)
             assert traces == {alpha: omega_trace(alpha, kahler, p) for alpha in p.picard_nodes}
+            assert spectrum == endo_eigenvalues(psi, kahler, p)

@@ -240,6 +240,16 @@ def test_cache_reports_its_bound():
     assert info.maxsize == rootsys.ROOT_SYSTEM_CACHE_SIZE == 256
 
 
+def test_systems_above_the_memo_rank_are_built_afresh():
+    from parabolica import rootsys
+
+    assert rootsys.ROOT_SYSTEM_MEMO_MAX_RANK == 8
+    before = rootsys._build_root_system.cache_info()
+    first, second = build_root_system("A9"), build_root_system("A9")
+    assert first == second and first is not second
+    assert rootsys._build_root_system.cache_info() == before
+
+
 def test_every_type_and_levi_fits_the_cache_bound():
     from itertools import combinations
 

@@ -54,6 +54,11 @@ class FixtureMismatchError(AssertionError):
     """A reference fixture deviated from its pinned value."""
 
 
+# Largest torus dimension of a spectral request.  A report that is not
+# square integrable builds no grid but lists one side length per dimension.
+MAX_SPECTRAL_DIM = 64
+
+
 @dataclass(frozen=True)
 class SpectralRequest:
     dim: int
@@ -65,6 +70,8 @@ class SpectralRequest:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ParseError(f"spectral request: dim must be at least 1, got {self.dim}")
+        if self.dim > MAX_SPECTRAL_DIM:
+            raise ParseError(f"spectral request: dim must be at most {MAX_SPECTRAL_DIM}, got {self.dim}")
         if self.modes < 0:
             raise ParseError(f"spectral request: modes must be nonnegative, got {self.modes}")
         for name, value in (("s", self.exponent), ("hym", self.hym)):
@@ -125,27 +132,30 @@ def _levi_nodes(text: str, rank: int) -> tuple[int, ...]:
     return tuple(sorted(nodes))
 
 
-def _parse_spectral_spec(text: str) -> SpectralRequest:
-    fields = _parse_fields(text, "spectral spec")
+def _spectral_request(fields: dict[str, str | int | float], what: str) -> SpectralRequest:
+    """The one reader of `--spectral` and `spectral --profile` fields: s is
+    required, dim, modes and hym default to 1, 128 and 1, codim to dim."""
     try:
         return SpectralRequest(
-            dim=int(fields.get("dim", "1")),
-            modes=int(fields.get("modes", "128")),
+            dim=int(fields.get("dim", 1)),
+            modes=int(fields.get("modes", 128)),
             exponent=float(fields["s"]),
             codim=int(fields["codim"]) if "codim" in fields else None,
-            hym=float(fields.get("hym", "1")),
+            hym=float(fields.get("hym", 1)),
         )
     except KeyError as exc:
-        raise ParseError(f"spectral spec: missing required field {exc.args[0]!r}") from exc
+        raise ParseError(f"{what}: missing required field {exc.args[0]!r}") from exc
+    except ParseError:
+        raise
     except ValueError as exc:
-        raise ParseError(f"spectral spec: {exc}") from exc
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 def parse_request(tokens: Sequence[str]) -> AnalysisRequest:
     """Validate analyze-style tokens into a request, or raise ParseError."""
     try:
         ns = _build_parser().parse_args(list(tokens))
-    except SystemExit as exc:  # argparse reports the bad token itself
+    except SystemExit as exc:  # --help or --version
         raise ParseError("unrecognized or malformed arguments") from exc
     if ns.command != "analyze":
         raise ParseError(f"expected an analyze request, got {ns.command!r}")
@@ -164,7 +174,9 @@ def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
         raise ParseError(f"--weight: expected {rank} coordinates, got {len(weight)}")
     kahler = _split_fractions(ns.kahler, "--kahler") if ns.kahler else None
     line = _split_ints(ns.line, "--line") if ns.line else None
-    spectral = _parse_spectral_spec(ns.spectral) if ns.spectral else None
+    spectral = None
+    if ns.spectral:
+        spectral = _spectral_request(_parse_fields(ns.spectral, "spectral spec"), "spectral spec")
     return AnalysisRequest(
         lie_type=str(lie_type),
         parabolic=nodes,
@@ -202,12 +214,8 @@ def render_request(req: AnalysisRequest) -> list[str]:
     return tokens
 
 
-def _frac(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _weight_json(w: Weight) -> list[str]:
-    return [_frac(c) for c in w.coords]
+    return [str(c) for c in w.coords]
 
 
 def _parabolic_block(p: ParabolicData) -> dict:
@@ -215,7 +223,7 @@ def _parabolic_block(p: ParabolicData) -> dict:
         "levi_nodes": [i + 1 for i in p.levi_nodes],
         "picard_nodes": [i + 1 for i in p.picard_nodes],
         "levi_cartan": [list(row) for row in p.levi_cartan],
-        "det_levi_cartan": _frac(p.levi_det),
+        "det_levi_cartan": str(p.levi_det),
         "phi_I_plus": [list(r) for r in p.complement_roots],
         "delta": _weight_json(p.delta),
     }
@@ -226,9 +234,9 @@ def _splitting_block(report: SplittingReport) -> dict:
         "lambda_s": _weight_json(report.split.lambda_s),
         "lambda_c": _weight_json(report.split.lambda_c),
         "rank": report.chern.rank,
-        "cramer_a": [_frac(a) for a in report.chern.cramer_a],
+        "cramer_a": [str(a) for a in report.chern.cramer_a],
         "lambda_E": _weight_json(report.chern.lambda_E),
-        "criterion": {str(beta + 1): _frac(v) for beta, v in sorted(report.criterion_values.items())},
+        "criterion": {str(beta + 1): str(v) for beta, v in sorted(report.criterion_values.items())},
         "splits": report.splits,
     }
     block["lambda_L0"] = _weight_json(report.lambda_L0) if report.lambda_L0 is not None else None
@@ -243,13 +251,13 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None)
     psi = line if line is not None else einstein.as_weight(p)
     spectrum, traces = spectrum_and_traces(psi, kahler, p)
     block = {
-        "kahler_class": [_frac(c) for c in kahler.coeffs],
-        "einstein_class": [_frac(c) for c in einstein.coeffs],
+        "kahler_class": [str(c) for c in kahler.coeffs],
+        "einstein_class": [str(c) for c in einstein.coeffs],
         "normalization": "curvature forms carry a further 2*pi factor at report time",
-        "omega_traces": {str(alpha + 1): _frac(t) for alpha, t in traces.items()},
+        "omega_traces": {str(alpha + 1): str(t) for alpha, t in traces.items()},
         "psi": _weight_json(psi),
-        "eigenvalues": {_root_label(root): _frac(q) for root, q in spectrum.eigenvalues.items()},
-        "trace": _frac(spectrum.trace()),
+        "eigenvalues": {_root_label(root): str(q) for root, q in spectrum.eigenvalues.items()},
+        "trace": str(spectrum.trace()),
     }
     if line is not None:
         # psi is the line's weight here, so the trace is its mean-curvature constant
@@ -456,8 +464,8 @@ def _tangent_report() -> dict:
         "name": _TANGENT_FIXTURE["name"],
         "parabolic": _parabolic_block(p),
         "delta": _weight_json(delta),
-        "delta_in_simple_roots": [_frac(x) for x in in_simple],
-        "degree_over_rank": _frac(degrees[0]),
+        "delta_in_simple_roots": [str(x) for x in in_simple],
+        "degree_over_rank": str(degrees[0]),
         "splits": all(d.denominator == 1 for d in degrees),
     }
 
@@ -502,9 +510,14 @@ def _check_fixture(name: str, expected: dict, actual: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line on stderr instead of usage text
+        raise ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="parabolica",
         description="Exact splitting analysis of homogeneous vector bundles on flag varieties.",
     )
@@ -529,10 +542,10 @@ def _build_parser() -> argparse.ArgumentParser:
     curv.add_argument("--line", help="line bundle degrees over the Picard nodes")
 
     spec = sub.add_parser("spectral", help="Galerkin demo for a singular profile")
-    spec.add_argument("--dim", type=int, default=1, help="torus dimension")
-    spec.add_argument("--modes", type=int, default=128, help="eigenmodes to materialize")
+    spec.add_argument("--dim", type=int, help="torus dimension (default 1)")
+    spec.add_argument("--modes", type=int, help="eigenmodes to materialize (default 128)")
     spec.add_argument("--profile", required=True, help="e.g. point:s=0.25 or subtorus:s=0.4,codim=1")
-    spec.add_argument("--hym", type=float, default=1.0, help="target mean-curvature constant")
+    spec.add_argument("--hym", type=float, help="target mean-curvature constant (default 1)")
     spec.add_argument("--csv", action="store_true", help="residual ladder as CSV instead of JSON")
 
     suite = sub.add_parser("paper-suite", help="run the pinned example battery")
@@ -543,32 +556,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_profile(text: str) -> tuple[str, dict[str, str]]:
-    if ":" not in text:
-        raise ParseError(f"--profile: expected kind:key=value[,...], got {text!r}")
-    kind, rest = text.split(":", 1)
-    fields = _parse_fields(rest, "--profile")
+def _profile_request(ns: argparse.Namespace) -> SpectralRequest:
+    """`spectral --profile kind:key=value,...`: the kind's rules, then the
+    spectral reader; --dim, --modes and --hym override the profile's keys."""
+    if ":" not in ns.profile:
+        raise ParseError(f"--profile: expected kind:key=value[,...], got {ns.profile!r}")
+    kind, rest = ns.profile.split(":", 1)
+    fields: dict[str, str | int | float] = _parse_fields(rest, "--profile")
     if kind not in ("point", "subtorus"):
         raise ParseError(f"--profile: unknown singular-set kind {kind!r}")
-    return kind, fields
-
-
-def _spectral_request_from_args(ns: argparse.Namespace) -> SpectralRequest:
-    kind, fields = _parse_profile(ns.profile)
     if "s" not in fields:
         raise ParseError("--profile: missing exponent s")
-    codim = None
-    if kind == "subtorus":
-        if "codim" not in fields:
-            raise ParseError("--profile: subtorus profiles need codim=")
-        codim = int(fields["codim"])
-    return SpectralRequest(
-        dim=ns.dim,
-        modes=ns.modes,
-        exponent=float(fields["s"]),
-        codim=codim,
-        hym=ns.hym,
-    )
+    if kind == "point":
+        fields.pop("codim", None)  # a point has codimension dim
+    elif "codim" not in fields:
+        raise ParseError("--profile: subtorus profiles need codim=")
+    for key in ("dim", "modes", "hym"):
+        if getattr(ns, key) is not None:
+            fields[key] = getattr(ns, key)
+    return _spectral_request(fields, "--profile")
 
 
 def _emit(payload: dict | list) -> None:
@@ -580,9 +586,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
     try:
         ns = _build_parser().parse_args(tokens)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    try:
         if ns.command == "analyze":
             req = _request_from_namespace(ns)
             _emit(build_analysis_report(req))
@@ -599,7 +602,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             _emit(_curvature_block(p, kahler, line))
         elif ns.command == "spectral":
-            req = _spectral_request_from_args(ns)
+            req = _profile_request(ns)
             block = _spectral_block(req)
             if ns.csv:
                 sys.stdout.write("n,residual\n")
@@ -621,12 +624,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             rs = build_root_system(ns.type)
             _emit(rs.to_dict())
         sys.stdout.flush()
+    except SystemExit as exc:  # --help or --version
+        return 0 if exc.code == 0 else 1
     except BrokenPipeError:
         # The reader closed stdout early.  Point it at devnull so that the
         # flush at interpreter exit cannot raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, IndexError) as exc:  # ParseError and the library's input errors are ValueErrors
+    except (ValueError, IndexError, OverflowError) as exc:  # bad input, or a value past float range
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except InvariantError as exc:

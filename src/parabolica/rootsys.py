@@ -21,9 +21,9 @@ cache of ``ROOT_SYSTEM_CACHE_SIZE`` entries.  ``build_root_system`` and the
 Levi systems of ``parabolic.build_parabolic`` share that one cache, so equal
 Levi Cartan matrices share one system.  The memo holds its entries for the
 life of the process; an entry of rank <= 8 takes at most about 31 KiB (E8),
-so the bound caps it near 8 MB.  A system's tables grow like rank^3 (A60
-takes about 2 MB), so larger systems are built on every call and freed with
-their last reference, as before the memo.  Cached systems are shared by
+so the bound caps it near 8 MB.  A system's tables grow like rank^3, so
+larger systems (simple types up to ``MAX_CLASSICAL_RANK``) are built on
+every call and freed with their last reference.  Cached systems are shared by
 every caller, so their tables are read-only: tuples, and a
 ``MappingProxyType`` for ``coroots``.
 """
@@ -48,11 +48,17 @@ Root = tuple[int, ...]
 ROOT_SYSTEM_CACHE_SIZE = 256
 ROOT_SYSTEM_MEMO_MAX_RANK = 8
 
+# Rank budget of the classical families A-D, the only ones without a rank
+# of their own.  A build costs about rank^4 (dump-roots A120 took 12.6 s and
+# 121 MB); at the budget a cold build takes 70 ms (A32) to 210 ms (C32,
+# D32), and a whole dump-roots process under 0.5 s and 33 MB (Python 3.11).
+MAX_CLASSICAL_RANK = 32
+
 _RANK_RANGE = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
+    "A": (1, MAX_CLASSICAL_RANK),
+    "B": (2, MAX_CLASSICAL_RANK),
+    "C": (2, MAX_CLASSICAL_RANK),
+    "D": (3, MAX_CLASSICAL_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -79,8 +85,8 @@ class SimpleLieType:
         lo, hi = _RANK_RANGE.get(self.family, (None, None))
         if lo is None:
             raise InvalidTypeError(f"unknown family {self.family!r}")
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidTypeError(f"rank {self.rank} out of range for type {self.family}")
+        if not lo <= self.rank <= hi:
+            raise InvalidTypeError(f"rank {self.rank} out of range for type {self.family}: expected {lo}..{hi}")
 
     @classmethod
     def from_string(cls, text: str) -> "SimpleLieType":
@@ -184,12 +190,11 @@ def fundamental_weight(rank: int, index: int) -> Weight:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Cartan matrix, symmetrizers and the full list of positive roots.
+    """Cartan matrix, root norms and the full list of positive roots.
 
-    ``symmetrizers`` are the minimal positive integers d with D*C symmetric;
     ``root_norms`` are the minimal positive integers e with C*E symmetric,
-    i.e. e_j is proportional to half the squared length of alpha_j.  Both
-    are normalized per connected component.
+    i.e. e_j is proportional to half the squared length of alpha_j,
+    normalized per connected component.
 
     The tables below are derived from the fields above when the system is
     built, and are left out of equality, hashing and repr: ``coroots`` is a
@@ -201,7 +206,6 @@ class RootSystem:
 
     lie_type: SimpleLieType | None
     cartan: tuple[tuple[int, ...], ...]
-    symmetrizers: tuple[int, ...]
     root_norms: tuple[int, ...]
     positive_roots: tuple[Root, ...]
     coroots: Mapping[Root, tuple[int, ...]] = field(compare=False, repr=False)
@@ -374,8 +378,8 @@ def _component_scaled(values: list[Fraction | None], component: list[int]) -> No
         values[i] = Fraction(int(v) // divisor)
 
 
-def _symmetrizers(cartan: Sequence[Sequence[int]], left: bool) -> tuple[int, ...]:
-    """Minimal positive integers making D*C (left) or C*E (right) symmetric."""
+def _root_norms(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Minimal positive integers e making C*E symmetric, per component."""
     n = len(cartan)
     values: list[Fraction | None] = [None] * n
     for start in range(n):
@@ -388,16 +392,13 @@ def _symmetrizers(cartan: Sequence[Sequence[int]], left: bool) -> tuple[int, ...
             i = stack.pop()
             for j in range(n):
                 if cartan[i][j] != 0 and i != j and values[j] is None:
-                    ratio = Fraction(cartan[i][j], cartan[j][i])
-                    values[j] = values[i] * (ratio if left else 1 / ratio)
+                    values[j] = values[i] * Fraction(cartan[j][i], cartan[i][j])
                     stack.append(j)
                     component.append(j)
         _component_scaled(values, component)
     result = tuple(int(v) for v in values)
-    scaled = [[(result[i] if left else result[j]) * cartan[i][j] for j in range(n)] for i in range(n)]
-    if any(scaled[i][j] != scaled[j][i] for i in range(n) for j in range(n)):
-        side = "D*C" if left else "C*E"
-        raise InvariantError(f"symmetrizer {result} must make {side} symmetric for Cartan matrix {cartan}")
+    if any(cartan[i][j] * result[j] != cartan[j][i] * result[i] for i in range(n) for j in range(n)):
+        raise InvariantError(f"root norms {result} must make C*E symmetric for Cartan matrix {cartan}")
     return result
 
 
@@ -456,12 +457,11 @@ def _build_root_system(frozen: tuple[tuple[int, ...], ...], lie_type: SimpleLieT
     """Enumerate the roots and build every stored table, running each build
     check; a failed check raises, so nothing broken is cached."""
     det, adjugate = _inverse_transpose(frozen)
-    root_norms = _symmetrizers(frozen, left=False) if frozen else ()
+    root_norms = _root_norms(frozen)
     positive_roots = _positive_roots(frozen)
     rs = RootSystem(
         lie_type=lie_type,
         cartan=frozen,
-        symmetrizers=_symmetrizers(frozen, left=True) if frozen else (),
         root_norms=root_norms,
         positive_roots=positive_roots,
         coroots=_coroot_table(frozen, root_norms, positive_roots),

@@ -89,8 +89,13 @@ class FlatTorus:
         return math.prod(self.side_lengths)
 
     def modes(self, count: int) -> tuple[TorusMode, ...]:
-        """Modes 0..count inclusive."""
-        return _table_for(self.side_lengths, count).modes[: count + 1]
+        """Modes 0..count inclusive, built from the cached table's arrays."""
+        table = _table_for(self.side_lengths, count)
+        rows = zip(table.eigenvalues[: count + 1].tolist(), table.frequencies[: count + 1].tolist())
+        return tuple(
+            TorusMode(j, lam, tuple(nu), "const" if j == 0 else "cos" if j % 2 else "sin")
+            for j, (lam, nu) in enumerate(rows)
+        )
 
     def eigenvalues(self, count: int) -> np.ndarray:
         """Read-only eigenvalues of modes 0..count inclusive."""
@@ -131,12 +136,11 @@ class FlatTorus:
 
 @dataclass(frozen=True)
 class _ModeTable:
-    """Modes 0..size of a torus, as objects and as read-only arrays."""
+    """Modes 0..size of a torus as read-only arrays.  Mode 0 is the constant;
+    each frequency then gives a cosine (odd index) and a sine (even index)."""
 
-    modes: tuple[TorusMode, ...]
     eigenvalues: np.ndarray  # (size + 1,)
     frequencies: np.ndarray  # (size + 1, d) integers
-    sine: np.ndarray  # (size + 1,) bools; mode 0 is the constant
 
 
 def _table_for(side_lengths: tuple[float, ...], count: int) -> _ModeTable:
@@ -187,17 +191,9 @@ def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
     nu, lam = nu[order[:reps]], lam[order[:reps]]
     eigenvalues = np.concatenate(([0.0], np.repeat(lam, 2)[:size]))
     frequencies = np.concatenate((np.zeros((1, dim), dtype=nu.dtype), np.repeat(nu, 2, axis=0)[:size]))
-    sine = np.arange(size + 1) % 2 == 0
-    sine[0] = False
-    modes = tuple(
-        TorusMode(index, lam_j, tuple(nu_j), "const" if index == 0 else "sin" if is_sin else "cos")
-        for index, (lam_j, nu_j, is_sin) in enumerate(
-            zip(eigenvalues.tolist(), frequencies.tolist(), sine.tolist())
-        )
-    )
-    for array in (eigenvalues, frequencies, sine):
+    for array in (eigenvalues, frequencies):
         array.setflags(write=False)
-    return _ModeTable(modes, eigenvalues, frequencies, sine)
+    return _ModeTable(eigenvalues, frequencies)
 
 
 @dataclass(frozen=True)
@@ -392,7 +388,6 @@ class IntegrabilityResult:
     finite: bool
     certificate: str  # "convergent" or "divergent"
     tube_integral: float
-    cutoff_steps: int
 
 
 _DIVERGENCE_FACTOR = 1.0e6
@@ -434,12 +429,7 @@ def integrability_check(p: SingularProfile) -> IntegrabilityResult:
         last, prev = values[-1] - values[-2], values[-2] - values[-3]
         certificate = "divergent" if last > 0.99 * prev else "convergent"
     tube = values[-1] if certificate == "convergent" else math.inf
-    return IntegrabilityResult(
-        finite=p.square_integrable,
-        certificate=certificate,
-        tube_integral=tube,
-        cutoff_steps=len(values),
-    )
+    return IntegrabilityResult(finite=p.square_integrable, certificate=certificate, tube_integral=tube)
 
 
 def _profile_values(p: SingularProfile, manifold: FlatTorus, points: np.ndarray) -> np.ndarray:
@@ -521,7 +511,7 @@ def distance_profile_coefficients(
     spectrum = np.where(mirrored, entries.conj(), entries)
     shared = spectrum * np.exp(-1j * math.pi * nu.sum(axis=1) / points_per_axis)
     shared *= math.sqrt(2.0 / manifold.volume) * cell
-    trig = np.where(table.sine[1 : n + 1], -shared.imag, shared.real)
+    trig = np.where(np.arange(1, n + 1) % 2 == 0, -shared.imag, shared.real)
     coeffs = [float(np.sum(values)) * cell / math.sqrt(manifold.volume)] + trig.tolist()
     captured = 0.0
     for c in coeffs:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parabolica.cli import (
     AnalysisRequest,
@@ -543,3 +547,114 @@ def test_curvature_block_computes_kahler_denominators_once(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["omega_traces"]) == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dump-roots", "--type=A120"], "rank 120 out of range for type A: expected 1..32"),
+        (["curvature", "--type=D33", "--parabolic=1"], "rank 33 out of range for type D: expected 3..32"),
+        (["analyze", "--type=C1000000", "--parabolic=", "--weight=0"], "rank 1000000 out of range for type C"),
+        (["spectral", "--dim=65", "--profile=subtorus:s=0.9,codim=1"], "dim must be at most 64, got 65"),
+        (
+            ["analyze", "--type=A1", "--parabolic=", "--weight=1", "--spectral=dim=1000000,s=0.9,codim=1"],
+            "dim must be at most 64, got 1000000",
+        ),
+    ],
+)
+def test_request_sizes_are_bounded(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_spectral_defaults_are_shared(capsys):
+    """`spectral --profile` and `analyze --spectral` read one request with
+    the same defaults (dim 1, 128 modes, hym 1), so the blocks agree."""
+    assert main(["spectral", "--profile=point:s=0.25"]) == 0
+    alone = json.loads(capsys.readouterr().out)
+    assert main(["analyze", "--type=A1", "--parabolic=", "--weight=1", "--spectral=s=0.25"]) == 0
+    assert json.loads(capsys.readouterr().out)["spectral"] == alone
+    assert alone["residuals"][-1]["n"] == 128 and alone["hym_target"] == 1.0
+
+
+# CLI fuzzing: every request exits 0 with strict JSON (or CSV when asked),
+# or exits 1 with one line on stderr and nothing on stdout.  A request has at
+# most one malformed or extreme field, so the report paths run too.
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_TYPE_RANKS = {"A1": 1, "a3": 3, "B3": 3, "C4": 4, "D4": 4, "G2": 2, "F4": 4, "E6": 6, "A9": 9, "D9": 9}
+_NUMBERS = ["0", "-1", "1/2", "1/0", "nan", "inf", "-inf", "1e308", "1e-320", "9" * 40, "x", ""]
+_ODD_LISTS = st.lists(st.sampled_from(_NUMBERS), max_size=4).map(",".join)
+_FIELDS = {  # flag -> (well-formed values, odd values; None: drawn elsewhere)
+    "--type": (list(_TYPE_RANKS), ["A0", "B1", "D1000000", "E9", "G3", "Q3", "A", "3"]),
+    "--parabolic": (None, ["1,1", "0", "-1", "99", "1,,2", ",", "x"]),
+    "--weight": (["0", "1", "2", "9" * 40], None),
+    "--kahler": (["1", "2", "1/2", "1e308", "1e-320"], None),
+    "--line": (["0", "1", "-1", "9" * 40], None),
+    "--spectral": (
+        ["s=0.25", "dim=1,modes=16,s=0.25", "dim=2,modes=8,s=0.2,codim=1", "s=0.9,hym=2"],
+        ["dim=0,s=0.25", "dim=1000000,s=0.9", "modes=1000000000,s=0.25", "modes=-1,s=0.25", "s=inf"]
+        + ["s=0.25,hym=1e308", "s=0.25,hym=1/0", "s=", "dim", "=", ""],
+    ),
+    "--profile": (
+        ["point:s=0.25", "subtorus:s=0.2,codim=1", "subtorus:s=0.9,codim=1", "point:s=0.7"],
+        ["point:s=0.25,codim=x", "subtorus:s=0.2,codim=0", "subtorus:s=0.2,codim=99", "subtorus:s=0.2"]
+        + ["point:codim=1", "point:s=nan", "point:s=1/0", "point:s=-1", "point:s=0.25,,", "point:="]
+        + ["point", ":", "blob:s=1", ""],
+    ),
+    "--dim": (["1", "2", "3"], ["0", "-1", "12", "40", "65", "1000000000", "x"]),
+    "--modes": (["1", "8", "64"], ["0", "-1", "1000000000", "x"]),
+    "--hym": (["1", "-2"], _NUMBERS),
+}
+
+
+@st.composite
+def _cli_tokens(draw) -> list[str]:
+    command = draw(st.sampled_from(["analyze", "curvature", "spectral", "dump-roots"]))
+    odd = draw(st.sampled_from([None, *_FIELDS]))
+
+    def value(flag: str, size: int = 1) -> str:
+        good, bad = _FIELDS[flag]
+        if flag == odd:
+            return draw(st.sampled_from(bad) if bad else _ODD_LISTS)
+        return ",".join(draw(st.lists(st.sampled_from(good), min_size=size, max_size=size)))
+
+    def optional(*flags: str, size: int = 1) -> list[str]:
+        return [f"{flag}={value(flag, size)}" for flag in flags if flag == odd or draw(st.booleans())]
+
+    if command == "spectral":
+        csv = draw(st.sampled_from([[], ["--csv"]]))
+        return [command, f"--profile={value('--profile')}", *optional("--dim", "--modes", "--hym"), *csv]
+    lie_type = value("--type")
+    if command == "dump-roots":
+        return [command, f"--type={lie_type}"]
+    rank = _TYPE_RANKS.get(lie_type, 3)
+    levi = sorted(draw(st.sets(st.integers(1, rank), max_size=rank - 1)))
+    nodes = value("--parabolic") if odd == "--parabolic" else ",".join(map(str, levi))
+    tokens = [command, f"--type={lie_type}", f"--parabolic={nodes}"]
+    if command == "analyze":
+        tokens += [f"--weight={value('--weight', rank)}", *optional("--spectral")]
+    return tokens + optional("--kahler", "--line", size=rank - len(levi))
+
+
+@FUZZ
+@given(_cli_tokens())
+@example(["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2", "--kahler=1e-320", "--spectral=s=0.25"])
+def test_cli_fuzz_exits_cleanly(tokens):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(tokens)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        if "--csv" in tokens:
+            header, *rows = out.splitlines()
+            assert header == "n,residual"
+            assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+        else:
+            _strict_json(out)
+    else:
+        assert code == 1, (tokens, err)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err

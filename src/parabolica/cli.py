@@ -136,19 +136,14 @@ def _spectral_request(fields: dict[str, str | int | float], what: str) -> Spectr
     """The one reader of `--spectral` and `spectral --profile` fields: s is
     required, dim, modes and hym default to 1, 128 and 1, codim to dim."""
     try:
-        return SpectralRequest(
-            dim=int(fields.get("dim", 1)),
-            modes=int(fields.get("modes", 128)),
-            exponent=float(fields["s"]),
-            codim=int(fields["codim"]) if "codim" in fields else None,
-            hym=float(fields.get("hym", 1)),
-        )
+        dim, modes, exponent = int(fields.get("dim", 1)), int(fields.get("modes", 128)), float(fields["s"])
+        codim = int(fields["codim"]) if "codim" in fields else None
+        hym = float(fields.get("hym", 1))
     except KeyError as exc:
         raise ParseError(f"{what}: missing required field {exc.args[0]!r}") from exc
-    except ParseError:
-        raise
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from exc
+    return SpectralRequest(dim, modes, exponent, codim, hym)
 
 
 def parse_request(tokens: Sequence[str]) -> AnalysisRequest:
@@ -156,7 +151,7 @@ def parse_request(tokens: Sequence[str]) -> AnalysisRequest:
     try:
         ns = _build_parser().parse_args(list(tokens))
     except SystemExit as exc:  # --help or --version
-        raise ParseError("unrecognized or malformed arguments") from exc
+        raise ParseError("help or version requested, not an analyze request") from exc
     if ns.command != "analyze":
         raise ParseError(f"expected an analyze request, got {ns.command!r}")
     return _request_from_namespace(ns)
@@ -558,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _profile_request(ns: argparse.Namespace) -> SpectralRequest:
     """`spectral --profile kind:key=value,...`: the kind's rules, then the
-    spectral reader; --dim, --modes and --hym override the profile's keys."""
+    spectral reader; dim, modes and hym come only from their options."""
     if ":" not in ns.profile:
         raise ParseError(f"--profile: expected kind:key=value[,...], got {ns.profile!r}")
     kind, rest = ns.profile.split(":", 1)
@@ -572,6 +567,7 @@ def _profile_request(ns: argparse.Namespace) -> SpectralRequest:
     elif "codim" not in fields:
         raise ParseError("--profile: subtorus profiles need codim=")
     for key in ("dim", "modes", "hym"):
+        fields.pop(key, None)
         if getattr(ns, key) is not None:
             fields[key] = getattr(ns, key)
     return _spectral_request(fields, "--profile")

@@ -95,11 +95,10 @@ def spectrum_and_traces(
     <omega_alpha, beta^vee> is the alpha-th coefficient of the stored coroot.
     Roots sharing a denominator are summed as integers, and each trace is one
     Fraction over the lcm: a Fraction sum per root and node took 4.1 ms
-    instead of 0.56 ms on the E8 Borel parabolic.  The grouping stays
-    because a block has few distinct denominators: one pass that scales
-    every root to the lcm does a big-integer product per root and node, and
-    measured slower (D8 with Levi {3,6}: 407 instead of 242 us; the A8
-    Borel: 294 instead of 184 us).
+    instead of 0.56 ms on the E8 Borel parabolic.  The grouping stays because a
+    block has few distinct denominators: one pass scaling every root to the lcm
+    does a big-integer product per root and node, and measured slower (D8 with
+    Levi {3,6}: 407 instead of 242 us; the A8 Borel: 294 instead of 184 us).
     """
     denominators, w0_den = _kahler_denominators(omega0, p)
     nodes = p.picard_nodes

@@ -93,7 +93,7 @@ class FlatTorus:
         table = _table_for(self.side_lengths, count)
         rows = zip(table.eigenvalues[: count + 1].tolist(), table.frequencies[: count + 1].tolist())
         return tuple(
-            TorusMode(j, lam, tuple(nu), "const" if j == 0 else "cos" if j % 2 else "sin")
+            TorusMode(j, lam, tuple(nu), "const" if j == 0 else "sin" if _is_sine(j) else "cos")
             for j, (lam, nu) in enumerate(rows)
         )
 
@@ -137,10 +137,15 @@ class FlatTorus:
 @dataclass(frozen=True)
 class _ModeTable:
     """Modes 0..size of a torus as read-only arrays.  Mode 0 is the constant;
-    each frequency then gives a cosine (odd index) and a sine (even index)."""
+    each frequency then gives a cosine and a sine, told apart by _is_sine."""
 
     eigenvalues: np.ndarray  # (size + 1,)
     frequencies: np.ndarray  # (size + 1, d) integers
+
+
+def _is_sine(index):
+    """Mode index > 0 (int or array) is a sine: _build_table puts each frequency's cosine first."""
+    return index % 2 == 0
 
 
 def _table_for(side_lengths: tuple[float, ...], count: int) -> _ModeTable:
@@ -511,7 +516,7 @@ def distance_profile_coefficients(
     spectrum = np.where(mirrored, entries.conj(), entries)
     shared = spectrum * np.exp(-1j * math.pi * nu.sum(axis=1) / points_per_axis)
     shared *= math.sqrt(2.0 / manifold.volume) * cell
-    trig = np.where(np.arange(1, n + 1) % 2 == 0, -shared.imag, shared.real)
+    trig = np.where(_is_sine(np.arange(1, n + 1)), -shared.imag, shared.real)
     coeffs = [float(np.sum(values)) * cell / math.sqrt(manifold.volume)] + trig.tolist()
     captured = 0.0
     for c in coeffs:

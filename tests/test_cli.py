@@ -571,9 +571,13 @@ def test_request_sizes_are_bounded(capsys, argv, message):
 
 def test_spectral_defaults_are_shared(capsys):
     """`spectral --profile` and `analyze --spectral` read one request with
-    the same defaults (dim 1, 128 modes, hym 1), so the blocks agree."""
+    the same defaults (dim 1, 128 modes, hym 1), so the blocks agree.  A
+    profile's own dim, modes and hym keys are ignored: only the options set
+    them."""
     assert main(["spectral", "--profile=point:s=0.25"]) == 0
     alone = json.loads(capsys.readouterr().out)
+    assert main(["spectral", "--profile=point:s=0.25,dim=2,modes=8,hym=3"]) == 0
+    assert json.loads(capsys.readouterr().out) == alone
     assert main(["analyze", "--type=A1", "--parabolic=", "--weight=1", "--spectral=s=0.25"]) == 0
     assert json.loads(capsys.readouterr().out)["spectral"] == alone
     assert alone["residuals"][-1]["n"] == 128 and alone["hym_target"] == 1.0

@@ -209,6 +209,30 @@ def test_paper_suite_quiet_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SUITE_SHA256
 
 
+# sha256 of the concatenated stdout of these spectral requests: d = 1 point
+# and subtorus, d = 2 point and codim-1 subtorus, d = 3 on the default 64^3
+# grid, one CSV ladder and one analyze report with a spectral block.  Taken
+# before the profile was sampled on the tensor grid of its cut axes.
+SPECTRAL_REQUESTS = (
+    ["spectral", "--dim=1", "--modes=128", "--profile=point:s=0.25"],
+    ["spectral", "--dim=1", "--modes=300", "--profile=subtorus:s=0.4,codim=1"],
+    ["spectral", "--dim=2", "--modes=512", "--profile=point:s=0.25"],
+    ["spectral", "--dim=2", "--modes=200", "--profile=subtorus:s=0.3,codim=1"],
+    ["spectral", "--dim=3", "--modes=100", "--profile=subtorus:s=0.6,codim=2"],
+    ["spectral", "--dim=2", "--modes=64", "--profile=point:s=0.45", "--csv"],
+    ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2", "--spectral=dim=2,modes=64,s=0.3,codim=1"],
+)
+SPECTRAL_SHA256 = "a33fe31396e3357f887129870cca541b2c71d8cc4702f02e9f4515da9abaca8e"
+
+
+def test_spectral_stdout_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for tokens in SPECTRAL_REQUESTS:
+        assert main(tokens) == 0, tokens
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SPECTRAL_SHA256
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # The read end is closed before the child starts, so its first write
     # fails with EPIPE whatever the pipe's buffer size.

@@ -350,11 +350,58 @@ def test_mode_count_must_be_nonnegative():
         solve_weight(SpectralFunction(coeffs={1: 1.0}), -1, CIRCLE)
 
 
+def _reference_profile_values(profile, torus, points):
+    """The profile on an (M, d) point array: each cut coordinate folded to
+    its distance from 0 on the circle, squares summed, then the power."""
+    sq = np.zeros(points.shape[0])
+    for axis in range(profile.codim):
+        length = torus.side_lengths[axis]
+        folded = np.minimum(points[:, axis], length - points[:, axis])
+        sq = sq + folded**2
+    return sq ** (-profile.exponent / 2.0) + profile.offset
+
+
+@pytest.mark.parametrize(
+    "sides, sizes",
+    [
+        ((1.0,), (1, 2, 7, 64, 8191, 8192)),
+        ((0.7,), (3, 1000, 8192)),
+        ((1.0, 1.0), (1, 3, 64, 255, 2048)),
+        ((0.7, 1.3), (2, 17, 512)),
+        ((1.0, 1.0, 1.0), (1, 5, 64)),
+        ((0.7, 1.3, 1.0), (4, 33, 161)),
+    ],
+)
+def test_profile_values_match_point_reference(sides, sizes):
+    # the tensor-grid sampler and the fold over the point array agree bit for bit
+    torus = FlatTorus(sides)
+    for points_per_axis in sizes:
+        grid = torus.midpoint_grid(points_per_axis)
+        for codim in range(1, len(sides) + 1):
+            for offset in (0.0, 1.5):
+                profile = SingularProfile(ambient_dim=len(sides), codim=codim, exponent=0.3, offset=offset)
+                values = spectral._profile_values(profile, torus, points_per_axis)
+                expected = _reference_profile_values(profile, torus, grid)
+                assert np.array_equal(values, expected), (sides, points_per_axis, codim, offset)
+
+
+def test_profile_sampling_builds_no_point_cloud(monkeypatch):
+    def refuse(self, points_per_axis):
+        raise AssertionError("midpoint_grid called")
+
+    monkeypatch.setattr(FlatTorus, "midpoint_grid", refuse)
+    torus = FlatTorus((1.0, 1.0, 1.0))
+    for codim in (1, 2, 3):
+        profile = SingularProfile(ambient_dim=3, codim=codim, exponent=0.3)
+        distance_profile_coefficients(profile, torus, 20, points_per_axis=16)
+        profile_mean(profile, torus, points_per_axis=8, refinements=2)
+
+
 def _quadrature_coefficients(profile, torus, n, points_per_axis):
     """The dense-quadrature oracle: one sampled mode per coefficient."""
     grid = torus.midpoint_grid(points_per_axis)
     cell = torus.volume / grid.shape[0]
-    values = spectral._profile_values(profile, torus, grid)
+    values = _reference_profile_values(profile, torus, grid)
     return [float(np.dot(torus.sample_mode(m, grid), values)) * cell for m in torus.modes(n)]
 
 
@@ -396,6 +443,20 @@ def test_explicit_grid_over_budget_is_refused():
         profile_mean(profile, torus, points_per_axis=256, refinements=0)
 
 
+def test_mode_table_is_refused_before_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("profile sampled")
+
+    monkeypatch.setattr(spectral, "_profile_values", refuse)
+    torus = FlatTorus((1.0,) * 18)
+    profile = SingularProfile(ambient_dim=18, codim=18, exponent=0.25)
+    with pytest.raises(ValueError, match="frequency box over the budget"):
+        distance_profile_coefficients(profile, torus, 8)
+    circle_profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
+    with pytest.raises(ValueError, match="mode count 64"):
+        distance_profile_coefficients(circle_profile, CIRCLE, 64, points_per_axis=64)
+
+
 def test_more_modes_than_grid_points_is_refused():
     profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
     with pytest.raises(ValueError, match="mode count 64"):
@@ -428,7 +489,7 @@ def test_bochner_invariant_failure_names_its_inputs(monkeypatch):
 def test_refinement_invariant_failure_names_its_inputs(monkeypatch):
     rng = np.random.default_rng(0)
     monkeypatch.setattr(
-        spectral, "_profile_values", lambda p, m, points: rng.normal(size=points.shape[0]) * points.shape[0]
+        spectral, "_profile_values", lambda p, m, points_per_axis: rng.normal(size=points_per_axis) * points_per_axis
     )
     profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
     with pytest.raises(InvariantError, match=r"midpoint refinement .* grids \[8, 16, 32\]"):

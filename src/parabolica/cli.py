@@ -54,6 +54,12 @@ class FixtureMismatchError(AssertionError):
     """A reference fixture deviated from its pinned value."""
 
 
+class _ReportTooLarge(ValueError):
+    """An exact value the report cannot carry: a rational past Python's
+    int-to-str digit limit, or a mean-curvature target past float range.
+    ``main`` names the flags the value came from."""
+
+
 # Largest torus dimension of a spectral request.  A report that is not
 # square integrable builds no grid but lists one side length per dimension.
 MAX_SPECTRAL_DIM = 64
@@ -101,10 +107,16 @@ def _split_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _split_fractions(text: str, what: str) -> tuple[Fraction, ...]:
+    """Integers, p/q or plain decimals.  Exponent notation is refused before
+    a Fraction is built: nine characters, 1e3000000, would make a
+    three-million-digit integer."""
+    tokens = text.split(",")
     try:
-        return tuple(Fraction(tok) for tok in text.split(","))
+        if any("e" in tok.lower() for tok in tokens):
+            raise ValueError("exponent notation")
+        return tuple(Fraction(tok) for tok in tokens)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{what}: expected comma-separated rationals, got {text!r}") from exc
+        raise ParseError(f"{what}: expected comma-separated integers, p/q or decimals, got {text!r}") from exc
 
 
 def _parse_fields(text: str, what: str) -> dict[str, str]:
@@ -134,7 +146,11 @@ def _levi_nodes(text: str, rank: int) -> tuple[int, ...]:
 
 def _spectral_request(fields: dict[str, str | int | float], what: str) -> SpectralRequest:
     """The one reader of `--spectral` and `spectral --profile` fields: s is
-    required, dim, modes and hym default to 1, 128 and 1, codim to dim."""
+    required, dim, modes and hym default to 1, 128 and 1, codim to dim; any
+    other key is refused."""
+    for key in fields:
+        if key not in ("s", "dim", "modes", "hym", "codim"):
+            raise ParseError(f"{what}: unknown field {key!r}; expected s, dim, modes, hym or codim")
     try:
         dim, modes, exponent = int(fields.get("dim", 1)), int(fields.get("modes", 128)), float(fields["s"])
         codim = int(fields["codim"]) if "codim" in fields else None
@@ -245,15 +261,18 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None)
     einstein = einstein_class(p)
     psi = line if line is not None else einstein.as_weight(p)
     spectrum, traces = spectrum_and_traces(psi, kahler, p)
-    block = {
-        "kahler_class": [str(c) for c in kahler.coeffs],
-        "einstein_class": [str(c) for c in einstein.coeffs],
-        "normalization": "curvature forms carry a further 2*pi factor at report time",
-        "omega_traces": {str(alpha + 1): str(t) for alpha, t in traces.items()},
-        "psi": _weight_json(psi),
-        "eigenvalues": {_root_label(root): str(q) for root, q in spectrum.eigenvalues.items()},
-        "trace": str(spectrum.trace()),
-    }
+    try:
+        block = {
+            "kahler_class": [str(c) for c in kahler.coeffs],
+            "einstein_class": [str(c) for c in einstein.coeffs],
+            "normalization": "curvature forms carry a further 2*pi factor at report time",
+            "omega_traces": {str(alpha + 1): str(t) for alpha, t in traces.items()},
+            "psi": _weight_json(psi),
+            "eigenvalues": {_root_label(root): str(q) for root, q in spectrum.eigenvalues.items()},
+            "trace": str(spectrum.trace()),
+        }
+    except ValueError as exc:  # str() of a rational past the int-to-str digit limit
+        raise _ReportTooLarge(str(exc)) from exc
     if line is not None:
         # psi is the line's weight here, so the trace is its mean-curvature constant
         block["hym_constant"] = block["trace"]
@@ -353,7 +372,10 @@ def build_analysis_report(req: AnalysisRequest) -> dict:
         # target mean is the constant mean curvature of the split-off L0
         hym_target = None
         if kahler is not None and splitting.splits:
-            hym_target = float(hym_constant(splitting.lambda_L0, kahler, p))
+            try:
+                hym_target = float(hym_constant(splitting.lambda_L0, kahler, p))
+            except OverflowError as exc:
+                raise _ReportTooLarge(str(exc)) from exc
         report["spectral"] = _spectral_block(req.spectral, hym_target)
     return report
 
@@ -622,6 +644,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
     except SystemExit as exc:  # --help or --version
         return 0 if exc.code == 0 else 1
+    except _ReportTooLarge:
+        flags = " and ".join(f"--{name}" for name in ("kahler", "line") if getattr(ns, name, None))
+        sys.stderr.write(f"error: {flags}: values too large or too finely divided for an exact report\n")
+        return 1
     except BrokenPipeError:
         # The reader closed stdout early.  Point it at devnull so that the
         # flush at interpreter exit cannot raise a second time.

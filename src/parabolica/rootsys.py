@@ -12,7 +12,10 @@ Conventions, fixed once for the whole package:
 
 All arithmetic in this module is exact.  The integer tables a query needs
 (the coroot of every positive root, det C and the adjugate of C^T) are
-computed once, when the root system is built, and checked there.
+computed once, when the root system is built, and checked there.  One
+closure under the simple reflections yields the positive roots together
+with their coroots, each checked through <beta, beta^vee> = 2; it refuses a
+Cartan matrix that is not of finite type once a root coefficient passes 6.
 
 Root systems of rank at most ``ROOT_SYSTEM_MEMO_MAX_RANK`` are memoized:
 ``root_system_from_cartan`` validates its input on every call, then builds
@@ -50,9 +53,13 @@ ROOT_SYSTEM_MEMO_MAX_RANK = 8
 
 # Rank budget of the classical families A-D, the only ones without a rank
 # of their own.  A build costs about rank^4 (dump-roots A120 took 12.6 s and
-# 121 MB); at the budget a cold build takes 70 ms (A32) to 210 ms (C32,
-# D32), and a whole dump-roots process under 0.5 s and 33 MB (Python 3.11).
+# 121 MB); at the budget a cold build takes about 80 ms (A32) to 115 ms (B32,
+# C32), and a whole dump-roots process under 0.4 s and 34 MB (Python 3.11).
 MAX_CLASSICAL_RANK = 32
+
+# Largest coefficient of a positive root of a finite root system, that of
+# alpha_4 in E8's highest root.
+_MAX_ROOT_COEFFICIENT = 6
 
 _RANK_RANGE = {
     "A": (1, MAX_CLASSICAL_RANK),
@@ -222,8 +229,15 @@ class RootSystem:
         return tuple(root)
 
     def root_norm_sq(self, root: Root) -> Fraction:
-        """(beta, beta) in the integer normalization fixed by root_norms."""
-        return Fraction(_norm_sq(self.cartan, self.root_norms, root))
+        """(beta, beta) = sum_ij m_i m_j C_ij e_j in the integer normalization
+        fixed by root_norms."""
+        return Fraction(
+            sum(
+                mi * mj * cij * e
+                for mi, row in zip(root, self.cartan)
+                for mj, cij, e in zip(root, row, self.root_norms)
+            )
+        )
 
     def coroot_coefficients(self, root: Root) -> tuple[Fraction, ...]:
         """Expansion of beta^vee over the simple coroots alpha_j^vee,
@@ -327,32 +341,6 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
                     raise ValueError("Cartan zero pattern must be symmetric")
 
 
-def _norm_sq(cartan: Sequence[Sequence[int]], root_norms: Sequence[int], root: Root) -> int:
-    """(beta, beta) = sum_ij m_i m_j C_ij e_j."""
-    total = 0
-    for i, mi in enumerate(root):
-        if mi:
-            row = cartan[i]
-            for j, mj in enumerate(root):
-                if mj:
-                    total += mi * mj * row[j] * root_norms[j]
-    return total
-
-
-def _coroot_table(
-    cartan: Sequence[Sequence[int]], root_norms: Sequence[int], roots: Sequence[Root]
-) -> Mapping[Root, tuple[int, ...]]:
-    """beta -> integer coefficients 2 m_j e_j / (beta, beta) of beta^vee."""
-    table = {}
-    for root in roots:
-        norm = _norm_sq(cartan, root_norms, root)
-        doubled = [2 * m * e for m, e in zip(root, root_norms)]
-        if norm <= 0 or any(x % norm for x in doubled):
-            raise InvariantError(f"coroot of {root} must have integer coefficients: (beta, beta) = {norm}")
-        table[root] = tuple(x // norm for x in doubled)
-    return MappingProxyType(table)
-
-
 def _inverse_transpose(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """det C and adj(C^T), checked once through C^T adj(C^T) = det C * I."""
     transposed = tuple(zip(*cartan))
@@ -402,39 +390,39 @@ def _root_norms(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return result
 
 
-def _positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[Root, ...]:
-    """Enumerate the positive roots by height via root-string closure.
+def _positive_roots(cartan: Sequence[Sequence[int]]) -> dict[Root, tuple[int, ...]]:
+    """Every positive root with its coroot, by closure under the simple
+    reflections, sorted by (height, coefficients).
 
-    Starting from the simple roots, alpha + alpha_i is a root exactly when
-    q = p - <alpha, alpha_i^vee> is positive, where p counts how far the
-    alpha_i-string continues below alpha.  Every root of smaller height is
-    already materialized when p is computed, so the scan is complete.
+    s_i permutes the positive roots other than alpha_i.  So whenever
+    k = <beta, alpha_i^vee> is negative, s_i beta = beta - k alpha_i is a new
+    positive root, and its coroot is s_i beta^vee = beta^vee - <alpha_i,
+    beta^vee> alpha_i^vee.  A positive root that is not simple has some i
+    with <beta, alpha_i^vee> > 0, so it is reached from s_i beta, which is
+    lower.  Each root is checked through <beta, beta^vee> = 2.  No root of a
+    finite system has a coefficient above _MAX_ROOT_COEFFICIENT; past it the
+    closure stops, so a matrix that is not of finite type is refused.
     """
     n = len(cartan)
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    known: set[Root] = set(simple)
-    level: list[Root] = list(simple)
-    while level:
-        nxt: set[Root] = set()
-        for root in level:
-            for i in range(n):
-                pairing = sum(m * cartan[j][i] for j, m in enumerate(root) if m)
-                p = 0
-                lower = list(root)
-                while True:
-                    lower[i] -= 1
-                    if lower[i] < 0 or tuple(lower) not in known:
-                        break
-                    p += 1
-                if p - pairing > 0:
-                    upper = list(root)
-                    upper[i] += 1
-                    candidate = tuple(upper)
-                    if candidate not in known:
-                        nxt.add(candidate)
-        known.update(nxt)
-        level = sorted(nxt)
-    return tuple(sorted(known, key=lambda r: (sum(r), r)))
+    queue = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    table = dict(zip(queue, queue))  # a simple root is its own coroot
+    for root in queue:
+        coroot = table[root]
+        pairings = [sum(m * cartan[j][i] for j, m in enumerate(root) if m) for i in range(n)]
+        if sum(c * k for c, k in zip(coroot, pairings)) != 2:
+            raise InvariantError(f"coroot {coroot} of {root} must pair to 2 with it: Cartan matrix {cartan}")
+        for i, k in enumerate(pairings):
+            if k >= 0:
+                continue
+            image = root[:i] + (root[i] - k,) + root[i + 1 :]
+            if image in table:
+                continue
+            if image[i] > _MAX_ROOT_COEFFICIENT:
+                raise ValueError("Cartan matrix is not of finite type")
+            shift = sum(c * a for c, a in zip(coroot, cartan[i]))  # <alpha_i, beta^vee>
+            table[image] = coroot[:i] + (coroot[i] - shift,) + coroot[i + 1 :]
+            queue.append(image)
+    return {root: table[root] for root in sorted(table, key=lambda r: (sum(r), r))}
 
 
 def root_system_from_cartan(
@@ -458,13 +446,13 @@ def _build_root_system(frozen: tuple[tuple[int, ...], ...], lie_type: SimpleLieT
     check; a failed check raises, so nothing broken is cached."""
     det, adjugate = _inverse_transpose(frozen)
     root_norms = _root_norms(frozen)
-    positive_roots = _positive_roots(frozen)
+    coroots = _positive_roots(frozen)
     rs = RootSystem(
         lie_type=lie_type,
         cartan=frozen,
         root_norms=root_norms,
-        positive_roots=positive_roots,
-        coroots=_coroot_table(frozen, root_norms, positive_roots),
+        positive_roots=tuple(coroots),
+        coroots=MappingProxyType(coroots),
         cartan_det=det,
         cartan_t_adjugate=adjugate,
     )

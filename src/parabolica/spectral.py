@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -213,10 +215,16 @@ def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
 
 @dataclass(frozen=True)
 class SpectralFunction:
-    """Finitely materialized eigen-coefficients plus a certified L2 tail."""
+    """Finitely materialized eigen-coefficients plus a certified L2 tail.
 
-    coeffs: dict[int, float]
+    ``coeffs`` is a read-only view over a private copy of the mapping it is
+    given, so the arrays cached from it below cannot go stale."""
+
+    coeffs: Mapping[int, float]
     tail_sq: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
     @property
     def norm_sq(self) -> float:
@@ -231,11 +239,8 @@ class SpectralFunction:
 
     @cached_property
     def vector(self) -> np.ndarray:
-        """Coefficients 0..max_index as a dense array (zero where absent).
-
-        Computed on first use; the coefficient dict is not expected to
-        change afterwards.
-        """
+        """Coefficients 0..max_index as a dense array (zero where absent),
+        computed on first use."""
         out = np.zeros(self.max_index + 1)
         out[np.fromiter(self.coeffs, dtype=np.intp, count=len(self.coeffs))] = list(
             self.coeffs.values()

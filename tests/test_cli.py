@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -496,6 +497,12 @@ def test_parabolic_nodes_validated_alike(capsys, argv, message):
         (["spectral", "--profile=point:s=0.25,codim"], "--profile: expected key=value, got 'codim'"),
         (["spectral", "--profile=point:codim=1"], "--profile: missing exponent s"),
         (["spectral", "--profile=subtorus:s=0.25"], "--profile: subtorus profiles need codim="),
+        (
+            ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--spectral=s=0.25,mode=512"],
+            "spectral spec: unknown field 'mode'",
+        ),
+        (["spectral", "--profile=point:s=0.25,mode=512"], "--profile: unknown field 'mode'"),
+        (["spectral", "--profile=point:s=0.25,bogus=7"], "--profile: unknown field 'bogus'"),
     ],
 )
 def test_key_value_specs_share_one_parser(capsys, argv, message):
@@ -542,6 +549,42 @@ def test_cold_cache_outputs_match_warm(capsys):
         cold = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == cold
+
+
+E8_KAHLER = ",".join(f"{10**16 + 2 * i + 1}/{10**16 + 6 * i + 7}" for i in range(8))
+TINY_DECIMAL = "0." + "0" * 400 + "1"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["curvature", "--type=D9", "--parabolic=7", "--kahler=1,1,1,1,1/2,1,1e308,1"], "--kahler"),
+        (
+            ["analyze", "--type=B3", "--parabolic=", "--weight=1,1,0", "--spectral=dim=1,modes=16,s=0.25"]
+            + ["--kahler=2,1e-320,1e-320", "--line=0,0,-1"],
+            "--kahler",
+        ),
+        (["curvature", "--type=A2", "--parabolic=1", "--kahler=1e3000000"], "--kahler"),
+        # no exponent: eight 17-digit p/q push E8's report rationals past 4300 digits
+        (["curvature", "--type=E8", "--parabolic=", f"--kahler={E8_KAHLER}"], "--kahler"),
+        # a plain decimal whose mean-curvature target passes float range
+        (
+            ["analyze", "--type=B3", "--parabolic=", "--weight=1,1,0", "--spectral=dim=1,modes=16,s=0.25"]
+            + [f"--kahler=2,{TINY_DECIMAL},1", "--line=0,0,-1"],
+            "--kahler and --line",
+        ),
+    ],
+    ids=["exponent", "exponent-with-line", "huge-exponent", "e8-digits", "hym-float-range"],
+)
+def test_oversized_exact_inputs_name_their_flag(capsys, argv, flags):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {flags}: ")
+    assert elapsed < 0.5  # 1e3000000 is refused before it becomes a 3-million-digit integer
 
 
 def test_analyze_builds_each_root_system_once(monkeypatch, capsys):

@@ -9,10 +9,13 @@
 """
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -129,7 +132,7 @@ def test_cartan_and_root_count_match_sympy(name):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("name", ALL_TYPES + ["A32", "B9", "C16", "D16"])
 def test_coroot_table_rows(name):
     rs = cached_system(name)
     assert tuple(rs.coroots) == rs.positive_roots
@@ -150,10 +153,41 @@ def test_stored_inverse_of_cartan_transpose(name):
             assert product == (rs.cartan_det if i == j else 0)
 
 
-@pytest.mark.parametrize("cartan", [[[2, -2], [-2, 2]], [[2, -3], [-3, 2]]], ids=["affine", "hyperbolic"])
+@pytest.mark.parametrize(
+    "cartan",
+    [
+        [[2, -2], [-2, 2]],
+        [[2, -3], [-3, 2]],
+        # two hyperbolic blocks: det 25 > 0, so only the root closure refuses it
+        [[2, -3, 0, 0], [-3, 2, 0, 0], [0, 0, 2, -3], [0, 0, -3, 2]],
+    ],
+    ids=["affine", "hyperbolic", "hyperbolic-pair"],
+)
 def test_non_finite_cartan_is_refused(cartan):
     with pytest.raises(ValueError, match="not of finite type"):
         root_system_from_cartan(cartan)
+
+
+# sha256 of (Cartan matrix, positive roots, coroot table) over the 33 types of
+# rank <= 8 and then their 174 distinct Levi Cartan matrices in sorted order,
+# taken from the root-string build the reflection closure replaced.
+ROOT_TABLES_SHA256 = "a1ccaf07405070d6fb61c952c9e068554b6fbdc0d043c18234317c44751115cd"
+
+
+def test_root_tables_are_pinned():
+    systems = [cached_system(name) for name in ALL_TYPES]
+    levis = set()
+    for rs in systems:
+        n = rs.rank
+        for size in range(n):
+            for nodes in combinations(range(n), size):
+                levis.add(tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes))
+    assert len(levis) == 174
+    systems += [root_system_from_cartan(cartan) for cartan in sorted(levis)]
+    digest = hashlib.sha256()
+    for rs in systems:
+        digest.update(json.dumps([rs.cartan, rs.positive_roots, list(rs.coroots.items())]).encode())
+    assert digest.hexdigest() == ROOT_TABLES_SHA256
 
 
 def test_tables_stay_out_of_eq_repr_and_dump():

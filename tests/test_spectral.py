@@ -59,6 +59,16 @@ def test_modes_orthonormal_under_quadrature():
             assert abs(inner - (1.0 if i == j else 0.0)) < 1e-10, (i, j)
 
 
+def test_spectral_function_coefficients_are_read_only():
+    source = {0: 1.0, 2: 3.0}
+    f = SpectralFunction(coeffs=source)
+    source[2] = 5.0
+    with pytest.raises(TypeError):
+        f.coeffs[2] = 5.0
+    assert f.coefficient(2) == 3.0 and f.norm_sq == 10.0
+    assert solve_weight(f, 2, CIRCLE).residual_l2 == 0.0
+
+
 def test_truncate_keeps_low_modes():
     f = SpectralFunction(coeffs={1: 2.0})
     assert truncate(f, 1).coeffs == {1: 2.0}

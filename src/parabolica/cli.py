@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .bundle import (
@@ -59,6 +59,9 @@ class _ReportTooLarge(ValueError):
     int-to-str digit limit, or a mean-curvature target past float range.
     ``main`` names the flags the value came from."""
 
+
+# Longest message an `error:` line on stderr carries, ellipsis included.
+_MAX_ERROR_CHARS = 200
 
 # Largest torus dimension of a spectral request.  A report that is not
 # square integrable builds no grid but lists one side length per dimension.
@@ -117,6 +120,14 @@ def _split_fractions(text: str, what: str) -> tuple[Fraction, ...]:
         return tuple(Fraction(tok) for tok in tokens)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{what}: expected comma-separated integers, p/q or decimals, got {text!r}") from exc
+
+
+def _picard_values(text: str, parse: Callable[[str, str], tuple], what: str, count: int) -> tuple:
+    """A `--kahler` or `--line` value read by ``parse``: one entry per Picard node."""
+    values = parse(text, what)
+    if len(values) != count:
+        raise ParseError(f"{what}: expected {count} coefficient(s) over the Picard nodes, got {len(values)}")
+    return values
 
 
 def _parse_fields(text: str, what: str) -> dict[str, str]:
@@ -183,8 +194,9 @@ def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
     weight = _split_ints(ns.weight, "--weight")
     if len(weight) != rank:
         raise ParseError(f"--weight: expected {rank} coordinates, got {len(weight)}")
-    kahler = _split_fractions(ns.kahler, "--kahler") if ns.kahler else None
-    line = _split_ints(ns.line, "--line") if ns.line else None
+    picard = rank - len(nodes)
+    kahler = _picard_values(ns.kahler, _split_fractions, "--kahler", picard) if ns.kahler else None
+    line = _picard_values(ns.line, _split_ints, "--line", picard) if ns.line else None
     spectral = None
     if ns.spectral:
         spectral = _spectral_request(_parse_fields(ns.spectral, "spectral spec"), "spectral spec")
@@ -610,13 +622,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif ns.command == "curvature":
             rs = build_root_system(ns.type)
             p = build_parabolic(rs, [n - 1 for n in _levi_nodes(ns.parabolic, rs.rank)])
+            picard = len(p.picard_nodes)
             kahler = (
-                KahlerClass(_split_fractions(ns.kahler, "--kahler"))
+                KahlerClass(_picard_values(ns.kahler, _split_fractions, "--kahler", picard))
                 if ns.kahler
                 else einstein_class(p)
             )
             line = (
-                line_bundle_weight(_split_ints(ns.line, "--line"), p) if ns.line else None
+                line_bundle_weight(_picard_values(ns.line, _split_ints, "--line", picard), p)
+                if ns.line
+                else None
             )
             _emit(_curvature_block(p, kahler, line))
         elif ns.command == "spectral":
@@ -654,7 +669,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, IndexError, OverflowError) as exc:  # bad input, or a value past float range
-        sys.stderr.write(f"error: {exc}\n")
+        message = str(exc)
+        if len(message) > _MAX_ERROR_CHARS:  # a huge flag value is echoed only in part
+            message = message[: _MAX_ERROR_CHARS - 3] + "..."
+        sys.stderr.write(f"error: {message}\n")
         return 1
     except InvariantError as exc:
         sys.stderr.write(f"invariant violated: {exc}\n")

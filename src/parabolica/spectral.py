@@ -2,11 +2,12 @@
 
 Everything happens in the Laplace eigenbasis of a flat torus, the one
 compact model where the spectrum is explicit and the Ricci lower bound is
-exactly zero.  A target profile f is expanded in eigenmodes, the conformal
-weight psi_n = sum c_j/lambda_j phi_j matches the truncation exactly, and
-Sobolev control of the sequence comes from the Bochner estimate.  This is
-the only module that uses floating point; each operation states its
-tolerance.
+exactly zero.  A target profile f is expanded in eigenmodes, held as one
+read-only array c_0..c_n (a SpectralFunction, which takes no mapping); the
+conformal weight psi_n = sum c_j/lambda_j phi_j matches the truncation
+exactly, and Sobolev control of the sequence comes from the Bochner
+estimate.  This is the only module that uses floating point; each
+operation states its tolerance.
 
 Profile coefficients come from one FFT.  On the uniform midpoint grid
 x_k = (k + 1/2) L / N the cosine and sine modes of frequency nu sample to
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -213,48 +212,39 @@ def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
     return _ModeTable(eigenvalues, frequencies)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralFunction:
-    """Finitely materialized eigen-coefficients plus a certified L2 tail.
+    """Eigen-coefficients c_0..c_n plus a certified L2 tail.
 
-    ``coeffs`` is a read-only view over a private copy of the mapping it is
-    given, so the arrays cached from it below cannot go stale."""
+    ``coeffs`` is a read-only float64 copy of the 1-D sequence it is given,
+    so the arrays cached from it below cannot go stale."""
 
-    coeffs: Mapping[int, float]
+    coeffs: np.ndarray
     tail_sq: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
+        coeffs = np.array(self.coeffs, dtype=float)
+        if coeffs.ndim != 1:
+            raise ValueError(f"coefficients must be a 1-D sequence c_0..c_n, got shape {coeffs.shape}")
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def norm_sq(self) -> float:
-        return sum(c * c for c in self.coeffs.values()) + self.tail_sq
-
-    @cached_property
-    def max_index(self) -> int:
-        return max(self.coeffs, default=0)
+        return sum(c * c for c in self.coeffs.tolist()) + self.tail_sq
 
     def coefficient(self, index: int) -> float:
-        return self.coeffs.get(index, 0.0)
-
-    @cached_property
-    def vector(self) -> np.ndarray:
-        """Coefficients 0..max_index as a dense array (zero where absent),
-        computed on first use."""
-        out = np.zeros(self.max_index + 1)
-        out[np.fromiter(self.coeffs, dtype=np.intp, count=len(self.coeffs))] = list(
-            self.coeffs.values()
-        )
-        return out
+        """c_index, and 0.0 outside 0..len(coeffs) - 1."""
+        return float(self.coeffs[index]) if 0 <= index < len(self.coeffs) else 0.0
 
     @cached_property
     def tails_sq(self) -> np.ndarray:
-        """tails_sq[k] = sum_{j >= k} c_j^2 for k = 0..max_index + 1.
+        """tails_sq[k] = sum_{j >= k} c_j^2 for k = 0..len(coeffs).
 
         One reverse running sum of nonnegative terms, so tails_sq never
         increases with k, not even by rounding.
         """
-        squares = self.vector[::-1] ** 2
+        squares = self.coeffs[::-1] ** 2
         return np.append(np.cumsum(squares)[::-1], 0.0)
 
 
@@ -263,7 +253,7 @@ class GalerkinSolution:
     """Truncated conformal weight psi_n with its diagnostics.
 
     ``modes``, ``psi`` and ``lam`` are aligned arrays over the matched modes
-    with a nonzero coefficient; the dict views are built only when read.
+    with a nonzero coefficient.
     """
 
     truncation: int
@@ -273,14 +263,6 @@ class GalerkinSolution:
     source_mode0: float
     residual_l2: float
     h2_norm: float
-
-    @property
-    def psi_coeffs(self) -> dict[int, float]:
-        return dict(zip(self.modes.tolist(), self.psi.tolist()))
-
-    @property
-    def eigenvalues(self) -> dict[int, float]:
-        return dict(zip(self.modes.tolist(), self.lam.tolist()))
 
     def curvature_coeffs(self) -> dict[int, float]:
         """Eigen-coefficients of the resulting mean curvature.
@@ -297,8 +279,7 @@ def truncate(f: SpectralFunction, n: int) -> SpectralFunction:
     """Drop every coefficient beyond mode n; mode 0 always survives."""
     if n < 0:
         raise ValueError("truncation order must be nonnegative")
-    kept = {j: c for j, c in f.coeffs.items() if j <= n}
-    return SpectralFunction(coeffs=kept, tail_sq=0.0)
+    return SpectralFunction(f.coeffs[: n + 1])
 
 
 def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSolution:
@@ -315,7 +296,7 @@ def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSo
     kept = c != 0.0
     index, c, lam = index[kept], c[kept], lam[kept]
     psi = c / lam
-    tail_sq = f.tail_sq + float(f.tails_sq[min(n + 1, f.max_index + 1)])
+    tail_sq = f.tail_sq + float(f.tails_sq[min(n + 1, len(f.coeffs))])
     h2_sq = float(np.sum((1.0 + lam**2) * psi**2))
     return GalerkinSolution(
         truncation=n,
@@ -333,11 +314,8 @@ def _matched_modes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices j with max(m, 0) < j <= n (within f's range), with their
     coefficients and eigenvalues."""
-    lo, hi = max(m, 0) + 1, min(n, f.max_index)
-    if hi < lo:
-        empty = np.zeros(0)
-        return np.zeros(0, dtype=np.intp), empty, empty
-    return np.arange(lo, hi + 1), f.vector[lo : hi + 1], manifold.eigenvalues(hi)[lo:]
+    lo, hi = max(m, 0) + 1, min(n, len(f.coeffs) - 1)
+    return np.arange(lo, hi + 1), f.coeffs[lo : hi + 1], manifold.eigenvalues(max(hi, 0))[lo:]
 
 
 def spectral_h2_gap(f: SpectralFunction, m: int, n: int, manifold: FlatTorus) -> float:
@@ -546,4 +524,4 @@ def distance_profile_coefficients(
     captured = 0.0
     for c in coeffs:
         captured += c * c
-    return SpectralFunction(coeffs=dict(enumerate(coeffs)), tail_sq=max(norm_sq - captured, 0.0))
+    return SpectralFunction(coeffs, tail_sq=max(norm_sq - captured, 0.0))

@@ -12,6 +12,14 @@ def cached_system(name: str):
     return build_root_system(name)
 
 
+def dense(coeffs: dict[int, float]) -> list[float]:
+    """Coefficients c_0..c_max as a list, with 0.0 at every missing index."""
+    out = [0.0] * (max(coeffs, default=-1) + 1)
+    for j, c in coeffs.items():
+        out[j] = c
+    return out
+
+
 @lru_cache(maxsize=None)
 def cached_parabolic(name: str, nodes: tuple[int, ...]):
     return build_parabolic(cached_system(name), nodes)

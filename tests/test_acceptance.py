@@ -39,7 +39,7 @@ from parabolica import (
 from parabolica import linalg
 from parabolica.cli import run_reference_suite
 
-from conftest import cached_parabolic, cached_system
+from conftest import cached_parabolic, cached_system, dense
 
 RANK6_TYPES = (
     [f"A{n}" for n in range(1, 7)]
@@ -233,7 +233,7 @@ def test_acceptance_5_spectral_suite():
 
     # exact-mode matching at relative 1e-12
     rng = random.Random(515)
-    f_rand = SpectralFunction(coeffs={j: rng.uniform(-2, 2) for j in range(0, 200)})
+    f_rand = SpectralFunction(coeffs=[rng.uniform(-2, 2) for _ in range(0, 200)])
     sol = solve_weight(f_rand, 150, circle)
     curv = sol.curvature_coeffs()
     assert curv[0] == f_rand.coefficient(0)
@@ -243,7 +243,7 @@ def test_acceptance_5_spectral_suite():
 
     # residual tail agreement at 1e-10 for c_j = 1/j, n = 10..1000
     n_max = 1500
-    f_harmonic = SpectralFunction(coeffs={j: 1.0 / j for j in range(1, n_max + 1)})
+    f_harmonic = SpectralFunction(coeffs=dense({j: 1.0 / j for j in range(1, n_max + 1)}))
     for n in (10, 50, 100, 300, 1000):
         sol = solve_weight(f_harmonic, n, circle)
         tail = math.sqrt(sum((1.0 / j) ** 2 for j in range(n + 1, n_max + 1)))

@@ -234,6 +234,67 @@ def test_spectral_stdout_is_pinned(capsys):
     assert digest.hexdigest() == SPECTRAL_SHA256
 
 
+# sha256 of the concatenated stdout of the edge requests of the spectral
+# ladder: no modes past the constant, one mode, the top of the benchmark's
+# --modes range with its own --hym, and an analyze report that splits, so
+# its hym_target is the L0 constant (-5.0).  Taken before SpectralFunction
+# held its coefficients as one array.
+SPECTRAL_EDGE_REQUESTS = (
+    ["spectral", "--dim=1", "--modes=0", "--profile=point:s=0.25"],
+    ["spectral", "--dim=1", "--modes=1", "--profile=point:s=0.25"],
+    ["spectral", "--dim=1", "--modes=4096", "--profile=subtorus:s=0.3,codim=1", "--hym=0.75"],
+    ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2", "--kahler=1", "--spectral=dim=1,modes=200,s=0.25"],
+)
+SPECTRAL_EDGE_SHA256 = "6171ca62e7554281d0514e759cbac8b1f1506adca155945c72379133cc5c2b36"
+
+
+def test_spectral_edge_stdout_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for tokens in SPECTRAL_EDGE_REQUESTS:
+        assert main(tokens) == 0, tokens
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SPECTRAL_EDGE_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["curvature", "--type=A2", "--parabolic=1", "--kahler=1,2,3"], "--kahler: expected 1 coefficient(s)"),
+        (["curvature", "--type=A2", "--parabolic=1", "--line=1,2"], "--line: expected 1 coefficient(s)"),
+        (
+            ["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--kahler=1", "--line=1,2"],
+            "--line: expected 1 coefficient(s)",
+        ),
+    ],
+    ids=["curvature-kahler", "curvature-line", "analyze-line"],
+)
+def test_wrong_picard_length_names_its_flag(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message} over the Picard nodes, got ")
+
+
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (["curvature", "--type=A2", "--parabolic=1", "--line=" + "9" * 8000 + "x"], "--line"),
+        (["analyze", "--type=A2", "--parabolic=1", "--weight=" + "9" * 8000 + "x"], "--weight"),
+        (["spectral", "--modes=" + "9" * 5000 + "x", "--profile=point:s=0.25"], "--modes"),
+        (["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--spectral=s=" + "9" * 5000 + "x"], "spectral spec"),
+    ],
+    ids=["line", "weight", "modes", "spectral"],
+)
+def test_error_line_echoes_a_bounded_input(capsys, argv, label):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert len(captured.err) <= 200 + len("error: \n")
+    assert label in captured.err and captured.err.endswith("...\n")
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # The read end is closed before the child starts, so its first write
     # fails with EPIPE whatever the pipe's buffer size.

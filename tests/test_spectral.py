@@ -28,6 +28,8 @@ from parabolica import (
 )
 from parabolica.spectral import TorusMode
 
+from conftest import dense
+
 CIRCLE = FlatTorus((2 * math.pi,))
 
 
@@ -60,64 +62,76 @@ def test_modes_orthonormal_under_quadrature():
 
 
 def test_spectral_function_coefficients_are_read_only():
-    source = {0: 1.0, 2: 3.0}
-    f = SpectralFunction(coeffs=source)
-    source[2] = 5.0
-    with pytest.raises(TypeError):
-        f.coeffs[2] = 5.0
-    assert f.coefficient(2) == 3.0 and f.norm_sq == 10.0
-    assert solve_weight(f, 2, CIRCLE).residual_l2 == 0.0
+    for source in ([1.0, 0.0, 3.0], np.array([1.0, 0.0, 3.0])):
+        f = SpectralFunction(coeffs=source)
+        source[2] = 5.0
+        with pytest.raises(ValueError):
+            f.coeffs[2] = 5.0
+        assert f.coefficient(2) == 3.0 and f.norm_sq == 10.0
+        assert solve_weight(f, 2, CIRCLE).residual_l2 == 0.0
+
+
+@pytest.mark.parametrize("coeffs", [1.0, [[1.0, 2.0]]], ids=["scalar", "2-d"])
+def test_spectral_function_needs_one_axis(coeffs):
+    with pytest.raises(ValueError, match="1-D"):
+        SpectralFunction(coeffs=coeffs)
+
+
+def test_coefficient_is_zero_outside_the_array():
+    f = SpectralFunction(coeffs=[1.0, 2.0])
+    assert [f.coefficient(j) for j in (-1, 0, 1, 2, 7)] == [0.0, 1.0, 2.0, 0.0, 0.0]
 
 
 def test_truncate_keeps_low_modes():
-    f = SpectralFunction(coeffs={1: 2.0})
-    assert truncate(f, 1).coeffs == {1: 2.0}
-    g = SpectralFunction(coeffs={0: 1.0, 1: 0.5, 2: 0.25, 7: 0.125})
+    f = SpectralFunction(coeffs=[0.0, 2.0])
+    assert np.array_equal(truncate(f, 1).coeffs, [0.0, 2.0])
+    g = SpectralFunction(coeffs=dense({0: 1.0, 1: 0.5, 2: 0.25, 7: 0.125}))
     cut = truncate(g, 1)
-    assert cut.coeffs == {0: 1.0, 1: 0.5}
+    assert np.array_equal(cut.coeffs, [1.0, 0.5])
     assert cut.tail_sq == 0.0
 
 
 def test_truncation_error_is_tail_norm():
     rng = random.Random(99)
-    coeffs = {j: rng.uniform(-1, 1) for j in range(20)}
+    coeffs = [rng.uniform(-1, 1) for _ in range(20)]
     f = SpectralFunction(coeffs=coeffs)
     for n in (0, 3, 11, 19):
         cut = truncate(f, n)
-        diff_sq = sum(c * c for j, c in coeffs.items() if j > n)
+        diff_sq = sum(c * c for j, c in enumerate(coeffs) if j > n)
         assert math.isclose(f.norm_sq - cut.norm_sq, diff_sq, rel_tol=0, abs_tol=1e-12)
 
 
 def test_solve_weight_unit_eigenfunction():
     # f = cos(theta) has eigenvalue one, so psi equals f exactly
-    f = SpectralFunction(coeffs={1: math.sqrt(math.pi)})
+    f = SpectralFunction(coeffs=[0.0, math.sqrt(math.pi)])
     sol = solve_weight(f, 1, CIRCLE)
-    assert sol.psi_coeffs == {1: math.sqrt(math.pi)}
+    assert sol.modes.tolist() == [1] and sol.psi.tolist() == [math.sqrt(math.pi)]
     assert sol.residual_l2 == 0.0
 
 
 def test_solve_weight_single_high_mode():
     j = 9  # frequency 5, eigenvalue 25
     lam = CIRCLE.eigenvalue(j)
-    sol = solve_weight(SpectralFunction(coeffs={j: 1.0}), j, CIRCLE)
-    assert math.isclose(sol.psi_coeffs[j], 1.0 / lam, rel_tol=1e-15)
+    sol = solve_weight(SpectralFunction(coeffs=dense({j: 1.0})), j, CIRCLE)
+    assert sol.modes.tolist() == [j]
+    assert math.isclose(sol.psi[0], 1.0 / lam, rel_tol=1e-15)
     assert math.isclose(sol.h2_norm, math.sqrt((1.0 + lam**2) / lam**2), rel_tol=1e-14)
 
 
 def test_galerkin_solution_keeps_arrays():
-    # modes with a zero coefficient are dropped; the dicts are views of the arrays
-    f = SpectralFunction(coeffs={0: 2.0, 1: 0.5, 2: 0.0, 3: -1.5})
+    # modes with a zero coefficient are dropped from the aligned arrays
+    f = SpectralFunction(coeffs=[2.0, 0.5, 0.0, -1.5])
     sol = solve_weight(f, 3, CIRCLE)
     assert sol.modes.tolist() == [1, 3]
     lam = {j: CIRCLE.eigenvalue(j) for j in (1, 3)}
-    assert sol.eigenvalues == lam
-    assert sol.psi_coeffs == {1: 0.5 / lam[1], 3: -1.5 / lam[3]}
+    assert sol.lam.tolist() == [lam[1], lam[3]]
+    assert sol.psi.tolist() == [0.5 / lam[1], -1.5 / lam[3]]
     assert sol.curvature_coeffs() == {0: 2.0, 1: lam[1] * (0.5 / lam[1]), 3: lam[3] * (-1.5 / lam[3])}
 
 
 def test_residual_matches_direct_tail_sum():
     n_max = 1500
-    f = SpectralFunction(coeffs={j: 1.0 / j for j in range(1, n_max + 1)})
+    f = SpectralFunction(coeffs=dense({j: 1.0 / j for j in range(1, n_max + 1)}))
     for n in (10, 37, 100, 512, 1000):
         sol = solve_weight(f, n, CIRCLE)
         tail = math.sqrt(sum((1.0 / j) ** 2 for j in range(n + 1, n_max + 1)))
@@ -126,7 +140,7 @@ def test_residual_matches_direct_tail_sum():
 
 def test_exact_mode_matching():
     rng = random.Random(4242)
-    coeffs = {j: rng.uniform(-2, 2) for j in range(0, 40)}
+    coeffs = [rng.uniform(-2, 2) for _ in range(0, 40)]
     f = SpectralFunction(coeffs=coeffs)
     sol = solve_weight(f, 25, CIRCLE)
     curv = sol.curvature_coeffs()
@@ -137,7 +151,7 @@ def test_exact_mode_matching():
 
 def test_residual_monotone_nonincreasing():
     rng = random.Random(7)
-    f = SpectralFunction(coeffs={j: rng.uniform(-1, 1) for j in range(50)})
+    f = SpectralFunction(coeffs=[rng.uniform(-1, 1) for _ in range(50)])
     residuals = [solve_weight(f, n, CIRCLE).residual_l2 for n in range(1, 50)]
     for a, b in zip(residuals, residuals[1:]):
         assert b <= a + 1e-15
@@ -148,7 +162,7 @@ def test_h2_gap_single_extra_mode():
     j = 7
     lam = CIRCLE.eigenvalue(j)
     c = 0.3
-    f = SpectralFunction(coeffs={j: c})
+    f = SpectralFunction(coeffs=dense({j: c}))
     bound = h2_cauchy_gap(f, j, j - 1, CIRCLE, kappa=0.0)
     gap = spectral_h2_gap(f, j - 1, j, CIRCLE)
     assert math.isclose(bound, 2.0 * (1.0 / lam**2 + 1.0) * c * c, rel_tol=1e-14)
@@ -157,14 +171,14 @@ def test_h2_gap_single_extra_mode():
 
 
 def test_h2_gap_zero_tail():
-    f = SpectralFunction(coeffs={1: 1.0, 2: 0.5})
+    f = SpectralFunction(coeffs=[0.0, 1.0, 0.5])
     assert h2_cauchy_gap(f, 10, 5, CIRCLE, kappa=0.0) == 0.0
     assert spectral_h2_gap(f, 5, 10, CIRCLE) == 0.0
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0])
 def test_h2_bound_dominates_gap(kappa):
-    f = SpectralFunction(coeffs={j: 1.0 / j for j in range(1, 101)})
+    f = SpectralFunction(coeffs=dense({j: 1.0 / j for j in range(1, 101)}))
     bound = h2_cauchy_gap(f, 100, 10, CIRCLE, kappa=kappa)
     gap = spectral_h2_gap(f, 10, 100, CIRCLE)
     assert bound >= gap > 0.0
@@ -172,7 +186,7 @@ def test_h2_bound_dominates_gap(kappa):
 
 
 def test_h2_gap_argument_validation():
-    f = SpectralFunction(coeffs={1: 1.0})
+    f = SpectralFunction(coeffs=[0.0, 1.0])
     with pytest.raises(ValueError):
         h2_cauchy_gap(f, 5, 5, CIRCLE, kappa=0.0)
 
@@ -225,7 +239,7 @@ def test_profile_requires_l2():
 def test_profile_coefficients_circle():
     profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
     f = distance_profile_coefficients(profile, CIRCLE, 512)
-    captured = sum(c * c for c in f.coeffs.values())
+    captured = sum(c * c for c in f.coeffs)
     assert captured / f.norm_sq > 0.98
     # sine coefficients vanish for the even profile
     for mode in CIRCLE.modes(512):
@@ -237,7 +251,7 @@ def test_profile_parseval_partial_sums_monotone_bounded():
     profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
     f = distance_profile_coefficients(profile, CIRCLE, 128)
     running = 0.0
-    for j in sorted(f.coeffs):
+    for j in range(len(f.coeffs)):
         running += f.coefficient(j) ** 2
         assert running <= f.norm_sq + 1e-9
 
@@ -256,7 +270,7 @@ def test_subtorus_profile_two_dim():
     profile = SingularProfile(ambient_dim=2, codim=1, exponent=0.25)
     f = distance_profile_coefficients(profile, torus, 32, points_per_axis=256)
     assert f.coefficient(0) > 0
-    assert sum(c * c for c in f.coeffs.values()) / f.norm_sq > 0.9
+    assert sum(c * c for c in f.coeffs) / f.norm_sq > 0.9
 
 
 def test_profile_mean_matches_plain_midpoint():
@@ -357,7 +371,7 @@ def test_mode_count_must_be_nonnegative():
     with pytest.raises(ValueError, match="nonnegative"):
         CIRCLE.modes(-3)
     with pytest.raises(ValueError, match="nonnegative"):
-        solve_weight(SpectralFunction(coeffs={1: 1.0}), -1, CIRCLE)
+        solve_weight(SpectralFunction(coeffs=[0.0, 1.0]), -1, CIRCLE)
 
 
 def _reference_profile_values(profile, torus, points):
@@ -430,7 +444,7 @@ def test_fft_coefficients_match_dense_quadrature(sides, codim, n, points_per_axi
     profile = SingularProfile(ambient_dim=len(sides), codim=codim, exponent=0.3, offset=1.5)
     f = distance_profile_coefficients(profile, torus, n, points_per_axis=points_per_axis)
     expected = _quadrature_coefficients(profile, torus, n, points_per_axis)
-    assert sorted(f.coeffs) == list(range(n + 1))
+    assert len(f.coeffs) == n + 1
     for j, c in enumerate(expected):
         assert abs(f.coefficient(j) - c) <= 1e-12, (j, f.coefficient(j), c)
 
@@ -483,7 +497,7 @@ def test_residual_tail_is_a_running_sum():
     # equal-magnitude tiny and huge coefficients: the tail at n must equal
     # the tail at n + 1 plus c_{n+1}^2 exactly, so it never increases
     rng = random.Random(3)
-    f = SpectralFunction(coeffs={j: rng.choice((1e-9, 1.0, 3e7)) for j in range(300)}, tail_sq=0.5)
+    f = SpectralFunction(coeffs=[rng.choice((1e-9, 1.0, 3e7)) for _ in range(300)], tail_sq=0.5)
     residuals = [solve_weight(f, n, CIRCLE).residual_l2 for n in range(300)]
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
     assert residuals[-1] == math.sqrt(0.5)
@@ -491,7 +505,7 @@ def test_residual_tail_is_a_running_sum():
 
 def test_bochner_invariant_failure_names_its_inputs(monkeypatch):
     monkeypatch.setattr(spectral, "spectral_h2_gap", lambda *args: 1e300)
-    f = SpectralFunction(coeffs={j: 1.0 / j for j in range(1, 20)})
+    f = SpectralFunction(coeffs=dense({j: 1.0 / j for j in range(1, 20)}))
     with pytest.raises(InvariantError, match=r"Bochner bound .* n=10, m=2, kappa=0\.0"):
         h2_cauchy_gap(f, 10, 2, CIRCLE, kappa=0.0)
 
@@ -510,7 +524,7 @@ def test_invariants_survive_optimized_mode():
     script = (
         "import parabolica.spectral as s\n"
         "s.spectral_h2_gap = lambda *args: 1e300\n"
-        "f = s.SpectralFunction(coeffs={1: 1.0, 2: 0.5})\n"
+        "f = s.SpectralFunction(coeffs=[0.0, 1.0, 0.5])\n"
         "try:\n"
         "    s.h2_cauchy_gap(f, 2, 0, s.FlatTorus((1.0,)), kappa=0.0)\n"
         "except s.InvariantError:\n"

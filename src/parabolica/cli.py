@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import __version__
+from . import __version__, spectral
 from .bundle import (
     BundleSpec,
     SplittingReport,
@@ -32,16 +32,6 @@ from .bundle import (
 from .curvature import KahlerClass, einstein_class, hym_constant, spectrum_and_traces
 from .parabolic import ParabolicData, build_parabolic
 from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, build_root_system
-from .spectral import (
-    FlatTorus,
-    SingularProfile,
-    compatibility_constant,
-    distance_profile_coefficients,
-    h2_cauchy_gap,
-    integrability_check,
-    solve_weight,
-    spectral_h2_gap,
-)
 
 SCHEMA_VERSION = "1"
 
@@ -87,9 +77,9 @@ class SpectralRequest:
             if not math.isfinite(value):
                 raise ParseError(f"spectral request: {name} must be finite, got {value!r}")
 
-    def profile(self) -> SingularProfile:
+    def profile(self) -> spectral.SingularProfile:
         codim = self.codim if self.codim is not None else self.dim
-        return SingularProfile(ambient_dim=self.dim, codim=codim, exponent=self.exponent)
+        return spectral.SingularProfile(ambient_dim=self.dim, codim=codim, exponent=self.exponent)
 
 
 @dataclass(frozen=True)
@@ -100,6 +90,12 @@ class AnalysisRequest:
     kahler: tuple[Fraction, ...] | None = None
     line: tuple[int, ...] | None = None
     spectral: SpectralRequest | None = None
+
+    def __post_init__(self) -> None:
+        # The line's constants are taken against a Kahler class; without one
+        # the report would have no curvature block to carry them.
+        if self.line is not None and self.kahler is None:
+            raise ParseError("--line: needs --kahler, the Kahler class its curvature constants are taken against")
 
 
 def _split_ints(text: str, what: str) -> tuple[int, ...]:
@@ -197,16 +193,16 @@ def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
     picard = rank - len(nodes)
     kahler = _picard_values(ns.kahler, _split_fractions, "--kahler", picard) if ns.kahler else None
     line = _picard_values(ns.line, _split_ints, "--line", picard) if ns.line else None
-    spectral = None
+    spectral_req = None
     if ns.spectral:
-        spectral = _spectral_request(_parse_fields(ns.spectral, "spectral spec"), "spectral spec")
+        spectral_req = _spectral_request(_parse_fields(ns.spectral, "--spectral"), "--spectral")
     return AnalysisRequest(
         lie_type=str(lie_type),
         parabolic=nodes,
         weight=weight,
         kahler=kahler,
         line=line,
-        spectral=spectral,
+        spectral=spectral_req,
     )
 
 
@@ -302,9 +298,9 @@ def _root_label(root: tuple[int, ...]) -> str:
 
 
 def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> dict:
-    torus = FlatTorus((1.0,) * req.dim)
+    torus = spectral.FlatTorus((1.0,) * req.dim)
     profile = req.profile()
-    check = integrability_check(profile)
+    check = spectral.integrability_check(profile)
     target = req.hym if hym_target is None else hym_target
     block: dict = {
         "torus_sides": list(torus.side_lengths),
@@ -317,11 +313,11 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> di
     }
     if not check.finite:
         return block
-    f = distance_profile_coefficients(profile, torus, req.modes)
+    f = spectral.distance_profile_coefficients(profile, torus, req.modes)
     truncations = _truncation_ladder(req.modes)
     residuals = []
     for n in truncations:
-        sol = solve_weight(f, n, torus)
+        sol = spectral.solve_weight(f, n, torus)
         residuals.append({"n": n, "residual": sol.residual_l2, "h2_norm": sol.h2_norm})
     gaps = []
     for m, n in zip(truncations, truncations[1:]):
@@ -329,8 +325,8 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> di
             {
                 "m": m,
                 "n": n,
-                "bound": h2_cauchy_gap(f, n, m, torus, kappa=0.0),
-                "gap": spectral_h2_gap(f, m, n, torus),
+                "bound": spectral.h2_cauchy_gap(f, n, m, torus, kappa=0.0),
+                "gap": spectral.spectral_h2_gap(f, m, n, torus),
             }
         )
     mean = f.coefficient(0) / torus.volume ** 0.5
@@ -340,7 +336,7 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> di
             "residuals": residuals,
             "h2_gaps": gaps,
             "hym_target": target,
-            "c0": compatibility_constant(mean, target),
+            "c0": spectral.compatibility_constant(mean, target),
         }
     )
     return block

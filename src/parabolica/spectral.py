@@ -22,6 +22,7 @@ points for d = 1), and no grid may exceed _MAX_GRID_POINTS.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -223,6 +224,8 @@ class SpectralFunction:
     tail_sq: float = 0.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.coeffs, Mapping):
+            raise TypeError("coefficients must be a dense sequence c_0..c_n, not a mapping from index to value")
         coeffs = np.array(self.coeffs, dtype=float)
         if coeffs.ndim != 1:
             raise ValueError(f"coefficients must be a 1-D sequence c_0..c_n, got shape {coeffs.shape}")

@@ -276,13 +276,21 @@ def test_wrong_picard_length_names_its_flag(capsys, argv, message):
     assert captured.err.startswith(f"error: {message} over the Picard nodes, got ")
 
 
+def test_analyze_line_needs_kahler(capsys):
+    assert main(["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--line=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --line: ")
+    assert "--kahler" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, label",
     [
         (["curvature", "--type=A2", "--parabolic=1", "--line=" + "9" * 8000 + "x"], "--line"),
         (["analyze", "--type=A2", "--parabolic=1", "--weight=" + "9" * 8000 + "x"], "--weight"),
         (["spectral", "--modes=" + "9" * 5000 + "x", "--profile=point:s=0.25"], "--modes"),
-        (["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--spectral=s=" + "9" * 5000 + "x"], "spectral spec"),
+        (["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--spectral=s=" + "9" * 5000 + "x"], "--spectral: "),
     ],
     ids=["line", "weight", "modes", "spectral"],
 )
@@ -549,18 +557,18 @@ def test_parabolic_nodes_validated_alike(capsys, argv, message):
     [
         (
             ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--spectral=dim=1,modes"],
-            "spectral spec: expected key=value, got 'modes'",
+            "--spectral: expected key=value, got 'modes'",
         ),
         (
             ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--spectral=dim=1"],
-            "spectral spec: missing required field 's'",
+            "--spectral: missing required field 's'",
         ),
         (["spectral", "--profile=point:s=0.25,codim"], "--profile: expected key=value, got 'codim'"),
         (["spectral", "--profile=point:codim=1"], "--profile: missing exponent s"),
         (["spectral", "--profile=subtorus:s=0.25"], "--profile: subtorus profiles need codim="),
         (
             ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--spectral=s=0.25,mode=512"],
-            "spectral spec: unknown field 'mode'",
+            "--spectral: unknown field 'mode'",
         ),
         (["spectral", "--profile=point:s=0.25,mode=512"], "--profile: unknown field 'mode'"),
         (["spectral", "--profile=point:s=0.25,bogus=7"], "--profile: unknown field 'bogus'"),

@@ -77,6 +77,11 @@ def test_spectral_function_needs_one_axis(coeffs):
         SpectralFunction(coeffs=coeffs)
 
 
+def test_spectral_function_refuses_a_mapping():
+    with pytest.raises(TypeError, match="dense sequence c_0..c_n"):
+        SpectralFunction({1: 2.0})
+
+
 def test_coefficient_is_zero_outside_the_array():
     f = SpectralFunction(coeffs=[1.0, 2.0])
     assert [f.coefficient(j) for j in (-1, 0, 1, 2, 7)] == [0.0, 1.0, 2.0, 0.0, 0.0]

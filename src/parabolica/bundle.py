@@ -69,7 +69,7 @@ def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:
             raise NotDominantError("lambda_s must be dominant for the Levi factor")
     shifted = [int(lambda_s[i]) + 1 for i in p.levi_nodes]  # lambda_s + rho over the Levi
     numerator = denominator = 1
-    for coroot in p.levi_system.coroots.values():
+    for coroot in p.levi_coroots.values():
         numerator *= sum(k * x for k, x in zip(coroot, shifted))
         denominator *= sum(coroot)  # <rho, alpha^vee> is the coroot's height
     dim, remainder = divmod(numerator, denominator)
@@ -86,7 +86,7 @@ def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]
     The alpha-row of the Levi Cartan matrix is replaced by the row of
     pairings (<lambda_s, beta^vee>)_{beta in I}.  By Cramer's rule these are
     the solution of C_I^T x = b with b the lambda_s coordinate vector on I,
-    read off the Levi's stored adjugate as adj(C_I^T) b / det(C_I).  With
+    read off the stored adjugate of C_I^T as adj(C_I^T) b / det(C_I).  With
     b = nums / d cleared to integers, the integer residual check
     C_I^T (adj(C_I^T) nums) = det(C_I) nums proves it is the unique solution,
     since C_I^T is nonsingular.
@@ -95,7 +95,7 @@ def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]
         return ()
     nums, denom = p.levi_coords(lambda_s).cleared()
     det = p.levi_det
-    solution = [sum(a * x for a, x in zip(row, nums)) for row in p.levi_system.cartan_t_adjugate]
+    solution = [sum(a * x for a, x in zip(row, nums)) for row in p.levi_t_adjugate]
     # row i of C_I^T is column i of C_I
     residual = [sum(row[i] * y for row, y in zip(p.levi_cartan, solution)) for i in range(len(nums))]
     if residual != [det * x for x in nums]:

@@ -1,18 +1,24 @@
 """Parabolic data attached to a subset of simple roots.
 
-A standard parabolic is named by the set of simple roots spanning its Levi
-factor.  The structure precomputed here is everything the splitting
-criterion needs: the Levi Cartan submatrix (with its own root system,
-which carries det C_I and the adjugate of C_I^T), the complementary
-positive roots, and their sum delta, which is the anticanonical weight of
-the flag variety.
+A standard parabolic is named by the set I of simple roots spanning its
+Levi factor.  The structure precomputed here is everything the splitting
+criterion needs: the Levi Cartan submatrix C_I with det C_I and the
+adjugate of C_I^T, the Levi coroot table, the complementary positive
+roots, and their sum delta, which is the anticanonical weight of the flag
+variety.
+
+The Levi subsystem is read off the ambient root system by restriction, with
+no second root closure: its positive roots are the ambient positive roots
+supported on I, and their coroots are the ambient coroots, which are
+supported on I too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
-from .rootsys import InvariantError, Root, RootSystem, Weight, root_system_from_cartan
+from .rootsys import InvariantError, Root, RootSystem, Weight, _inverse_transpose
 
 
 class FullSetNotParabolicError(ValueError):
@@ -25,17 +31,24 @@ class NotDominantError(ValueError):
 
 @dataclass(frozen=True)
 class ParabolicData:
+    """Parabolic for the Levi nodes I.
+
+    The Levi tables are left out of equality, hashing and repr, as on
+    RootSystem: ``levi_coroots`` is a read-only mapping from each positive
+    root of the Levi, in Levi coordinates and in the ambient (height,
+    coefficients) order, to its coroot in Levi coordinates; ``levi_det``
+    and ``levi_t_adjugate`` give the exact inverse of C_I^T as
+    adjugate / det.
+    """
+
     rs: RootSystem
     levi_nodes: tuple[int, ...]
     levi_cartan: tuple[tuple[int, ...], ...]
-    levi_system: RootSystem
     complement_roots: tuple[Root, ...]
     delta: Weight
-
-    @property
-    def levi_det(self) -> int:
-        """det C_I, stored on the Levi's root system when it was built."""
-        return self.levi_system.cartan_det
+    levi_coroots: Mapping[Root, tuple[int, ...]] = field(compare=False, repr=False)
+    levi_det: int = field(compare=False, repr=False)
+    levi_t_adjugate: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def picard_nodes(self) -> tuple[int, ...]:
@@ -65,10 +78,14 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
 
     inside = set(nodes)
     levi_cartan = tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes)
-    levi_system = root_system_from_cartan(levi_cartan)
-    complement = tuple(
-        root for root in rs.positive_roots if any(m and i not in inside for i, m in enumerate(root))
-    )
+    levi_det, levi_t_adjugate = _inverse_transpose(levi_cartan)
+    complement = []
+    levi_coroots = {}
+    for root, coroot in rs.coroots.items():
+        if any(m and i not in inside for i, m in enumerate(root)):
+            complement.append(root)
+        else:
+            levi_coroots[tuple(root[i] for i in nodes)] = tuple(coroot[i] for i in nodes)
     # delta = (sum of the complement roots) written over the fundamental weights
     delta = rs.root_as_weight(tuple(map(sum, zip(*complement))))
     if any(delta[i] != 0 for i in nodes):
@@ -77,19 +94,12 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
         rs=rs,
         levi_nodes=nodes,
         levi_cartan=levi_cartan,
-        levi_system=levi_system,
-        complement_roots=complement,
+        complement_roots=tuple(complement),
         delta=delta,
+        levi_coroots=MappingProxyType(levi_coroots),
+        levi_det=levi_det,
+        levi_t_adjugate=levi_t_adjugate,
     )
-
-
-def delta_from_root_sum(rs: RootSystem, roots: Iterable[Root]) -> Weight:
-    """delta as the sum of the given roots each rewritten as a weight; the
-    test oracle for the value build_parabolic stores."""
-    total = Weight.zero(rs.rank)
-    for root in roots:
-        total = total + rs.root_as_weight(root)
-    return total
 
 
 def is_dominant_for_levi(weight: Weight, p: ParabolicData) -> bool:

@@ -17,18 +17,15 @@ closure under the simple reflections yields the positive roots together
 with their coroots, each checked through <beta, beta^vee> = 2; it refuses a
 Cartan matrix that is not of finite type once a root coefficient passes 6.
 
-Root systems of rank at most ``ROOT_SYSTEM_MEMO_MAX_RANK`` are memoized:
-``root_system_from_cartan`` validates its input on every call, then builds
-each (Cartan matrix, type) pair once per process behind a least-recently-used
-cache of ``ROOT_SYSTEM_CACHE_SIZE`` entries.  ``build_root_system`` and the
-Levi systems of ``parabolic.build_parabolic`` share that one cache, so equal
-Levi Cartan matrices share one system.  The memo holds its entries for the
-life of the process; an entry of rank <= 8 takes at most about 31 KiB (E8),
-so the bound caps it near 8 MB.  A system's tables grow like rank^3, so
-larger systems (simple types up to ``MAX_CLASSICAL_RANK``) are built on
-every call and freed with their last reference.  Cached systems are shared by
-every caller, so their tables are read-only: tuples, and a
-``MappingProxyType`` for ``coroots``.
+``build_root_system`` memoizes the simple types of rank at most
+``ROOT_SYSTEM_MEMO_MAX_RANK``, keyed by ``SimpleLieType``: each is built once
+per process, so the memo holds at most the 33 types of rank <= 8 (E8, the
+largest entry, takes about 31 KiB).  A system's tables grow like rank^3, so
+larger types (up to ``MAX_CLASSICAL_RANK``) are built on every call and freed
+with their last reference.  ``root_system_from_cartan`` validates its input
+and builds afresh on every call.  Memoized systems are shared by every
+caller, so their tables are read-only: tuples, and a ``MappingProxyType`` for
+``coroots``.
 """
 from __future__ import annotations
 
@@ -44,11 +41,7 @@ from . import linalg
 
 Root = tuple[int, ...]
 
-# Bound of the root-system memo, and the largest rank it holds.  The 33
-# types of rank <= 8 and the 174 distinct Cartan matrices among their Levi
-# subsets (the empty one included) take 207 entries, about 1.1 MB under
-# tracemalloc.
-ROOT_SYSTEM_CACHE_SIZE = 256
+# Largest rank the root-system memo holds.
 ROOT_SYSTEM_MEMO_MAX_RANK = 8
 
 # Rank budget of the classical families A-D, the only ones without a rank
@@ -227,24 +220,6 @@ class RootSystem:
         root = [0] * self.rank
         root[i] = 1
         return tuple(root)
-
-    def root_norm_sq(self, root: Root) -> Fraction:
-        """(beta, beta) = sum_ij m_i m_j C_ij e_j in the integer normalization
-        fixed by root_norms."""
-        return Fraction(
-            sum(
-                mi * mj * cij * e
-                for mi, row in zip(root, self.cartan)
-                for mj, cij, e in zip(root, row, self.root_norms)
-            )
-        )
-
-    def coroot_coefficients(self, root: Root) -> tuple[Fraction, ...]:
-        """Expansion of beta^vee over the simple coroots alpha_j^vee,
-        2 m_j e_j / (beta, beta) in rationals; ``coroots`` holds the same
-        numbers as integers."""
-        norm = self.root_norm_sq(root)
-        return tuple(Fraction(2 * m * e, norm) for m, e in zip(root, self.root_norms))
 
     def pairing(self, weight: Weight, root: Root) -> Fraction:
         """<lambda, beta^vee> for a root beta (positive or negative), read as
@@ -428,22 +403,11 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> dict[Root, tuple[int, ..
 def root_system_from_cartan(
     cartan: Sequence[Sequence[int]], lie_type: SimpleLieType | None = None
 ) -> RootSystem:
-    """Root system of any finite-type (possibly reducible) Cartan matrix.
-
-    The input is validated on every call.  Up to rank
-    ROOT_SYSTEM_MEMO_MAX_RANK the system is built once per (Cartan matrix,
-    type) and then shared from the memo; a larger one is built afresh."""
+    """Root system of any finite-type (possibly reducible) Cartan matrix,
+    validated and built on every call.  Every build check runs and raises
+    on failure, so nothing broken is memoized."""
     _validate_cartan(cartan)
     frozen = tuple(tuple(int(x) for x in row) for row in cartan)
-    if len(frozen) > ROOT_SYSTEM_MEMO_MAX_RANK:
-        return _build_root_system.__wrapped__(frozen, lie_type)
-    return _build_root_system(frozen, lie_type)
-
-
-@functools.lru_cache(maxsize=ROOT_SYSTEM_CACHE_SIZE)
-def _build_root_system(frozen: tuple[tuple[int, ...], ...], lie_type: SimpleLieType | None) -> RootSystem:
-    """Enumerate the roots and build every stored table, running each build
-    check; a failed check raises, so nothing broken is cached."""
     det, adjugate = _inverse_transpose(frozen)
     root_norms = _root_norms(frozen)
     coroots = _positive_roots(frozen)
@@ -465,8 +429,16 @@ def _build_root_system(frozen: tuple[tuple[int, ...], ...], lie_type: SimpleLieT
     return rs
 
 
+@functools.cache
+def _memoized_root_system(t: SimpleLieType) -> RootSystem:
+    return root_system_from_cartan(cartan_matrix(t), lie_type=t)
+
+
 def build_root_system(t: SimpleLieType | str) -> RootSystem:
-    """Root system of a finite simple type, e.g. build_root_system("B3")."""
+    """Root system of a finite simple type, e.g. build_root_system("B3");
+    memoized up to rank ROOT_SYSTEM_MEMO_MAX_RANK, built afresh above it."""
     if isinstance(t, str):
         t = SimpleLieType.from_string(t)
-    return root_system_from_cartan(cartan_matrix(t), lie_type=t)
+    if t.rank > ROOT_SYSTEM_MEMO_MAX_RANK:
+        return root_system_from_cartan(cartan_matrix(t), lie_type=t)
+    return _memoized_root_system(t)

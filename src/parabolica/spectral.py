@@ -215,10 +215,16 @@ def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
 
 @dataclass(frozen=True, eq=False)
 class SpectralFunction:
-    """Eigen-coefficients c_0..c_n plus a certified L2 tail.
+    """Eigen-coefficients c_0..c_n plus ``tail_sq``, the squared L2 mass
+    past c_n.
 
     ``coeffs`` is a read-only float64 copy of the 1-D sequence it is given,
-    so the arrays cached from it below cannot go stale."""
+    so the arrays cached from it below cannot go stale.  For a profile from
+    ``distance_profile_coefficients`` both are midpoint-quadrature values,
+    and ``tail_sq`` is the quadrature tail, not a bound on the continuum
+    tail: for the point profile on the unit circle at s = 0.45 (N = 8192)
+    the squared tail past mode 8, 64 and 128 reads 3.50, 1.82 and 1.35,
+    against continuum values of 10.0, 8.24 and 7.69, 3-6x larger."""
 
     coeffs: np.ndarray
     tail_sq: float = 0.0
@@ -496,9 +502,9 @@ def distance_profile_coefficients(
     sqrt(2/vol) vol/N^d, the cosine coefficient is Re T and the sine
     coefficient is -Im T (see the module docstring).  The default N follows
     the grid budget; n must be below the number of grid points.  The
-    certified tail is the quadrature L2 mass not captured by the
-    materialized modes, which keeps Parseval partial sums monotone and
-    bounded.
+    tail is the quadrature L2 mass not captured by the materialized modes,
+    which keeps Parseval partial sums monotone and bounded; it does not
+    bound the continuum tail (see SpectralFunction).
     """
     if not p.square_integrable:
         raise NotL2Error(f"exponent {p.exponent} >= codim/2 = {p.codim / 2}")

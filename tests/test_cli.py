@@ -613,7 +613,7 @@ def test_cold_cache_outputs_match_warm(capsys):
         ["paper-suite", "--quiet"],
     )
     for argv in requests:
-        rootsys._build_root_system.cache_clear()
+        rootsys._memoized_root_system.cache_clear()
         assert main(argv) == 0
         cold = capsys.readouterr().out
         assert main(argv) == 0
@@ -663,14 +663,17 @@ def test_analyze_builds_each_root_system_once(monkeypatch, capsys):
     genuine = rootsys._positive_roots
     monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: enumerated.append(cartan) or genuine(cartan))
     argv = ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2"]
-    rootsys._build_root_system.cache_clear()
+    rootsys._memoized_root_system.cache_clear()
     assert parse_request(argv).lie_type == "B3"
     assert enumerated == []  # parsing only canonicalizes the type
     assert main(argv) == 0
-    assert len(enumerated) == 2  # G and its Levi
+    assert len(enumerated) == 1  # G only: the Levi is read off G's coroot table
     enumerated.clear()
     assert main(argv) == 0
     assert enumerated == []
+    rootsys._memoized_root_system.cache_clear()
+    assert main(["paper-suite", "--quiet"]) == 0
+    assert len(enumerated) == 3  # A3, B3 and D4
 
 
 def test_curvature_block_computes_kahler_denominators_once(monkeypatch, capsys):

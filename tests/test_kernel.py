@@ -2,6 +2,8 @@
 
 * ``sympy.liealgebras`` for Cartan matrices and positive-root counts;
 * the coroot identity <beta, beta^vee> = 2 for the stored coroot table;
+* a second reflection closure over C_I (``oracles.levi_closure``) for the
+  Levi tables ``build_parabolic`` reads off the ambient coroot table;
 * ``Fraction`` reference copies of the per-call formulas the integer tables
   replaced (pairings through (beta, beta), Cramer determinants by
   elimination), compared on random parabolics and weights;
@@ -9,6 +11,7 @@
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -31,9 +34,11 @@ from parabolica import (
     linalg,
     weyl_dim,
 )
-from parabolica.rootsys import SimpleLieType, cartan_matrix, root_system_from_cartan
+from parabolica.parabolic import build_parabolic
+from parabolica.rootsys import SimpleLieType, _root_norms, cartan_matrix, root_system_from_cartan
 
 from conftest import cached_parabolic, cached_system
+from oracles import coroot_coefficients, levi_closure
 from test_rootsys import ALL_TYPES
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -47,23 +52,25 @@ SAMPLED_TYPES = ("A1", "A3", "A5", "B2", "B4", "C3", "C5", "D4", "D6", "G2", "F4
 # ---------------------------------------------------------------------------
 
 
-def ref_pairing(rs, weight: Weight, root) -> Fraction:
-    """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta) in rationals."""
-    e = rs.root_norms
+def ref_pairing(cartan, e, weight: Weight, root) -> Fraction:
+    """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta) in rationals,
+    with e the root norms of the Cartan matrix."""
     norm = sum(
-        mi * mj * rs.cartan[i][j] * e[j] for i, mi in enumerate(root) for j, mj in enumerate(root)
+        mi * mj * cartan[i][j] * e[j] for i, mi in enumerate(root) for j, mj in enumerate(root)
     )
     num = 2 * sum((m * c * ej for m, c, ej in zip(root, weight.coords, e)), Fraction(0))
     return num / norm
 
 
 def ref_weyl_dim(p, lambda_s: Weight) -> Fraction:
-    levi = p.levi_system
-    rho = levi.weyl_vector()
+    """Weyl's formula over the Levi roots p stores, each pairing through
+    (beta, beta) with the Levi's own root norms."""
+    e = _root_norms(p.levi_cartan)
+    rho = Weight.of(*(1 for _ in p.levi_nodes))
     shifted = p.levi_coords(lambda_s) + rho
     dim = Fraction(1)
-    for root in levi.positive_roots:
-        dim *= ref_pairing(levi, shifted, root) / ref_pairing(levi, rho, root)
+    for root in p.levi_coroots:
+        dim *= ref_pairing(p.levi_cartan, e, shifted, root) / ref_pairing(p.levi_cartan, e, rho, root)
     return dim
 
 
@@ -82,7 +89,8 @@ def ref_criterion_ratios(p, lambda_s: Weight) -> tuple[Fraction, ...]:
 
 def ref_endo_eigenvalues(psi: Weight, omega0: KahlerClass, p) -> dict:
     w0 = omega0.as_weight(p)
-    return {root: ref_pairing(p.rs, psi, root) / ref_pairing(p.rs, w0, root) for root in p.complement_roots}
+    pairing = functools.partial(ref_pairing, p.rs.cartan, p.rs.root_norms)
+    return {root: pairing(psi, root) / pairing(w0, root) for root in p.complement_roots}
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +145,7 @@ def test_coroot_table_rows(name):
     rs = cached_system(name)
     assert tuple(rs.coroots) == rs.positive_roots
     for root, coroot in rs.coroots.items():
-        assert coroot == rs.coroot_coefficients(root)
+        assert coroot == coroot_coefficients(rs, root)
         # <beta, beta^vee> with beta written over the fundamental weights
         assert sum(c * k for c, k in zip(rs.root_as_weight(root).coords, coroot)) == 2
 
@@ -188,6 +196,29 @@ def test_root_tables_are_pinned():
     for rs in systems:
         digest.update(json.dumps([rs.cartan, rs.positive_roots, list(rs.coroots.items())]).encode())
     assert digest.hexdigest() == ROOT_TABLES_SHA256
+
+
+def test_levi_restriction_matches_its_own_closure():
+    """build_parabolic reads the Levi tables off the ambient coroot table; a
+    second closure over C_I must give the same roots and coroots in the same
+    order, det C_I and adj(C_I^T).  Every Levi of the 33 types of rank <= 8
+    (174 distinct C_I), and A14 in A15 and D15 in D16 past the memo rank."""
+    cases = [
+        (name, nodes)
+        for name in ALL_TYPES
+        for size in range(cached_system(name).rank)
+        for nodes in combinations(range(cached_system(name).rank), size)
+    ]
+    cases += [("A15", tuple(range(14))), ("D16", tuple(range(1, 16)))]
+    closures = {}
+    for name, nodes in cases:
+        p = build_parabolic(cached_system(name), nodes)
+        if p.levi_cartan not in closures:
+            closures[p.levi_cartan] = levi_closure(p)
+        levi = closures[p.levi_cartan]
+        assert list(p.levi_coroots.items()) == list(levi.coroots.items()), (name, nodes)
+        assert (p.levi_det, p.levi_t_adjugate) == (levi.cartan_det, levi.cartan_t_adjugate), (name, nodes)
+    assert len(closures) == 174 + 2
 
 
 def test_tables_stay_out_of_eq_repr_and_dump():
@@ -275,11 +306,12 @@ def test_corrupted_tables_raise_under_optimized_mode():
     """Each corruption must be caught by an explicit raise, not an assert:
     the Cramer residual check, the residue identity, Weyl-dimension
     integrality, Kahler positivity and the C^T X = I check of a build.
-    Cached root systems are shared and read-only, so each corruption swaps
-    a corrupted copy into the parabolic, and each build starts from a
-    cleared cache."""
+    Memoized root systems are shared and read-only, so each corruption
+    builds a copy of the parabolic with one corrupted table, and each build
+    starts from a cleared memo."""
     script = (
-        "import dataclasses, sys, types\n"
+        "import sys, types\n"
+        "from dataclasses import replace\n"
         "import parabolica as pb\n"
         "from parabolica import rootsys\n"
         "if not sys.flags.optimize:\n"
@@ -295,36 +327,34 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "def bump(adj):\n"
         "    return (tuple(x + 1 for x in adj[0]),) + adj[1:]\n"
         "def fresh():\n"
-        "    rootsys._build_root_system.cache_clear()\n"
+        "    rootsys._memoized_root_system.cache_clear()\n"
         "    return pb.build_parabolic(pb.build_root_system('B3'), [1, 2])\n"
-        "def corrupt(p, name, **tables):\n"
-        "    object.__setattr__(p, name, dataclasses.replace(getattr(p, name), **tables))\n"
         "spec = lambda p: pb.BundleSpec(p, pb.Weight.of(0, 0, 1))\n"
-        # the Levi's stored adjugate gives the Cramer ratios
+        # the stored adjugate of C_I^T gives the Cramer ratios
         "p = fresh()\n"
-        "corrupt(p, 'levi_system', cartan_t_adjugate=bump(p.levi_system.cartan_t_adjugate))\n"
+        "p = replace(p, levi_t_adjugate=bump(p.levi_t_adjugate))\n"
         "expect('Cramer determinants must agree', lambda: pb.splitting_report(spec(p)))\n"
         # the full system's stored inverse gives the residue identity
         "p = fresh()\n"
-        "corrupt(p, 'rs', cartan_t_adjugate=bump(p.rs.cartan_t_adjugate))\n"
+        "p = replace(p, rs=replace(p.rs, cartan_t_adjugate=bump(p.rs.cartan_t_adjugate)))\n"
         "expect('residue identity failed', lambda: pb.splitting_report(spec(p)))\n"
         # a wrong Levi coroot breaks Weyl-dimension integrality
         "p = fresh()\n"
-        "table = dict(p.levi_system.coroots)\n"
+        "table = dict(p.levi_coroots)\n"
         "first = next(iter(table))\n"
         "table[first] = tuple(k + 1 for k in table[first])\n"
-        "corrupt(p, 'levi_system', coroots=types.MappingProxyType(table))\n"
+        "p = replace(p, levi_coroots=types.MappingProxyType(table))\n"
         "expect('Weyl dimension', lambda: pb.weyl_dim(p, pb.Weight.of(0, 0, 1)))\n"
         # a negated complement coroot breaks Kahler positivity
         "table = dict(p.rs.coroots)\n"
         "root = p.complement_roots[0]\n"
         "table[root] = tuple(-k for k in table[root])\n"
-        "corrupt(p, 'rs', coroots=types.MappingProxyType(table))\n"
+        "p = replace(p, rs=replace(p.rs, coroots=types.MappingProxyType(table)))\n"
         "expect('Kahler positivity', lambda: pb.endo_eigenvalues(pb.Weight.zero(3), pb.einstein_class(p), p))\n"
         # a wrong adjugate out of the elimination is caught when the system is built
         "genuine = pb.linalg.adjugate\n"
         "pb.linalg.adjugate = lambda rows: (lambda d, a: (d, bump(a)))(*genuine(rows))\n"
-        "rootsys._build_root_system.cache_clear()\n"
+        "rootsys._memoized_root_system.cache_clear()\n"
         "expect('C^T X = I', lambda: pb.build_root_system('B3'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

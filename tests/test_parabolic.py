@@ -10,10 +10,10 @@ from parabolica import (
     decompose_weight,
     is_dominant_for_levi,
 )
-from parabolica.parabolic import delta_from_root_sum
 from parabolica import linalg
 
 from conftest import cached_parabolic, cached_system
+from oracles import delta_from_root_sum
 
 SMALL_TYPES = (
     [f"A{n}" for n in range(1, 7)]
@@ -72,7 +72,7 @@ def test_complement_plus_levi_count(name):
     rs = cached_system(name)
     for nodes in proper_subsets(rs.rank):
         p = cached_parabolic(name, nodes)
-        assert len(p.complement_roots) + len(p.levi_system.positive_roots) == len(
+        assert len(p.complement_roots) + len(p.levi_coroots) == len(
             rs.positive_roots
         )
 

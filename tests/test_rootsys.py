@@ -16,6 +16,7 @@ from parabolica import (
 from parabolica.rootsys import cartan_matrix
 
 from conftest import cached_system
+from oracles import coroot_coefficients, root_norm_sq
 
 ALL_TYPES = (
     [f"A{n}" for n in range(1, 9)]
@@ -133,7 +134,7 @@ def test_pairing_times_norm_identity(name):
     for _ in range(25):
         weight = Weight.of(*(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank)))
         root = rng.choice(rs.positive_roots)
-        lhs = rs.pairing(weight, root) * rs.root_norm_sq(root)
+        lhs = rs.pairing(weight, root) * root_norm_sq(rs, root)
         in_simple = rs.weight_in_simple_roots(weight)
         rhs = 2 * sum(
             in_simple[i] * root[j] * gram[i][j] for i in range(rs.rank) for j in range(rs.rank)
@@ -145,7 +146,7 @@ def test_pairing_times_norm_identity(name):
 def test_coroot_coefficients_are_integers(name):
     rs = cached_system(name)
     for root in rs.positive_roots:
-        assert all(c.denominator == 1 for c in rs.coroot_coefficients(root))
+        assert all(c.denominator == 1 for c in coroot_coefficients(rs, root))
 
 
 def test_positive_roots_sorted_by_height(b3):
@@ -213,7 +214,7 @@ def test_positive_root_count_check_raises_invariant_error(monkeypatch):
     from parabolica import InvariantError, rootsys
 
     monkeypatch.setattr(rootsys, "positive_root_count", lambda t: 99)
-    rootsys._build_root_system.cache_clear()  # the check runs when a system is built
+    rootsys._memoized_root_system.cache_clear()  # the check runs when a system is built
     with pytest.raises(InvariantError, match="positive-root count of G2: enumerated 6, expected 99"):
         build_root_system("G2")
 
@@ -228,49 +229,29 @@ def test_root_system_is_built_once():
     assert build_root_system("e8") is build_root_system(SimpleLieType("E", 8))
 
 
-def test_equal_levi_cartan_matrices_share_one_levi_system():
-    from parabolica import build_parabolic
-
-    # the A1 x A1 Levi of A3 at nodes {1, 3} and of D4 at nodes {1, 3}
-    first = build_parabolic(build_root_system("A3"), (0, 2))
-    second = build_parabolic(build_root_system("D4"), (0, 2))
-    assert first.levi_cartan == second.levi_cartan
-    assert first.levi_system is second.levi_system
-    # a Levi system is keyed apart from the simple type with the same matrix
-    a2 = build_parabolic(build_root_system("A3"), (0, 1)).levi_system
-    assert a2.cartan == build_root_system("A2").cartan
-    assert a2 is not build_root_system("A2") and a2.lie_type is None
-
-
-def test_cache_reports_its_bound():
-    from parabolica import rootsys
-
-    info = rootsys._build_root_system.cache_info()
-    assert info.maxsize == rootsys.ROOT_SYSTEM_CACHE_SIZE == 256
-
-
 def test_systems_above_the_memo_rank_are_built_afresh():
     from parabolica import rootsys
 
     assert rootsys.ROOT_SYSTEM_MEMO_MAX_RANK == 8
-    before = rootsys._build_root_system.cache_info()
+    before = rootsys._memoized_root_system.cache_info()
     first, second = build_root_system("A9"), build_root_system("A9")
     assert first == second and first is not second
-    assert rootsys._build_root_system.cache_info() == before
+    assert rootsys._memoized_root_system.cache_info() == before
 
 
-def test_every_type_and_levi_fits_the_cache_bound():
-    from itertools import combinations
+def test_memo_holds_one_entry_per_type():
+    """The memo is keyed by the simple type: the 33 types of rank <= 8 and
+    their maximal parabolics fill it with 33 entries, and A9 adds none."""
+    from parabolica import build_parabolic, rootsys
 
-    from parabolica import rootsys
-
-    levis = set()
+    rootsys._memoized_root_system.cache_clear()
     for name in ALL_TYPES:
-        cartan = build_root_system(name).cartan
-        for size in range(len(cartan)):
-            for nodes in combinations(range(len(cartan)), size):
-                levis.add(tuple(tuple(cartan[i][j] for j in nodes) for i in nodes))
-    assert len(ALL_TYPES) + len(levis) <= rootsys.ROOT_SYSTEM_CACHE_SIZE
+        rs = build_root_system(name)
+        for drop in range(rs.rank):
+            build_parabolic(rs, [i for i in range(rs.rank) if i != drop])
+    assert rootsys._memoized_root_system.cache_info().currsize == len(ALL_TYPES) == 33
+    assert build_root_system("A9") is not build_root_system("A9")
+    assert rootsys._memoized_root_system.cache_info().currsize == 33
 
 
 def test_cached_tables_are_read_only():

@@ -113,10 +113,8 @@ _SPECTRAL_NAMES = (
     "distance_profile_coefficients",
     "h2_cauchy_gap",
     "integrability_check",
-    "profile_mean",
     "solve_weight",
     "spectral_h2_gap",
-    "truncate",
 )
 
 

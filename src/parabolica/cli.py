@@ -127,13 +127,16 @@ def _picard_values(text: str, parse: Callable[[str, str], tuple], what: str, cou
 
 
 def _parse_fields(text: str, what: str) -> dict[str, str]:
-    """Comma-separated key=value chunks as a dict; ParseError names a bad chunk."""
+    """Comma-separated key=value chunks as a dict; ParseError names a bad
+    chunk or a repeated key."""
     fields: dict[str, str] = {}
     for chunk in text.split(","):
         if "=" not in chunk:
             raise ParseError(f"{what}: expected key=value, got {chunk!r}")
-        key, value = chunk.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in chunk.split("=", 1))
+        if key in fields:
+            raise ParseError(f"{what}: key {key!r} given twice")
+        fields[key] = value
     return fields
 
 
@@ -181,29 +184,29 @@ def parse_request(tokens: Sequence[str]) -> AnalysisRequest:
 
 
 def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
+    lie_fields = _lie_fields(ns)
+    spectral_req = _spectral_request(_parse_fields(ns.spectral, "--spectral"), "--spectral") if ns.spectral else None
+    return AnalysisRequest(**lie_fields, spectral=spectral_req)
+
+
+def _lie_fields(ns: argparse.Namespace) -> dict:
+    """The one reader of the Lie-side flags of analyze and curvature, in this
+    order: --type, --parabolic, --weight (analyze only), --kahler, --line.
+    Returns AnalysisRequest's fields of the same names."""
     try:
         lie_type = SimpleLieType.from_string(ns.type)
     except InvalidTypeError as exc:
         raise ParseError(str(exc)) from exc
     rank = lie_type.rank
-    nodes = _levi_nodes(ns.parabolic, rank)
-    weight = _split_ints(ns.weight, "--weight")
-    if len(weight) != rank:
-        raise ParseError(f"--weight: expected {rank} coordinates, got {len(weight)}")
-    picard = rank - len(nodes)
-    kahler = _picard_values(ns.kahler, _split_fractions, "--kahler", picard) if ns.kahler else None
-    line = _picard_values(ns.line, _split_ints, "--line", picard) if ns.line else None
-    spectral_req = None
-    if ns.spectral:
-        spectral_req = _spectral_request(_parse_fields(ns.spectral, "--spectral"), "--spectral")
-    return AnalysisRequest(
-        lie_type=str(lie_type),
-        parabolic=nodes,
-        weight=weight,
-        kahler=kahler,
-        line=line,
-        spectral=spectral_req,
-    )
+    fields: dict = {"lie_type": str(lie_type), "parabolic": _levi_nodes(ns.parabolic, rank)}
+    if "weight" in ns:
+        fields["weight"] = _split_ints(ns.weight, "--weight")
+        if len(fields["weight"]) != rank:
+            raise ParseError(f"--weight: expected {rank} coordinates, got {len(fields['weight'])}")
+    picard = rank - len(fields["parabolic"])
+    fields["kahler"] = _picard_values(ns.kahler, _split_fractions, "--kahler", picard) if ns.kahler else None
+    fields["line"] = _picard_values(ns.line, _split_ints, "--line", picard) if ns.line else None
+    return fields
 
 
 def render_request(req: AnalysisRequest) -> list[str]:
@@ -297,7 +300,8 @@ def _root_label(root: tuple[int, ...]) -> str:
     return "+".join(parts)
 
 
-def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> dict:
+def _spectral_block(req: SpectralRequest, hym_target: float | None = None, hym_flag: str = "--hym") -> dict:
+    """The demo's report; its target is hym_target (from --kahler) or else req.hym (from hym_flag)."""
     torus = spectral.FlatTorus((1.0,) * req.dim)
     profile = req.profile()
     check = spectral.integrability_check(profile)
@@ -321,22 +325,21 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> di
         residuals.append({"n": n, "residual": sol.residual_l2, "h2_norm": sol.h2_norm})
     gaps = []
     for m, n in zip(truncations, truncations[1:]):
-        gaps.append(
-            {
-                "m": m,
-                "n": n,
-                "bound": spectral.h2_cauchy_gap(f, n, m, torus, kappa=0.0),
-                "gap": spectral.spectral_h2_gap(f, m, n, torus),
-            }
-        )
+        bound = spectral.h2_cauchy_gap(f, n, m, torus, kappa=0.0)
+        gaps.append({"m": m, "n": n, "bound": bound, "gap": spectral.spectral_h2_gap(f, m, n, torus)})
     mean = f.coefficient(0) / torus.volume ** 0.5
+    c0 = spectral.compatibility_constant(mean, target)
+    if not math.isfinite(c0):  # the mean is finite, so 2*pi*target overflowed
+        if hym_target is not None:
+            raise _ReportTooLarge(f"hym target {target!r} puts c0 past float range")
+        raise ParseError(f"{hym_flag}: hym {target!r} puts the target mean 2*pi*hym past float range")
     block.update(
         {
             "coeffs_head": [f.coefficient(j) for j in range(8)],
             "residuals": residuals,
             "h2_gaps": gaps,
             "hym_target": target,
-            "c0": spectral.compatibility_constant(mean, target),
+            "c0": c0,
         }
     )
     return block
@@ -384,7 +387,7 @@ def build_analysis_report(req: AnalysisRequest) -> dict:
                 hym_target = float(hym_constant(splitting.lambda_L0, kahler, p))
             except OverflowError as exc:
                 raise _ReportTooLarge(str(exc)) from exc
-        report["spectral"] = _spectral_block(req.spectral, hym_target)
+        report["spectral"] = _spectral_block(req.spectral, hym_target, "--spectral")
     return report
 
 
@@ -616,19 +619,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             req = _request_from_namespace(ns)
             _emit(build_analysis_report(req))
         elif ns.command == "curvature":
-            rs = build_root_system(ns.type)
-            p = build_parabolic(rs, [n - 1 for n in _levi_nodes(ns.parabolic, rs.rank)])
-            picard = len(p.picard_nodes)
-            kahler = (
-                KahlerClass(_picard_values(ns.kahler, _split_fractions, "--kahler", picard))
-                if ns.kahler
-                else einstein_class(p)
-            )
-            line = (
-                line_bundle_weight(_picard_values(ns.line, _split_ints, "--line", picard), p)
-                if ns.line
-                else None
-            )
+            req = _lie_fields(ns)
+            p = build_parabolic(build_root_system(req["lie_type"]), [n - 1 for n in req["parabolic"]])
+            kahler = KahlerClass(req["kahler"]) if req["kahler"] is not None else einstein_class(p)
+            line = line_bundle_weight(req["line"], p) if req["line"] is not None else None
             _emit(_curvature_block(p, kahler, line))
         elif ns.command == "spectral":
             req = _profile_request(ns)

@@ -103,7 +103,3 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...],
         prev = p
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
 
-
-def transpose(rows: Sequence[Row]) -> tuple[tuple[Fraction, ...], ...]:
-    a = _as_fraction_rows(rows)
-    return tuple(zip(*a)) if a else ()

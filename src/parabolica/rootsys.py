@@ -16,6 +16,8 @@ computed once, when the root system is built, and checked there.  One
 closure under the simple reflections yields the positive roots together
 with their coroots, each checked through <beta, beta^vee> = 2; it refuses a
 Cartan matrix that is not of finite type once a root coefficient passes 6.
+Root lengths, the symmetrizer of C, are not computed: pairings read the
+coroot table instead of 2 (lambda, beta) / (beta, beta).
 
 ``build_root_system`` memoizes the simple types of rank at most
 ``ROOT_SYSTEM_MEMO_MAX_RANK``, keyed by ``SimpleLieType``: each is built once
@@ -190,11 +192,10 @@ def fundamental_weight(rank: int, index: int) -> Weight:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Cartan matrix, root norms and the full list of positive roots.
+    """Cartan matrix and the full list of positive roots.
 
-    ``root_norms`` are the minimal positive integers e with C*E symmetric,
-    i.e. e_j is proportional to half the squared length of alpha_j,
-    normalized per connected component.
+    No root lengths are stored: every query goes through the coroot table,
+    so the symmetrized form (beta, beta) is never needed.
 
     The tables below are derived from the fields above when the system is
     built, and are left out of equality, hashing and repr: ``coroots`` is a
@@ -206,7 +207,6 @@ class RootSystem:
 
     lie_type: SimpleLieType | None
     cartan: tuple[tuple[int, ...], ...]
-    root_norms: tuple[int, ...]
     positive_roots: tuple[Root, ...]
     coroots: Mapping[Root, tuple[int, ...]] = field(compare=False, repr=False)
     cartan_det: int = field(compare=False, repr=False)
@@ -333,38 +333,6 @@ def _inverse_transpose(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[
     return det, adj
 
 
-def _component_scaled(values: list[Fraction | None], component: list[int]) -> None:
-    denom_lcm = math.lcm(*(values[i].denominator for i in component))
-    scaled = [values[i] * denom_lcm for i in component]
-    divisor = math.gcd(*(int(v) for v in scaled))
-    for i, v in zip(component, scaled):
-        values[i] = Fraction(int(v) // divisor)
-
-
-def _root_norms(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Minimal positive integers e making C*E symmetric, per component."""
-    n = len(cartan)
-    values: list[Fraction | None] = [None] * n
-    for start in range(n):
-        if values[start] is not None:
-            continue
-        values[start] = Fraction(1)
-        stack = [start]
-        component = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if cartan[i][j] != 0 and i != j and values[j] is None:
-                    values[j] = values[i] * Fraction(cartan[j][i], cartan[i][j])
-                    stack.append(j)
-                    component.append(j)
-        _component_scaled(values, component)
-    result = tuple(int(v) for v in values)
-    if any(cartan[i][j] * result[j] != cartan[j][i] * result[i] for i in range(n) for j in range(n)):
-        raise InvariantError(f"root norms {result} must make C*E symmetric for Cartan matrix {cartan}")
-    return result
-
-
 def _positive_roots(cartan: Sequence[Sequence[int]]) -> dict[Root, tuple[int, ...]]:
     """Every positive root with its coroot, by closure under the simple
     reflections, sorted by (height, coefficients).
@@ -409,12 +377,10 @@ def root_system_from_cartan(
     _validate_cartan(cartan)
     frozen = tuple(tuple(int(x) for x in row) for row in cartan)
     det, adjugate = _inverse_transpose(frozen)
-    root_norms = _root_norms(frozen)
     coroots = _positive_roots(frozen)
     rs = RootSystem(
         lie_type=lie_type,
         cartan=frozen,
-        root_norms=root_norms,
         positive_roots=tuple(coroots),
         coroots=MappingProxyType(coroots),
         cartan_det=det,

@@ -284,13 +284,6 @@ class GalerkinSolution:
         return out
 
 
-def truncate(f: SpectralFunction, n: int) -> SpectralFunction:
-    """Drop every coefficient beyond mode n; mode 0 always survives."""
-    if n < 0:
-        raise ValueError("truncation order must be nonnegative")
-    return SpectralFunction(f.coeffs[: n + 1])
-
-
 def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSolution:
     """Conformal weight matching the first n modes of f.
 
@@ -377,7 +370,6 @@ class SingularProfile:
     ambient_dim: int
     codim: int
     exponent: float
-    offset: float = 0.0
 
     def __post_init__(self) -> None:
         if self.codim < 1 or self.codim > self.ambient_dim:
@@ -440,7 +432,7 @@ def integrability_check(p: SingularProfile) -> IntegrabilityResult:
 
 
 def _profile_values(p: SingularProfile, manifold: FlatTorus, points_per_axis: int) -> np.ndarray:
-    """d(x, Y)^{-s} + offset on the midpoint grid, flat in C order, where Y is
+    """d(x, Y)^{-s} on the midpoint grid, flat in C order, where Y is
     the origin point (k = d) or the coordinate subtorus obtained by zeroing
     the first k coordinates.
 
@@ -458,34 +450,8 @@ def _profile_values(p: SingularProfile, manifold: FlatTorus, points_per_axis: in
         nodes = manifold._midpoint_axis(axis, points_per_axis)
         squares.append(np.minimum(nodes, manifold.side_lengths[axis] - nodes) ** 2)
     sq = reduce(np.add.outer, squares)
-    values = sq ** (-p.exponent / 2.0) + p.offset
+    values = sq ** (-p.exponent / 2.0)
     return np.repeat(values.reshape(-1), points_per_axis ** (p.ambient_dim - p.codim))
-
-
-def profile_mean(
-    p: SingularProfile,
-    manifold: FlatTorus,
-    points_per_axis: int = 256,
-    refinements: int = 2,
-) -> float:
-    """Volume average of the profile by midpoint quadrature.
-
-    The grid is refined dyadically; successive differences must decay
-    (Richardson consistency check) and the finest-level value is returned.
-    """
-    levels = [points_per_axis * 2**k for k in range(refinements + 1)]
-    means = []
-    for m in levels:
-        values = _profile_values(p, manifold, m)
-        means.append(float(np.mean(values)))
-    if len(means) >= 3:
-        first, second = abs(means[1] - means[0]), abs(means[2] - means[1])
-        if not (second <= first or first < 1e-12):
-            raise InvariantError(
-                f"midpoint refinement must converge: successive differences {first!r} then "
-                f"{second!r} on grids {levels[:3]} for codim={p.codim}, s={p.exponent!r}"
-            )
-    return means[-1]
 
 
 def distance_profile_coefficients(

@@ -21,6 +21,7 @@ from parabolica import (
     Weight,
     canonical_weight,
     compatibility_constant,
+    distance_profile_coefficients,
     einstein_class,
     endo_eigenvalues,
     fundamental_weight,
@@ -30,7 +31,6 @@ from parabolica import (
     line_bundle_weight,
     omega_trace,
     positive_root_count,
-    profile_mean,
     solve_weight,
     spectral_h2_gap,
     splitting_report,
@@ -152,7 +152,7 @@ def test_acceptance_2_structural_property_suites():
             denom = linalg.det(base)
             lam_s = spec.highest_weight.restricted(p.levi_nodes)
             b = [report.chern.rank * lam_s[i] for i in p.levi_nodes]
-            solved = linalg.solve(linalg.transpose(base), b)
+            solved = linalg.solve(list(zip(*base)), b)
             for pos in range(len(p.levi_nodes)):
                 replaced = [row[:] for row in base]
                 replaced[pos] = [lam_s[i] for i in p.levi_nodes]
@@ -269,10 +269,12 @@ def test_acceptance_5_spectral_suite():
     q5_below = integrability_check(SingularProfile(ambient_dim=10, codim=10, exponent=4.9))
     assert q5_below.finite and q5_below.certificate == "convergent"
 
-    # compatibility constant against a 10^6-point midpoint oracle
+    # compatibility constant, from c_0 as the CLI reads it, against a
+    # 10^6-point midpoint oracle
     torus = FlatTorus((1.0, 1.0))
     profile = SingularProfile(ambient_dim=2, codim=2, exponent=0.5)
-    mean = profile_mean(profile, torus, points_per_axis=256, refinements=2)
+    f = distance_profile_coefficients(profile, torus, 0, points_per_axis=1024)
+    mean = f.coefficient(0) / math.sqrt(torus.volume)
     grid_points = 1024
     xs = (np.arange(grid_points) + 0.5) / grid_points
     gx, gy = np.meshgrid(xs, xs, indexing="ij")

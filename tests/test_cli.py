@@ -256,6 +256,28 @@ def test_spectral_edge_stdout_is_pinned(capsys):
     assert digest.hexdigest() == SPECTRAL_EDGE_SHA256
 
 
+# sha256 of the concatenated stdout of these curvature requests: the Einstein
+# class by default, a Kahler class with a line, a line alone, a fractional
+# Kahler class, and the full flag variety of E8.  Taken before curvature read
+# its flags through analyze's reader.
+CURVATURE_REQUESTS = (
+    ["curvature", "--type=A3", "--parabolic=1,3"],
+    ["curvature", "--type=A3", "--parabolic=1,3", "--kahler=1", "--line=1"],
+    ["curvature", "--type=G2", "--parabolic=1", "--line=-2"],
+    ["curvature", "--type=D4", "--parabolic=1,2", "--kahler=1/2,3"],
+    ["curvature", "--type=E8", "--parabolic=", "--kahler=1,2,3,4,5,6,7,8"],
+)
+CURVATURE_SHA256 = "1aad5d812ee4de83ea9bd1f89cb7cdbc4514425108b8cc522cc36830527d4259"
+
+
+def test_curvature_stdout_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for tokens in CURVATURE_REQUESTS:
+        assert main(tokens) == 0, tokens
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == CURVATURE_SHA256
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -451,12 +473,17 @@ def test_main_spectral_residual_ladder_never_increases(capsys):
         (["--dim=12", "--profile=point:s=0.25"], "frequency box over the budget"),
         (["--dim=40", "--profile=point:s=0.25"], "no default grid for dimension 40"),
         (["--modes=8192", "--profile=point:s=0.25"], "outside 0..8191 for a 8192-point grid"),
+        (["--profile=point:s=0.25", "--hym=3e307"], "--hym: hym 3e+307 puts the target mean 2*pi*hym past float range"),
+        (["--profile=point:s=0.25", "--hym=-3e307"], "--hym: hym -3e+307 puts the target mean"),
+        (["--profile=point:s=0.25,s=0.3"], "--profile: key 's' given twice"),
+        (["--profile=subtorus:s=0.25,codim=1,dim=2,dim=3"], "--profile: key 'dim' given twice"),
     ],
 )
 def test_main_spectral_rejects_bad_values(capsys, argv, message):
     assert main(["spectral", "--modes=8", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
 
 
@@ -466,6 +493,8 @@ def test_main_spectral_rejects_bad_values(capsys, argv, message):
         ("dim=1,modes=-3,s=0.25", "modes must be nonnegative"),
         ("dim=1,modes=8,s=nan", "s must be finite"),
         ("dim=1,modes=8,s=0.25,hym=inf", "hym must be finite"),
+        ("dim=1,modes=8,s=0.25,hym=3e307", "--spectral: hym 3e+307 puts the target mean 2*pi*hym past float range"),
+        ("dim=1,modes=8,s=0.25,s=0.3", "--spectral: key 's' given twice"),
     ],
 )
 def test_main_analyze_rejects_bad_spectral_spec(capsys, spec, message):
@@ -473,7 +502,19 @@ def test_main_analyze_rejects_bad_spectral_spec(capsys, spec, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def test_l0_target_past_float_range_names_kahler(capsys):
+    # B3/P(2,3) with Sym^2 of the spinor weight splits; its L0 constant is -5
+    # over the Kahler coefficient, so 10^-307 puts 2*pi*hym_target past -inf
+    tiny = "0." + "0" * 306 + "1"
+    argv = ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2", f"--kahler={tiny}", "--spectral=s=0.25"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --kahler: values too large or too finely divided for an exact report\n"
 
 
 def test_main_refuses_to_emit_non_standard_json(capsys, monkeypatch):

@@ -35,10 +35,10 @@ from parabolica import (
     weyl_dim,
 )
 from parabolica.parabolic import build_parabolic
-from parabolica.rootsys import SimpleLieType, _root_norms, cartan_matrix, root_system_from_cartan
+from parabolica.rootsys import SimpleLieType, cartan_matrix, root_system_from_cartan
 
 from conftest import cached_parabolic, cached_system
-from oracles import coroot_coefficients, levi_closure
+from oracles import coroot_coefficients, levi_closure, root_norms
 from test_rootsys import ALL_TYPES
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -65,7 +65,7 @@ def ref_pairing(cartan, e, weight: Weight, root) -> Fraction:
 def ref_weyl_dim(p, lambda_s: Weight) -> Fraction:
     """Weyl's formula over the Levi roots p stores, each pairing through
     (beta, beta) with the Levi's own root norms."""
-    e = _root_norms(p.levi_cartan)
+    e = root_norms(p.levi_cartan)
     rho = Weight.of(*(1 for _ in p.levi_nodes))
     shifted = p.levi_coords(lambda_s) + rho
     dim = Fraction(1)
@@ -89,7 +89,7 @@ def ref_criterion_ratios(p, lambda_s: Weight) -> tuple[Fraction, ...]:
 
 def ref_endo_eigenvalues(psi: Weight, omega0: KahlerClass, p) -> dict:
     w0 = omega0.as_weight(p)
-    pairing = functools.partial(ref_pairing, p.rs.cartan, p.rs.root_norms)
+    pairing = functools.partial(ref_pairing, p.rs.cartan, root_norms(p.rs.cartan))
     return {root: pairing(psi, root) / pairing(w0, root) for root in p.complement_roots}
 
 

@@ -18,7 +18,8 @@ from test_cli import SPECTRAL_REQUESTS, SPECTRAL_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The public names as they were when the package imported spectral eagerly.
+# The public names as they were when the package imported spectral eagerly,
+# less profile_mean and truncate, since removed.
 PUBLIC_NAMES = [
     "BundleSpec", "ChernData", "EndomorphismSpectrum", "FlatTorus", "FullSetNotParabolicError",
     "GalerkinSolution", "IntegrabilityResult", "InvalidTypeError", "InvariantError", "KahlerClass",
@@ -28,14 +29,14 @@ PUBLIC_NAMES = [
     "cramer_coefficients", "criterion_ratios", "curvature", "decompose_weight",
     "distance_profile_coefficients", "einstein_class", "endo_eigenvalues", "fundamental_weight",
     "h2_cauchy_gap", "hym_constant", "integrability_check", "is_dominant_for_levi", "linalg",
-    "line_bundle_weight", "omega_trace", "parabolic", "positive_root_count", "profile_mean", "rootsys",
-    "solve_weight", "spectral", "spectral_h2_gap", "spectrum_and_traces", "splitting_report", "truncate",
+    "line_bundle_weight", "omega_trace", "parabolic", "positive_root_count", "rootsys",
+    "solve_weight", "spectral", "spectral_h2_gap", "spectrum_and_traces", "splitting_report",
     "weyl_dim",
 ]
 SPECTRAL_NAMES = [
     "FlatTorus", "GalerkinSolution", "IntegrabilityResult", "NotL2Error", "SingularProfile",
     "SpectralFunction", "compatibility_constant", "distance_profile_coefficients", "h2_cauchy_gap",
-    "integrability_check", "profile_mean", "solve_weight", "spectral_h2_gap", "truncate",
+    "integrability_check", "solve_weight", "spectral_h2_gap",
 ]
 
 # One exact request, then the pinned spectral requests, in one process.

@@ -16,7 +16,7 @@ from parabolica import (
 from parabolica.rootsys import cartan_matrix
 
 from conftest import cached_system
-from oracles import coroot_coefficients, root_norm_sq
+from oracles import coroot_coefficients, root_norm_sq, root_norms
 
 ALL_TYPES = (
     [f"A{n}" for n in range(1, 9)]
@@ -71,11 +71,20 @@ def test_non_simply_laced_counts(name, expected):
 def test_symmetrizers(name):
     rs = cached_system(name)
     n = rs.rank
-    e = rs.root_norms
+    e = root_norms(rs.cartan)
     for i in range(n):
         for j in range(n):
             assert rs.cartan[i][j] * e[j] == rs.cartan[j][i] * e[i]
     assert all(x >= 1 for x in e)
+
+
+def test_symmetrizer_values():
+    # minimal per component: long roots of B3 and F4 carry 2, short ones 1
+    assert root_norms(cached_system("B3").cartan) == (2, 2, 1)
+    assert root_norms(cached_system("C3").cartan) == (1, 1, 2)
+    assert root_norms(cached_system("F4").cartan) == (2, 2, 1, 1)
+    assert root_norms(cached_system("G2").cartan) == (1, 3)
+    assert root_norms(((2, 0, 0), (0, 2, -2), (0, -1, 2))) == (1, 2, 1)  # A1 x B2
 
 
 def test_pairing_fundamental_vs_simple():
@@ -129,7 +138,7 @@ def test_pairing_times_norm_identity(name):
     rs = cached_system(name)
     rng = random.Random(20240817)
     gram = [
-        [rs.cartan[i][j] * rs.root_norms[j] for j in range(rs.rank)] for i in range(rs.rank)
+        [rs.cartan[i][j] * root_norms(rs.cartan)[j] for j in range(rs.rank)] for i in range(rs.rank)
     ]
     for _ in range(25):
         weight = Weight.of(*(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank)))

@@ -21,10 +21,8 @@ from parabolica import (
     distance_profile_coefficients,
     h2_cauchy_gap,
     integrability_check,
-    profile_mean,
     solve_weight,
     spectral_h2_gap,
-    truncate,
 )
 from parabolica.spectral import TorusMode
 
@@ -87,23 +85,14 @@ def test_coefficient_is_zero_outside_the_array():
     assert [f.coefficient(j) for j in (-1, 0, 1, 2, 7)] == [0.0, 1.0, 2.0, 0.0, 0.0]
 
 
-def test_truncate_keeps_low_modes():
-    f = SpectralFunction(coeffs=[0.0, 2.0])
-    assert np.array_equal(truncate(f, 1).coeffs, [0.0, 2.0])
-    g = SpectralFunction(coeffs=dense({0: 1.0, 1: 0.5, 2: 0.25, 7: 0.125}))
-    cut = truncate(g, 1)
-    assert np.array_equal(cut.coeffs, [1.0, 0.5])
-    assert cut.tail_sq == 0.0
-
-
 def test_truncation_error_is_tail_norm():
     rng = random.Random(99)
     coeffs = [rng.uniform(-1, 1) for _ in range(20)]
     f = SpectralFunction(coeffs=coeffs)
     for n in (0, 3, 11, 19):
-        cut = truncate(f, n)
         diff_sq = sum(c * c for j, c in enumerate(coeffs) if j > n)
-        assert math.isclose(f.norm_sq - cut.norm_sq, diff_sq, rel_tol=0, abs_tol=1e-12)
+        residual = solve_weight(f, n, CIRCLE).residual_l2
+        assert math.isclose(residual**2, diff_sq, rel_tol=0, abs_tol=1e-12)
 
 
 def test_solve_weight_unit_eigenfunction():
@@ -262,10 +251,10 @@ def test_profile_parseval_partial_sums_monotone_bounded():
 
 
 def test_profile_small_exponent_is_almost_constant():
-    profile = SingularProfile(ambient_dim=1, codim=1, exponent=1e-6, offset=2.0)
+    profile = SingularProfile(ambient_dim=1, codim=1, exponent=1e-6)
     f = distance_profile_coefficients(profile, CIRCLE, 32)
     mean_value = f.coefficient(0) / math.sqrt(CIRCLE.volume)
-    assert math.isclose(mean_value, 3.0, rel_tol=1e-4)
+    assert math.isclose(mean_value, 1.0, rel_tol=1e-4)
     for j in range(1, 33):
         assert abs(f.coefficient(j)) < 1e-3
 
@@ -276,17 +265,6 @@ def test_subtorus_profile_two_dim():
     f = distance_profile_coefficients(profile, torus, 32, points_per_axis=256)
     assert f.coefficient(0) > 0
     assert sum(c * c for c in f.coeffs) / f.norm_sq > 0.9
-
-
-def test_profile_mean_matches_plain_midpoint():
-    torus = FlatTorus((1.0, 1.0))
-    profile = SingularProfile(ambient_dim=2, codim=2, exponent=0.5)
-    value = profile_mean(profile, torus, points_per_axis=64, refinements=2)
-    m = 256
-    xs = (np.arange(m) + 0.5) / m
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    dist_sq = np.minimum(gx, 1 - gx) ** 2 + np.minimum(gy, 1 - gy) ** 2
-    assert math.isclose(value, float(np.mean(dist_sq**-0.25)), rel_tol=1e-12)
 
 
 def test_singular_profile_validation():
@@ -387,7 +365,7 @@ def _reference_profile_values(profile, torus, points):
         length = torus.side_lengths[axis]
         folded = np.minimum(points[:, axis], length - points[:, axis])
         sq = sq + folded**2
-    return sq ** (-profile.exponent / 2.0) + profile.offset
+    return sq ** (-profile.exponent / 2.0)
 
 
 @pytest.mark.parametrize(
@@ -407,11 +385,10 @@ def test_profile_values_match_point_reference(sides, sizes):
     for points_per_axis in sizes:
         grid = torus.midpoint_grid(points_per_axis)
         for codim in range(1, len(sides) + 1):
-            for offset in (0.0, 1.5):
-                profile = SingularProfile(ambient_dim=len(sides), codim=codim, exponent=0.3, offset=offset)
-                values = spectral._profile_values(profile, torus, points_per_axis)
-                expected = _reference_profile_values(profile, torus, grid)
-                assert np.array_equal(values, expected), (sides, points_per_axis, codim, offset)
+            profile = SingularProfile(ambient_dim=len(sides), codim=codim, exponent=0.3)
+            values = spectral._profile_values(profile, torus, points_per_axis)
+            expected = _reference_profile_values(profile, torus, grid)
+            assert np.array_equal(values, expected), (sides, points_per_axis, codim)
 
 
 def test_profile_sampling_builds_no_point_cloud(monkeypatch):
@@ -423,7 +400,6 @@ def test_profile_sampling_builds_no_point_cloud(monkeypatch):
     for codim in (1, 2, 3):
         profile = SingularProfile(ambient_dim=3, codim=codim, exponent=0.3)
         distance_profile_coefficients(profile, torus, 20, points_per_axis=16)
-        profile_mean(profile, torus, points_per_axis=8, refinements=2)
 
 
 def _quadrature_coefficients(profile, torus, n, points_per_axis):
@@ -446,7 +422,7 @@ def _quadrature_coefficients(profile, torus, n, points_per_axis):
 )
 def test_fft_coefficients_match_dense_quadrature(sides, codim, n, points_per_axis):
     torus = FlatTorus(sides)
-    profile = SingularProfile(ambient_dim=len(sides), codim=codim, exponent=0.3, offset=1.5)
+    profile = SingularProfile(ambient_dim=len(sides), codim=codim, exponent=0.3)
     f = distance_profile_coefficients(profile, torus, n, points_per_axis=points_per_axis)
     expected = _quadrature_coefficients(profile, torus, n, points_per_axis)
     assert len(f.coeffs) == n + 1
@@ -469,7 +445,7 @@ def test_explicit_grid_over_budget_is_refused():
     with pytest.raises(ValueError, match="grid of 512\\^3 points"):
         distance_profile_coefficients(profile, torus, 8, points_per_axis=512)
     with pytest.raises(ValueError, match="grid of 256\\^3 points"):
-        profile_mean(profile, torus, points_per_axis=256, refinements=0)
+        spectral._profile_values(profile, torus, 256)
 
 
 def test_mode_table_is_refused_before_sampling(monkeypatch):
@@ -513,16 +489,6 @@ def test_bochner_invariant_failure_names_its_inputs(monkeypatch):
     f = SpectralFunction(coeffs=dense({j: 1.0 / j for j in range(1, 20)}))
     with pytest.raises(InvariantError, match=r"Bochner bound .* n=10, m=2, kappa=0\.0"):
         h2_cauchy_gap(f, 10, 2, CIRCLE, kappa=0.0)
-
-
-def test_refinement_invariant_failure_names_its_inputs(monkeypatch):
-    rng = np.random.default_rng(0)
-    monkeypatch.setattr(
-        spectral, "_profile_values", lambda p, m, points_per_axis: rng.normal(size=points_per_axis) * points_per_axis
-    )
-    profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
-    with pytest.raises(InvariantError, match=r"midpoint refinement .* grids \[8, 16, 32\]"):
-        profile_mean(profile, CIRCLE, points_per_axis=8, refinements=2)
 
 
 def test_invariants_survive_optimized_mode():

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable, Collection, Iterable, Sequence
 
 from . import __version__, spectral
 from .bundle import (
@@ -119,8 +119,9 @@ def _split_fractions(text: str, what: str) -> tuple[Fraction, ...]:
 
 
 def _picard_values(text: str, parse: Callable[[str, str], tuple], what: str, count: int) -> tuple:
-    """A `--kahler` or `--line` value read by ``parse``: one entry per Picard node."""
-    values = parse(text, what)
+    """A `--kahler` or `--line` value read by ``parse``: one entry per Picard
+    node.  An empty value has none, so it is refused like a short one."""
+    values = parse(text, what) if text else ()
     if len(values) != count:
         raise ParseError(f"{what}: expected {count} coefficient(s) over the Picard nodes, got {len(values)}")
     return values
@@ -185,7 +186,9 @@ def parse_request(tokens: Sequence[str]) -> AnalysisRequest:
 
 def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
     lie_fields = _lie_fields(ns)
-    spectral_req = _spectral_request(_parse_fields(ns.spectral, "--spectral"), "--spectral") if ns.spectral else None
+    spectral_req = None
+    if ns.spectral is not None:
+        spectral_req = _spectral_request(_parse_fields(ns.spectral, "--spectral"), "--spectral")
     return AnalysisRequest(**lie_fields, spectral=spectral_req)
 
 
@@ -204,8 +207,11 @@ def _lie_fields(ns: argparse.Namespace) -> dict:
         if len(fields["weight"]) != rank:
             raise ParseError(f"--weight: expected {rank} coordinates, got {len(fields['weight'])}")
     picard = rank - len(fields["parabolic"])
-    fields["kahler"] = _picard_values(ns.kahler, _split_fractions, "--kahler", picard) if ns.kahler else None
-    fields["line"] = _picard_values(ns.line, _split_ints, "--line", picard) if ns.line else None
+    # only an absent flag is None: an empty --kahler= or --line= is refused
+    fields["kahler"] = (
+        None if ns.kahler is None else _picard_values(ns.kahler, _split_fractions, "--kahler", picard)
+    )
+    fields["line"] = None if ns.line is None else _picard_values(ns.line, _split_ints, "--line", picard)
     return fields
 
 
@@ -291,13 +297,7 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None)
 
 
 def _root_label(root: tuple[int, ...]) -> str:
-    parts = []
-    for i, m in enumerate(root):
-        if m == 1:
-            parts.append(f"a{i + 1}")
-        elif m:
-            parts.append(f"{m}a{i + 1}")
-    return "+".join(parts)
+    return "+".join([f"a{i}" if m == 1 else f"{m}a{i}" for i, m in enumerate(root, 1) if m])
 
 
 def _spectral_block(req: SpectralRequest, hym_target: float | None = None, hym_flag: str = "--hym") -> dict:
@@ -606,8 +606,57 @@ def _profile_request(ns: argparse.Namespace) -> SpectralRequest:
     return _spectral_request(fields, "--profile")
 
 
+def _render_json(value: object, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, byte for byte, where
+    ``indent`` is a newline and the spaces of the enclosing level.
+
+    json's encoder runs in pure Python whenever ``indent`` is set; here the
+    items of a list, or the values of a dict, that are all ``str`` or all
+    ``int`` (a report's weights, nodes, roots and rationals) are rendered by
+    one ``map``.  Strings and keys are quoted by json's C escaper, which
+    raises ``TypeError`` for a key that is not a ``str``; nan and +-inf raise
+    json's ``ValueError``; any other type raises ``TypeError``.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return f"[{inner}{(',' + inner).join(_render_items(value, inner))}{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = map(": ".join, zip(map(_quote, value), _render_items(value.values(), inner)))
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render_items(values: Collection, indent: str) -> Iterable[str]:
+    """Each of ``values`` rendered at ``indent``."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return map(_quote, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    return [_render_json(item, indent) for item in values]
+
+
 def _emit(payload: dict | list) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False))
+    sys.stdout.write(_render_json(payload))
     sys.stdout.write("\n")
 
 

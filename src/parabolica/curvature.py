@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .bundle import line_bundle_weight
 from .parabolic import ParabolicData
@@ -43,7 +44,11 @@ class EndomorphismSpectrum:
     eigenvalues: dict[Root, Fraction]
 
     def trace(self) -> Fraction:
-        return sum(self.eigenvalues.values(), Fraction(0))
+        """The sum of the eigenvalues: integer numerators over the lcm of
+        their denominators, one Fraction."""
+        values = self.eigenvalues.values()
+        common = math.lcm(*(q.denominator for q in values))
+        return Fraction(sum(q.numerator * (common // q.denominator) for q in values), common)
 
 
 def _kahler_denominators(omega0: KahlerClass, p: ParabolicData) -> tuple[list[int], int]:
@@ -55,7 +60,7 @@ def _kahler_denominators(omega0: KahlerClass, p: ParabolicData) -> tuple[list[in
     w0_nums, w0_den = w0.cleared()
     denominators = []
     for root in p.complement_roots:
-        denom = sum(k * x for k, x in zip(coroots[root], w0_nums))
+        denom = sum(map(mul, coroots[root], w0_nums))
         if denom <= 0:
             raise InvariantError(
                 f"Kahler positivity must make every denominator positive: root {root}, class {w0}"
@@ -70,7 +75,7 @@ def _spectrum(psi: Weight, denominators: list[int], w0_den: int, p: ParabolicDat
     coroots = p.rs.coroots
     psi_nums, psi_den = psi.cleared()
     eigenvalues = {
-        root: Fraction(sum(k * x for k, x in zip(coroots[root], psi_nums)) * w0_den, denom * psi_den)
+        root: Fraction(sum(map(mul, coroots[root], psi_nums)) * w0_den, denom * psi_den)
         for root, denom in zip(p.complement_roots, denominators)
     }
     return EndomorphismSpectrum(eigenvalues=eigenvalues)
@@ -93,28 +98,25 @@ def spectrum_and_traces(
     node, from one computation of the denominators <omega0, beta^vee>.
 
     <omega_alpha, beta^vee> is the alpha-th coefficient of the stored coroot.
-    Roots sharing a denominator are summed as integers, and each trace is one
-    Fraction over the lcm: a Fraction sum per root and node took 4.1 ms
-    instead of 0.56 ms on the E8 Borel parabolic.  The grouping stays because a
-    block has few distinct denominators: one pass scaling every root to the lcm
-    does a big-integer product per root and node, and measured slower (D8 with
-    Levi {3,6}: 407 instead of 242 us; the A8 Borel: 294 instead of 184 us).
+    The coroots of the roots sharing a denominator are summed column by
+    column as integers, and each trace is one Fraction over the lcm: a
+    Fraction sum per root and node took 4.1 ms instead of 0.56 ms on the E8
+    Borel parabolic.  The grouping stays because a block has few distinct
+    denominators: one pass scaling every root to the lcm does a big-integer
+    product per root and node, and measured slower (D8 with Levi {3,6}: 407
+    instead of 242 us; the A8 Borel: 294 instead of 184 us).
     """
     denominators, w0_den = _kahler_denominators(omega0, p)
-    nodes = p.picard_nodes
     coroots = p.rs.coroots
-    by_denom: dict[int, list[int]] = {}
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for root, denom in zip(p.complement_roots, denominators):
-        sums = by_denom.setdefault(denom, [0] * len(nodes))
-        coroot = coroots[root]
-        for j, alpha in enumerate(nodes):
-            sums[j] += coroot[alpha]
-    common = math.lcm(*by_denom)
-    scaled = [(common // denom, sums) for denom, sums in by_denom.items()]
-    traces = {
-        alpha: Fraction(w0_den * sum(scale * sums[j] for scale, sums in scaled), common)
-        for j, alpha in enumerate(nodes)
-    }
+        groups.setdefault(denom, []).append(coroots[root])
+    common = math.lcm(*groups)
+    totals = [0] * p.rs.rank
+    for denom, group in groups.items():
+        scale = common // denom
+        totals = [t + scale * s for t, s in zip(totals, map(sum, zip(*group)))]
+    traces = {alpha: Fraction(w0_den * totals[alpha], common) for alpha in p.picard_nodes}
     return _spectrum(psi, denominators, w0_den, p), traces
 
 

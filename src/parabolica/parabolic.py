@@ -76,16 +76,17 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
     if len(nodes) == rs.rank:
         raise FullSetNotParabolicError("I must be a proper subset of the simple roots")
 
-    inside = set(nodes)
+    picard = tuple(i for i in range(rs.rank) if i not in nodes)
     levi_cartan = tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes)
     levi_det, levi_t_adjugate = _inverse_transpose(levi_cartan)
     complement = []
     levi_coroots = {}
     for root, coroot in rs.coroots.items():
-        if any(m and i not in inside for i, m in enumerate(root)):
+        # a positive root lies outside the Levi iff it has a Picard coefficient
+        if any(map(root.__getitem__, picard)):
             complement.append(root)
         else:
-            levi_coroots[tuple(root[i] for i in nodes)] = tuple(coroot[i] for i in nodes)
+            levi_coroots[tuple(map(root.__getitem__, nodes))] = tuple(map(coroot.__getitem__, nodes))
     # delta = (sum of the complement roots) written over the fundamental weights
     delta = rs.root_as_weight(tuple(map(sum, zip(*complement))))
     if any(delta[i] != 0 for i in nodes):

@@ -36,6 +36,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -237,13 +238,9 @@ class RootSystem:
         return Fraction(sign * sum(k * x for k, x in zip(coroot, nums)), denom)
 
     def root_as_weight(self, root: Root) -> Weight:
-        """beta = sum_i m_i alpha_i rewritten over the fundamental weights."""
-        coords = [Fraction(0)] * self.rank
-        for i, m in enumerate(root):
-            if m:
-                for j in range(self.rank):
-                    coords[j] += m * self.cartan[i][j]
-        return Weight(tuple(coords))
+        """beta = sum_i m_i alpha_i rewritten over the fundamental weights:
+        coordinate j is the integer sum_i m_i C_ij, one Fraction each."""
+        return Weight(tuple(Fraction(sum(map(mul, root, column))) for column in zip(*self.cartan)))
 
     def weyl_vector(self) -> Weight:
         return Weight((Fraction(1),) * self.rank)

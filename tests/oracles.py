@@ -5,6 +5,8 @@ against.  None of them reads the library's coroot tables.
   the library never computes;
 * ``root_norm_sq`` and ``coroot_coefficients``: (beta, beta) and beta^vee
   from the root norms, in rationals, apart from the reflection closure;
+* ``root_as_weight_fold``: a root over the fundamental weights, folded
+  one ``Fraction`` product at a time over the rows of C;
 * ``delta_from_root_sum``: delta as a sum of roots rewritten one by one;
 * ``levi_closure``: the Levi root system built by its own closure over
   C_I, against which the restriction in ``build_parabolic`` is checked.
@@ -65,11 +67,22 @@ def coroot_coefficients(rs: RootSystem, root: Root) -> tuple[Fraction, ...]:
     return tuple(Fraction(2 * m * e, norm) for m, e in zip(root, root_norms(rs.cartan)))
 
 
+def root_as_weight_fold(rs: RootSystem, root: Root) -> Weight:
+    """beta = sum_i m_i alpha_i with alpha_i the i-th row of C, accumulated
+    as Fraction(0) + m_i C_ij per root coefficient and coordinate."""
+    coords = [Fraction(0)] * rs.rank
+    for i, m in enumerate(root):
+        if m:
+            for j in range(rs.rank):
+                coords[j] += m * rs.cartan[i][j]
+    return Weight(tuple(coords))
+
+
 def delta_from_root_sum(rs: RootSystem, roots: Iterable[Root]) -> Weight:
     """delta as the sum of the given roots each rewritten as a weight."""
     total = Weight.zero(rs.rank)
     for root in roots:
-        total = total + rs.root_as_weight(root)
+        total = total + root_as_weight_fold(rs, root)
     return total
 
 

@@ -287,8 +287,24 @@ def test_curvature_stdout_is_pinned(capsys):
             ["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--kahler=1", "--line=1,2"],
             "--line: expected 1 coefficient(s)",
         ),
+        # an empty value is refused, not read as an absent flag
+        (["curvature", "--type=A3", "--parabolic=1,3", "--kahler=", "--line="], "--kahler: expected 1 coefficient(s)"),
+        (["curvature", "--type=A3", "--parabolic=1,3", "--line="], "--line: expected 1 coefficient(s)"),
+        (["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--kahler="], "--kahler: expected 1 coefficient(s)"),
+        (
+            ["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--kahler=1", "--line="],
+            "--line: expected 1 coefficient(s)",
+        ),
     ],
-    ids=["curvature-kahler", "curvature-line", "analyze-line"],
+    ids=[
+        "curvature-kahler",
+        "curvature-line",
+        "analyze-line",
+        "curvature-empty-kahler",
+        "curvature-empty-line",
+        "analyze-empty-kahler",
+        "analyze-empty-line",
+    ],
 )
 def test_wrong_picard_length_names_its_flag(capsys, argv, message):
     assert main(argv) == 1
@@ -613,6 +629,11 @@ def test_parabolic_nodes_validated_alike(capsys, argv, message):
         ),
         (["spectral", "--profile=point:s=0.25,mode=512"], "--profile: unknown field 'mode'"),
         (["spectral", "--profile=point:s=0.25,bogus=7"], "--profile: unknown field 'bogus'"),
+        # an empty value is refused, not read as an absent flag
+        (
+            ["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--spectral="],
+            "--spectral: expected key=value, got ''",
+        ),
     ],
 )
 def test_key_value_specs_share_one_parser(capsys, argv, message):

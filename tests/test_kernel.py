@@ -7,6 +7,9 @@
 * ``Fraction`` reference copies of the per-call formulas the integer tables
   replaced (pairings through (beta, beta), Cramer determinants by
   elimination), compared on random parabolics and weights;
+* the ``Fraction`` fold of a root over the fundamental weights, and the
+  ``Fraction`` sum of the eigenvalues, against the integer sums that
+  replaced them, on every pinned type and Levi;
 * corrupted stored tables, which must raise InvariantError under ``python -O``.
 """
 from __future__ import annotations
@@ -15,6 +18,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,10 +30,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parabolica import (
+    EndomorphismSpectrum,
     KahlerClass,
     Weight,
     build_root_system,
     criterion_ratios,
+    einstein_class,
     endo_eigenvalues,
     linalg,
     weyl_dim,
@@ -38,7 +44,7 @@ from parabolica.parabolic import build_parabolic
 from parabolica.rootsys import SimpleLieType, cartan_matrix, root_system_from_cartan
 
 from conftest import cached_parabolic, cached_system
-from oracles import coroot_coefficients, levi_closure, root_norms
+from oracles import coroot_coefficients, levi_closure, root_as_weight_fold, root_norms
 from test_rootsys import ALL_TYPES
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -295,6 +301,54 @@ def test_endo_eigenvalues_match_fraction_reference(data):
     spectrum = endo_eigenvalues(psi, omega0, p)
     assert spectrum.eigenvalues == ref_endo_eigenvalues(psi, omega0, p)
     assert list(spectrum.eigenvalues) == list(p.complement_roots)
+
+
+def _levi_subsets(name: str) -> list[tuple[int, ...]]:
+    rank = cached_system(name).rank
+    return [nodes for size in range(rank) for nodes in combinations(range(rank), size)]
+
+
+def test_root_as_weight_matches_fraction_fold():
+    """root_as_weight's integer dot products over the Cartan columns against
+    the Fraction fold over its rows: every positive root of the 33 types of
+    rank <= 8, and the complement-root sum of each of their Levi subsets,
+    whose image is delta."""
+    for name in ALL_TYPES:
+        rs = cached_system(name)
+        for root in rs.positive_roots:
+            weight = rs.root_as_weight(root)
+            assert weight == root_as_weight_fold(rs, root), (name, root)
+            assert all(type(c) is Fraction for c in weight.coords)
+        for nodes in _levi_subsets(name):
+            p = build_parabolic(rs, nodes)
+            total = tuple(map(sum, zip(*p.complement_roots)))
+            assert rs.root_as_weight(total) == root_as_weight_fold(rs, total) == p.delta, (name, nodes)
+
+
+def test_trace_matches_fraction_sum():
+    """trace() sums integer numerators over the lcm of the eigenvalue
+    denominators; the reference is the Fraction sum.  One parabolic per
+    pinned Levi Cartan matrix (174), the Einstein class and a seeded Kahler
+    class as omega0, the anticanonical weight and a seeded weight as psi."""
+    rng = random.Random(0)
+    first_with_levi = {}
+    for name in ALL_TYPES:
+        cartan = cached_system(name).cartan
+        for nodes in _levi_subsets(name):
+            first_with_levi.setdefault(tuple(tuple(cartan[i][j] for j in nodes) for i in nodes), (name, nodes))
+    assert len(first_with_levi) == 174
+    for name, nodes in first_with_levi.values():
+        p = cached_parabolic(name, nodes)
+        einstein = einstein_class(p)
+        seeded = KahlerClass(tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in p.picard_nodes))
+        psi = Weight(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(p.rs.rank)))
+        for omega0 in (einstein, seeded):
+            for weight in (einstein.as_weight(p), psi):
+                spectrum = endo_eigenvalues(weight, omega0, p)
+                assert spectrum.trace() == sum(spectrum.eigenvalues.values(), Fraction(0)), (name, nodes)
+        # the Einstein class against itself has every eigenvalue 1
+        assert endo_eigenvalues(einstein.as_weight(p), einstein, p).trace() == len(p.complement_roots)
+    assert EndomorphismSpectrum({}).trace() == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,90 @@
+"""The report renderer against ``json.dumps(o, indent=2, allow_nan=False)``.
+
+``cli._render_json`` writes every report on stdout, so its bytes must be
+json's for every value a report can hold, and it must refuse, not
+reinterpret, anything else: nan and +-inf with json's own ``ValueError``,
+a key that is not a ``str`` and a value of any other type with
+``TypeError``.  json itself accepts int, float, bool and None keys; the
+renderer refuses them, because no report has one.
+"""
+from __future__ import annotations
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from parabolica.cli import _render_json
+
+KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+_ODD_TEXT = st.text(alphabet=st.sampled_from('"\\/\x00\x01\x1f\x7f\n\r\t\b\f aZé €\U0001f600\ud800'))
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1e16, 1e-7])
+    | st.text()
+    | _ODD_TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(st.text() | _ODD_TEXT, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@KERNEL
+@given(_VALUES)
+@example({})
+@example([])
+@example(())
+@example({"a": {}, "b": [], "c": [[]], "d": [{}]})
+@example([True, False, 1, 0, None])
+@example({"ints": [1, -2, 2**70], "strs": ["a", "\"q\"", "\\", "é"], "bools": [True, False]})
+@example((1, (2, "x"), [3.5, -0.0]))
+def test_render_matches_json_dumps(value):
+    assert _render_json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [math.nan, math.inf, -math.inf, [1, math.inf], {"a": [{"b": -math.inf}]}, ["x", math.nan]],
+    ids=["nan", "inf", "-inf", "list", "nested", "mixed"],
+)
+def test_non_finite_floats_raise_json_message(value):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as refused:
+        _render_json(value)
+    assert str(refused.value) == str(expected.value)
+    assert str(refused.value).startswith("Out of range float values are not JSON compliant: ")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: "a"}, {None: 1}, {True: 1}, {1.5: 1}, {(1, 2): 3}, {"a": {2: "b"}}],
+    ids=["int", "none", "bool", "float", "tuple", "nested"],
+)
+def test_non_str_keys_raise_type_error(value):
+    with pytest.raises(TypeError):
+        _render_json(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), {1, 2}, b"x", 1j, object(), [Fraction(1)], {"a": frozenset()}],
+    ids=["fraction", "set", "bytes", "complex", "object", "in-list", "in-dict"],
+)
+def test_other_types_raise_type_error(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, allow_nan=False)
+    with pytest.raises(TypeError):
+        _render_json(value)

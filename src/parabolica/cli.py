@@ -47,7 +47,8 @@ class FixtureMismatchError(AssertionError):
 class _ReportTooLarge(ValueError):
     """An exact value the report cannot carry: a rational past Python's
     int-to-str digit limit, or a mean-curvature target past float range.
-    ``main`` names the flags the value came from."""
+    The arguments are the flags the value can come from; ``main`` names
+    those that were given."""
 
 
 # Longest message an `error:` line on stderr carries, ellipsis included.
@@ -173,17 +174,6 @@ def _spectral_request(fields: dict[str, str | int | float], what: str) -> Spectr
     return SpectralRequest(dim, modes, exponent, codim, hym)
 
 
-def parse_request(tokens: Sequence[str]) -> AnalysisRequest:
-    """Validate analyze-style tokens into a request, or raise ParseError."""
-    try:
-        ns = _build_parser().parse_args(list(tokens))
-    except SystemExit as exc:  # --help or --version
-        raise ParseError("help or version requested, not an analyze request") from exc
-    if ns.command != "analyze":
-        raise ParseError(f"expected an analyze request, got {ns.command!r}")
-    return _request_from_namespace(ns)
-
-
 def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
     lie_fields = _lie_fields(ns)
     spectral_req = None
@@ -215,35 +205,8 @@ def _lie_fields(ns: argparse.Namespace) -> dict:
     return fields
 
 
-def render_request(req: AnalysisRequest) -> list[str]:
-    """Inverse of parse_request; parse_request(render_request(r)) == r.
-
-    Values are attached as --flag=value, so a leading negative coordinate
-    is not read as an option.
-    """
-    tokens = [
-        "analyze",
-        f"--type={req.lie_type}",
-        "--parabolic=" + ",".join(str(n) for n in req.parabolic),
-        "--weight=" + ",".join(str(c) for c in req.weight),
-    ]
-    if req.kahler is not None:
-        tokens.append("--kahler=" + ",".join(str(c) for c in req.kahler))
-    if req.line is not None:
-        tokens.append("--line=" + ",".join(str(c) for c in req.line))
-    if req.spectral is not None:
-        s = req.spectral
-        spec = f"dim={s.dim},modes={s.modes},s={s.exponent}"
-        if s.codim is not None:
-            spec += f",codim={s.codim}"
-        if s.hym != 1.0:
-            spec += f",hym={s.hym}"
-        tokens.append(f"--spectral={spec}")
-    return tokens
-
-
-def _weight_json(w: Weight) -> list[str]:
-    return [str(c) for c in w.coords]
+def _weight_json(w: Weight | None) -> list[str] | None:
+    return None if w is None else [str(c) for c in w.coords]
 
 
 def _parabolic_block(p: ParabolicData) -> dict:
@@ -258,20 +221,21 @@ def _parabolic_block(p: ParabolicData) -> dict:
 
 
 def _splitting_block(report: SplittingReport) -> dict:
-    block = {
-        "lambda_s": _weight_json(report.split.lambda_s),
-        "lambda_c": _weight_json(report.split.lambda_c),
-        "rank": report.chern.rank,
-        "cramer_a": [str(a) for a in report.chern.cramer_a],
-        "lambda_E": _weight_json(report.chern.lambda_E),
-        "criterion": {str(beta + 1): str(v) for beta, v in sorted(report.criterion_values.items())},
-        "splits": report.splits,
-    }
-    block["lambda_L0"] = _weight_json(report.lambda_L0) if report.lambda_L0 is not None else None
-    block["lambda_E0_check"] = (
-        _weight_json(report.lambda_E0_check) if report.lambda_E0_check is not None else None
-    )
-    return block
+    try:
+        str(report.chern.rank)  # rendered later by int.__repr__, which has the same digit limit
+        return {
+            "lambda_s": _weight_json(report.split.lambda_s),
+            "lambda_c": _weight_json(report.split.lambda_c),
+            "rank": report.chern.rank,
+            "cramer_a": [str(a) for a in report.chern.cramer_a],
+            "lambda_E": _weight_json(report.chern.lambda_E),
+            "criterion": {str(beta + 1): str(v) for beta, v in sorted(report.criterion_values.items())},
+            "splits": report.splits,
+            "lambda_L0": _weight_json(report.lambda_L0),
+            "lambda_E0_check": _weight_json(report.lambda_E0_check),
+        }
+    except ValueError as exc:  # str() of an integer past the int-to-str digit limit
+        raise _ReportTooLarge("weight") from exc
 
 
 def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None) -> dict:
@@ -289,7 +253,7 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None)
             "trace": str(spectrum.trace()),
         }
     except ValueError as exc:  # str() of a rational past the int-to-str digit limit
-        raise _ReportTooLarge(str(exc)) from exc
+        raise _ReportTooLarge("kahler", "line") from exc
     if line is not None:
         # psi is the line's weight here, so the trace is its mean-curvature constant
         block["hym_constant"] = block["trace"]
@@ -331,7 +295,7 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None, hym_f
     c0 = spectral.compatibility_constant(mean, target)
     if not math.isfinite(c0):  # the mean is finite, so 2*pi*target overflowed
         if hym_target is not None:
-            raise _ReportTooLarge(f"hym target {target!r} puts c0 past float range")
+            raise _ReportTooLarge("kahler", "line")
         raise ParseError(f"{hym_flag}: hym {target!r} puts the target mean 2*pi*hym past float range")
     block.update(
         {
@@ -386,7 +350,7 @@ def build_analysis_report(req: AnalysisRequest) -> dict:
             try:
                 hym_target = float(hym_constant(splitting.lambda_L0, kahler, p))
             except OverflowError as exc:
-                raise _ReportTooLarge(str(exc)) from exc
+                raise _ReportTooLarge("kahler", "line") from exc
         report["spectral"] = _spectral_block(req.spectral, hym_target, "--spectral")
     return report
 
@@ -698,8 +662,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
     except SystemExit as exc:  # --help or --version
         return 0 if exc.code == 0 else 1
-    except _ReportTooLarge:
-        flags = " and ".join(f"--{name}" for name in ("kahler", "line") if getattr(ns, name, None))
+    except _ReportTooLarge as exc:
+        flags = " and ".join(f"--{name}" for name in exc.args if getattr(ns, name, None))
         sys.stderr.write(f"error: {flags}: values too large or too finely divided for an exact report\n")
         return 1
     except BrokenPipeError:

@@ -164,9 +164,6 @@ class Weight:
         self._check(other)
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-c for c in self.coords))
-
     def __mul__(self, scalar: int | Fraction) -> "Weight":
         return Weight(tuple(c * scalar for c in self.coords))
 

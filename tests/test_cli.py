@@ -19,83 +19,99 @@ from hypothesis import strategies as st
 from parabolica.cli import (
     AnalysisRequest,
     FixtureMismatchError,
-    ParseError,
     SpectralRequest,
+    _build_parser,
     _check_fixture,
+    _request_from_namespace,
     build_analysis_report,
     main,
-    parse_request,
-    render_request,
     run_reference_suite,
 )
 
 
-def test_parse_spinor_request():
-    req = parse_request(
-        ["analyze", "--type", "B3", "--parabolic", "2,3", "--weight", "0,0,1"]
+def _analyze(capsys, *flags: str) -> dict:
+    """The report of `analyze` with these flags, which must exit 0."""
+    assert main(["analyze", *flags]) == 0
+    return _strict_json(capsys.readouterr().out)
+
+
+def _refusal(capsys, *flags: str) -> str:
+    """The one stderr line of an `analyze` that must exit 1 with no report."""
+    assert main(["analyze", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_parse_spinor_request(capsys):
+    report = _analyze(capsys, "--type", "B3", "--parabolic", "2,3", "--weight", "0,0,1")
+    assert report["request"] == {"lie_type": "B3", "parabolic": [2, 3], "weight": [0, 0, 1]}
+    assert "curvature" not in report and "spectral" not in report
+
+
+def test_parse_universal_request(capsys):
+    report = _analyze(capsys, "--type", "a3", "--parabolic", "3,1", "--weight", "1,0,0")
+    assert report["request"] == {"lie_type": "A3", "parabolic": [1, 3], "weight": [1, 0, 0]}
+
+
+def test_parse_rejects_full_node_set(capsys):
+    err = _refusal(capsys, "--type", "A3", "--parabolic", "1,2,3", "--weight", "1,0,0")
+    assert err == "error: --parabolic: the full node set is not a parabolic (the variety would be a point)\n"
+
+
+def test_parse_rejects_bad_weight_length(capsys):
+    err = _refusal(capsys, "--type", "A3", "--parabolic", "1,3", "--weight", "1,0")
+    assert err == "error: --weight: expected 3 coordinates, got 2\n"
+
+
+def test_parse_rejects_unknown_family(capsys):
+    assert _refusal(capsys, "--type", "Q5", "--parabolic", "1", "--weight", "1,0,0").startswith("error: ")
+
+
+def test_parse_rejects_duplicates_and_range(capsys):
+    err = _refusal(capsys, "--type", "A3", "--parabolic", "1,1", "--weight", "0,0,0")
+    assert err == "error: --parabolic: duplicate node indices\n"
+    err = _refusal(capsys, "--type", "A3", "--parabolic", "4", "--weight", "0,0,0")
+    assert err == "error: --parabolic: node 4 outside 1..3\n"
+
+
+# Each flag of a full request shows up in the report's blocks: the request
+# goes in as tokens and comes back out of `main` unchanged.
+def test_request_round_trip(capsys):
+    report = _analyze(
+        capsys,
+        "--type=B3",
+        "--parabolic=2,3",
+        "--weight=0,0,1",
+        "--kahler=1",
+        "--line=-1",
+        "--spectral=dim=2,modes=16,s=0.25,codim=1,hym=2.5",
     )
-    assert req == AnalysisRequest(lie_type="B3", parabolic=(2, 3), weight=(0, 0, 1))
+    assert report["request"] == {"lie_type": "B3", "parabolic": [2, 3], "weight": [0, 0, 1]}
+    assert report["curvature"]["kahler_class"] == ["1"]
+    assert report["curvature"]["psi"] == ["-1", "0", "0"]
+    block = report["spectral"]
+    assert block["torus_sides"] == [1.0, 1.0]
+    assert block["profile"] == {"codim": 1, "exponent": 0.25}
+    assert block["residuals"][-1]["n"] == 16
+    assert block["hym_target"] == 2.5  # the spinor bundle does not split, so hym= is the target
 
 
-def test_parse_universal_request():
-    req = parse_request(
-        ["analyze", "--type", "A3", "--parabolic", "1,3", "--weight", "1,0,0"]
-    )
-    assert req.lie_type == "A3"
-    assert req.parabolic == (1, 3)
-    assert req.weight == (1, 0, 0)
+def test_request_round_trip_minimal(capsys):
+    report = _analyze(capsys, "--type=D4", "--parabolic=1,2", "--weight=1,1,0,0")
+    assert report["request"] == {"lie_type": "D4", "parabolic": [1, 2], "weight": [1, 1, 0, 0]}
+    assert report["parabolic"]["picard_nodes"] == [3, 4]
+    assert "curvature" not in report and "spectral" not in report
 
 
-def test_parse_rejects_full_node_set():
-    with pytest.raises(ParseError, match="full node set"):
-        parse_request(["analyze", "--type", "A3", "--parabolic", "1,2,3", "--weight", "1,0,0"])
-
-
-def test_parse_rejects_bad_weight_length():
-    with pytest.raises(ParseError, match="expected 3 coordinates"):
-        parse_request(["analyze", "--type", "A3", "--parabolic", "1,3", "--weight", "1,0"])
-
-
-def test_parse_rejects_unknown_family():
-    with pytest.raises(ParseError):
-        parse_request(["analyze", "--type", "Q5", "--parabolic", "1", "--weight", "1,0,0"])
-
-
-def test_parse_rejects_duplicates_and_range():
-    with pytest.raises(ParseError, match="duplicate"):
-        parse_request(["analyze", "--type", "A3", "--parabolic", "1,1", "--weight", "0,0,0"])
-    with pytest.raises(ParseError, match="outside"):
-        parse_request(["analyze", "--type", "A3", "--parabolic", "4", "--weight", "0,0,0"])
-
-
-def test_request_round_trip():
-    req = AnalysisRequest(
-        lie_type="B3",
-        parabolic=(2, 3),
-        weight=(0, 0, 2),
-        kahler=(Fraction(1),),
-        line=(-1,),
-        spectral=SpectralRequest(dim=1, modes=64, exponent=0.25),
-    )
-    assert parse_request(render_request(req)) == req
-
-
-def test_request_round_trip_minimal():
-    req = AnalysisRequest(lie_type="D4", parabolic=(1, 2), weight=(1, 1, 0, 0))
-    assert parse_request(render_request(req)) == req
-
-
-def test_request_round_trip_leading_negatives():
-    req = AnalysisRequest("A3", (1, 3), (-1, 0, 0))
-    assert parse_request(render_request(req)) == req
-    req = AnalysisRequest(
-        lie_type="A3",
-        parabolic=(2,),
-        weight=(-1, 0, -2),
-        kahler=(Fraction(-1, 2), Fraction(3)),
-        line=(-2, 1),
-    )
-    assert parse_request(render_request(req)) == req
+def test_request_round_trip_leading_negatives(capsys):
+    # --flag=value keeps a leading minus from being read as an option
+    report = _analyze(capsys, "--type=A3", "--parabolic=2,3", "--weight=-1,0,0")
+    assert report["request"]["weight"] == [-1, 0, 0]
+    report = _analyze(capsys, "--type=A3", "--parabolic=2", "--weight=-1,0,-2", "--kahler=1/2,3", "--line=-2,1")
+    assert report["request"] == {"lie_type": "A3", "parabolic": [2], "weight": [-1, 0, -2]}
+    assert report["curvature"]["kahler_class"] == ["1/2", "3"]
+    assert report["curvature"]["psi"] == ["-2", "0", "1"]
 
 
 def test_report_is_byte_stable():
@@ -424,6 +440,24 @@ def test_main_spectral_not_integrable(capsys):
     assert "residuals" not in payload
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--profile=point:s=200"],
+        ["spectral", "--profile=point:s=1e308"],
+        ["spectral", "--dim=2", "--profile=point:s=1.0000000000000002"],
+        ["analyze", "--type=A1", "--parabolic=", "--weight=1", "--spectral=s=200"],
+    ],
+    ids=["s-200", "s-1e308", "ulp-above-half-codim", "analyze-s-200"],
+)
+def test_non_l2_exponent_is_certified_divergent(capsys, argv):
+    assert main(argv) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    block = payload["spectral"] if argv[0] == "analyze" else payload
+    assert block["integrable"] == {"finite": False, "certificate": "divergent", "tube_integral": "divergent"}
+    assert "residuals" not in block
+
+
 def test_main_spectral_csv(capsys):
     assert (
         main(["spectral", "--dim", "1", "--modes", "16", "--profile", "point:s=0.25", "--csv"])
@@ -588,9 +622,10 @@ def test_analyze_borel_parabolic(capsys):
     assert payload["splitting"]["lambda_L0"] == ["-1", "0"]
 
 
-def test_request_round_trip_borel():
-    req = AnalysisRequest(lie_type="A2", parabolic=(), weight=(1, 0))
-    assert parse_request(render_request(req)) == req
+def test_request_round_trip_borel(capsys):
+    report = _analyze(capsys, "--type=A2", "--parabolic=", "--weight=1,0")
+    assert report["request"] == {"lie_type": "A2", "parabolic": [], "weight": [1, 0]}
+    assert report["parabolic"]["levi_nodes"] == []
 
 
 @pytest.mark.parametrize(
@@ -662,8 +697,6 @@ def test_removed_flags_are_rejected(capsys, argv):
 
 
 def test_parser_is_built_once():
-    from parabolica.cli import _build_parser
-
     assert _build_parser() is _build_parser()
 
 
@@ -704,8 +737,10 @@ TINY_DECIMAL = "0." + "0" * 400 + "1"
             + [f"--kahler=2,{TINY_DECIMAL},1", "--line=0,0,-1"],
             "--kahler and --line",
         ),
+        # a 600-digit coordinate puts the E7 Levi module's rank past 4300 digits
+        (["analyze", "--type=E8", "--parabolic=1,2,3,4,5,6,7", f"--weight={'9' * 600},0,0,0,0,0,0,0"], "--weight"),
     ],
-    ids=["exponent", "exponent-with-line", "huge-exponent", "e8-digits", "hym-float-range"],
+    ids=["exponent", "exponent-with-line", "huge-exponent", "e8-digits", "hym-float-range", "e8-weight"],
 )
 def test_oversized_exact_inputs_name_their_flag(capsys, argv, flags):
     start = time.perf_counter()
@@ -726,7 +761,7 @@ def test_analyze_builds_each_root_system_once(monkeypatch, capsys):
     monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: enumerated.append(cartan) or genuine(cartan))
     argv = ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2"]
     rootsys._memoized_root_system.cache_clear()
-    assert parse_request(argv).lie_type == "B3"
+    assert _request_from_namespace(_build_parser().parse_args(argv)).lie_type == "B3"
     assert enumerated == []  # parsing only canonicalizes the type
     assert main(argv) == 0
     assert len(enumerated) == 1  # G only: the Levi is read off G's coroot table

@@ -210,7 +210,7 @@ def test_cartan_matrix_determinants_positive():
 
 def test_weight_arithmetic():
     w = Weight.of(1, "-1/2")
-    assert (-w).coords == (Fraction(-1), Fraction(1, 2))
+    assert (-1 * w).coords == (Fraction(-1), Fraction(1, 2))
     assert (w + w).coords == (2, -1)
     assert (3 * w).coords == (3, Fraction(-3, 2))
     assert (w / 2).coords == (Fraction(1, 2), Fraction(-1, 4))

@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parabolica import spectral
 from parabolica import (
@@ -217,10 +220,42 @@ def test_integrability_small_cases(codim, exponent, finite):
     assert (res.certificate == "convergent") == finite
 
 
-def test_integrability_strong_divergence_trips_threshold():
-    res = integrability_check(SingularProfile(ambient_dim=10, codim=2, exponent=4.0))
+# Past k/2 the sign of k - 2s settles the certificate: no power of a cutoff
+# is taken, so s = 200 cannot overflow, s = 1e308 cannot give a NaN tube,
+# and one ulp above k/2 is not certified convergent.
+@pytest.mark.parametrize(
+    "ambient_dim, codim, exponent",
+    [(10, 2, 4.0), (1, 1, 200.0), (1, 1, 1e308), (2, 2, 1.0000000000000002)],
+    ids=["codim2-s4", "s200", "s1e308", "ulp-above-half-codim"],
+)
+def test_integrability_strong_divergence_is_settled_by_sign(ambient_dim, codim, exponent):
+    res = integrability_check(SingularProfile(ambient_dim=ambient_dim, codim=codim, exponent=exponent))
     assert not res.finite and res.certificate == "divergent"
     assert res.tube_integral == math.inf
+
+
+CERTIFICATE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@CERTIFICATE
+@given(
+    st.integers(1, 64),
+    st.one_of(
+        st.floats(min_value=0.0, max_value=32.0, exclude_min=True),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    ),
+)
+@example(1, 0.5)
+@example(2, math.nextafter(1.0, math.inf))
+@example(64, 31.95)
+def test_certificate_follows_the_sign_of_k_minus_2s(codim, exponent):
+    res = integrability_check(SingularProfile(ambient_dim=codim, codim=codim, exponent=exponent))
+    power = codim - 2 * exponent
+    if power <= 0:
+        assert (res.finite, res.certificate, res.tube_integral) == (False, "divergent", math.inf)
+    elif power >= 0.1:
+        assert res.finite and res.certificate == "convergent"
+        assert math.isclose(res.tube_integral, 1 / power, rel_tol=1e-9)
 
 
 def test_profile_requires_l2():
@@ -239,6 +274,36 @@ def test_profile_coefficients_circle():
     for mode in CIRCLE.modes(512):
         if mode.trig == "sin":
             assert abs(f.coefficient(mode.index)) < 1e-12
+
+
+# Midpoint quadrature against the continuum on the unit circle.  The grid
+# x_k = (k + 1/2) h straddles the singular point, so by Navot's
+# Euler-Maclaurin expansion for an algebraic endpoint singularity
+# (I. Navot, J. Math. and Phys. 40 (1961) 271-276), each one-sided sum of
+# x^-a g(x) is off from the integral by g(0) (2^a - 1) zeta(a) h^(1-a),
+# up to terms of relative size h^2.  The fold min(x, 1 - x) doubles it.
+@pytest.mark.parametrize("exponent", [0.25, 0.45])
+@pytest.mark.parametrize("points_per_axis", [1024, 8192])
+def test_point_profile_quadrature_error_is_navots_term(exponent, points_per_axis):
+    unit_circle = FlatTorus((1.0,))
+    f = distance_profile_coefficients(
+        SingularProfile(ambient_dim=1, codim=1, exponent=exponent), unit_circle, 8, points_per_axis
+    )
+    h = 1.0 / points_per_axis
+
+    def navot(a: float) -> float:
+        return 2 * (2**a - 1) * float(mpmath.zeta(a)) * h ** (1 - a)
+
+    exact_mass = 2 * 0.5 ** (1 - 2 * exponent) / (1 - 2 * exponent)
+    assert math.isclose((f.norm_sq - exact_mass) / navot(2 * exponent), 1.0, abs_tol=1e-3)
+    for j, frequency in ((0, 0), (1, 1), (3, 2), (7, 4)):
+        phi_at_0 = 1.0 if j == 0 else math.sqrt(2)  # cosine modes sit at odd j
+        exact = 2 * phi_at_0 * mpmath.quad(
+            lambda x: x**-exponent * mpmath.cos(2 * mpmath.pi * frequency * x), [0, 0.5]
+        )
+        assert math.isclose((f.coefficient(j) - float(exact)) / (phi_at_0 * navot(exponent)), 1.0, abs_tol=1e-3)
+    for j in (2, 4, 6, 8):  # the profile is even, so its sine coefficients vanish
+        assert abs(f.coefficient(j)) < 1e-12
 
 
 def test_profile_parseval_partial_sums_monotone_bounded():

@@ -3,9 +3,10 @@ with invariant curvature constants and a spectral Galerkin demo.
 
 The exact layers load with the package.  ``parabolica.spectral``, the only
 module that needs numpy, is registered in ``sys.modules`` without running:
-it runs, and imports numpy, on the first attribute read from it, and the
-package serves its public names from it on demand.  So ``import parabolica``
-and every exact computation leave numpy unimported."""
+it runs, and imports numpy, on the first attribute read from it.  Its
+public names live there alone: ``from parabolica.spectral import ...``.
+So ``import parabolica`` and every exact computation leave numpy
+unimported."""
 
 __version__ = "0.1.0"
 
@@ -15,7 +16,6 @@ from .bundle import (
     BundleSpec,
     ChernData,
     SplittingReport,
-    canonical_weight,
     chern_weight,
     cramer_coefficients,
     criterion_ratios,
@@ -101,36 +101,4 @@ def _register_deferred(name: str) -> _types.ModuleType:
 
 spectral = _register_deferred("spectral")
 
-# The public names of parabolica.spectral, served by __getattr__.
-_SPECTRAL_NAMES = (
-    "FlatTorus",
-    "GalerkinSolution",
-    "IntegrabilityResult",
-    "NotL2Error",
-    "SingularProfile",
-    "SpectralFunction",
-    "compatibility_constant",
-    "distance_profile_coefficients",
-    "h2_cauchy_gap",
-    "integrability_check",
-    "solve_weight",
-    "spectral_h2_gap",
-)
-
-
-def __getattr__(name: str):
-    # Read from the module on each access and never cached here, so that a
-    # function rebound on the module is the one the package serves too.
-    if name in _SPECTRAL_NAMES:
-        return getattr(spectral, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    # the names the package listed when it imported spectral eagerly: no
-    # private helpers, and not these two hooks
-    names = {name for name in globals() if not name.startswith("_") or name.startswith("__")}
-    return sorted(names.union(_SPECTRAL_NAMES) - {"__getattr__", "__dir__"})
-
-
-__all__ = [name for name in __dir__() if not name.startswith("_")]
+__all__ = sorted(name for name in globals() if not name.startswith("_"))

@@ -117,11 +117,6 @@ def chern_weight(spec: BundleSpec) -> ChernData:
     return splitting_report(spec).chern
 
 
-def canonical_weight(p: ParabolicData) -> Weight:
-    """First-Chern weight of the holomorphic tangent bundle: delta itself."""
-    return p.delta
-
-
 def splitting_report(spec: BundleSpec) -> SplittingReport:
     """Full splitting verdict with per-generator criterion values.
 

@@ -22,13 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Collection, Iterable, Sequence
 
 from . import __version__, spectral
-from .bundle import (
-    BundleSpec,
-    SplittingReport,
-    canonical_weight,
-    line_bundle_weight,
-    splitting_report,
-)
+from .bundle import BundleSpec, SplittingReport, line_bundle_weight, splitting_report
 from .curvature import KahlerClass, einstein_class, hym_constant, spectrum_and_traces
 from .parabolic import ParabolicData, build_parabolic
 from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, build_root_system
@@ -81,22 +75,6 @@ class SpectralRequest:
     def profile(self) -> spectral.SingularProfile:
         codim = self.codim if self.codim is not None else self.dim
         return spectral.SingularProfile(ambient_dim=self.dim, codim=codim, exponent=self.exponent)
-
-
-@dataclass(frozen=True)
-class AnalysisRequest:
-    lie_type: str
-    parabolic: tuple[int, ...]
-    weight: tuple[int, ...]
-    kahler: tuple[Fraction, ...] | None = None
-    line: tuple[int, ...] | None = None
-    spectral: SpectralRequest | None = None
-
-    def __post_init__(self) -> None:
-        # The line's constants are taken against a Kahler class; without one
-        # the report would have no curvature block to carry them.
-        if self.line is not None and self.kahler is None:
-            raise ParseError("--line: needs --kahler, the Kahler class its curvature constants are taken against")
 
 
 def _split_ints(text: str, what: str) -> tuple[int, ...]:
@@ -174,18 +152,10 @@ def _spectral_request(fields: dict[str, str | int | float], what: str) -> Spectr
     return SpectralRequest(dim, modes, exponent, codim, hym)
 
 
-def _request_from_namespace(ns: argparse.Namespace) -> AnalysisRequest:
-    lie_fields = _lie_fields(ns)
-    spectral_req = None
-    if ns.spectral is not None:
-        spectral_req = _spectral_request(_parse_fields(ns.spectral, "--spectral"), "--spectral")
-    return AnalysisRequest(**lie_fields, spectral=spectral_req)
-
-
 def _lie_fields(ns: argparse.Namespace) -> dict:
     """The one reader of the Lie-side flags of analyze and curvature, in this
     order: --type, --parabolic, --weight (analyze only), --kahler, --line.
-    Returns AnalysisRequest's fields of the same names."""
+    Returns the keyword arguments of build_analysis_report of the same names."""
     try:
         lie_type = SimpleLieType.from_string(ns.type)
     except InvalidTypeError as exc:
@@ -240,7 +210,7 @@ def _splitting_block(report: SplittingReport) -> dict:
 
 def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None) -> dict:
     einstein = einstein_class(p)
-    psi = line if line is not None else einstein.as_weight(p)
+    psi = line if line is not None else line_bundle_weight(einstein.coeffs, p)
     spectrum, traces = spectrum_and_traces(psi, kahler, p)
     try:
         block = {
@@ -264,8 +234,11 @@ def _root_label(root: tuple[int, ...]) -> str:
     return "+".join([f"a{i}" if m == 1 else f"{m}a{i}" for i, m in enumerate(root, 1) if m])
 
 
-def _spectral_block(req: SpectralRequest, hym_target: float | None = None, hym_flag: str = "--hym") -> dict:
-    """The demo's report; its target is hym_target (from --kahler) or else req.hym (from hym_flag)."""
+def _spectral_block(
+    req: SpectralRequest, hym_target: float | None = None, hym_flag: str = "--hym", lambda_L0: Weight | None = None
+) -> dict:
+    """The demo's report; its target is hym_target (the constant of lambda_L0
+    under --kahler) or else req.hym (from hym_flag)."""
     torus = spectral.FlatTorus((1.0,) * req.dim)
     profile = req.profile()
     check = spectral.integrability_check(profile)
@@ -295,7 +268,7 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None, hym_f
     c0 = spectral.compatibility_constant(mean, target)
     if not math.isfinite(c0):  # the mean is finite, so 2*pi*target overflowed
         if hym_target is not None:
-            raise _ReportTooLarge("kahler", "line")
+            raise _l0_target_too_large(lambda_L0)
         raise ParseError(f"{hym_flag}: hym {target!r} puts the target mean 2*pi*hym past float range")
     block.update(
         {
@@ -309,6 +282,21 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None, hym_f
     return block
 
 
+def _l0_target_too_large(lambda_L0: Weight) -> _ReportTooLarge:
+    """The error for an L0 target whose 2*pi multiple passes float range.
+    The target is linear in lambda(L0): `--weight` is named when 2*pi*c
+    alone passes float range for a coordinate c of lambda(L0), else the
+    Kahler class and line."""
+    for c in lambda_L0.coords:
+        try:
+            finite = math.isfinite(2 * math.pi * float(c))
+        except OverflowError:  # float(c) of a rational past float range
+            finite = False
+        if not finite:
+            return _ReportTooLarge("weight")
+    return _ReportTooLarge("kahler", "line")
+
+
 def _truncation_ladder(modes: int) -> list[int]:
     ladder = []
     n = 2
@@ -319,16 +307,29 @@ def _truncation_ladder(modes: int) -> list[int]:
     return ladder
 
 
-def build_analysis_report(req: AnalysisRequest) -> dict:
-    rs = build_root_system(req.lie_type)
-    p = build_parabolic(rs, [n - 1 for n in req.parabolic])
-    splitting = splitting_report(BundleSpec(parabolic=p, highest_weight=Weight.of(*req.weight)))
+def build_analysis_report(
+    lie_type: str,
+    parabolic: tuple[int, ...],
+    weight: tuple[int, ...],
+    kahler: tuple[Fraction, ...] | None = None,
+    line: tuple[int, ...] | None = None,
+    spectral: SpectralRequest | None = None,
+) -> dict:
+    """The `analyze` report; the arguments are _lie_fields' keys and the
+    parsed `--spectral` request."""
+    # The line's constants are taken against a Kahler class; without one
+    # the report would have no curvature block to carry them.
+    if line is not None and kahler is None:
+        raise ParseError("--line: needs --kahler, the Kahler class its curvature constants are taken against")
+    rs = build_root_system(lie_type)
+    p = build_parabolic(rs, [n - 1 for n in parabolic])
+    splitting = splitting_report(BundleSpec(parabolic=p, highest_weight=Weight.of(*weight)))
     report = {
         "schema_version": SCHEMA_VERSION,
         "request": {
-            "lie_type": req.lie_type,
-            "parabolic": list(req.parabolic),
-            "weight": list(req.weight),
+            "lie_type": lie_type,
+            "parabolic": list(parabolic),
+            "weight": list(weight),
         },
         "root_system": {
             "type": str(rs.lie_type),
@@ -338,20 +339,21 @@ def build_analysis_report(req: AnalysisRequest) -> dict:
         "parabolic": _parabolic_block(p),
         "splitting": _splitting_block(splitting),
     }
-    kahler = KahlerClass(req.kahler) if req.kahler is not None else None
-    if kahler is not None:
-        line = line_bundle_weight(req.line, p) if req.line is not None else None
-        report["curvature"] = _curvature_block(p, kahler, line)
-    if req.spectral is not None:
+    kahler_class = KahlerClass(kahler) if kahler is not None else None
+    if kahler_class is not None:
+        line_weight = line_bundle_weight(line, p) if line is not None else None
+        report["curvature"] = _curvature_block(p, kahler_class, line_weight)
+    if spectral is not None:
         # when the bundle splits and a Kahler class is fixed, the demo's
         # target mean is the constant mean curvature of the split-off L0
-        hym_target = None
-        if kahler is not None and splitting.splits:
+        hym_target, lambda_L0 = None, None
+        if kahler_class is not None and splitting.splits:
+            lambda_L0 = splitting.lambda_L0
             try:
-                hym_target = float(hym_constant(splitting.lambda_L0, kahler, p))
+                hym_target = float(hym_constant(lambda_L0, kahler_class, p))
             except OverflowError as exc:
-                raise _ReportTooLarge("kahler", "line") from exc
-        report["spectral"] = _spectral_block(req.spectral, hym_target, "--spectral")
+                raise _l0_target_too_large(lambda_L0) from exc
+        report["spectral"] = _spectral_block(spectral, hym_target, "--spectral", lambda_L0)
     return report
 
 
@@ -447,7 +449,7 @@ _TANGENT_FIXTURE = {
 def _tangent_report() -> dict:
     rs = build_root_system(_TANGENT_FIXTURE["type"])
     p = build_parabolic(rs, [n - 1 for n in _TANGENT_FIXTURE["parabolic"]])
-    delta = canonical_weight(p)
+    delta = p.delta
     in_simple = rs.weight_in_simple_roots(delta)
     dim = len(p.complement_roots)  # rank of the tangent bundle
     degrees = [delta[i] / dim for i in p.picard_nodes]
@@ -466,12 +468,7 @@ def run_reference_suite() -> list[dict]:
     """Run every pinned example; raise FixtureMismatchError on any deviation."""
     reports = []
     for fixture in _REFERENCE_FIXTURES:
-        req = AnalysisRequest(
-            lie_type=fixture["type"],
-            parabolic=fixture["parabolic"],
-            weight=fixture["weight"],
-        )
-        report = build_analysis_report(req)
+        report = build_analysis_report(fixture["type"], fixture["parabolic"], fixture["weight"])
         combined = dict(report["splitting"])
         combined["levi_cartan"] = report["parabolic"]["levi_cartan"]
         combined["det_levi_cartan"] = report["parabolic"]["det_levi_cartan"]
@@ -629,8 +626,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(tokens)
         if ns.command == "analyze":
-            req = _request_from_namespace(ns)
-            _emit(build_analysis_report(req))
+            fields = _lie_fields(ns)
+            if ns.spectral is not None:
+                fields["spectral"] = _spectral_request(_parse_fields(ns.spectral, "--spectral"), "--spectral")
+            _emit(build_analysis_report(**fields))
         elif ns.command == "curvature":
             req = _lie_fields(ns)
             p = build_parabolic(build_root_system(req["lie_type"]), [n - 1 for n in req["parabolic"]])

@@ -33,9 +33,6 @@ class KahlerClass:
         if any(c <= 0 for c in self.coeffs):
             raise NotKahlerError("all generator coefficients must be positive")
 
-    def as_weight(self, p: ParabolicData) -> Weight:
-        return line_bundle_weight(self.coeffs, p)
-
 
 @dataclass(frozen=True)
 class EndomorphismSpectrum:
@@ -56,7 +53,7 @@ def _kahler_denominators(omega0: KahlerClass, p: ParabolicData) -> tuple[list[in
     the k-th root beta of Phi_I^+: integer dot products with the stored
     coroots, each checked positive."""
     coroots = p.rs.coroots
-    w0 = omega0.as_weight(p)
+    w0 = line_bundle_weight(omega0.coeffs, p)
     w0_nums, w0_den = w0.cleared()
     denominators = []
     for root in p.complement_roots:

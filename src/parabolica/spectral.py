@@ -402,9 +402,9 @@ def integrability_check(p: SingularProfile) -> IntegrabilityResult:
     i <= 250, and declares convergence when the values are Cauchy in the
     cutoff.  With x = 10^-(k-2s) < 1 the i-th value is 1 + x + ... + x^(i-1)
     times the first, so t^{k-2s} can only underflow.  If the values are
-    still moving at the last cutoff, the certificate is divergent when the
-    increments have stopped decaying, x > 0.99 (k - 2s below about 0.0044,
-    next to the logarithmic case k = 2s).
+    still moving at the last cutoff (k - 2s below about 0.044), the
+    certificate is convergent with the limit 1/(k - 2s) as its tube
+    integral.
     """
     power = p.codim - 2.0 * p.exponent
     if power <= 0.0:
@@ -414,9 +414,7 @@ def integrability_check(p: SingularProfile) -> IntegrabilityResult:
         values.append((1.0 - (10.0**-step) ** power) / power)
         if step > 1 and abs(values[-1] - values[-2]) <= 1e-12 * max(1.0, abs(values[-1])):
             return IntegrabilityResult(p.square_integrable, "convergent", values[-1])
-    if values[-1] - values[-2] > 0.99 * (values[-2] - values[-3]):
-        return IntegrabilityResult(p.square_integrable, "divergent", math.inf)
-    return IntegrabilityResult(p.square_integrable, "convergent", values[-1])
+    return IntegrabilityResult(p.square_integrable, "convergent", 1.0 / power)
 
 
 def _profile_values(p: SingularProfile, manifold: FlatTorus, points_per_axis: int) -> np.ndarray:

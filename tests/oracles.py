@@ -9,7 +9,9 @@ against.  None of them reads the library's coroot tables.
   one ``Fraction`` product at a time over the rows of C;
 * ``delta_from_root_sum``: delta as a sum of roots rewritten one by one;
 * ``levi_closure``: the Levi root system built by its own closure over
-  C_I, against which the restriction in ``build_parabolic`` is checked.
+  C_I, against which the restriction in ``build_parabolic`` is checked;
+* ``check_report``: the rules that tie one CLI report's fields to each
+  other, read off the parsed JSON alone.
 """
 from __future__ import annotations
 
@@ -90,3 +92,46 @@ def levi_closure(p: ParabolicData) -> RootSystem:
     """The Levi subsystem as a root system of its own, by a second reflection
     closure over the Levi Cartan matrix C_I."""
     return root_system_from_cartan(p.levi_cartan)
+
+
+def check_report(report: dict | list) -> None:
+    """Raise AssertionError where a parsed report contradicts itself.
+
+    Takes every JSON report the CLI prints: ``analyze``, ``curvature``,
+    ``spectral``, ``dump-roots`` and the ``paper-suite`` list.  The rules:
+
+    * ``splits`` holds exactly when ``lambda_L0`` is non-null;
+    * a curvature block's ``trace`` is the sum of its eigenvalues, and an
+      ``analyze`` report has one eigenvalue per root of ``phi_I_plus``;
+    * ``finite`` holds exactly when the certificate is ``convergent``, whose
+      tube integral is 1/(k - 2s) to 1e-9 relative;
+    * the residuals never increase along the ladder;
+    * on the unit torus, ``c0`` is 2*pi*``hym_target`` - ``coeffs_head[0]``.
+    """
+    if isinstance(report, list):
+        for entry in report:
+            check_report(entry["report"])
+        return
+    if "splitting" in report:
+        splitting = report["splitting"]
+        assert splitting["splits"] == (splitting["lambda_L0"] is not None), splitting
+    curvature = report.get("curvature", report if "eigenvalues" in report else None)
+    if curvature is not None:
+        eigenvalues = curvature["eigenvalues"]
+        total = sum(map(Fraction, eigenvalues.values()), Fraction(0))
+        assert Fraction(curvature["trace"]) == total, (curvature["trace"], total)
+        if "parabolic" in report:
+            roots = report["parabolic"]["phi_I_plus"]
+            assert len(eigenvalues) == len(roots), (len(eigenvalues), len(roots))
+    spectral = report.get("spectral", report if "integrable" in report else None)
+    if spectral is not None:
+        integrable, profile = spectral["integrable"], spectral["profile"]
+        assert integrable["finite"] == (integrable["certificate"] == "convergent"), integrable
+        if integrable["certificate"] == "convergent":
+            power = profile["codim"] - 2.0 * profile["exponent"]
+            assert math.isclose(integrable["tube_integral"], 1 / power, rel_tol=1e-9), (integrable, profile)
+        residuals = [row["residual"] for row in spectral.get("residuals", ())]
+        assert all(a >= b for a, b in zip(residuals, residuals[1:])), residuals
+        if "c0" in spectral and all(side == 1.0 for side in spectral["torus_sides"]):
+            expected = 2 * math.pi * spectral["hym_target"] - spectral["coeffs_head"][0]
+            assert spectral["c0"] == expected, (spectral["c0"], expected)

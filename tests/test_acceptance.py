@@ -14,29 +14,30 @@ import numpy as np
 
 from parabolica import (
     BundleSpec,
-    FlatTorus,
     KahlerClass,
-    SingularProfile,
-    SpectralFunction,
     Weight,
-    canonical_weight,
-    compatibility_constant,
-    distance_profile_coefficients,
     einstein_class,
     endo_eigenvalues,
     fundamental_weight,
-    h2_cauchy_gap,
     hym_constant,
-    integrability_check,
     line_bundle_weight,
     omega_trace,
     positive_root_count,
-    solve_weight,
-    spectral_h2_gap,
     splitting_report,
     weyl_dim,
 )
 from parabolica import linalg
+from parabolica.spectral import (
+    FlatTorus,
+    SingularProfile,
+    SpectralFunction,
+    compatibility_constant,
+    distance_profile_coefficients,
+    h2_cauchy_gap,
+    integrability_check,
+    solve_weight,
+    spectral_h2_gap,
+)
 from parabolica.cli import run_reference_suite
 
 from conftest import cached_parabolic, cached_system, dense
@@ -90,7 +91,7 @@ def test_acceptance_1_reference_fixture_battery():
     assert sym2.splits is True
     assert sym2.lambda_L0 == Weight.of(-1, 0, 0)
 
-    delta = canonical_weight(gr2c4)
+    delta = gr2c4.delta
     assert gr2c4.rs.weight_in_simple_roots(delta) == (2, 4, 2)
     assert delta == Weight.of(0, 4, 0)
     tangent_rank = len(gr2c4.complement_roots)
@@ -208,7 +209,7 @@ def test_acceptance_4_curvature_identities():
                 spectrum = endo_eigenvalues(fundamental_weight(p.rs.rank, alpha), omega, p)
                 assert spectrum.trace() == omega_trace(alpha, omega, p)
         einstein = einstein_class(p)
-        self_eigs = endo_eigenvalues(einstein.as_weight(p), einstein, p)
+        self_eigs = endo_eigenvalues(line_bundle_weight(einstein.coeffs, p), einstein, p)
         assert all(q == 1 for q in self_eigs.eigenvalues.values())
 
     p1 = cached_parabolic("A1", ())

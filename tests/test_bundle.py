@@ -15,7 +15,6 @@ from parabolica import (
     NotDominantError,
     RootSystem,
     Weight,
-    canonical_weight,
     chern_weight,
     cramer_coefficients,
     criterion_ratios,
@@ -91,14 +90,15 @@ def test_chern_weight_spinor(q5):
 
 
 def test_canonical_weights(gr2c4, q5, p1):
-    assert canonical_weight(gr2c4).coords == (0, 4, 0)
-    assert canonical_weight(p1).coords == (2,)
-    assert canonical_weight(q5).coords == (5, 0, 0)
+    # the first-Chern weight of the tangent bundle is delta
+    assert gr2c4.delta.coords == (0, 4, 0)
+    assert p1.delta.coords == (2,)
+    assert q5.delta.coords == (5, 0, 0)
 
 
 def test_tangent_bundle_splits(gr2c4):
     # rank of the tangent bundle is dim X = |Phi_I^+|; degree/rank = 4/4
-    delta = canonical_weight(gr2c4)
+    delta = gr2c4.delta
     dim = len(gr2c4.complement_roots)
     assert dim == 4
     assert (delta[1] / dim).denominator == 1

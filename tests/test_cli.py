@@ -17,16 +17,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parabolica.cli import (
-    AnalysisRequest,
     FixtureMismatchError,
     SpectralRequest,
     _build_parser,
     _check_fixture,
-    _request_from_namespace,
+    _lie_fields,
     build_analysis_report,
     main,
     run_reference_suite,
 )
+
+from oracles import check_report
 
 
 def _analyze(capsys, *flags: str) -> dict:
@@ -115,15 +116,14 @@ def test_request_round_trip_leading_negatives(capsys):
 
 
 def test_report_is_byte_stable():
-    req = AnalysisRequest(lie_type="B3", parabolic=(2, 3), weight=(0, 0, 2))
-    first = json.dumps(build_analysis_report(req))
-    second = json.dumps(build_analysis_report(req))
+    req = dict(lie_type="B3", parabolic=(2, 3), weight=(0, 0, 2))
+    first = json.dumps(build_analysis_report(**req))
+    second = json.dumps(build_analysis_report(**req))
     assert first == second
 
 
 def test_report_rationals_rendered_as_strings():
-    req = AnalysisRequest(lie_type="B3", parabolic=(2, 3), weight=(0, 0, 1))
-    report = build_analysis_report(req)
+    report = build_analysis_report(lie_type="B3", parabolic=(2, 3), weight=(0, 0, 1))
     assert report["schema_version"] == "1"
     assert report["splitting"]["criterion"] == {"1": "-1/2"}
     assert report["splitting"]["lambda_E"] == ["-2", "0", "0"]
@@ -223,6 +223,7 @@ PAPER_SUITE_SHA256 = "26884516927e8f7a3c777e381da161a6c4118769b985142dc7d0decaff
 def test_paper_suite_quiet_stdout_is_pinned(capsys):
     assert main(["paper-suite", "--quiet"]) == 0
     out = capsys.readouterr().out
+    check_report(json.loads(out))
     assert hashlib.sha256(out.encode()).hexdigest() == PAPER_SUITE_SHA256
 
 
@@ -242,11 +243,36 @@ SPECTRAL_REQUESTS = (
 SPECTRAL_SHA256 = "a33fe31396e3357f887129870cca541b2c71d8cc4702f02e9f4515da9abaca8e"
 
 
+# One field of a consistent report changed so that the report contradicts
+# itself, for each rule of check_report.
+_CONTRADICTIONS = {
+    "splits-without-l0": lambda r: r["splitting"].update(lambda_L0=None),
+    "trace": lambda r: r["curvature"].update(trace="0"),
+    "eigenvalue-count": lambda r: r["parabolic"]["phi_I_plus"].append([1, 1, 1]),
+    "finite-but-divergent": lambda r: r["spectral"]["integrable"].update(certificate="divergent"),
+    "tube-integral": lambda r: r["spectral"]["integrable"].update(tube_integral=1.0),
+    "rising-residuals": lambda r: r["spectral"]["residuals"].reverse(),
+    "c0": lambda r: r["spectral"].update(c0=0.0),
+}
+
+
+@pytest.mark.parametrize("contradiction", _CONTRADICTIONS)
+def test_report_checker_flags_each_contradiction(capsys, contradiction):
+    report = _analyze(capsys, "--type=B3", "--parabolic=2,3", "--weight=0,0,2", "--kahler=1", "--spectral=s=0.25,modes=16")
+    check_report(report)
+    _CONTRADICTIONS[contradiction](report)
+    with pytest.raises(AssertionError):
+        check_report(report)
+
+
 def test_spectral_stdout_is_pinned(capsys):
     digest = hashlib.sha256()
     for tokens in SPECTRAL_REQUESTS:
         assert main(tokens) == 0, tokens
-        digest.update(capsys.readouterr().out.encode())
+        out = capsys.readouterr().out
+        if "--csv" not in tokens:
+            check_report(json.loads(out))
+        digest.update(out.encode())
     assert digest.hexdigest() == SPECTRAL_SHA256
 
 
@@ -268,7 +294,9 @@ def test_spectral_edge_stdout_is_pinned(capsys):
     digest = hashlib.sha256()
     for tokens in SPECTRAL_EDGE_REQUESTS:
         assert main(tokens) == 0, tokens
-        digest.update(capsys.readouterr().out.encode())
+        out = capsys.readouterr().out
+        check_report(json.loads(out))
+        digest.update(out.encode())
     assert digest.hexdigest() == SPECTRAL_EDGE_SHA256
 
 
@@ -290,7 +318,9 @@ def test_curvature_stdout_is_pinned(capsys):
     digest = hashlib.sha256()
     for tokens in CURVATURE_REQUESTS:
         assert main(tokens) == 0, tokens
-        digest.update(capsys.readouterr().out.encode())
+        out = capsys.readouterr().out
+        check_report(json.loads(out))
+        digest.update(out.encode())
     assert digest.hexdigest() == CURVATURE_SHA256
 
 
@@ -588,14 +618,13 @@ def test_build_analysis_report_derives_splitting_once(monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(cli_module, "splitting_report", counted)
-    req = AnalysisRequest(
+    report = build_analysis_report(
         lie_type="B3",
         parabolic=(2, 3),
         weight=(0, 0, 2),
         kahler=(Fraction(1),),
         spectral=SpectralRequest(dim=1, modes=16, exponent=0.25),
     )
-    report = build_analysis_report(req)
     assert len(calls) == 1
     assert report["splitting"]["lambda_s"] == ["0", "0", "2"]
     assert report["spectral"]["hym_target"] == -5.0
@@ -739,8 +768,21 @@ TINY_DECIMAL = "0." + "0" * 400 + "1"
         ),
         # a 600-digit coordinate puts the E7 Levi module's rank past 4300 digits
         (["analyze", "--type=E8", "--parabolic=1,2,3,4,5,6,7", f"--weight={'9' * 600},0,0,0,0,0,0,0"], "--weight"),
+        # the L0 target is linear in lambda(L0), and a 400-digit weight puts it past float range
+        (["analyze", "--type=A1", "--parabolic=", f"--weight={'9' * 400}", "--kahler=1", "--spectral=s=0.25"], "--weight"),
+        # a weight of 10^308 leaves the target in float range but not 2*pi times it
+        (["analyze", "--type=A1", "--parabolic=", f"--weight=1{'0' * 308}", "--kahler=1", "--spectral=s=0.25"], "--weight"),
     ],
-    ids=["exponent", "exponent-with-line", "huge-exponent", "e8-digits", "hym-float-range", "e8-weight"],
+    ids=[
+        "exponent",
+        "exponent-with-line",
+        "huge-exponent",
+        "e8-digits",
+        "hym-float-range",
+        "e8-weight",
+        "l0-target-weight",
+        "l0-target-weight-2pi",
+    ],
 )
 def test_oversized_exact_inputs_name_their_flag(capsys, argv, flags):
     start = time.perf_counter()
@@ -761,7 +803,7 @@ def test_analyze_builds_each_root_system_once(monkeypatch, capsys):
     monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: enumerated.append(cartan) or genuine(cartan))
     argv = ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2"]
     rootsys._memoized_root_system.cache_clear()
-    assert _request_from_namespace(_build_parser().parse_args(argv)).lie_type == "B3"
+    assert _lie_fields(_build_parser().parse_args(argv))["lie_type"] == "B3"
     assert enumerated == []  # parsing only canonicalizes the type
     assert main(argv) == 0
     assert len(enumerated) == 1  # G only: the Levi is read off G's coroot table
@@ -881,6 +923,7 @@ def _cli_tokens(draw) -> list[str]:
 @FUZZ
 @given(_cli_tokens())
 @example(["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2", "--kahler=1e-320", "--spectral=s=0.25"])
+@example(["spectral", "--modes=8", "--profile=point:s=0.4999"])
 def test_cli_fuzz_exits_cleanly(tokens):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -893,7 +936,7 @@ def test_cli_fuzz_exits_cleanly(tokens):
             assert header == "n,residual"
             assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
         else:
-            _strict_json(out)
+            check_report(_strict_json(out))
     else:
         assert code == 1, (tokens, err)
         assert out == ""

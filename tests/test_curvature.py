@@ -32,7 +32,7 @@ def unit_class(p):
 def test_identity_endomorphism(gr2c4, q5):
     for p in (gr2c4, q5):
         omega = KahlerClass(tuple(Fraction(k + 1) for k in range(len(p.picard_nodes))))
-        spectrum = endo_eigenvalues(omega.as_weight(p), omega, p)
+        spectrum = endo_eigenvalues(line_bundle_weight(omega.coeffs, p), omega, p)
         assert all(q == 1 for q in spectrum.eigenvalues.values())
 
 
@@ -149,7 +149,7 @@ def test_hym_positivity(name, nodes):
 def test_einstein_self_consistency(name, nodes):
     p = cached_parabolic(name, nodes)
     omega = einstein_class(p)
-    spectrum = endo_eigenvalues(omega.as_weight(p), omega, p)
+    spectrum = endo_eigenvalues(line_bundle_weight(omega.coeffs, p), omega, p)
     assert all(q == 1 for q in spectrum.eigenvalues.values())
 
 

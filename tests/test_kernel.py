@@ -37,6 +37,7 @@ from parabolica import (
     criterion_ratios,
     einstein_class,
     endo_eigenvalues,
+    line_bundle_weight,
     linalg,
     weyl_dim,
 )
@@ -94,7 +95,7 @@ def ref_criterion_ratios(p, lambda_s: Weight) -> tuple[Fraction, ...]:
 
 
 def ref_endo_eigenvalues(psi: Weight, omega0: KahlerClass, p) -> dict:
-    w0 = omega0.as_weight(p)
+    w0 = line_bundle_weight(omega0.coeffs, p)
     pairing = functools.partial(ref_pairing, p.rs.cartan, root_norms(p.rs.cartan))
     return {root: pairing(psi, root) / pairing(w0, root) for root in p.complement_roots}
 
@@ -343,11 +344,11 @@ def test_trace_matches_fraction_sum():
         seeded = KahlerClass(tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in p.picard_nodes))
         psi = Weight(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(p.rs.rank)))
         for omega0 in (einstein, seeded):
-            for weight in (einstein.as_weight(p), psi):
+            for weight in (line_bundle_weight(einstein.coeffs, p), psi):
                 spectrum = endo_eigenvalues(weight, omega0, p)
                 assert spectrum.trace() == sum(spectrum.eigenvalues.values(), Fraction(0)), (name, nodes)
         # the Einstein class against itself has every eigenvalue 1
-        assert endo_eigenvalues(einstein.as_weight(p), einstein, p).trace() == len(p.complement_roots)
+        assert endo_eigenvalues(line_bundle_weight(einstein.coeffs, p), einstein, p).trace() == len(p.complement_roots)
     assert EndomorphismSpectrum({}).trace() == 0
 
 

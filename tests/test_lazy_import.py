@@ -18,38 +18,42 @@ from test_cli import SPECTRAL_REQUESTS, SPECTRAL_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The public names as they were when the package imported spectral eagerly,
-# less profile_mean and truncate, since removed.
+# The package's public names: the exact layers' names and the submodules.
 PUBLIC_NAMES = [
-    "BundleSpec", "ChernData", "EndomorphismSpectrum", "FlatTorus", "FullSetNotParabolicError",
-    "GalerkinSolution", "IntegrabilityResult", "InvalidTypeError", "InvariantError", "KahlerClass",
-    "NotDominantError", "NotKahlerError", "NotL2Error", "ParabolicData", "RootSystem", "SimpleLieType",
-    "SingularProfile", "SpectralFunction", "SplittingReport", "Weight", "WeightSplit", "build_parabolic",
-    "build_root_system", "bundle", "canonical_weight", "chern_weight", "compatibility_constant",
-    "cramer_coefficients", "criterion_ratios", "curvature", "decompose_weight",
-    "distance_profile_coefficients", "einstein_class", "endo_eigenvalues", "fundamental_weight",
-    "h2_cauchy_gap", "hym_constant", "integrability_check", "is_dominant_for_levi", "linalg",
-    "line_bundle_weight", "omega_trace", "parabolic", "positive_root_count", "rootsys",
-    "solve_weight", "spectral", "spectral_h2_gap", "spectrum_and_traces", "splitting_report",
-    "weyl_dim",
+    "BundleSpec", "ChernData", "EndomorphismSpectrum", "FullSetNotParabolicError", "InvalidTypeError",
+    "InvariantError", "KahlerClass", "NotDominantError", "NotKahlerError", "ParabolicData", "RootSystem",
+    "SimpleLieType", "SplittingReport", "Weight", "WeightSplit", "build_parabolic", "build_root_system",
+    "bundle", "chern_weight", "cramer_coefficients", "criterion_ratios", "curvature", "decompose_weight",
+    "einstein_class", "endo_eigenvalues", "fundamental_weight", "hym_constant", "is_dominant_for_levi",
+    "linalg", "line_bundle_weight", "omega_trace", "parabolic", "positive_root_count", "rootsys",
+    "spectral", "spectrum_and_traces", "splitting_report", "weyl_dim",
 ]
+# The public names of parabolica.spectral, read from that module only.
 SPECTRAL_NAMES = [
     "FlatTorus", "GalerkinSolution", "IntegrabilityResult", "NotL2Error", "SingularProfile",
     "SpectralFunction", "compatibility_constant", "distance_profile_coefficients", "h2_cauchy_gap",
     "integrability_check", "solve_weight", "spectral_h2_gap",
 ]
 
-# One exact request, then the pinned spectral requests, in one process.
+# One request of each exact command.
+EXACT_REQUESTS = (
+    ["analyze", "--type=E8", "--parabolic=1,2,3,4,5,6,7", "--weight=0,0,0,0,0,0,0,1", "--kahler=1"],
+    ["curvature", "--type=E8", "--parabolic=1,2,3,4,5,6,7", "--kahler=2", "--line=-1"],
+    ["dump-roots", "--type=E8"],
+    ["paper-suite", "--quiet"],
+)
+
+# The exact requests, then the pinned spectral requests, in one process.
 ONE_PROCESS = """
 import contextlib, hashlib, io, json, sys
 import parabolica, parabolica.cli
-requests = json.loads(sys.argv[1])
-with contextlib.redirect_stdout(io.StringIO()):
-    code = parabolica.cli.main(
-        ["analyze", "--type=E8", "--parabolic=1,2,3,4,5,6,7", "--weight=0,0,0,0,0,0,0,1", "--kahler=1"]
-    )
-state = {"analyze_exit": code, "numpy_after_analyze": "numpy" in sys.modules,
-         "spectral_registered": "parabolica.spectral" in sys.modules}
+exact, requests = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+state = {"exact_exits": [], "numpy_after_exact": []}
+for tokens in exact:
+    with contextlib.redirect_stdout(io.StringIO()):
+        state["exact_exits"].append(parabolica.cli.main(tokens))
+    state["numpy_after_exact"].append("numpy" in sys.modules)
+state["spectral_registered"] = "parabolica.spectral" in sys.modules
 digest, out = hashlib.sha256(), io.StringIO()
 for tokens in requests:
     with contextlib.redirect_stdout(out):
@@ -82,12 +86,12 @@ def _run(script: str, *args: str) -> dict:
 
 @pytest.fixture(scope="module")
 def one_process() -> dict:
-    return _run(ONE_PROCESS, json.dumps(SPECTRAL_REQUESTS))
+    return _run(ONE_PROCESS, json.dumps(EXACT_REQUESTS), json.dumps(SPECTRAL_REQUESTS))
 
 
 def test_exact_request_imports_no_numpy(one_process):
-    assert one_process["analyze_exit"] == 0
-    assert one_process["numpy_after_analyze"] is False
+    assert one_process["exact_exits"] == [0] * len(EXACT_REQUESTS)
+    assert one_process["numpy_after_exact"] == [False] * len(EXACT_REQUESTS)
     assert one_process["spectral_registered"] is True
 
 
@@ -96,12 +100,13 @@ def test_spectral_requests_after_an_exact_one_print_the_pinned_bytes(one_process
     assert one_process["digest"] == SPECTRAL_SHA256
 
 
-def test_public_names_are_unchanged():
+def test_spectral_names_live_only_on_the_spectral_module():
     assert parabolica.__all__ == PUBLIC_NAMES
     public = [name for name in dir(parabolica) if not name.startswith("_")]
     assert [name for name in public if name != "cli"] == PUBLIC_NAMES  # cli joins once imported
     for name in SPECTRAL_NAMES:
-        assert getattr(parabolica, name) is getattr(parabolica.spectral, name), name
+        assert hasattr(parabolica.spectral, name), name
+        assert not hasattr(parabolica, name), name
     with pytest.raises(AttributeError):
         parabolica.no_such_name
 
@@ -126,7 +131,7 @@ def first_read():
     barrier.wait()
     try:
         parabolica.spectral.solve_weight
-        parabolica.SpectralFunction([1.0])
+        parabolica.spectral.SpectralFunction([1.0])
     except Exception as exc:
         errors.append(repr(exc))
 threads = [threading.Thread(target=first_read) for _ in range(8)]

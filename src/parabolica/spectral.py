@@ -13,11 +13,15 @@ Profile coefficients come from one FFT.  On the uniform midpoint grid
 x_k = (k + 1/2) L / N the cosine and sine modes of frequency nu sample to
 Re and Im of exp(2 pi i nu.k / N) exp(i pi sum(nu) / N), so every
 quadrature sum against them is a phase-shifted entry F[nu mod N] of the
-DFT of the sampled profile.  The profile depends only on the k coordinates
-its singular set cuts, so it is sampled on the N^k grid of those axes and
-repeated along the other d - k; no (N^d, d) point array is built.  Grids
-are bounded: by default N^d stays at most 512^2 points for d >= 2 (8192
-points for d = 1), and no grid may exceed _MAX_GRID_POINTS.
+DFT F of the profile sampled on the N^d grid.  The profile depends only on
+the k coordinates its singular set cuts, so it is sampled on the N^k grid
+of those axes, and no (N^d, d) point array is built.  A point profile
+(k = d) is transformed by rfftn over its N^d values.  A subtorus profile
+(k < d) is constant along the d - k free axes, so F is N^(d-k) times the
+DFT of the N^k cut grid where every free frequency is 0 (mod N) and 0
+elsewhere; only the cut grid is transformed.  Grids are bounded: by
+default N^d stays at most 512^2 points for d >= 2 (8192 points for d = 1),
+and no grid may exceed _MAX_GRID_POINTS.
 """
 from __future__ import annotations
 
@@ -37,9 +41,11 @@ class NotL2Error(ValueError):
 
 # Grid budget: the default grid for d >= 2 is the finest power-of-two side
 # with at most _DEFAULT_GRID_POINTS nodes, and no grid, default or explicit,
-# may exceed _MAX_GRID_POINTS nodes.  At the budget, a 2048^2 codim-2
-# distance_profile_coefficients call takes about 0.18 s and a 126 MB peak RSS
-# in a fresh process (2-core VM, numpy 2.4).
+# may exceed _MAX_GRID_POINTS nodes.  At the budget, a 2048^2
+# distance_profile_coefficients call with 4095 modes, in a fresh process on
+# a 2-core VM with numpy 2.4, takes 0.14-0.18 s and a 126 MB peak RSS for
+# the point profile (codim 2, rfftn over all 2048^2 nodes), and 0.03-0.04 s
+# and 93 MB for the codim-1 profile (one 2048-point FFT).
 _DEFAULT_GRID_POINTS = 512**2
 _MAX_GRID_POINTS = 1 << 22
 # The integer frequency box searched for a mode table, (2b + 1)^d rows of d
@@ -425,8 +431,10 @@ def _profile_values(p: SingularProfile, manifold: FlatTorus, points_per_axis: in
     The profile depends only on the k cut coordinates.  Their folded squares
     min(x, L - x)^2 are summed axis by axis as an outer sum over the N^k grid,
     the power is taken there, and each value is repeated along the d - k free
-    (trailing) axes.  Every node gets the same float operations, in the same
-    order, as a fold over the full (N^d, d) point array.
+    (trailing) axes, so values[::N^(d-k)] is the cut grid in C order.  Every
+    node gets the same float operations, in the same order, as a fold over
+    the full (N^d, d) point array.  The repeated array feeds the mean and
+    the L2 norm for every profile, but the FFT only for a point profile.
     """
     if p.ambient_dim != manifold.dimension:
         raise ValueError("profile and manifold dimensions disagree")
@@ -449,14 +457,20 @@ def distance_profile_coefficients(
     """Eigen-coefficients of the singular profile up to mode n, by quadrature.
 
     Requires s < k/2 so the profile is square integrable.  The midpoint
-    quadrature sums of all modes are read off one FFT F of the profile
-    sampled on the N^d grid: with T = F[nu mod N] exp(-i pi sum(nu) / N)
-    sqrt(2/vol) vol/N^d, the cosine coefficient is Re T and the sine
-    coefficient is -Im T (see the module docstring).  The default N follows
-    the grid budget; n must be below the number of grid points.  The
-    tail is the quadrature L2 mass not captured by the materialized modes,
-    which keeps Parseval partial sums monotone and bounded; it does not
-    bound the continuum tail (see SpectralFunction).
+    quadrature sums of all modes are read off the DFT F of the profile on
+    the N^d grid: with T = F[nu mod N] exp(-i pi sum(nu) / N) sqrt(2/vol)
+    vol/N^d, the cosine coefficient is Re T and the sine coefficient is
+    -Im T (see the module docstring).  A point profile takes F from one
+    rfftn of the N^d values.  A subtorus profile takes F[nu] from one fftn
+    of the N^k cut grid, times N^(d-k), when every free entry of nu is 0
+    (mod N), and F[nu] = 0 otherwise, so no N^d complex array is built.
+    For a power-of-two N this equals the full rfftn entry for entry, up to
+    the sign of some exact zeros; for other N the two agree to rounding.
+    The mean (mode 0) and the L2 norm sum the full N^d values.  The default
+    N follows the grid budget; n must be below the number of grid points.
+    The tail is the quadrature L2 mass not captured by the materialized
+    modes, which keeps Parseval partial sums monotone and bounded; it does
+    not bound the continuum tail (see SpectralFunction).
     """
     if not p.square_integrable:
         raise NotL2Error(f"exponent {p.exponent} >= codim/2 = {p.codim / 2}")
@@ -470,14 +484,22 @@ def distance_profile_coefficients(
     values = _profile_values(p, manifold, points_per_axis)
     norm_sq = float(np.sum(values**2)) * cell
     nu = table.frequencies[1 : n + 1]
-    # The profile is real, so the FFT keeps half of the last axis and
-    # F[m] = conj(F[-m mod N]) supplies the other half.
-    half = np.fft.rfftn(values.reshape((points_per_axis,) * manifold.dimension))
     index = nu % points_per_axis
-    mirrored = index[:, -1] > points_per_axis // 2
-    index[mirrored] = -index[mirrored] % points_per_axis
-    entries = half[tuple(index.T)]
-    spectrum = np.where(mirrored, entries.conj(), entries)
+    if p.codim < manifold.dimension:
+        # Constant along the d - k free axes: F is N^(d-k) times the DFT of
+        # the cut grid where every free frequency is 0 (mod N), else 0.
+        repeat = points_per_axis ** (manifold.dimension - p.codim)
+        cut = np.fft.fftn(values[::repeat].reshape((points_per_axis,) * p.codim))
+        on_slice = ~index[:, p.codim :].any(axis=1)
+        spectrum = np.where(on_slice, cut[tuple(index[:, : p.codim].T)] * repeat, 0.0)
+    else:
+        # The profile is real, so the FFT keeps half of the last axis and
+        # F[m] = conj(F[-m mod N]) supplies the other half.
+        half = np.fft.rfftn(values.reshape((points_per_axis,) * manifold.dimension))
+        mirrored = index[:, -1] > points_per_axis // 2
+        index[mirrored] = -index[mirrored] % points_per_axis
+        entries = half[tuple(index.T)]
+        spectrum = np.where(mirrored, entries.conj(), entries)
     shared = spectrum * np.exp(-1j * math.pi * nu.sum(axis=1) / points_per_axis)
     shared *= math.sqrt(2.0 / manifold.volume) * cell
     trig = np.where(_is_sine(np.arange(1, n + 1)), -shared.imag, shared.real)

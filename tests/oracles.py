@@ -11,7 +11,11 @@ against.  None of them reads the library's coroot tables.
 * ``levi_closure``: the Levi root system built by its own closure over
   C_I, against which the restriction in ``build_parabolic`` is checked;
 * ``check_report``: the rules that tie one CLI report's fields to each
-  other, read off the parsed JSON alone.
+  other, read off the parsed JSON alone;
+* ``full_fft_profile_coefficients``: a profile's eigen-coefficients read
+  off one ``rfftn`` of the whole N^d grid, free axes included, against
+  which the cut-axes transform of ``distance_profile_coefficients`` is
+  checked.
 """
 from __future__ import annotations
 
@@ -20,8 +24,11 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from parabolica.parabolic import ParabolicData
 from parabolica.rootsys import Root, RootSystem, Weight, root_system_from_cartan
+from parabolica.spectral import FlatTorus, SingularProfile, SpectralFunction, _profile_values
 
 
 @functools.cache
@@ -135,3 +142,33 @@ def check_report(report: dict | list) -> None:
         if "c0" in spectral and all(side == 1.0 for side in spectral["torus_sides"]):
             expected = 2 * math.pi * spectral["hym_target"] - spectral["coeffs_head"][0]
             assert spectral["c0"] == expected, (spectral["c0"], expected)
+
+
+def full_fft_profile_coefficients(
+    p: SingularProfile, manifold: FlatTorus, n: int, points_per_axis: int
+) -> SpectralFunction:
+    """Coefficients 0..n of d(x, Y)^{-s} from one ``rfftn`` of the profile
+    on the whole N^d grid, free axes included: F[m] = conj(F[-m mod N])
+    stands in for the half of the last axis ``rfftn`` drops, then come the
+    phase exp(-i pi sum(nu) / N) and the scale sqrt(2/vol) vol/N^d.  Mode
+    0 is the mean; the tail is the quadrature L2 mass past mode n."""
+    modes = manifold.modes(n)[1:]
+    cell = manifold.volume / points_per_axis**manifold.dimension
+    values = _profile_values(p, manifold, points_per_axis)
+    norm_sq = float(np.sum(values**2)) * cell
+    nu = np.array([mode.frequency for mode in modes], dtype=np.int64).reshape(len(modes), manifold.dimension)
+    half = np.fft.rfftn(values.reshape((points_per_axis,) * manifold.dimension))
+    index = nu % points_per_axis
+    mirrored = index[:, -1] > points_per_axis // 2
+    index[mirrored] = -index[mirrored] % points_per_axis
+    entries = half[tuple(index.T)]
+    spectrum = np.where(mirrored, entries.conj(), entries)
+    shared = spectrum * np.exp(-1j * math.pi * nu.sum(axis=1) / points_per_axis)
+    shared *= math.sqrt(2.0 / manifold.volume) * cell
+    sine = np.array([mode.trig == "sin" for mode in modes], dtype=bool)
+    trig = np.where(sine, -shared.imag, shared.real)
+    coeffs = [float(np.sum(values)) * cell / math.sqrt(manifold.volume)] + trig.tolist()
+    captured = 0.0
+    for c in coeffs:
+        captured += c * c
+    return SpectralFunction(coeffs, tail_sq=max(norm_sq - captured, 0.0))

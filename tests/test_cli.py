@@ -300,6 +300,35 @@ def test_spectral_edge_stdout_is_pinned(capsys):
     assert digest.hexdigest() == SPECTRAL_EDGE_SHA256
 
 
+# sha256 of the concatenated stdout of subtorus requests in d >= 3, each on
+# its default grid: codim 1 of d = 3 (64^3), codim 1 and 3 of d = 4 (16^4),
+# codim 2 of d = 6 (8^6), codim 1 of d = 10 (2^10, where every frequency
+# +-1 is the Nyquist one), a CSV ladder and an analyze report with a d = 3
+# codim-2 spectral block.  Taken while the FFT still ran over the whole
+# N^d grid.
+SUBTORUS_REQUESTS = (
+    ["spectral", "--dim=3", "--modes=300", "--profile=subtorus:s=0.35,codim=1"],
+    ["spectral", "--dim=4", "--modes=500", "--profile=subtorus:s=0.2,codim=1"],
+    ["spectral", "--dim=4", "--modes=1000", "--profile=subtorus:s=1.2,codim=3", "--hym=0.5"],
+    ["spectral", "--dim=6", "--modes=400", "--profile=subtorus:s=0.7,codim=2"],
+    ["spectral", "--dim=10", "--modes=1023", "--profile=subtorus:s=0.3,codim=1"],
+    ["spectral", "--dim=4", "--modes=64", "--profile=subtorus:s=0.45,codim=1", "--csv"],
+    ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2", "--spectral=dim=3,modes=100,s=0.9,codim=2"],
+)
+SUBTORUS_SHA256 = "1269145658133bdaf972d3e4bde44e9b377a6faf33313c84d072d81f99f89d0a"
+
+
+def test_subtorus_stdout_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for tokens in SUBTORUS_REQUESTS:
+        assert main(tokens) == 0, tokens
+        out = capsys.readouterr().out
+        if "--csv" not in tokens:
+            check_report(json.loads(out))
+        digest.update(out.encode())
+    assert digest.hexdigest() == SUBTORUS_SHA256
+
+
 # sha256 of the concatenated stdout of these curvature requests: the Einstein
 # class by default, a Kahler class with a line, a line alone, a fractional
 # Kahler class, and the full flag variety of E8.  Taken before curvature read

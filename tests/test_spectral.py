@@ -29,6 +29,7 @@ from parabolica.spectral import (
 )
 
 from conftest import dense
+from oracles import full_fft_profile_coefficients
 
 CIRCLE = FlatTorus((2 * math.pi,))
 
@@ -494,6 +495,66 @@ def test_fft_coefficients_match_dense_quadrature(sides, codim, n, points_per_axi
     assert len(f.coeffs) == n + 1
     for j, c in enumerate(expected):
         assert abs(f.coefficient(j) - c) <= 1e-12, (j, f.coefficient(j), c)
+
+
+CUT_AXES = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _subtorus_requests(draw):
+    """(sides, codim, exponent, n, N): d <= 4, k < d, a power-of-two N with
+    N^d <= 4096, n < N^d, each side 1.0 or not.  Every mode table these
+    sides need fits the frequency-box budget."""
+    dim = draw(st.integers(2, 4))
+    codim = draw(st.integers(1, dim - 1))
+    sides = tuple(draw(st.sampled_from((1.0, 0.7, 1.3))) for _ in range(dim))
+    exponent = draw(st.floats(min_value=0.05, max_value=0.95)) * codim / 2
+    points_per_axis = 2 ** draw(st.integers(0, 12 // dim))
+    n = draw(st.integers(0, points_per_axis**dim - 1))
+    return sides, codim, exponent, n, points_per_axis
+
+
+@CUT_AXES
+@given(_subtorus_requests())
+# pocketfft writes -0j at cut index 0, free index 2, 8, 32 and 128 of the
+# full transform; these reach the modes of those frequencies
+@example(((1.0, 1.0), 1, 0.3, 51430, 512))  # mode 51430 is nu = (0, 128)
+@example(((1.0, 2.5), 1, 0.45, 20590, 512))  # mode 20590 is nu = (0, 128)
+@example(((1.0, 1.0, 1.0), 1, 0.3, 2104, 64))  # mode 2104 is nu = (0, 0, 8)
+@example(((1.0, 1.0, 1.0), 2, 0.7, 2104, 64))
+@example(((1.0,) * 4, 3, 1.2, 1000, 16))
+def test_cut_axes_transform_matches_full_fft(case):
+    sides, codim, exponent, n, points_per_axis = case
+    torus = FlatTorus(sides)
+    profile = SingularProfile(ambient_dim=len(sides), codim=codim, exponent=exponent)
+    f = distance_profile_coefficients(profile, torus, n, points_per_axis=points_per_axis)
+    expected = full_fft_profile_coefficients(profile, torus, n, points_per_axis)
+    assert np.array_equal(f.coeffs, expected.coeffs)
+    assert f.tail_sq.hex() == expected.tail_sq.hex()
+    if set(sides) == {1.0}:
+        # an exact-zero coefficient deep in the spectrum may change sign,
+        # but none that a report prints
+        assert np.array_equal(np.signbit(f.coeffs[:8]), np.signbit(expected.coeffs[:8]))
+
+
+def test_subtorus_profile_transforms_only_its_cut_axes(monkeypatch):
+    shapes = []
+    fftn = np.fft.fftn
+
+    def record(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fftn(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-grid rfftn")
+
+    monkeypatch.setattr(np.fft, "fftn", record)
+    monkeypatch.setattr(np.fft, "rfftn", refuse)
+    torus = FlatTorus((1.0, 1.0, 1.0))
+    for codim in (1, 2):
+        profile = SingularProfile(ambient_dim=3, codim=codim, exponent=0.3)
+        distance_profile_coefficients(profile, torus, 20, points_per_axis=16)
+    assert shapes == [(16,), (16, 16)]
 
 
 def test_default_grid_follows_the_point_budget():

@@ -7,14 +7,17 @@ lambda(E), and whether E factors as E0 (x) L0 with c1(E0) = 0.  The
 verdict is an integrality test, so every quantity is an exact rational.
 
 ``splitting_report`` is the one derivation: it splits the weight, takes
-the Weyl dimension and the Cramer ratios once each, and builds every other
-quantity from those.  Its cross-checks run afterwards in one verification
-step and raise InvariantError, also under ``python -O``.
+the Weyl dimension and the Cramer numerators once each, and builds every
+other quantity from those as integer numerators over det(C_I); Fractions
+are built only for the report.  Its cross-checks run afterwards in one
+verification step, in the integers, and raise InvariantError, also under
+``python -O``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .parabolic import NotDominantError, ParabolicData, WeightSplit, decompose_weight, is_dominant_for_levi
@@ -61,16 +64,15 @@ def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:
     """
     if not lambda_s.is_integral:
         raise ValueError("integral lambda_s required")
-    for i in p.picard_nodes:
-        if lambda_s[i] != 0:
-            raise ValueError("lambda_s must be supported on the Levi nodes")
-    for i in p.levi_nodes:
-        if lambda_s[i] < 0:
-            raise NotDominantError("lambda_s must be dominant for the Levi factor")
-    shifted = [int(lambda_s[i]) + 1 for i in p.levi_nodes]  # lambda_s + rho over the Levi
+    if any(lambda_s[i] for i in p.picard_nodes):
+        raise ValueError("lambda_s must be supported on the Levi nodes")
+    levi = [lambda_s[i].numerator for i in p.levi_nodes]
+    if any(x < 0 for x in levi):
+        raise NotDominantError("lambda_s must be dominant for the Levi factor")
+    shifted = [x + 1 for x in levi]  # lambda_s + rho over the Levi
     numerator = denominator = 1
     for coroot in p.levi_coroots.values():
-        numerator *= sum(k * x for k, x in zip(coroot, shifted))
+        numerator *= sum(map(mul, coroot, shifted))
         denominator *= sum(coroot)  # <rho, alpha^vee> is the coroot's height
     dim, remainder = divmod(numerator, denominator)
     if remainder or dim <= 0:
@@ -80,8 +82,9 @@ def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:
     return dim
 
 
-def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]:
-    """det(C_I(lambda_s, alpha)) / det(C_I) for each alpha in I.
+def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[tuple[int, ...], int]:
+    """det(C_I(lambda_s, alpha)) / det(C_I) for each alpha in I, as integer
+    numerators over one positive denominator.
 
     The alpha-row of the Levi Cartan matrix is replaced by the row of
     pairings (<lambda_s, beta^vee>)_{beta in I}.  By Cramer's rule these are
@@ -89,22 +92,20 @@ def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]
     read off the stored adjugate of C_I^T as adj(C_I^T) b / det(C_I).  With
     b = nums / d cleared to integers, the integer residual check
     C_I^T (adj(C_I^T) nums) = det(C_I) nums proves it is the unique solution,
-    since C_I^T is nonsingular.
+    since C_I^T is nonsingular.  The numerators are adj(C_I^T) nums over
+    d * det(C_I); for an integral lambda_s, d = 1.
     """
-    if not p.levi_nodes:
-        return ()
     nums, denom = p.levi_coords(lambda_s).cleared()
     det = p.levi_det
-    solution = [sum(a * x for a, x in zip(row, nums)) for row in p.levi_t_adjugate]
+    solution = tuple(sum(map(mul, row, nums)) for row in p.levi_t_adjugate)
     # row i of C_I^T is column i of C_I
-    residual = [sum(row[i] * y for row, y in zip(p.levi_cartan, solution)) for i in range(len(nums))]
+    residual = [sum(map(mul, column, solution)) for column in zip(*p.levi_cartan)]
     if residual != [det * x for x in nums]:
         raise InvariantError(
             f"Cramer determinants must agree with the solution of C_I^T x = b: "
             f"Levi nodes {p.levi_nodes}, lambda_s {lambda_s}"
         )
-    denom *= det
-    return tuple(Fraction(y, denom) for y in solution)
+    return solution, denom * det
 
 
 def cramer_coefficients(spec: BundleSpec) -> tuple[Fraction, ...]:
@@ -121,51 +122,79 @@ def splitting_report(spec: BundleSpec) -> SplittingReport:
     """Full splitting verdict with per-generator criterion values.
 
     From the split lambda = lambda_s + lambda_c, the rank r = weyl_dim and
-    the Cramer ratios (one call each):
+    the Cramer numerators y over d = det(C_I) (one call each), in integers:
 
-    * a_alpha = r * det-ratio(alpha) for alpha in I;
-    * criterion[beta] = sum_{alpha in I} det-ratio(alpha) * <alpha, beta^vee>
-      for each node beta outside I, reported for every beta;
-    * lambda(E) = r * (criterion - lambda_c) on the Picard nodes, zero on I.
+    * a_alpha = r * y_alpha / d for alpha in I;
+    * criterion[beta] = c_beta / d with c_beta = sum_{alpha in I} y_alpha
+      <alpha, beta^vee>, for every node beta outside I;
+    * lambda(E) = r * (criterion - lambda_c) on the Picard nodes, zero on I,
+      with numerators r * (c_beta - d * lambda_beta) over d.
 
-    The bundle splits as E0 (x) L0 with c1(E0) = 0 exactly when every
-    criterion value is an integer, and then lambda(L0) = lambda(E) / r.
-    The report is returned only after ``_verify`` has cross-checked it.
+    The bundle splits as E0 (x) L0 with c1(E0) = 0 exactly when d divides
+    every c_beta, and then lambda(L0) = lambda(E) / r.  The report's
+    Fractions are built once, from these numerators, and the report is
+    returned only after ``_verify`` has cross-checked it.
     """
     p = spec.parabolic
     rs = p.rs
     split = decompose_weight(spec.highest_weight, p)
     rank = weyl_dim(p, split.lambda_s)
-    ratios = criterion_ratios(p, split.lambda_s)
+    solution, det = criterion_ratios(p, split.lambda_s)
+    lam = [c.numerator for c in spec.highest_weight.coords]
 
     criterion = {
-        beta: sum((r * rs.cartan[alpha][beta] for r, alpha in zip(ratios, p.levi_nodes)), Fraction(0))
-        for beta in p.picard_nodes
+        beta: sum(y * rs.cartan[alpha][beta] for y, alpha in zip(solution, p.levi_nodes)) for beta in p.picard_nodes
     }
-    on_picard = Weight(tuple(criterion.get(i, Fraction(0)) for i in range(rs.rank)))
-    lambda_e = rank * (on_picard - split.lambda_c)
-    chern = ChernData(rank=rank, lambda_E=lambda_e, cramer_a=tuple(rank * r for r in ratios))
+    lambda_e = {beta: rank * (c - det * lam[beta]) for beta, c in criterion.items()}
+    splits = all(c % det == 0 for c in criterion.values())
 
-    splits = all(v.denominator == 1 for v in criterion.values())
-    lambda_l0 = lambda_e / rank if splits else None
+    zero = Fraction(0)
+
+    def over_det(n: int) -> Fraction:
+        return Fraction(n, det) if n else zero
+
+    def weight_over_det(on_picard: dict[int, int]) -> Weight:
+        coords = [zero] * rs.rank
+        for beta, n in on_picard.items():
+            coords[beta] = over_det(n)
+        return Weight(tuple(coords))
+
+    lambda_l0 = lambda_e0 = None
+    if splits:
+        l0 = {beta: n // rank for beta, n in lambda_e.items()}
+        lambda_l0 = weight_over_det(l0)
+        lambda_e0 = weight_over_det({beta: n - rank * l0[beta] for beta, n in lambda_e.items()})
     report = SplittingReport(
-        chern=chern,
-        criterion_values=criterion,
+        chern=ChernData(
+            rank=rank, lambda_E=weight_over_det(lambda_e), cramer_a=tuple(over_det(rank * y) for y in solution)
+        ),
+        criterion_values={beta: over_det(c) for beta, c in criterion.items()},
         splits=splits,
         lambda_L0=lambda_l0,
-        lambda_E0_check=lambda_e - rank * lambda_l0 if splits else None,
+        lambda_E0_check=lambda_e0,
         split=split,
     )
-    _verify(spec, report)
+    _verify(spec, report, lam, solution, lambda_e)
     return report
 
 
-def _verify(spec: BundleSpec, report: SplittingReport) -> None:
+def _verify(
+    spec: BundleSpec, report: SplittingReport, lam: list[int], solution: tuple[int, ...], lambda_e: dict[int, int]
+) -> None:
     """Every cross-check of a splitting report; InvariantError on the first
-    that fails, naming it and the bundle."""
+    that fails, naming it and the bundle.
+
+    The checks run in the integers: on the report's Fractions through their
+    numerators and denominators, and on the numerators the report was built
+    from, which are lam (the highest weight), solution (the Cramer
+    numerators over det(C_I)) and lambda_e (lambda(E) over det(C_I) on the
+    Picard nodes).
+    """
     p = spec.parabolic
     rs = p.rs
     chern = report.chern
+    rank = chern.rank
+    det = p.levi_det
 
     def require(ok: bool, invariant: str) -> None:
         if not ok:
@@ -173,24 +202,31 @@ def _verify(spec: BundleSpec, report: SplittingReport) -> None:
                 f"{invariant}: {rs.lie_type}, Levi nodes {p.levi_nodes}, highest weight {spec.highest_weight}"
             )
 
-    require(
-        all((a * p.levi_det).denominator == 1 for a in chern.cramer_a),
-        "a_alpha denominators must divide det(C_I)",
-    )
-    require(all(chern.lambda_E[i] == 0 for i in p.levi_nodes), "lambda(E) must vanish on the Levi nodes")
+    require(all(det % a.denominator == 0 for a in chern.cramer_a), "a_alpha denominators must divide det(C_I)")
+    require(not any(chern.lambda_E[i] for i in p.levi_nodes), "lambda(E) must vanish on the Levi nodes")
 
     # r*lambda + lambda(E) must land in the span of the Levi simple roots,
-    # with exactly the Cramer coefficients as coordinates.
-    on_levi = dict(zip(p.levi_nodes, chern.cramer_a))
-    in_simple = rs.weight_in_simple_roots(chern.rank * spec.highest_weight + chern.lambda_E)
-    require(list(in_simple) == [on_levi.get(i, 0) for i in range(rs.rank)], "residue identity failed")
+    # with exactly the Cramer coefficients as coordinates.  Times det(C_I):
+    # adj(C^T) (r det lambda + lambda_e) = det(C) r solution on I, 0 off I.
+    residue = [rank * det * x for x in lam]
+    for beta, n in lambda_e.items():
+        residue[beta] += n
+    expected = [0] * rs.rank
+    for alpha, y in zip(p.levi_nodes, solution):
+        expected[alpha] = rs.cartan_det * rank * y
+    require(list(rs.simple_root_numerators(residue)) == expected, "residue identity failed")
 
-    per_generator = chern.lambda_E / chern.rank
-    require(
-        all(per_generator[b] == v - report.split.lambda_c[b] for b, v in report.criterion_values.items()),
-        "per-generator degree must equal criterion - lambda_c",
-    )
-    require(report.splits == per_generator.is_integral, "criterion and degree tests disagree")
+    # lambda(E) / r = criterion - lambda_c at each Picard node, cross-multiplied
+    lambda_c = report.split.lambda_c
+    for beta, v in report.criterion_values.items():
+        degree = chern.lambda_E[beta]
+        require(
+            degree.numerator * v.denominator
+            == rank * degree.denominator * (v.numerator - v.denominator * lambda_c[beta].numerator),
+            "per-generator degree must equal criterion - lambda_c",
+        )
+    integral_degrees = all(e.denominator == 1 and e.numerator % rank == 0 for e in chern.lambda_E.coords)
+    require(report.splits == integral_degrees, "criterion and degree tests disagree")
     if report.splits:
         require(report.lambda_E0_check.is_zero, "c1(E0) must vanish")
 

@@ -88,15 +88,16 @@ def endo_eigenvalues(psi: Weight, omega0: KahlerClass, p: ParabolicData) -> Endo
     return _spectrum(psi, *_kahler_denominators(omega0, p), p)
 
 
-def spectrum_and_traces(
-    psi: Weight, omega0: KahlerClass, p: ParabolicData
-) -> tuple[EndomorphismSpectrum, dict[int, Fraction]]:
-    """endo_eigenvalues(psi, omega0, p) and the omega_trace of every Picard
-    node, from one computation of the denominators <omega0, beta^vee>.
+def _coroot_totals(omega0: KahlerClass, p: ParabolicData) -> tuple[list[int], int, list[int], int]:
+    """(denominators, w0_den, totals, common): the denominators of
+    ``_kahler_denominators`` and, for every node alpha,
 
-    <omega_alpha, beta^vee> is the alpha-th coefficient of the stored coroot.
-    The coroots of the roots sharing a denominator are summed column by
-    column as integers, and each trace is one Fraction over the lcm: a
+        sum over Phi_I^+ of <omega_alpha, beta^vee> / <omega0, beta^vee>
+            = totals[alpha] * w0_den / common,
+
+    since <omega_alpha, beta^vee> is the alpha-th coefficient of the stored
+    coroot.  The coroots of the roots sharing a denominator are summed column
+    by column as integers and scaled to the lcm of the denominators: a
     Fraction sum per root and node took 4.1 ms instead of 0.56 ms on the E8
     Borel parabolic.  The grouping stays because a block has few distinct
     denominators: one pass scaling every root to the lcm does a big-integer
@@ -113,6 +114,16 @@ def spectrum_and_traces(
     for denom, group in groups.items():
         scale = common // denom
         totals = [t + scale * s for t, s in zip(totals, map(sum, zip(*group)))]
+    return denominators, w0_den, totals, common
+
+
+def spectrum_and_traces(
+    psi: Weight, omega0: KahlerClass, p: ParabolicData
+) -> tuple[EndomorphismSpectrum, dict[int, Fraction]]:
+    """endo_eigenvalues(psi, omega0, p) and the omega_trace of every Picard
+    node, from one computation of the denominators <omega0, beta^vee>; each
+    trace is one Fraction read off ``_coroot_totals``."""
+    denominators, w0_den, totals, common = _coroot_totals(omega0, p)
     traces = {alpha: Fraction(w0_den * totals[alpha], common) for alpha in p.picard_nodes}
     return _spectrum(psi, denominators, w0_den, p), traces
 
@@ -130,12 +141,18 @@ def hym_constant(line_weight: Weight, omega0: KahlerClass, p: ParabolicData) -> 
     This is the trace of endo_eigenvalues(lambda(L), omega0, p), the sum over
     Phi_I^+ of <lambda(L), beta^vee> / <omega0, beta^vee>, using the exact
     coroot pairing; naive coefficient counting would be wrong whenever short
-    roots are present.
+    roots are present.  It is linear in lambda(L), so it is the sum of
+    lambda(L)_alpha times the omega-trace of node alpha: one integer dot
+    product with the totals of ``_coroot_totals`` and one Fraction.
     """
     for i in p.levi_nodes:
         if line_weight[i] != 0:
             raise ValueError("line bundle weights are supported off the Levi nodes")
-    return endo_eigenvalues(line_weight, omega0, p).trace()
+    if line_weight.rank != p.rs.rank:
+        raise ValueError("dimension mismatch")
+    _, w0_den, totals, common = _coroot_totals(omega0, p)
+    nums, denom = line_weight.cleared()
+    return Fraction(w0_den * sum(map(mul, nums, totals)), denom * common)
 
 
 def einstein_class(p: ParabolicData) -> KahlerClass:

@@ -38,7 +38,8 @@ class ParabolicData:
     root of the Levi, in Levi coordinates and in the ambient (height,
     coefficients) order, to its coroot in Levi coordinates; ``levi_det``
     and ``levi_t_adjugate`` give the exact inverse of C_I^T as
-    adjugate / det.
+    adjugate / det; ``picard_nodes`` are the nodes outside the Levi, which
+    index the Picard group generators.
     """
 
     rs: RootSystem
@@ -49,12 +50,7 @@ class ParabolicData:
     levi_coroots: Mapping[Root, tuple[int, ...]] = field(compare=False, repr=False)
     levi_det: int = field(compare=False, repr=False)
     levi_t_adjugate: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-
-    @property
-    def picard_nodes(self) -> tuple[int, ...]:
-        """Nodes outside the Levi; they index the Picard group generators."""
-        inside = set(self.levi_nodes)
-        return tuple(i for i in range(self.rs.rank) if i not in inside)
+    picard_nodes: tuple[int, ...] = field(compare=False, repr=False)
 
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""
@@ -100,21 +96,26 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
         levi_coroots=MappingProxyType(levi_coroots),
         levi_det=levi_det,
         levi_t_adjugate=levi_t_adjugate,
+        picard_nodes=picard,
     )
 
 
 def is_dominant_for_levi(weight: Weight, p: ParabolicData) -> bool:
-    return all(weight[i] >= 0 for i in p.levi_nodes)
+    return all(weight[i].numerator >= 0 for i in p.levi_nodes)
 
 
 def decompose_weight(weight: Weight, p: ParabolicData) -> WeightSplit:
-    """Split an integral weight into its Levi-dominant part and its character part."""
+    """Split an integral weight into its Levi-dominant part lambda_s, the
+    weight on the Levi nodes, and its character part lambda_c, the weight
+    off them.  Both reuse the weight's own coordinates; that they add up to
+    the weight is checked on the integer numerators."""
     if not weight.is_integral:
         raise ValueError("integral weight required")
     if not is_dominant_for_levi(weight, p):
         raise NotDominantError("weight is not dominant for the Levi factor")
     lambda_s = weight.restricted(p.levi_nodes)
-    lambda_c = weight - lambda_s
-    if lambda_c != weight.restricted(p.picard_nodes):
+    lambda_c = weight.restricted(p.picard_nodes)
+    parts = zip(lambda_s.coords, lambda_c.coords, weight.coords)
+    if any(s.numerator + c.numerator != w.numerator for s, c, w in parts):
         raise InvariantError(f"lambda_c must be the weight {weight} off the Levi nodes {p.levi_nodes}")
     return WeightSplit(lambda_s=lambda_s, lambda_c=lambda_c)

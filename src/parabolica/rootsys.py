@@ -173,9 +173,11 @@ class Weight:
         return Weight(tuple(c / scalar for c in self.coords))
 
     def restricted(self, indices: Iterable[int]) -> "Weight":
-        """Zero out every coordinate outside ``indices``."""
+        """Zero out every coordinate outside ``indices``; the kept coordinates
+        are this weight's own, and every zero is one shared ``Fraction``."""
         keep = set(indices)
-        return Weight(tuple(c if i in keep else Fraction(0) for i, c in enumerate(self.coords)))
+        zero = Fraction(0)
+        return Weight(tuple(c if i in keep else zero for i, c in enumerate(self.coords)))
 
     def _check(self, other: "Weight") -> None:
         if len(self.coords) != len(other.coords):
@@ -242,14 +244,19 @@ class RootSystem:
     def weyl_vector(self) -> Weight:
         return Weight((Fraction(1),) * self.rank)
 
+    def simple_root_numerators(self, nums: Sequence[int]) -> tuple[int, ...]:
+        """adj(C^T) n for integer fundamental-weight coordinates n: the
+        coordinates over the simple roots of the weight n, times det C."""
+        if len(nums) != self.rank:
+            raise ValueError("dimension mismatch")
+        return tuple(sum(map(mul, row, nums)) for row in self.cartan_t_adjugate)
+
     def weight_in_simple_roots(self, weight: Weight) -> tuple[Fraction, ...]:
         """Coordinates of a weight over the simple roots: the solution of
         C^T x = c, read off the stored inverse as adj(C^T) c / det C."""
-        if weight.rank != self.rank:
-            raise ValueError("dimension mismatch")
         nums, denom = weight.cleared()
         denom *= self.cartan_det
-        return tuple(Fraction(sum(a * x for a, x in zip(row, nums)), denom) for row in self.cartan_t_adjugate)
+        return tuple(Fraction(y, denom) for y in self.simple_root_numerators(nums))
 
     def to_dict(self) -> dict:
         return {

@@ -5,6 +5,12 @@ against.  None of them reads the library's coroot tables.
   the library never computes;
 * ``root_norm_sq`` and ``coroot_coefficients``: (beta, beta) and beta^vee
   from the root norms, in rationals, apart from the reflection closure;
+* ``pairing_fold``: <lambda, beta^vee> as 2 (lambda, beta) / (beta, beta),
+  and from it ``weyl_dim_fold``, Weyl's formula as a ``Fraction`` product;
+* ``cramer_ratios_fold``: the Cramer ratios as determinants of row-replaced
+  Levi Cartan matrices, by ``Fraction`` elimination;
+* ``splitting_fold``: a whole splitting report by ``Weight`` arithmetic, one
+  ``Fraction`` per coordinate and operation, from the two folds above;
 * ``root_as_weight_fold``: a root over the fundamental weights, folded
   one ``Fraction`` product at a time over the rows of C;
 * ``delta_from_root_sum``: delta as a sum of roots rewritten one by one;
@@ -26,7 +32,9 @@ from typing import Iterable
 
 import numpy as np
 
-from parabolica.parabolic import ParabolicData
+from parabolica import linalg
+from parabolica.bundle import BundleSpec, ChernData, SplittingReport
+from parabolica.parabolic import ParabolicData, WeightSplit
 from parabolica.rootsys import Root, RootSystem, Weight, root_system_from_cartan
 from parabolica.spectral import FlatTorus, SingularProfile, SpectralFunction, _profile_values
 
@@ -74,6 +82,74 @@ def coroot_coefficients(rs: RootSystem, root: Root) -> tuple[Fraction, ...]:
     2 m_j e_j / (beta, beta) in rationals."""
     norm = root_norm_sq(rs, root)
     return tuple(Fraction(2 * m * e, norm) for m, e in zip(root, root_norms(rs.cartan)))
+
+
+def pairing_fold(cartan, e, weight: Weight, root) -> Fraction:
+    """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta) in rationals,
+    with e the root norms of the Cartan matrix."""
+    norm = sum(
+        mi * mj * cartan[i][j] * e[j] for i, mi in enumerate(root) for j, mj in enumerate(root)
+    )
+    num = 2 * sum((m * c * ej for m, c, ej in zip(root, weight.coords, e)), Fraction(0))
+    return num / norm
+
+
+def weyl_dim_fold(p: ParabolicData, lambda_s: Weight) -> Fraction:
+    """Weyl's formula over the positive roots of ``levi_closure``, each
+    pairing through (beta, beta) with the Levi's own root norms."""
+    e = root_norms(p.levi_cartan)
+    rho = Weight.of(*(1 for _ in p.levi_nodes))
+    shifted = p.levi_coords(lambda_s) + rho
+    dim = Fraction(1)
+    for root in levi_closure(p).positive_roots:
+        dim *= pairing_fold(p.levi_cartan, e, shifted, root) / pairing_fold(p.levi_cartan, e, rho, root)
+    return dim
+
+
+def cramer_ratios_fold(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]:
+    """det of C_I with its alpha-row replaced by lambda_s, over det C_I."""
+    coords = [lambda_s[i] for i in p.levi_nodes]
+    base = [list(row) for row in p.levi_cartan]
+    denom = linalg.det(base) if base else Fraction(1)
+    ratios = []
+    for pos in range(len(coords)):
+        replaced = [row[:] for row in base]
+        replaced[pos] = coords
+        ratios.append(linalg.det(replaced) / denom)
+    return tuple(ratios)
+
+
+def splitting_fold(spec: BundleSpec) -> SplittingReport:
+    """The splitting report by ``Weight`` arithmetic: lambda_s by
+    restriction and lambda_c = lambda - lambda_s, the rank and the Cramer
+    ratios from the folds above, criterion[beta] = sum_alpha ratio_alpha
+    <alpha, beta^vee>, lambda(E) = r (criterion - lambda_c),
+    lambda(L0) = lambda(E) / r and lambda(E0) = lambda(E) - r lambda(L0)."""
+    p, weight = spec.parabolic, spec.highest_weight
+    rs = p.rs
+    picard = [i for i in range(rs.rank) if i not in p.levi_nodes]
+    lambda_s = Weight(tuple(c if i in p.levi_nodes else Fraction(0) for i, c in enumerate(weight.coords)))
+    lambda_c = weight - lambda_s
+    dim = weyl_dim_fold(p, lambda_s)
+    assert dim.denominator == 1 and dim > 0, dim
+    rank = int(dim)
+    ratios = cramer_ratios_fold(p, lambda_s)
+    criterion = {
+        beta: sum((r * rs.cartan[alpha][beta] for r, alpha in zip(ratios, p.levi_nodes)), Fraction(0))
+        for beta in picard
+    }
+    on_picard = Weight(tuple(criterion.get(i, Fraction(0)) for i in range(rs.rank)))
+    lambda_e = rank * (on_picard - lambda_c)
+    splits = all(v.denominator == 1 for v in criterion.values())
+    lambda_l0 = lambda_e / rank if splits else None
+    return SplittingReport(
+        chern=ChernData(rank=rank, lambda_E=lambda_e, cramer_a=tuple(rank * r for r in ratios)),
+        criterion_values=criterion,
+        splits=splits,
+        lambda_L0=lambda_l0,
+        lambda_E0_check=lambda_e - rank * lambda_l0 if splits else None,
+        split=WeightSplit(lambda_s=lambda_s, lambda_c=lambda_c),
+    )
 
 
 def root_as_weight_fold(rs: RootSystem, root: Root) -> Weight:

@@ -71,7 +71,9 @@ def test_cramer_spinor(q5):
 
 def test_criterion_ratios_match_manual_determinants(q5):
     # C_I = [[2,-2],[-1,2]], det 2; lambda_s = w3 pins rows (0,1)
-    ratios = criterion_ratios(q5, Weight.of(0, 0, 1))
+    solution, denom = criterion_ratios(q5, Weight.of(0, 0, 1))
+    assert (solution, denom) == ((1, 2), 2)
+    ratios = tuple(Fraction(y, denom) for y in solution)
     det_row1 = linalg.det([[0, 1], [-1, 2]])
     det_row2 = linalg.det([[2, -2], [0, 1]])
     assert ratios == (Fraction(det_row1, 2), Fraction(det_row2, 2)) == (Fraction(1, 2), 1)
@@ -232,7 +234,7 @@ def test_splitting_report_derives_each_input_once(q5, monkeypatch):
 
 
 def test_broken_residue_identity_raises_invariant_error(q5, monkeypatch):
-    monkeypatch.setattr(RootSystem, "weight_in_simple_roots", lambda self, w: (Fraction(0),) * self.rank)
+    monkeypatch.setattr(RootSystem, "simple_root_numerators", lambda self, nums: (0,) * self.rank)
     message = r"residue identity failed: B3, Levi nodes \(1, 2\), highest weight \(0, 0, 1\)"
     with pytest.raises(InvariantError, match=message):
         splitting_report(BundleSpec(q5, Weight.of(0, 0, 1)))
@@ -245,7 +247,7 @@ def test_bundle_invariants_survive_optimized_mode():
         "if not sys.flags.optimize:\n"
         "    raise SystemExit(4)\n"
         "p = pb.build_parabolic(pb.build_root_system('B3'), [1, 2])\n"
-        "pb.RootSystem.weight_in_simple_roots = lambda self, w: (0,) * self.rank\n"
+        "pb.RootSystem.simple_root_numerators = lambda self, nums: (0,) * self.rank\n"
         "try:\n"
         "    pb.splitting_report(pb.BundleSpec(p, pb.Weight.of(0, 0, 1)))\n"
         "except pb.InvariantError as exc:\n"

@@ -662,7 +662,7 @@ def test_build_analysis_report_derives_splitting_once(monkeypatch):
 def test_main_invariant_violation_exit_three(capsys, monkeypatch):
     from parabolica.rootsys import RootSystem
 
-    monkeypatch.setattr(RootSystem, "weight_in_simple_roots", lambda self, w: (Fraction(0),) * self.rank)
+    monkeypatch.setattr(RootSystem, "simple_root_numerators", lambda self, nums: (0,) * self.rank)
     assert main(["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,14 +6,20 @@
   Levi tables ``build_parabolic`` reads off the ambient coroot table;
 * ``Fraction`` reference copies of the per-call formulas the integer tables
   replaced (pairings through (beta, beta), Cramer determinants by
-  elimination), compared on random parabolics and weights;
+  elimination, in ``oracles``), compared on random parabolics and weights;
+* ``oracles.splitting_fold``, the splitting report by ``Weight`` arithmetic,
+  against the integer report, field by field and type for type;
 * the ``Fraction`` fold of a root over the fundamental weights, and the
   ``Fraction`` sum of the eigenvalues, against the integer sums that
-  replaced them, on every pinned type and Levi;
+  replaced them, on every pinned type and Levi, and against
+  ``hym_constant`` on random parabolics;
+* how many Fractions a splitting report and a mean-curvature constant build;
 * corrupted stored tables, which must raise InvariantError under ``python -O``.
 """
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -26,10 +32,11 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parabolica import (
+    BundleSpec,
     EndomorphismSpectrum,
     KahlerClass,
     Weight,
@@ -37,15 +44,26 @@ from parabolica import (
     criterion_ratios,
     einstein_class,
     endo_eigenvalues,
+    hym_constant,
     line_bundle_weight,
     linalg,
+    splitting_report,
     weyl_dim,
 )
 from parabolica.parabolic import build_parabolic
 from parabolica.rootsys import SimpleLieType, cartan_matrix, root_system_from_cartan
 
 from conftest import cached_parabolic, cached_system
-from oracles import coroot_coefficients, levi_closure, root_as_weight_fold, root_norms
+from oracles import (
+    coroot_coefficients,
+    cramer_ratios_fold,
+    levi_closure,
+    pairing_fold,
+    root_as_weight_fold,
+    root_norms,
+    splitting_fold,
+    weyl_dim_fold,
+)
 from test_rootsys import ALL_TYPES
 
 KERNEL = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -59,44 +77,9 @@ SAMPLED_TYPES = ("A1", "A3", "A5", "B2", "B4", "C3", "C5", "D4", "D6", "G2", "F4
 # ---------------------------------------------------------------------------
 
 
-def ref_pairing(cartan, e, weight: Weight, root) -> Fraction:
-    """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta) in rationals,
-    with e the root norms of the Cartan matrix."""
-    norm = sum(
-        mi * mj * cartan[i][j] * e[j] for i, mi in enumerate(root) for j, mj in enumerate(root)
-    )
-    num = 2 * sum((m * c * ej for m, c, ej in zip(root, weight.coords, e)), Fraction(0))
-    return num / norm
-
-
-def ref_weyl_dim(p, lambda_s: Weight) -> Fraction:
-    """Weyl's formula over the Levi roots p stores, each pairing through
-    (beta, beta) with the Levi's own root norms."""
-    e = root_norms(p.levi_cartan)
-    rho = Weight.of(*(1 for _ in p.levi_nodes))
-    shifted = p.levi_coords(lambda_s) + rho
-    dim = Fraction(1)
-    for root in p.levi_coroots:
-        dim *= ref_pairing(p.levi_cartan, e, shifted, root) / ref_pairing(p.levi_cartan, e, rho, root)
-    return dim
-
-
-def ref_criterion_ratios(p, lambda_s: Weight) -> tuple[Fraction, ...]:
-    """det of C_I with its alpha-row replaced by lambda_s, over det C_I."""
-    coords = [lambda_s[i] for i in p.levi_nodes]
-    base = [list(row) for row in p.levi_cartan]
-    denom = linalg.det(base) if base else Fraction(1)
-    ratios = []
-    for pos in range(len(coords)):
-        replaced = [row[:] for row in base]
-        replaced[pos] = coords
-        ratios.append(linalg.det(replaced) / denom)
-    return tuple(ratios)
-
-
 def ref_endo_eigenvalues(psi: Weight, omega0: KahlerClass, p) -> dict:
     w0 = line_bundle_weight(omega0.coeffs, p)
-    pairing = functools.partial(ref_pairing, p.rs.cartan, root_norms(p.rs.cartan))
+    pairing = functools.partial(pairing_fold, p.rs.cartan, root_norms(p.rs.cartan))
     return {root: pairing(psi, root) / pairing(w0, root) for root in p.complement_roots}
 
 
@@ -280,7 +263,7 @@ def test_adjugate_against_elimination(rows):
 @given(levi_weights())
 def test_weyl_dim_matches_fraction_reference(case):
     p, lambda_s = case
-    assert weyl_dim(p, lambda_s) == ref_weyl_dim(p, lambda_s)
+    assert weyl_dim(p, lambda_s) == weyl_dim_fold(p, lambda_s)
 
 
 @KERNEL
@@ -289,7 +272,8 @@ def test_criterion_ratios_match_fraction_reference(data):
     p = data.draw(parabolics())
     coords = [data.draw(small_fractions) if i in p.levi_nodes else 0 for i in range(p.rs.rank)]
     lambda_s = Weight(tuple(Fraction(c) for c in coords))
-    assert criterion_ratios(p, lambda_s) == ref_criterion_ratios(p, lambda_s)
+    solution, denom = criterion_ratios(p, lambda_s)
+    assert tuple(Fraction(y, denom) for y in solution) == cramer_ratios_fold(p, lambda_s)
 
 
 @KERNEL
@@ -302,6 +286,119 @@ def test_endo_eigenvalues_match_fraction_reference(data):
     spectrum = endo_eigenvalues(psi, omega0, p)
     assert spectrum.eigenvalues == ref_endo_eigenvalues(psi, omega0, p)
     assert list(spectrum.eigenvalues) == list(p.complement_roots)
+
+
+# Every type of rank <= 5, and G2 and F4, for the splitting-report oracle.
+SPLITTING_TYPES = tuple(
+    [f"A{n}" for n in range(1, 6)]
+    + [f"{family}{n}" for family in "BC" for n in range(2, 6)]
+    + ["D3", "D4", "D5", "G2", "F4"]
+)
+HUGE = 10**50
+
+
+def assert_same(actual, expected, path="report"):
+    """== and type for type, through dataclasses, tuples and dicts (keys in
+    the same order)."""
+    assert type(actual) is type(expected), (path, actual, expected)
+    if dataclasses.is_dataclass(actual):
+        for f in dataclasses.fields(actual):
+            assert_same(getattr(actual, f.name), getattr(expected, f.name), f"{path}.{f.name}")
+    elif isinstance(actual, tuple):
+        assert len(actual) == len(expected), (path, actual, expected)
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_same(a, e, f"{path}[{i}]")
+    elif isinstance(actual, dict):
+        assert list(actual) == list(expected), (path, actual, expected)
+        for key in actual:
+            assert_same(actual[key], expected[key], f"{path}[{key}]")
+    else:
+        assert actual == expected, (path, actual, expected)
+
+
+@st.composite
+def splitting_cases(draw):
+    """(type, Levi nodes, weight): Levi coordinates 0..3, Picard -5..5."""
+    name = draw(st.sampled_from(SPLITTING_TYPES))
+    rank = cached_system(name).rank
+    levi = tuple(sorted(draw(st.sets(st.integers(0, rank - 1), max_size=rank - 1))))
+    coords = tuple(draw(st.integers(0, 3)) if i in levi else draw(st.integers(-5, 5)) for i in range(rank))
+    return name, levi, coords
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(splitting_cases())
+@example(("B3", (1, 2), (-HUGE, HUGE + 1, HUGE - 1)))
+@example(("D5", (0, 2, 3), (HUGE, -3 * HUGE - 7, 2 * HUGE, HUGE + 3, 5 - HUGE)))
+@example(("F4", (1, 2), (HUGE + 1, 3 * HUGE, HUGE, -HUGE)))
+@example(("G2", (), (-HUGE, HUGE)))
+@example(("C5", (), (1, -2, 3, -4, 5)))
+def test_splitting_report_matches_weight_fold(case):
+    """Every field of the integer splitting report against the Weight
+    arithmetic of ``oracles.splitting_fold``: == and type for type."""
+    name, levi, coords = case
+    spec = BundleSpec(cached_parabolic(name, levi), Weight.of(*coords))
+    assert_same(splitting_report(spec), splitting_fold(spec))
+
+
+@KERNEL
+@given(st.data())
+def test_hym_constant_matches_eigenvalue_sum(data):
+    """hym_constant, one integer dot product with the grouped coroot totals,
+    against the Fraction sum of the eigenvalues it is the trace of."""
+    p = data.draw(parabolics())
+    line = line_bundle_weight([data.draw(small_fractions) for _ in p.picard_nodes], p)
+    positive = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
+    omega0 = KahlerClass(tuple(data.draw(positive) for _ in p.picard_nodes))
+    value = hym_constant(line, omega0, p)
+    assert type(value) is Fraction
+    assert value == sum(endo_eigenvalues(line, omega0, p).eigenvalues.values(), Fraction(0))
+
+
+@contextlib.contextmanager
+def fractions_built(monkeypatch):
+    """Count Fraction.__new__ calls inside the block into the yielded list."""
+    calls = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(None)
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        yield calls
+
+
+# (type, Levi nodes, weight); each bundle splits exactly when its flag says so
+BUDGET_CASES = [
+    ("E8", (), (1, -2, 3, -4, 5, -6, 7, -8), True),
+    ("B3", (1, 2), (0, 0, 1), False),
+    ("B3", (1, 2), (-3, 0, 2), True),
+    ("D8", (2, 5), (1, -2, 3, -4, 5, 6, -7, 8), False),
+    ("A8", (0, 1, 2, 3), (1, 2, 3, 1, -5, 4, -3, 2), False),
+    ("E7", (0, 1, 2, 3, 4, 5), (1, 0, 2, 1, 0, 3, -4), False),
+    ("F4", (1, 2), (-1, 2, 0, 3), True),
+]
+
+
+@pytest.mark.parametrize("name, levi, coords, splits", BUDGET_CASES)
+def test_fraction_budget(name, levi, coords, splits, monkeypatch):
+    """One splitting_report builds at most the rationals its report carries,
+    6 rank + |I| + |Picard|; one hym_constant at most rank + 4, however many
+    roots Phi_I^+ has."""
+    p = cached_parabolic(name, levi)
+    spec = BundleSpec(p, Weight.of(*coords))
+    omega0 = einstein_class(p)
+    with fractions_built(monkeypatch) as calls:
+        report = splitting_report(spec)
+    assert report.splits is splits
+    rank = p.rs.rank
+    assert len(calls) <= 6 * rank + len(p.levi_nodes) + len(p.picard_nodes), len(calls)
+    line = line_bundle_weight(range(1, len(p.picard_nodes) + 1), p)
+    with fractions_built(monkeypatch) as calls:
+        hym_constant(line, omega0, p)
+    assert len(calls) <= rank + 4, len(calls)
 
 
 def _levi_subsets(name: str) -> list[tuple[int, ...]]:

@@ -62,6 +62,8 @@ def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:
     over the positive roots of the Levi subsystem, as two integer products
     over its coroot table; the quotient is checked to be exact and positive.
     """
+    if lambda_s.rank != p.rs.rank:
+        raise ValueError("dimension mismatch")
     if not lambda_s.is_integral:
         raise ValueError("integral lambda_s required")
     if any(lambda_s[i] for i in p.picard_nodes):

@@ -5,7 +5,8 @@ Levi factor.  The structure precomputed here is everything the splitting
 criterion needs: the Levi Cartan submatrix C_I with det C_I and the
 adjugate of C_I^T, the Levi coroot table, the complementary positive
 roots, and their sum delta, which is the anticanonical weight of the flag
-variety.
+variety.  The coroots of the complementary roots are also stored column by
+column, one column per node, for the curvature pairings.
 
 The Levi subsystem is read off the ambient root system by restriction, with
 no second root closure: its positive roots are the ambient positive roots
@@ -39,7 +40,10 @@ class ParabolicData:
     coefficients) order, to its coroot in Levi coordinates; ``levi_det``
     and ``levi_t_adjugate`` give the exact inverse of C_I^T as
     adjugate / det; ``picard_nodes`` are the nodes outside the Levi, which
-    index the Picard group generators.
+    index the Picard group generators; ``complement_columns`` holds, for
+    each node i, the i-th coefficients of the coroots of
+    ``complement_roots`` in that order, so a pairing <w, beta^vee> over
+    Phi_I^+ is a sweep over the columns of the nodes where w is nonzero.
     """
 
     rs: RootSystem
@@ -51,6 +55,7 @@ class ParabolicData:
     levi_det: int = field(compare=False, repr=False)
     levi_t_adjugate: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     picard_nodes: tuple[int, ...] = field(compare=False, repr=False)
+    complement_columns: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""
@@ -76,11 +81,13 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
     levi_cartan = tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes)
     levi_det, levi_t_adjugate = _inverse_transpose(levi_cartan)
     complement = []
+    complement_coroots = []
     levi_coroots = {}
     for root, coroot in rs.coroots.items():
         # a positive root lies outside the Levi iff it has a Picard coefficient
         if any(map(root.__getitem__, picard)):
             complement.append(root)
+            complement_coroots.append(coroot)
         else:
             levi_coroots[tuple(map(root.__getitem__, nodes))] = tuple(map(coroot.__getitem__, nodes))
     # delta = (sum of the complement roots) written over the fundamental weights
@@ -97,6 +104,7 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
         levi_det=levi_det,
         levi_t_adjugate=levi_t_adjugate,
         picard_nodes=picard,
+        complement_columns=tuple(zip(*complement_coroots)),
     )
 
 

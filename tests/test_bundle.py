@@ -59,6 +59,12 @@ def test_weyl_dim_rejects_non_dominant(gr2c4):
         weyl_dim(gr2c4, Weight.of(0, 1, 0))
 
 
+def test_weyl_dim_rejects_wrong_rank(q5):
+    """The rank is checked before any Levi coordinate is read."""
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        weyl_dim(q5, Weight.of(0, 1))
+
+
 def test_cramer_universal(gr2c4):
     spec = BundleSpec(gr2c4, Weight.of(1, 0, 0))
     assert cramer_coefficients(spec) == (1, 0)

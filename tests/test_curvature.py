@@ -165,6 +165,12 @@ def test_hym_rejects_levi_support(q5):
         hym_constant(fundamental_weight(3, 2), unit_class(q5), q5)
 
 
+def test_hym_rejects_wrong_rank(q5):
+    """The rank is checked before any Levi coordinate is read."""
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        hym_constant(Weight.of(1), einstein_class(q5), q5)
+
+
 def test_splitting_to_curvature_pipeline(q5):
     """L0 built from the splitting verdict feeds the curvature formulas."""
     report = splitting_report(BundleSpec(q5, Weight.of(0, 0, 2)))

@@ -13,7 +13,8 @@
   ``Fraction`` sum of the eigenvalues, against the integer sums that
   replaced them, on every pinned type and Levi, and against
   ``hym_constant`` on random parabolics;
-* how many Fractions a splitting report and a mean-curvature constant build;
+* how many Fractions a splitting report, a mean-curvature constant and a
+  spectrum build;
 * corrupted stored tables, which must raise InvariantError under ``python -O``.
 """
 from __future__ import annotations
@@ -216,6 +217,22 @@ def test_tables_stay_out_of_eq_repr_and_dump():
     assert rs == cached_system("B3") and hash(rs) == hash(cached_system("B3"))
     assert "coroots" not in repr(rs) and "adjugate" not in repr(rs)
     assert set(rs.to_dict()) == {"type", "cartan", "positive_roots"}
+    p = build_parabolic(rs, (1, 2))
+    assert p == cached_parabolic("B3", (1, 2)) and hash(p) == hash(cached_parabolic("B3", (1, 2)))
+    for name in ("levi_coroots", "levi_det", "levi_t_adjugate", "picard_nodes", "complement_columns"):
+        assert f"{name}=" not in repr(p), name
+
+
+def test_complement_columns_are_the_coroot_transpose():
+    """Column i holds the i-th coefficient of each complement coroot, in
+    complement_roots order: every Levi subset of the 33 types of rank <= 8."""
+    for name in ALL_TYPES:
+        rs = cached_system(name)
+        for nodes in _levi_subsets(name):
+            p = build_parabolic(rs, nodes)
+            expected = tuple(zip(*[rs.coroots[root] for root in p.complement_roots]))
+            assert p.complement_columns == expected, (name, nodes)
+            assert len(p.complement_columns) == rs.rank
 
 
 def test_pairing_negative_and_non_roots(b3):
@@ -276,13 +293,26 @@ def test_criterion_ratios_match_fraction_reference(data):
     assert tuple(Fraction(y, denom) for y in solution) == cramer_ratios_fold(p, lambda_s)
 
 
-@KERNEL
-@given(st.data())
-def test_endo_eigenvalues_match_fraction_reference(data):
-    p = data.draw(parabolics())
-    psi = Weight(tuple(data.draw(small_fractions) for _ in range(p.rs.rank)))
+@st.composite
+def endo_cases(draw):
+    """(parabolic, psi, omega0): psi with coordinates on every node."""
+    p = draw(parabolics())
+    psi = Weight(tuple(draw(small_fractions) for _ in range(p.rs.rank)))
     positive = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
-    omega0 = KahlerClass(tuple(data.draw(positive) for _ in p.picard_nodes))
+    omega0 = KahlerClass(tuple(draw(positive) for _ in p.picard_nodes))
+    return p, psi, omega0
+
+
+@KERNEL
+@given(endo_cases())
+# psi supported only on the Levi nodes
+@example((cached_parabolic("D6", (1, 2, 4)), Weight.of(0, "5/2", -3, 0, 1, 0), KahlerClass((2, "1/3", 5))))
+# psi = 0
+@example((cached_parabolic("E7", (0, 3)), Weight.zero(7), KahlerClass(("3/4", 1, 2, "5/2", 1))))
+# Picard rank 3, with a short-root Levi
+@example((cached_parabolic("F4", (1,)), Weight.of("1/2", -3, 4, "-2/3"), KahlerClass(("2/3", 5, "1/4"))))
+def test_endo_eigenvalues_match_fraction_reference(case):
+    p, psi, omega0 = case
     spectrum = endo_eigenvalues(psi, omega0, p)
     assert spectrum.eigenvalues == ref_endo_eigenvalues(psi, omega0, p)
     assert list(spectrum.eigenvalues) == list(p.complement_roots)
@@ -382,11 +412,17 @@ BUDGET_CASES = [
 ]
 
 
+# Fractions endo_eigenvalues builds beyond one per distinct pair
+# (<psi, beta^vee>, <omega0, beta^vee>) over Phi_I^+.
+ENDO_FRACTION_OVERHEAD = 0
+
+
 @pytest.mark.parametrize("name, levi, coords, splits", BUDGET_CASES)
 def test_fraction_budget(name, levi, coords, splits, monkeypatch):
     """One splitting_report builds at most the rationals its report carries,
-    6 rank + |I| + |Picard|; one hym_constant at most rank + 4, however many
-    roots Phi_I^+ has."""
+    6 rank + |I| + |Picard|; one hym_constant one Fraction, however many
+    roots Phi_I^+ has; endo_eigenvalues one per distinct pair of pairings,
+    which on these maximal parabolics is at most 2."""
     p = cached_parabolic(name, levi)
     spec = BundleSpec(p, Weight.of(*coords))
     omega0 = einstein_class(p)
@@ -398,7 +434,15 @@ def test_fraction_budget(name, levi, coords, splits, monkeypatch):
     line = line_bundle_weight(range(1, len(p.picard_nodes) + 1), p)
     with fractions_built(monkeypatch) as calls:
         hym_constant(line, omega0, p)
-    assert len(calls) <= rank + 4, len(calls)
+    assert len(calls) <= 1, len(calls)
+    w0 = line_bundle_weight(omega0.coeffs, p)
+    for psi in (report.chern.lambda_E, line):
+        distinct = {(p.rs.pairing(psi, root), p.rs.pairing(w0, root)) for root in p.complement_roots}
+        with fractions_built(monkeypatch) as calls:
+            endo_eigenvalues(psi, omega0, p)
+        assert len(calls) <= len(distinct) + ENDO_FRACTION_OVERHEAD, (len(calls), len(distinct))
+        if len(p.picard_nodes) == 1:
+            assert len(calls) <= 2, len(calls)
 
 
 def _levi_subsets(name: str) -> list[tuple[int, ...]]:
@@ -497,11 +541,11 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "table[first] = tuple(k + 1 for k in table[first])\n"
         "p = replace(p, levi_coroots=types.MappingProxyType(table))\n"
         "expect('Weyl dimension', lambda: pb.weyl_dim(p, pb.Weight.of(0, 0, 1)))\n"
-        # a negated complement coroot breaks Kahler positivity
-        "table = dict(p.rs.coroots)\n"
-        "root = p.complement_roots[0]\n"
-        "table[root] = tuple(-k for k in table[root])\n"
-        "p = replace(p, rs=replace(p.rs, coroots=types.MappingProxyType(table)))\n"
+        # a negated entry of a complement coroot column breaks Kahler positivity
+        "columns = [list(column) for column in p.complement_columns]\n"
+        "node = p.picard_nodes[0]\n"
+        "columns[node][0] = -columns[node][0]\n"
+        "p = replace(p, complement_columns=tuple(map(tuple, columns)))\n"
         "expect('Kahler positivity', lambda: pb.endo_eigenvalues(pb.Weight.zero(3), pb.einstein_class(p), p))\n"
         # a wrong adjugate out of the elimination is caught when the system is built
         "genuine = pb.linalg.adjugate\n"

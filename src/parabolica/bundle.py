@@ -91,23 +91,13 @@ def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[tuple[int, ...
     The alpha-row of the Levi Cartan matrix is replaced by the row of
     pairings (<lambda_s, beta^vee>)_{beta in I}.  By Cramer's rule these are
     the solution of C_I^T x = b with b the lambda_s coordinate vector on I,
-    read off the stored adjugate of C_I^T as adj(C_I^T) b / det(C_I).  With
-    b = nums / d cleared to integers, the integer residual check
-    C_I^T (adj(C_I^T) nums) = det(C_I) nums proves it is the unique solution,
-    since C_I^T is nonsingular.  The numerators are adj(C_I^T) nums over
-    d * det(C_I); for an integral lambda_s, d = 1.
+    read off the stored adjugate of C_I^T as adj(C_I^T) b / det(C_I); the
+    adjugate is proven when the parabolic is built, in ``_inverse_transpose``.
+    With b = nums / d cleared to integers, the numerators are adj(C_I^T) nums
+    over d * det(C_I); for an integral lambda_s, d = 1.
     """
     nums, denom = p.levi_coords(lambda_s).cleared()
-    det = p.levi_det
-    solution = tuple(sum(map(mul, row, nums)) for row in p.levi_t_adjugate)
-    # row i of C_I^T is column i of C_I
-    residual = [sum(map(mul, column, solution)) for column in zip(*p.levi_cartan)]
-    if residual != [det * x for x in nums]:
-        raise InvariantError(
-            f"Cramer determinants must agree with the solution of C_I^T x = b: "
-            f"Levi nodes {p.levi_nodes}, lambda_s {lambda_s}"
-        )
-    return solution, denom * det
+    return tuple(sum(map(mul, row, nums)) for row in p.levi_t_adjugate), denom * p.levi_det
 
 
 def cramer_coefficients(spec: BundleSpec) -> tuple[Fraction, ...]:

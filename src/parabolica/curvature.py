@@ -21,9 +21,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
-from .bundle import line_bundle_weight
 from .parabolic import ParabolicData
-from .rootsys import InvariantError, Root, Weight, fundamental_weight
+from .rootsys import Root, Weight, fundamental_weight
 
 
 class NotKahlerError(ValueError):
@@ -70,19 +69,14 @@ def _column_sum(terms: Iterable[tuple[int, int]], p: ParabolicData) -> list[int]
 def _kahler_denominators(omega0: KahlerClass, p: ParabolicData) -> tuple[list[int], int]:
     """(denominators, d) with <omega0, beta^vee> = denominators[k] / d for
     the k-th root beta of Phi_I^+: the coefficients of omega0 as integers
-    over their lcm d, swept over the columns of the Picard nodes, each sum
-    checked positive."""
+    over their lcm d, swept over the columns of the Picard nodes.  Each sum
+    is positive: ``build_parabolic`` checked the columns."""
     coeffs = omega0.coeffs
     nodes = p.picard_nodes
     if len(coeffs) != len(nodes):
         raise ValueError(f"expected {len(nodes)} value(s) over the Picard nodes, got {len(coeffs)}")
     d = math.lcm(*(c.denominator for c in coeffs))
-    denominators = _column_sum(((i, c.numerator * (d // c.denominator)) for i, c in zip(nodes, coeffs)), p)
-    if min(denominators) <= 0:
-        root = next(r for r, denom in zip(p.complement_roots, denominators) if denom <= 0)
-        w0 = line_bundle_weight(coeffs, p)
-        raise InvariantError(f"Kahler positivity must make every denominator positive: root {root}, class {w0}")
-    return denominators, d
+    return _column_sum(((i, c.numerator * (d // c.denominator)) for i, c in zip(nodes, coeffs)), p), d
 
 
 def _spectrum(psi: Weight, denominators: list[int], w0_den: int, p: ParabolicData) -> EndomorphismSpectrum:

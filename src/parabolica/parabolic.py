@@ -8,6 +8,11 @@ roots, and their sum delta, which is the anticanonical weight of the flag
 variety.  The coroots of the complementary roots are also stored column by
 column, one column per node, for the curvature pairings.
 
+Each table is checked once, here: the adjugate by ``_inverse_transpose``,
+delta by its vanishing on I, and the coroot columns, so that every Kahler
+pairing <omega0, beta^vee> is positive, by having no negative entry and a
+positive sum over the Picard nodes for every root.
+
 The Levi subsystem is read off the ambient root system by restriction, with
 no second root closure: its positive roots are the ambient positive roots
 supported on I, and their coroots are the ambient coroots, which are
@@ -59,6 +64,8 @@ class ParabolicData:
 
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""
+        if weight.rank != self.rs.rank:
+            raise ValueError("dimension mismatch")
         return Weight(tuple(weight[i] for i in self.levi_nodes))
 
 
@@ -94,6 +101,15 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
     delta = rs.root_as_weight(tuple(map(sum, zip(*complement))))
     if any(delta[i] != 0 for i in nodes):
         raise InvariantError(f"delta must vanish on the Levi nodes {nodes} of {rs.lie_type}: delta {delta}")
+    columns = tuple(zip(*complement_coroots))
+    if min(map(min, columns)) < 0 or min(map(sum, zip(*(columns[i] for i in picard)))) <= 0:
+        root, coroot = next(
+            (r, c) for r, c in zip(complement, complement_coroots) if min(c) < 0 or not any(c[i] for i in picard)
+        )
+        raise InvariantError(
+            f"Kahler positivity needs every complement coroot nonnegative with a Picard entry: "
+            f"{rs.lie_type}, Levi nodes {nodes}, root {root}, coroot {coroot}"
+        )
     return ParabolicData(
         rs=rs,
         levi_nodes=nodes,
@@ -104,26 +120,21 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
         levi_det=levi_det,
         levi_t_adjugate=levi_t_adjugate,
         picard_nodes=picard,
-        complement_columns=tuple(zip(*complement_coroots)),
+        complement_columns=columns,
     )
 
 
 def is_dominant_for_levi(weight: Weight, p: ParabolicData) -> bool:
-    return all(weight[i].numerator >= 0 for i in p.levi_nodes)
+    return all(c.numerator >= 0 for c in p.levi_coords(weight).coords)
 
 
 def decompose_weight(weight: Weight, p: ParabolicData) -> WeightSplit:
     """Split an integral weight into its Levi-dominant part lambda_s, the
     weight on the Levi nodes, and its character part lambda_c, the weight
-    off them.  Both reuse the weight's own coordinates; that they add up to
-    the weight is checked on the integer numerators."""
+    off them.  Both reuse the weight's own coordinates; they add up to the
+    weight as the Picard nodes are the complement of the Levi nodes."""
     if not weight.is_integral:
         raise ValueError("integral weight required")
     if not is_dominant_for_levi(weight, p):
         raise NotDominantError("weight is not dominant for the Levi factor")
-    lambda_s = weight.restricted(p.levi_nodes)
-    lambda_c = weight.restricted(p.picard_nodes)
-    parts = zip(lambda_s.coords, lambda_c.coords, weight.coords)
-    if any(s.numerator + c.numerator != w.numerator for s, c, w in parts):
-        raise InvariantError(f"lambda_c must be the weight {weight} off the Levi nodes {p.levi_nodes}")
-    return WeightSplit(lambda_s=lambda_s, lambda_c=lambda_c)
+    return WeightSplit(weight.restricted(p.levi_nodes), weight.restricted(p.picard_nodes))

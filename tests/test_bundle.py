@@ -18,6 +18,8 @@ from parabolica import (
     chern_weight,
     cramer_coefficients,
     criterion_ratios,
+    decompose_weight,
+    is_dominant_for_levi,
     line_bundle_weight,
     splitting_report,
     weyl_dim,
@@ -63,6 +65,21 @@ def test_weyl_dim_rejects_wrong_rank(q5):
     """The rank is checked before any Levi coordinate is read."""
     with pytest.raises(ValueError, match="dimension mismatch"):
         weyl_dim(q5, Weight.of(0, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, w: decompose_weight(w, p),
+        lambda p, w: criterion_ratios(p, w),
+        lambda p, w: is_dominant_for_levi(w, p),
+    ],
+    ids=["decompose_weight", "criterion_ratios", "is_dominant_for_levi"],
+)
+def test_levi_coords_reject_wrong_rank(q5, call):
+    """Every reader of Levi coordinates checks the rank first."""
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        call(q5, Weight.of(0, 1))
 
 
 def test_cramer_universal(gr2c4):

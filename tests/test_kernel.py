@@ -500,11 +500,12 @@ def test_trace_matches_fraction_sum():
 
 def test_corrupted_tables_raise_under_optimized_mode():
     """Each corruption must be caught by an explicit raise, not an assert:
-    the Cramer residual check, the residue identity, Weyl-dimension
-    integrality, Kahler positivity and the C^T X = I check of a build.
-    Memoized root systems are shared and read-only, so each corruption
-    builds a copy of the parabolic with one corrupted table, and each build
-    starts from a cleared memo."""
+    the residue identity (for a wrong Levi or ambient adjugate),
+    Weyl-dimension integrality, the coroot-column check of a parabolic build
+    and the C^T X = I check of a root-system build.  Memoized root systems
+    are shared and read-only, so each corruption builds a copy of the
+    parabolic or root system with one corrupted table, and each build starts
+    from a cleared memo."""
     script = (
         "import sys, types\n"
         "from dataclasses import replace\n"
@@ -526,10 +527,10 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "    rootsys._memoized_root_system.cache_clear()\n"
         "    return pb.build_parabolic(pb.build_root_system('B3'), [1, 2])\n"
         "spec = lambda p: pb.BundleSpec(p, pb.Weight.of(0, 0, 1))\n"
-        # the stored adjugate of C_I^T gives the Cramer ratios
+        # the stored adjugate of C_I^T gives the Cramer ratios, which the residue identity re-checks
         "p = fresh()\n"
         "p = replace(p, levi_t_adjugate=bump(p.levi_t_adjugate))\n"
-        "expect('Cramer determinants must agree', lambda: pb.splitting_report(spec(p)))\n"
+        "expect('residue identity failed', lambda: pb.splitting_report(spec(p)))\n"
         # the full system's stored inverse gives the residue identity
         "p = fresh()\n"
         "p = replace(p, rs=replace(p.rs, cartan_t_adjugate=bump(p.rs.cartan_t_adjugate)))\n"
@@ -541,12 +542,13 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "table[first] = tuple(k + 1 for k in table[first])\n"
         "p = replace(p, levi_coroots=types.MappingProxyType(table))\n"
         "expect('Weyl dimension', lambda: pb.weyl_dim(p, pb.Weight.of(0, 0, 1)))\n"
-        # a negated entry of a complement coroot column breaks Kahler positivity
-        "columns = [list(column) for column in p.complement_columns]\n"
-        "node = p.picard_nodes[0]\n"
-        "columns[node][0] = -columns[node][0]\n"
-        "p = replace(p, complement_columns=tuple(map(tuple, columns)))\n"
-        "expect('Kahler positivity', lambda: pb.endo_eigenvalues(pb.Weight.zero(3), pb.einstein_class(p), p))\n"
+        # a negated complement coroot breaks Kahler positivity when the parabolic is built
+        "rs = pb.build_root_system('B3')\n"
+        "coroots = dict(rs.coroots)\n"
+        "root = next(r for r in coroots if r[0])\n"
+        "coroots[root] = tuple(-k for k in coroots[root])\n"
+        "rs = replace(rs, coroots=types.MappingProxyType(coroots))\n"
+        "expect('Kahler positivity', lambda: pb.build_parabolic(rs, [1, 2]))\n"
         # a wrong adjugate out of the elimination is caught when the system is built
         "genuine = pb.linalg.adjugate\n"
         "pb.linalg.adjugate = lambda rows: (lambda d, a: (d, bump(a)))(*genuine(rows))\n"

@@ -572,11 +572,12 @@ def _render_json(value: object, indent: str = "\n") -> str:
     ``indent`` is a newline and the spaces of the enclosing level.
 
     json's encoder runs in pure Python whenever ``indent`` is set; here the
-    items of a list, or the values of a dict, that are all ``str`` or all
-    ``int`` (a report's weights, nodes, roots and rationals) are rendered by
-    one ``map``.  Strings and keys are quoted by json's C escaper, which
-    raises ``TypeError`` for a key that is not a ``str``; nan and +-inf raise
-    json's ``ValueError``; any other type raises ``TypeError``.
+    items of a list, or the values of a dict, that are all ``str``, all
+    ``int`` or all finite ``float`` (a report's weights, nodes, roots,
+    rationals and coefficient lists) are rendered by one ``map``.  Strings
+    and keys are quoted by json's C escaper, which raises ``TypeError`` for
+    a key that is not a ``str``; nan and +-inf raise json's ``ValueError``;
+    any other type raises ``TypeError``.
     """
     if isinstance(value, (list, tuple)):
         if not value:
@@ -613,12 +614,22 @@ def _render_items(values: Collection, indent: str) -> Iterable[str]:
         return map(_quote, values)
     if kinds == {int}:
         return map(int.__repr__, values)
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return map(float.__repr__, values)
+    # mixed kinds, or a nan or inf, which raises json's ValueError here
     return [_render_json(item, indent) for item in values]
 
 
 def _emit(payload: dict | list) -> None:
     sys.stdout.write(_render_json(payload))
     sys.stdout.write("\n")
+
+
+def _clip(message: str) -> str:
+    """``message``, cut to _MAX_ERROR_CHARS: a huge flag value is echoed only in part."""
+    if len(message) > _MAX_ERROR_CHARS:
+        return message[: _MAX_ERROR_CHARS - 3] + "..."
+    return message
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -670,14 +681,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # flush at interpreter exit cannot raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, IndexError, OverflowError) as exc:  # bad input, or a value past float range
-        message = str(exc)
-        if len(message) > _MAX_ERROR_CHARS:  # a huge flag value is echoed only in part
-            message = message[: _MAX_ERROR_CHARS - 3] + "..."
-        sys.stderr.write(f"error: {message}\n")
+    except (ValueError, OverflowError) as exc:  # bad input, or a value past float range
+        sys.stderr.write(f"error: {_clip(str(exc))}\n")
         return 1
     except InvariantError as exc:
         sys.stderr.write(f"invariant violated: {exc}\n")
+        return 3
+    except Exception as exc:  # a library bug: one line that names it, no traceback
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {_clip(' '.join(str(exc).splitlines()))}\n")
         return 3
     return 0
 

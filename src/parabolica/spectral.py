@@ -16,12 +16,14 @@ quadrature sum against them is a phase-shifted entry F[nu mod N] of the
 DFT F of the profile sampled on the N^d grid.  The profile depends only on
 the k coordinates its singular set cuts, so it is sampled on the N^k grid
 of those axes, and no (N^d, d) point array is built.  A point profile
-(k = d) is transformed by rfftn over its N^d values.  A subtorus profile
-(k < d) is constant along the d - k free axes, so F is N^(d-k) times the
-DFT of the N^k cut grid where every free frequency is 0 (mod N) and 0
-elsewhere; only the cut grid is transformed.  Grids are bounded: by
-default N^d stays at most 512^2 points for d >= 2 (8192 points for d = 1),
-and no grid may exceed _MAX_GRID_POINTS.
+(k = d) is transformed in rfftn's passes, one axis at a time from the last:
+one rfft along the last axis of the N^d grid, then on each earlier axis an
+fft of only the lines that hold an entry some requested mode reads.  A
+subtorus profile (k < d) is constant along the d - k free axes, so F is
+N^(d-k) times the DFT of the N^k cut grid where every free frequency is 0
+(mod N) and 0 elsewhere; only the cut grid is transformed.  Grids are
+bounded: by default N^d stays at most 512^2 points for d >= 2 (8192 points
+for d = 1), and no grid may exceed _MAX_GRID_POINTS.
 """
 from __future__ import annotations
 
@@ -43,9 +45,10 @@ class NotL2Error(ValueError):
 # with at most _DEFAULT_GRID_POINTS nodes, and no grid, default or explicit,
 # may exceed _MAX_GRID_POINTS nodes.  At the budget, a 2048^2
 # distance_profile_coefficients call with 4095 modes, in a fresh process on
-# a 2-core VM with numpy 2.4, takes 0.14-0.18 s and a 126 MB peak RSS for
-# the point profile (codim 2, rfftn over all 2048^2 nodes), and 0.03-0.04 s
-# and 93 MB for the codim-1 profile (one 2048-point FFT).
+# a 2-core VM with numpy 2.4, takes 0.09-0.10 s and a 96 MB peak RSS for
+# the point profile (codim 2: an rfft along the last axis of all 2048^2
+# nodes, then 2048-point FFTs of the few columns the modes read), and
+# 0.03 s and 62 MB for the codim-1 profile (one 2048-point FFT).
 _DEFAULT_GRID_POINTS = 512**2
 _MAX_GRID_POINTS = 1 << 22
 # The integer frequency box searched for a mode table, (2b + 1)^d rows of d
@@ -429,12 +432,14 @@ def _profile_values(p: SingularProfile, manifold: FlatTorus, points_per_axis: in
     the first k coordinates.
 
     The profile depends only on the k cut coordinates.  Their folded squares
-    min(x, L - x)^2 are summed axis by axis as an outer sum over the N^k grid,
-    the power is taken there, and each value is repeated along the d - k free
+    min(x, L - x)^2 are summed axis by axis as an outer sum over the N^k grid
+    and the power is taken there, in place.  A point profile returns that
+    grid; a subtorus profile repeats each value along the d - k free
     (trailing) axes, so values[::N^(d-k)] is the cut grid in C order.  Every
     node gets the same float operations, in the same order, as a fold over
-    the full (N^d, d) point array.  The repeated array feeds the mean and
-    the L2 norm for every profile, but the FFT only for a point profile.
+    the full (N^d, d) point array.  The array is new and the caller's to
+    overwrite.  It feeds the mean and the L2 norm for every profile, but the
+    FFT only for a point profile.
     """
     if p.ambient_dim != manifold.dimension:
         raise ValueError("profile and manifold dimensions disagree")
@@ -443,9 +448,11 @@ def _profile_values(p: SingularProfile, manifold: FlatTorus, points_per_axis: in
     for axis in range(p.codim):
         nodes = manifold._midpoint_axis(axis, points_per_axis)
         squares.append(np.minimum(nodes, manifold.side_lengths[axis] - nodes) ** 2)
-    sq = reduce(np.add.outer, squares)
-    values = sq ** (-p.exponent / 2.0)
-    return np.repeat(values.reshape(-1), points_per_axis ** (p.ambient_dim - p.codim))
+    values = reduce(np.add.outer, squares).reshape(-1)
+    values **= -p.exponent / 2.0
+    if p.codim == p.ambient_dim:
+        return values
+    return np.repeat(values, points_per_axis ** (p.ambient_dim - p.codim))
 
 
 def distance_profile_coefficients(
@@ -460,17 +467,21 @@ def distance_profile_coefficients(
     quadrature sums of all modes are read off the DFT F of the profile on
     the N^d grid: with T = F[nu mod N] exp(-i pi sum(nu) / N) sqrt(2/vol)
     vol/N^d, the cosine coefficient is Re T and the sine coefficient is
-    -Im T (see the module docstring).  A point profile takes F from one
-    rfftn of the N^d values.  A subtorus profile takes F[nu] from one fftn
-    of the N^k cut grid, times N^(d-k), when every free entry of nu is 0
-    (mod N), and F[nu] = 0 otherwise, so no N^d complex array is built.
-    For a power-of-two N this equals the full rfftn entry for entry, up to
-    the sign of some exact zeros; for other N the two agree to rounding.
-    The mean (mode 0) and the L2 norm sum the full N^d values.  The default
-    N follows the grid budget; n must be below the number of grid points.
-    The tail is the quadrature L2 mass not captured by the materialized
-    modes, which keeps Parseval partial sums monotone and bounded; it does
-    not bound the continuum tail (see SpectralFunction).
+    -Im T (see the module docstring).  A point profile takes F from rfftn's
+    passes over the N^d values: an rfft along the last axis, then on each
+    earlier axis an fft of only the lines that hold a requested entry, so
+    each entry read has the bits of the full rfftn.  A subtorus profile
+    takes F[nu] from one fftn of the N^k cut grid, times N^(d-k), when every
+    free entry of nu is 0 (mod N), and F[nu] = 0 otherwise, so no N^d
+    complex array is built.  For a power-of-two N this equals the full
+    rfftn entry for entry, up to the sign of some exact zeros; for other N
+    the two agree to rounding.  The mean (mode 0) and then the L2 norm sum
+    the full N^d values, the norm squaring them in place after the
+    transform.  The default N follows the grid budget; n must be below the
+    number of grid points.  The tail is the quadrature L2 mass not captured
+    by the materialized modes, which keeps Parseval partial sums monotone
+    and bounded; it does not bound the continuum tail (see
+    SpectralFunction).
     """
     if not p.square_integrable:
         raise NotL2Error(f"exponent {p.exponent} >= codim/2 = {p.codim / 2}")
@@ -482,7 +493,6 @@ def distance_profile_coefficients(
     table = _table_for(manifold.side_lengths, n)
     cell = manifold.volume / total
     values = _profile_values(p, manifold, points_per_axis)
-    norm_sq = float(np.sum(values**2)) * cell
     nu = table.frequencies[1 : n + 1]
     index = nu % points_per_axis
     if p.codim < manifold.dimension:
@@ -494,16 +504,22 @@ def distance_profile_coefficients(
         spectrum = np.where(on_slice, cut[tuple(index[:, : p.codim].T)] * repeat, 0.0)
     else:
         # The profile is real, so the FFT keeps half of the last axis and
-        # F[m] = conj(F[-m mod N]) supplies the other half.
-        half = np.fft.rfftn(values.reshape((points_per_axis,) * manifold.dimension))
+        # F[m] = conj(F[-m mod N]) supplies the other half.  Each later pass
+        # transforms only the lines that the remaining indices read, and
+        # index is renumbered onto the lines kept.
         mirrored = index[:, -1] > points_per_axis // 2
         index[mirrored] = -index[mirrored] % points_per_axis
+        half = np.fft.rfft(values.reshape((points_per_axis,) * manifold.dimension), axis=-1)
+        for axis in range(manifold.dimension - 1, 0, -1):
+            keep, index[:, axis] = np.unique(index[:, axis], return_inverse=True)
+            half = np.fft.fft(half.take(keep, axis=axis), axis=axis - 1)
         entries = half[tuple(index.T)]
         spectrum = np.where(mirrored, entries.conj(), entries)
     shared = spectrum * np.exp(-1j * math.pi * nu.sum(axis=1) / points_per_axis)
     shared *= math.sqrt(2.0 / manifold.volume) * cell
     trig = np.where(_is_sine(np.arange(1, n + 1)), -shared.imag, shared.real)
     coeffs = [float(np.sum(values)) * cell / math.sqrt(manifold.volume)] + trig.tolist()
+    norm_sq = float(np.sum(np.square(values, out=values))) * cell  # nothing reads values after this
     captured = 0.0
     for c in coeffs:
         captured += c * c

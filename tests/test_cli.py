@@ -670,6 +670,20 @@ def test_main_invariant_violation_exit_three(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("error", [IndexError("tuple index out of range"), KeyError("levi")])
+def test_main_library_bug_exit_three(capsys, monkeypatch, error):
+    import parabolica.cli as cli_module
+
+    def broken(spec):
+        raise error
+
+    monkeypatch.setattr(cli_module, "splitting_report", broken)
+    assert main(["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
+
+
 def test_analyze_borel_parabolic(capsys):
     assert main(["analyze", "--type=A2", "--parabolic=", "--weight=1,0"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -50,14 +50,25 @@ _VALUES = st.recursive(
 @example([True, False, 1, 0, None])
 @example({"ints": [1, -2, 2**70], "strs": ["a", "\"q\"", "\\", "é"], "bools": [True, False]})
 @example((1, (2, "x"), [3.5, -0.0]))
+@example({"coeffs": [0.1, -0.0, 0.0, 5e-324, -1e308, 1e16, 1e-7, 2.0], "gap": (1.5,), "r": {"a": 3.25, "b": -2.5}})
 def test_render_matches_json_dumps(value):
     assert _render_json(value) == json.dumps(value, indent=2, allow_nan=False)
 
 
 @pytest.mark.parametrize(
     "value",
-    [math.nan, math.inf, -math.inf, [1, math.inf], {"a": [{"b": -math.inf}]}, ["x", math.nan]],
-    ids=["nan", "inf", "-inf", "list", "nested", "mixed"],
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        [1, math.inf],
+        {"a": [{"b": -math.inf}]},
+        ["x", math.nan],
+        [0.5, math.nan, math.inf],
+        (1.5, math.inf, math.nan),
+        {"a": 0.25, "b": -math.inf},
+    ],
+    ids=["nan", "inf", "-inf", "list", "nested", "mixed", "floats-nan", "floats-inf", "floats--inf"],
 )
 def test_non_finite_floats_raise_json_message(value):
     with pytest.raises(ValueError) as expected:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -555,6 +556,86 @@ def test_subtorus_profile_transforms_only_its_cut_axes(monkeypatch):
         profile = SingularProfile(ambient_dim=3, codim=codim, exponent=0.3)
         distance_profile_coefficients(profile, torus, 20, points_per_axis=16)
     assert shapes == [(16,), (16, 16)]
+
+
+@st.composite
+def _point_requests(draw):
+    """(sides, exponent, n, N): a point profile on d <= 4 axes, N a power of
+    two or not, N^d <= 10^4 (4096 for d = 4, where the mode table of a
+    larger n is over the frequency-box budget), n < N^d, each side 1.0 or
+    not."""
+    dim = draw(st.integers(1, 4))
+    sides = tuple(draw(st.sampled_from((1.0, 0.7, 1.3))) for _ in range(dim))
+    exponent = draw(st.floats(min_value=0.05, max_value=0.95)) * dim / 2
+    limit = 4096 if dim == 4 else 10**4
+    sizes = [size for size in (1, 2, 3, 4, 6, 8, 15, 16, 21, 64, 100, 128, 1000, 8192) if size**dim <= limit]
+    points_per_axis = draw(st.sampled_from(sizes))
+    n = draw(st.integers(0, points_per_axis**dim - 1))
+    return sides, exponent, n, points_per_axis
+
+
+@CUT_AXES
+@given(_point_requests())
+@example(((1.0, 1.0), 0.5, 512, 512))  # the default d = 2 grid
+@example(((0.7, 1.3), 0.9, 4095, 100))
+@example(((1.0, 1.0, 1.0), 1.2, 1000, 64))  # the default d = 3 grid
+@example(((0.7, 1.3, 1.0), 0.3, 3374, 15))
+@example(((1.0,), 0.45, 8191, 8192))  # the default d = 1 grid, up to Nyquist
+def test_point_profile_transform_matches_full_fft(case):
+    # rfftn's passes over only the lines the modes read give rfftn's bits
+    sides, exponent, n, points_per_axis = case
+    torus = FlatTorus(sides)
+    profile = SingularProfile(ambient_dim=len(sides), codim=len(sides), exponent=exponent)
+    f = distance_profile_coefficients(profile, torus, n, points_per_axis=points_per_axis)
+    expected = full_fft_profile_coefficients(profile, torus, n, points_per_axis)
+    assert np.array_equal(f.coeffs, expected.coeffs)
+    assert np.array_equal(np.signbit(f.coeffs), np.signbit(expected.coeffs))
+    assert f.tail_sq.hex() == expected.tail_sq.hex()
+
+
+def test_point_profile_transforms_only_the_columns_its_modes_read(monkeypatch):
+    calls = []
+    fft = np.fft.fft
+
+    def record(a, *args, axis=-1, **kwargs):
+        calls.append((np.shape(a), axis))
+        return fft(a, *args, axis=axis, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full-grid rfftn")
+
+    monkeypatch.setattr(np.fft, "fft", record)
+    monkeypatch.setattr(np.fft, "rfftn", refuse)
+    monkeypatch.setattr(np.fft, "fftn", refuse)
+    points_per_axis = 512
+    profile = SingularProfile(ambient_dim=2, codim=2, exponent=0.5)
+    distance_profile_coefficients(profile, FlatTorus((1.0, 1.0)), 512, points_per_axis=points_per_axis)
+    ((shape, axis),) = calls
+    assert axis == 0 and shape[0] == points_per_axis
+    assert shape[1] < points_per_axis // 2 + 1, shape
+
+
+def _peak_bytes(profile, torus, n, points_per_axis):
+    """tracemalloc's peak over one warm distance_profile_coefficients call."""
+    distance_profile_coefficients(profile, torus, n, points_per_axis=points_per_axis)  # the mode table
+    tracemalloc.start()
+    try:
+        distance_profile_coefficients(profile, torus, n, points_per_axis=points_per_axis)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_profile_coefficients_peak_memory():
+    # in units of one N^d float64 array: the grid plus, for a point profile,
+    # the half spectrum of its last axis
+    points_per_axis = 512
+    grid_bytes = points_per_axis**2 * 8
+    torus = FlatTorus((1.0, 1.0))
+    point = SingularProfile(ambient_dim=2, codim=2, exponent=0.5)
+    subtorus = SingularProfile(ambient_dim=2, codim=1, exponent=0.3)
+    assert _peak_bytes(point, torus, 512, points_per_axis) <= 2.25 * grid_bytes
+    assert _peak_bytes(subtorus, torus, 512, points_per_axis) <= 1.25 * grid_bytes
 
 
 def test_default_grid_follows_the_point_budget():

@@ -6,8 +6,9 @@ the fundamental weights; every rational in a report is rendered as a
 "p/q" string; reports carry a schema_version and are byte-stable for
 identical requests.  Exit codes: 0 success, 1 input error or a reader
 that closed stdout early, 2 fixture mismatch, 3 a failed internal
-invariant (reported on stderr as "invariant violated: ...", without a
-traceback).
+invariant or any other library fault (reported on stderr as one
+"invariant violated: ..." or "internal error: <Type>: <message>" line,
+without a traceback).
 """
 from __future__ import annotations
 

@@ -602,7 +602,7 @@ def test_point_profile_transforms_only_the_columns_its_modes_read(monkeypatch):
         return fft(a, *args, axis=axis, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("full-grid rfftn")
+        raise AssertionError("full-grid transform")
 
     monkeypatch.setattr(np.fft, "fft", record)
     monkeypatch.setattr(np.fft, "rfftn", refuse)

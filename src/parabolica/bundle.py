@@ -6,21 +6,21 @@ module (Weyl dimension formula over the Levi), the first-Chern weight
 lambda(E), and whether E factors as E0 (x) L0 with c1(E0) = 0.  The
 verdict is an integrality test, so every quantity is an exact rational.
 
-``splitting_report`` is the one derivation: it splits the weight, takes
-the Weyl dimension and the Cramer numerators once each, and builds every
-other quantity from those as integer numerators over det(C_I); Fractions
-are built only for the report.  Its cross-checks run afterwards in one
-verification step, in the integers, and raise InvariantError, also under
-``python -O``.
+``splitting_report`` is the one derivation: it reads the split that the
+``BundleSpec`` made, takes the Weyl dimension and the Cramer numerators
+once each, and builds every other quantity from those as integer
+numerators over det(C_I); Fractions are built only for the report.  Its
+cross-checks run afterwards in one verification step, in the integers, and
+raise InvariantError, also under ``python -O``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .parabolic import NotDominantError, ParabolicData, WeightSplit, decompose_weight, is_dominant_for_levi
+from .parabolic import NotDominantError, ParabolicData, WeightSplit, decompose_weight
 from .rootsys import InvariantError, Weight
 
 
@@ -28,14 +28,12 @@ from .rootsys import InvariantError, Weight
 class BundleSpec:
     parabolic: ParabolicData
     highest_weight: Weight
+    split: WeightSplit = field(init=False, compare=False, repr=False)  # by decompose_weight, which validates
 
     def __post_init__(self) -> None:
         if self.highest_weight.rank != self.parabolic.rs.rank:
             raise ValueError("weight rank must match the root system rank")
-        if not self.highest_weight.is_integral:
-            raise ValueError("integral highest weight required")
-        if not is_dominant_for_levi(self.highest_weight, self.parabolic):
-            raise NotDominantError("highest weight must be dominant for the Levi factor")
+        object.__setattr__(self, "split", decompose_weight(self.highest_weight, self.parabolic))
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,8 @@ def chern_weight(spec: BundleSpec) -> ChernData:
 def splitting_report(spec: BundleSpec) -> SplittingReport:
     """Full splitting verdict with per-generator criterion values.
 
-    From the split lambda = lambda_s + lambda_c, the rank r = weyl_dim and
-    the Cramer numerators y over d = det(C_I) (one call each), in integers:
+    From the spec's split lambda = lambda_s + lambda_c, the rank r = weyl_dim
+    and the Cramer numerators y over d = det(C_I) (one call each), in integers:
 
     * a_alpha = r * y_alpha / d for alpha in I;
     * criterion[beta] = c_beta / d with c_beta = sum_{alpha in I} y_alpha
@@ -129,9 +127,8 @@ def splitting_report(spec: BundleSpec) -> SplittingReport:
     """
     p = spec.parabolic
     rs = p.rs
-    split = decompose_weight(spec.highest_weight, p)
-    rank = weyl_dim(p, split.lambda_s)
-    solution, det = criterion_ratios(p, split.lambda_s)
+    rank = weyl_dim(p, spec.split.lambda_s)
+    solution, det = criterion_ratios(p, spec.split.lambda_s)
     lam = [c.numerator for c in spec.highest_weight.coords]
 
     criterion = {
@@ -164,7 +161,7 @@ def splitting_report(spec: BundleSpec) -> SplittingReport:
         splits=splits,
         lambda_L0=lambda_l0,
         lambda_E0_check=lambda_e0,
-        split=split,
+        split=spec.split,
     )
     _verify(spec, report, lam, solution, lambda_e)
     return report

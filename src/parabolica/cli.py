@@ -153,14 +153,19 @@ def _spectral_request(fields: dict[str, str | int | float], what: str) -> Spectr
     return SpectralRequest(dim, modes, exponent, codim, hym)
 
 
+def _lie_type(text: str) -> SimpleLieType:
+    """The one reader of `--type`, for analyze, curvature and dump-roots."""
+    try:
+        return SimpleLieType.from_string(text)
+    except InvalidTypeError as exc:
+        raise ParseError(f"--type: {exc}") from exc
+
+
 def _lie_fields(ns: argparse.Namespace) -> dict:
     """The one reader of the Lie-side flags of analyze and curvature, in this
     order: --type, --parabolic, --weight (analyze only), --kahler, --line.
     Returns the keyword arguments of build_analysis_report of the same names."""
-    try:
-        lie_type = SimpleLieType.from_string(ns.type)
-    except InvalidTypeError as exc:
-        raise ParseError(str(exc)) from exc
+    lie_type = _lie_type(ns.type)
     rank = lie_type.rank
     fields: dict = {"lie_type": str(lie_type), "parabolic": _levi_nodes(ns.parabolic, rank)}
     if "weight" in ns:
@@ -668,8 +673,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     sys.stderr.write(f"ok {entry['name']}\n")
             _emit(reports)
         elif ns.command == "dump-roots":
-            rs = build_root_system(ns.type)
-            _emit(rs.to_dict())
+            _emit(build_root_system(_lie_type(ns.type)).to_dict())
         sys.stdout.flush()
     except SystemExit as exc:  # --help or --version
         return 0 if exc.code == 0 else 1

@@ -128,10 +128,6 @@ class Weight:
     def of(cls, *coords: int | Fraction | str) -> "Weight":
         return cls(tuple(Fraction(c) for c in coords))
 
-    @classmethod
-    def zero(cls, rank: int) -> "Weight":
-        return cls((Fraction(0),) * rank)
-
     @property
     def rank(self) -> int:
         return len(self.coords)
@@ -156,32 +152,12 @@ class Weight:
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
-    def __add__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __mul__(self, scalar: int | Fraction) -> "Weight":
-        return Weight(tuple(c * scalar for c in self.coords))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: int | Fraction) -> "Weight":
-        return Weight(tuple(c / scalar for c in self.coords))
-
     def restricted(self, indices: Iterable[int]) -> "Weight":
         """Zero out every coordinate outside ``indices``; the kept coordinates
         are this weight's own, and every zero is one shared ``Fraction``."""
         keep = set(indices)
         zero = Fraction(0)
         return Weight(tuple(c if i in keep else zero for i, c in enumerate(self.coords)))
-
-    def _check(self, other: "Weight") -> None:
-        if len(self.coords) != len(other.coords):
-            raise ValueError("weight rank mismatch")
 
 
 def fundamental_weight(rank: int, index: int) -> Weight:
@@ -216,11 +192,6 @@ class RootSystem:
     def rank(self) -> int:
         return len(self.cartan)
 
-    def simple_root(self, i: int) -> Root:
-        root = [0] * self.rank
-        root[i] = 1
-        return tuple(root)
-
     def pairing(self, weight: Weight, root: Root) -> Fraction:
         """<lambda, beta^vee> for a root beta (positive or negative), read as
         an integer dot product with the stored coroot."""
@@ -240,9 +211,6 @@ class RootSystem:
         """beta = sum_i m_i alpha_i rewritten over the fundamental weights:
         coordinate j is the integer sum_i m_i C_ij, one Fraction each."""
         return Weight(tuple(Fraction(sum(map(mul, root, column))) for column in zip(*self.cartan)))
-
-    def weyl_vector(self) -> Weight:
-        return Weight((Fraction(1),) * self.rank)
 
     def simple_root_numerators(self, nums: Sequence[int]) -> tuple[int, ...]:
         """adj(C^T) n for integer fundamental-weight coordinates n: the

@@ -116,9 +116,6 @@ class FlatTorus:
         """Read-only eigenvalues of modes 0..count inclusive."""
         return _table_for(self.side_lengths, count).eigenvalues[: count + 1]
 
-    def eigenvalue(self, index: int) -> float:
-        return float(self.eigenvalues(index)[index])
-
     def sample_mode(self, mode: TorusMode, points: np.ndarray) -> np.ndarray:
         """Evaluate an orthonormal eigenfunction on an (N, d) point array."""
         if mode.trig == "const":
@@ -247,10 +244,6 @@ class SpectralFunction:
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def norm_sq(self) -> float:
-        return sum(c * c for c in self.coeffs.tolist()) + self.tail_sq
-
     def coefficient(self, index: int) -> float:
         """c_index, and 0.0 outside 0..len(coeffs) - 1."""
         return float(self.coeffs[index]) if 0 <= index < len(self.coeffs) else 0.0
@@ -281,16 +274,6 @@ class GalerkinSolution:
     source_mode0: float
     residual_l2: float
     h2_norm: float
-
-    def curvature_coeffs(self) -> dict[int, float]:
-        """Eigen-coefficients of the resulting mean curvature.
-
-        Mode 0 is carried by the reference-metric constant; every other
-        matched mode returns lambda_j * psi_j.
-        """
-        out = {0: self.source_mode0}
-        out.update(zip(self.modes.tolist(), (self.lam * self.psi).tolist()))
-        return out
 
 
 def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSolution:
@@ -418,11 +401,11 @@ def integrability_check(p: SingularProfile) -> IntegrabilityResult:
     power = p.codim - 2.0 * p.exponent
     if power <= 0.0:
         return IntegrabilityResult(p.square_integrable, "divergent", math.inf)
-    values = []
+    value = math.inf  # no value before the first cutoff: the first test fails
     for step in range(1, _MAX_CUTOFF_STEPS + 1):
-        values.append((1.0 - (10.0**-step) ** power) / power)
-        if step > 1 and abs(values[-1] - values[-2]) <= 1e-12 * max(1.0, abs(values[-1])):
-            return IntegrabilityResult(p.square_integrable, "convergent", values[-1])
+        previous, value = value, (1.0 - (10.0**-step) ** power) / power
+        if abs(value - previous) <= 1e-12 * max(1.0, abs(value)):
+            return IntegrabilityResult(p.square_integrable, "convergent", value)
     return IntegrabilityResult(p.square_integrable, "convergent", 1.0 / power)
 
 

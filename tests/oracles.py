@@ -1,6 +1,9 @@
 """Independent routes to values the library stores, for tests to compare
-against.  None of them reads the library's coroot tables.
+against, and the helpers tests share.  None of them reads the library's
+coroot tables.
 
+* ``combine``: the weight sum_i k_i w_i over ``.coords``, the one place
+  tests add, subtract or scale weights (the library never does);
 * ``root_norms``: the symmetrizer of a Cartan matrix, the root lengths
   the library never computes;
 * ``root_norm_sq`` and ``coroot_coefficients``: (beta, beta) and beta^vee
@@ -16,6 +19,9 @@ against.  None of them reads the library's coroot tables.
 * ``delta_from_root_sum``: delta as a sum of roots rewritten one by one;
 * ``levi_closure``: the Levi root system built by its own closure over
   C_I, against which the restriction in ``build_parabolic`` is checked;
+* ``norm_sq`` and ``curvature_coeffs``: a spectral function's squared L2
+  mass and a Galerkin solution's curvature coefficients, read off their
+  arrays;
 * ``check_report``: the rules that tie one CLI report's fields to each
   other, read off the parsed JSON alone;
 * ``full_fft_profile_coefficients``: a profile's eigen-coefficients read
@@ -36,7 +42,7 @@ from parabolica import linalg
 from parabolica.bundle import BundleSpec, ChernData, SplittingReport
 from parabolica.parabolic import ParabolicData, WeightSplit
 from parabolica.rootsys import Root, RootSystem, Weight, root_system_from_cartan
-from parabolica.spectral import FlatTorus, SingularProfile, SpectralFunction, _profile_values
+from parabolica.spectral import FlatTorus, GalerkinSolution, SingularProfile, SpectralFunction, _profile_values
 
 
 @functools.cache
@@ -84,6 +90,13 @@ def coroot_coefficients(rs: RootSystem, root: Root) -> tuple[Fraction, ...]:
     return tuple(Fraction(2 * m * e, norm) for m, e in zip(root, root_norms(rs.cartan)))
 
 
+def combine(*terms: tuple[int | Fraction, Weight]) -> Weight:
+    """The weight sum_i k_i w_i of (k_i, w_i) pairs of equal rank, summed
+    coordinate by coordinate from Fraction(0)."""
+    (rank,) = {w.rank for _, w in terms}
+    return Weight(tuple(sum((k * w.coords[i] for k, w in terms), Fraction(0)) for i in range(rank)))
+
+
 def pairing_fold(cartan, e, weight: Weight, root) -> Fraction:
     """<lambda, beta^vee> = 2 (lambda, beta) / (beta, beta) in rationals,
     with e the root norms of the Cartan matrix."""
@@ -99,7 +112,7 @@ def weyl_dim_fold(p: ParabolicData, lambda_s: Weight) -> Fraction:
     pairing through (beta, beta) with the Levi's own root norms."""
     e = root_norms(p.levi_cartan)
     rho = Weight.of(*(1 for _ in p.levi_nodes))
-    shifted = p.levi_coords(lambda_s) + rho
+    shifted = combine((1, p.levi_coords(lambda_s)), (1, rho))
     dim = Fraction(1)
     for root in levi_closure(p).positive_roots:
         dim *= pairing_fold(p.levi_cartan, e, shifted, root) / pairing_fold(p.levi_cartan, e, rho, root)
@@ -129,7 +142,7 @@ def splitting_fold(spec: BundleSpec) -> SplittingReport:
     rs = p.rs
     picard = [i for i in range(rs.rank) if i not in p.levi_nodes]
     lambda_s = Weight(tuple(c if i in p.levi_nodes else Fraction(0) for i, c in enumerate(weight.coords)))
-    lambda_c = weight - lambda_s
+    lambda_c = combine((1, weight), (-1, lambda_s))
     dim = weyl_dim_fold(p, lambda_s)
     assert dim.denominator == 1 and dim > 0, dim
     rank = int(dim)
@@ -139,15 +152,15 @@ def splitting_fold(spec: BundleSpec) -> SplittingReport:
         for beta in picard
     }
     on_picard = Weight(tuple(criterion.get(i, Fraction(0)) for i in range(rs.rank)))
-    lambda_e = rank * (on_picard - lambda_c)
+    lambda_e = combine((rank, on_picard), (-rank, lambda_c))
     splits = all(v.denominator == 1 for v in criterion.values())
-    lambda_l0 = lambda_e / rank if splits else None
+    lambda_l0 = combine((Fraction(1, rank), lambda_e)) if splits else None
     return SplittingReport(
         chern=ChernData(rank=rank, lambda_E=lambda_e, cramer_a=tuple(rank * r for r in ratios)),
         criterion_values=criterion,
         splits=splits,
         lambda_L0=lambda_l0,
-        lambda_E0_check=lambda_e - rank * lambda_l0 if splits else None,
+        lambda_E0_check=combine((1, lambda_e), (-rank, lambda_l0)) if splits else None,
         split=WeightSplit(lambda_s=lambda_s, lambda_c=lambda_c),
     )
 
@@ -165,16 +178,25 @@ def root_as_weight_fold(rs: RootSystem, root: Root) -> Weight:
 
 def delta_from_root_sum(rs: RootSystem, roots: Iterable[Root]) -> Weight:
     """delta as the sum of the given roots each rewritten as a weight."""
-    total = Weight.zero(rs.rank)
-    for root in roots:
-        total = total + root_as_weight_fold(rs, root)
-    return total
+    zero = Weight.of(*[0] * rs.rank)
+    return combine((1, zero), *((1, root_as_weight_fold(rs, root)) for root in roots))
 
 
 def levi_closure(p: ParabolicData) -> RootSystem:
     """The Levi subsystem as a root system of its own, by a second reflection
     closure over the Levi Cartan matrix C_I."""
     return root_system_from_cartan(p.levi_cartan)
+
+
+def norm_sq(f: SpectralFunction) -> float:
+    """sum_j c_j^2 + tail_sq, summed in index order."""
+    return sum(c * c for c in f.coeffs.tolist()) + f.tail_sq
+
+
+def curvature_coeffs(sol: GalerkinSolution) -> dict[int, float]:
+    """Mode 0 from the reference-metric constant, lambda_j psi_j for every
+    other matched mode j."""
+    return {0: sol.source_mode0, **dict(zip(sol.modes.tolist(), (sol.lam * sol.psi).tolist()))}
 
 
 def check_report(report: dict | list) -> None:

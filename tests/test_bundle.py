@@ -24,9 +24,10 @@ from parabolica import (
     splitting_report,
     weyl_dim,
 )
-from parabolica import bundle, linalg
+from parabolica import bundle, linalg, parabolic
 
 from conftest import cached_parabolic, cached_system
+from oracles import combine
 
 
 def test_weyl_dim_universal(gr2c4):
@@ -40,7 +41,7 @@ def test_weyl_dim_spinor(q5):
 
 def test_weyl_dim_trivial(q5, gr2c4, p1):
     for p in (q5, gr2c4, p1):
-        assert weyl_dim(p, Weight.zero(p.rs.rank)) == 1
+        assert weyl_dim(p, Weight.of(*[0] * p.rs.rank)) == 1
 
 
 def test_weyl_dim_sl2_series():
@@ -198,10 +199,10 @@ def test_twist_equivariance(q5, gr2c4, spin8):
     ]
     for p, weight, mu_c in cases:
         base = splitting_report(BundleSpec(p, weight))
-        twisted = splitting_report(BundleSpec(p, weight + mu_c))
+        twisted = splitting_report(BundleSpec(p, combine((1, weight), (1, mu_c))))
         r = base.chern.rank
         assert twisted.chern.rank == r
-        assert twisted.chern.lambda_E == base.chern.lambda_E - r * mu_c
+        assert twisted.chern.lambda_E == combine((1, base.chern.lambda_E), (-r, mu_c))
         assert twisted.splits == base.splits
         assert twisted.criterion_values == base.criterion_values
 
@@ -209,7 +210,7 @@ def test_twist_equivariance(q5, gr2c4, spin8):
 def test_residue_identity_explicit(q5):
     spec = BundleSpec(q5, Weight.of(0, 0, 1))
     data = chern_weight(spec)
-    residue = data.rank * spec.highest_weight + data.lambda_E
+    residue = combine((data.rank, spec.highest_weight), (1, data.lambda_E))
     coords = q5.rs.weight_in_simple_roots(residue)
     assert coords == (0, 2, 4)  # a_alpha on I = {2, 3}, zero elsewhere
 
@@ -227,7 +228,7 @@ def test_verdict_matches_degree_integrality_randomized():
             rng.randint(0, 3) if i in nodes else rng.randint(-3, 3) for i in range(rs.rank)
         ]
         report = splitting_report(BundleSpec(p, Weight.of(*coords)))
-        per_generator = report.chern.lambda_E / report.chern.rank
+        per_generator = combine((Fraction(1, report.chern.rank), report.chern.lambda_E))
         assert report.splits == per_generator.is_integral
 
 
@@ -254,6 +255,20 @@ def test_splitting_report_derives_each_input_once(q5, monkeypatch):
     assert calls == {"decompose_weight": 1, "weyl_dim": 1, "criterion_ratios": 1}
     assert report.split.lambda_s == Weight.of(0, 0, 2)
     assert report.split.lambda_c.is_zero
+
+
+def test_one_levi_dominance_check_per_report(q5, monkeypatch):
+    calls = []
+    original = parabolic.is_dominant_for_levi
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (parabolic, bundle):  # every module that may bind the check
+        monkeypatch.setattr(module, "is_dominant_for_levi", counted, raising=False)
+    splitting_report(BundleSpec(q5, Weight.of(0, 0, 2)))
+    assert len(calls) == 1
 
 
 def test_broken_residue_identity_raises_invariant_error(q5, monkeypatch):

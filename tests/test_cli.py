@@ -890,6 +890,23 @@ def test_request_sizes_are_bounded(capsys, argv, message):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--type=Q5", "--parabolic=1", "--weight=1,0,0"], "cannot parse Dynkin type 'Q5'"),
+        (["curvature", "--type=E9", "--parabolic=1"], "rank 9 out of range for type E: expected 6..8"),
+        (["dump-roots", "--type=B"], "cannot parse Dynkin type 'B'"),
+        (["dump-roots", "--type=G3"], "rank 3 out of range for type G: expected 2..2"),
+    ],
+    ids=["analyze", "curvature", "dump-roots-parse", "dump-roots-rank"],
+)
+def test_type_errors_name_the_flag(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --type: {message}\n"
+
+
 def test_spectral_defaults_are_shared(capsys):
     """`spectral --profile` and `analyze --spectral` read one request with
     the same defaults (dim 1, 128 modes, hym 1), so the blocks agree.  A

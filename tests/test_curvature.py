@@ -22,7 +22,7 @@ from parabolica import (
 )
 
 from conftest import cached_parabolic
-from oracles import coroot_coefficients
+from oracles import combine, coroot_coefficients
 
 
 def unit_class(p):
@@ -43,7 +43,7 @@ def test_gr2c4_generator_eigenvalues(gr2c4):
 
 
 def test_zero_endomorphism(q5):
-    spectrum = endo_eigenvalues(Weight.zero(3), unit_class(q5), q5)
+    spectrum = endo_eigenvalues(Weight.of(0, 0, 0), unit_class(q5), q5)
     assert all(q == 0 for q in spectrum.eigenvalues.values())
 
 
@@ -60,7 +60,7 @@ def test_hym_p1_degree_one(p1):
 
 
 def test_hym_trivial(q5):
-    assert hym_constant(Weight.zero(3), unit_class(q5), q5) == 0
+    assert hym_constant(Weight.of(0, 0, 0), unit_class(q5), q5) == 0
 
 
 def test_hym_q5_line_from_split(q5):
@@ -102,14 +102,14 @@ def test_endo_linearity(q5):
     omega = KahlerClass((Fraction(3, 2),))
     psi_a = fundamental_weight(3, 0)
     psi_b = Weight.of(Fraction(5, 3), 0, 0)
-    combined = endo_eigenvalues(psi_a + psi_b, omega, q5)
+    combined = endo_eigenvalues(combine((1, psi_a), (1, psi_b)), omega, q5)
     separate_a = endo_eigenvalues(psi_a, omega, q5)
     separate_b = endo_eigenvalues(psi_b, omega, q5)
     for root in q5.complement_roots:
         assert combined.eigenvalues[root] == (
             separate_a.eigenvalues[root] + separate_b.eigenvalues[root]
         )
-    scaled = endo_eigenvalues(Fraction(7, 2) * psi_a, omega, q5)
+    scaled = endo_eigenvalues(combine((Fraction(7, 2), psi_a)), omega, q5)
     for root in q5.complement_roots:
         assert scaled.eigenvalues[root] == Fraction(7, 2) * separate_a.eigenvalues[root]
 
@@ -117,7 +117,7 @@ def test_endo_linearity(q5):
 def test_trace_additivity_two_generators(spin8):
     omega = KahlerClass((Fraction(1), Fraction(2)))
     combined = hym_constant(
-        fundamental_weight(4, 2) + fundamental_weight(4, 3), omega, spin8
+        combine((1, fundamental_weight(4, 2)), (1, fundamental_weight(4, 3))), omega, spin8
     )
     assert combined == omega_trace(2, omega, spin8) + omega_trace(3, omega, spin8)
 
@@ -126,9 +126,8 @@ def test_hym_additivity(gr2c4):
     omega = KahlerClass((Fraction(2),))
     a = line_bundle_weight([2], gr2c4)
     b = line_bundle_weight([-5], gr2c4)
-    assert hym_constant(a + b, omega, gr2c4) == hym_constant(a, omega, gr2c4) + hym_constant(
-        b, omega, gr2c4
-    )
+    total = hym_constant(combine((1, a), (1, b)), omega, gr2c4)
+    assert total == hym_constant(a, omega, gr2c4) + hym_constant(b, omega, gr2c4)
 
 
 @pytest.mark.parametrize("name, nodes", [("A3", (0, 2)), ("B4", (1, 2, 3)), ("D4", ())])

@@ -308,7 +308,7 @@ def endo_cases(draw):
 # psi supported only on the Levi nodes
 @example((cached_parabolic("D6", (1, 2, 4)), Weight.of(0, "5/2", -3, 0, 1, 0), KahlerClass((2, "1/3", 5))))
 # psi = 0
-@example((cached_parabolic("E7", (0, 3)), Weight.zero(7), KahlerClass(("3/4", 1, 2, "5/2", 1))))
+@example((cached_parabolic("E7", (0, 3)), Weight.of(*[0] * 7), KahlerClass(("3/4", 1, 2, "5/2", 1))))
 # Picard rank 3, with a short-root Levi
 @example((cached_parabolic("F4", (1,)), Weight.of("1/2", -3, 4, "-2/3"), KahlerClass(("2/3", 5, "1/4"))))
 def test_endo_eigenvalues_match_fraction_reference(case):

@@ -9,7 +9,10 @@
 * no ``import numpy`` (or ``from numpy ...``), at module or function level,
   outside ``spectral.py``: the package runs that module on first use, so
   exact requests never import numpy (``test_lazy_import.py`` checks the
-  same in a fresh interpreter).
+  same in a fresh interpreter);
+* no method that only tests call: every method of a library class is read
+  as an attribute somewhere in the library, or named ``Class.method`` in
+  ``bench/*.py``, or is a dunder, or is a hook listed in ``CALLED_FROM_OUTSIDE``.
 """
 from __future__ import annotations
 
@@ -18,7 +21,13 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "parabolica").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "parabolica").glob("*.py"))
+
+# Methods that code outside the package calls by name.
+CALLED_FROM_OUTSIDE = {
+    "_ArgumentParser.error",  # argparse reports every parse failure through it
+}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -77,3 +86,44 @@ def test_numpy_import_rule_sees_function_level_imports():
 
 def test_sources_are_found():
     assert {"cli.py", "rootsys.py", "spectral.py"} <= {p.name for p in SOURCES}
+
+
+def _unread_methods(sources: dict[str, str], bench_text: str) -> list[str]:
+    """``file:line Class.method`` for each non-dunder method that no library
+    source reads as an attribute and that bench_text does not name."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for name, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                qualname = f"{cls.name}.{method.name}"
+                hook = method.name.startswith("__") and method.name.endswith("__") or qualname in CALLED_FROM_OUTSIDE
+                if not (hook or method.name in read or qualname in bench_text):
+                    found.append(f"{name}:{method.lineno} {qualname}")
+    return found
+
+
+def test_every_library_method_has_a_library_or_bench_caller():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    bench_text = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+    assert _unread_methods(sources, bench_text) == []
+
+
+def test_unread_method_rule_sees_test_only_methods():
+    source = (
+        "class A:\n"
+        "    def used(self): return self.helper()\n"
+        "    def helper(self): return 1\n"
+        "    def traced(self): pass\n"
+        "    def orphan(self): pass\n"
+        "    def __add__(self, other): pass\n"
+    )
+    assert _unread_methods({"m.py": source}, "LAYERS = ('A.traced',)") == ["m.py:2 A.used", "m.py:5 A.orphan"]

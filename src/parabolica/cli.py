@@ -4,11 +4,11 @@ Conventions: simple-root nodes are 1-based Bourbaki indices on the command
 line (0-based internally); weights are full-rank coordinate vectors over
 the fundamental weights; every rational in a report is rendered as a
 "p/q" string; reports carry a schema_version and are byte-stable for
-identical requests.  Exit codes: 0 success, 1 input error or a reader
-that closed stdout early, 2 fixture mismatch, 3 a failed internal
-invariant or any other library fault (reported on stderr as one
-"invariant violated: ..." or "internal error: <Type>: <message>" line,
-without a traceback).
+identical requests.  Each flag is read once, into the library's validated
+type.  Exit codes: 0 success, 1 a reader's refusal naming its flag, a
+report value too large to carry or a closed stdout, 2 fixture mismatch, 3
+a failed internal invariant or any other library fault (one "invariant
+violated: ..." or "internal error: <Type>: <message>" line, no traceback).
 """
 from __future__ import annotations
 
@@ -20,19 +20,20 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 from . import __version__, spectral
 from .bundle import BundleSpec, SplittingReport, line_bundle_weight, splitting_report
-from .curvature import KahlerClass, einstein_class, hym_constant, spectrum_and_traces
-from .parabolic import ParabolicData, build_parabolic
-from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, build_root_system
+from .curvature import KahlerClass, NotKahlerError, einstein_class, hym_constant, spectrum_and_traces
+from .parabolic import NotDominantError, ParabolicData, build_parabolic
+from .rootsys import InvariantError, SimpleLieType, Weight, build_root_system
 
 SCHEMA_VERSION = "1"
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
-    """Malformed request tokens; the message names the offending piece."""
+    """A request refused by a reader; the message names the flag."""
 
 
 class FixtureMismatchError(AssertionError):
@@ -56,26 +57,19 @@ MAX_SPECTRAL_DIM = 64
 
 @dataclass(frozen=True)
 class SpectralRequest:
-    dim: int
+    """A profile on the unit torus of its dimension, the modes to expand and the target hym."""
+
+    profile: spectral.SingularProfile
     modes: int
-    exponent: float
-    codim: int | None = None
     hym: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ParseError(f"spectral request: dim must be at least 1, got {self.dim}")
-        if self.dim > MAX_SPECTRAL_DIM:
-            raise ParseError(f"spectral request: dim must be at most {MAX_SPECTRAL_DIM}, got {self.dim}")
-        if self.modes < 0:
-            raise ParseError(f"spectral request: modes must be nonnegative, got {self.modes}")
-        for name, value in (("s", self.exponent), ("hym", self.hym)):
-            if not math.isfinite(value):
-                raise ParseError(f"spectral request: {name} must be finite, got {value!r}")
 
-    def profile(self) -> spectral.SingularProfile:
-        codim = self.codim if self.codim is not None else self.dim
-        return spectral.SingularProfile(ambient_dim=self.dim, codim=codim, exponent=self.exponent)
+def _read(flag: str, build: Callable[..., T], *args, refused: type[ValueError] = ValueError) -> T:
+    """``build(*args)``, the library's check of a value of ``flag``; its ``refused`` error becomes a ParseError."""
+    try:
+        return build(*args)
+    except refused as exc:
+        raise ParseError(f"{flag}: {exc}") from exc
 
 
 def _split_ints(text: str, what: str) -> tuple[int, ...]:
@@ -135,48 +129,60 @@ def _levi_nodes(text: str, rank: int) -> tuple[int, ...]:
     return tuple(sorted(nodes))
 
 
-def _spectral_request(fields: dict[str, str | int | float], what: str) -> SpectralRequest:
-    """The one reader of `--spectral` and `spectral --profile` fields: s is
-    required, dim, modes and hym default to 1, 128 and 1, codim to dim; any
-    other key is refused."""
+def _spectral_request(fields: dict[str, str | float], what: str, options: tuple[str, ...] = ()) -> SpectralRequest:
+    """The one reader of the fields of ``what``, `--spectral` or `spectral
+    --profile`, where a key in ``options`` came from its own option
+    `--<key>`.  s is required, dim, modes and hym default to 1, 128 and 1,
+    codim to dim; any other key is refused."""
+    flags = {key: f"--{key}" if key in options else what for key in ("dim", "modes", "hym")}
     for key in fields:
         if key not in ("s", "dim", "modes", "hym", "codim"):
             raise ParseError(f"{what}: unknown field {key!r}; expected s, dim, modes, hym or codim")
     try:
         dim, modes, exponent = int(fields.get("dim", 1)), int(fields.get("modes", 128)), float(fields["s"])
-        codim = int(fields["codim"]) if "codim" in fields else None
+        codim = int(fields.get("codim", dim))
         hym = float(fields.get("hym", 1))
     except KeyError as exc:
         raise ParseError(f"{what}: missing required field {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from exc
-    return SpectralRequest(dim, modes, exponent, codim, hym)
-
-
-def _lie_type(text: str) -> SimpleLieType:
-    """The one reader of `--type`, for analyze, curvature and dump-roots."""
-    try:
-        return SimpleLieType.from_string(text)
-    except InvalidTypeError as exc:
-        raise ParseError(f"--type: {exc}") from exc
+    if dim < 1:
+        raise ParseError(f"{flags['dim']}: dim must be at least 1, got {dim}")
+    if dim > MAX_SPECTRAL_DIM:
+        raise ParseError(f"{flags['dim']}: dim must be at most {MAX_SPECTRAL_DIM}, got {dim}")
+    if modes < 0:
+        raise ParseError(f"{flags['modes']}: modes must be nonnegative, got {modes}")
+    if not math.isfinite(hym):
+        raise ParseError(f"{flags['hym']}: hym must be finite, got {hym!r}")
+    if not _two_pi_finite(hym):
+        raise ParseError(f"{flags['hym']}: hym {hym!r} puts the target mean 2*pi*hym past float range")
+    profile = _read(what, spectral.SingularProfile, dim, codim, exponent)
+    if profile.square_integrable:
+        # only an L2 profile builds a grid and (cached) mode tables; every table is over budget once dim >= 12
+        over, sides = spectral._OverBudget, (1.0,) * dim
+        points = _read(flags["dim"], spectral._default_points_per_axis, dim, refused=over) ** dim
+        _read(flags["dim"], spectral._table_for, sides, 0, refused=over)
+        if modes >= points:
+            raise ParseError(f"{flags['modes']}: modes {modes} is outside 0..{points - 1} for a {points}-point grid")
+        _read(flags["modes"], spectral._table_for, sides, modes, refused=over)
+    return SpectralRequest(profile, modes, hym)
 
 
 def _lie_fields(ns: argparse.Namespace) -> dict:
     """The one reader of the Lie-side flags of analyze and curvature, in this
-    order: --type, --parabolic, --weight (analyze only), --kahler, --line.
-    Returns the keyword arguments of build_analysis_report of the same names."""
-    lie_type = _lie_type(ns.type)
+    order: --type, --parabolic, --weight (analyze only), --kahler, --line, as
+    build_analysis_report's keyword arguments (a SimpleLieType, a KahlerClass)."""
+    lie_type = _read("--type", SimpleLieType.from_string, ns.type)
     rank = lie_type.rank
-    fields: dict = {"lie_type": str(lie_type), "parabolic": _levi_nodes(ns.parabolic, rank)}
+    fields: dict = {"lie_type": lie_type, "parabolic": _levi_nodes(ns.parabolic, rank)}
     if "weight" in ns:
         fields["weight"] = _split_ints(ns.weight, "--weight")
         if len(fields["weight"]) != rank:
             raise ParseError(f"--weight: expected {rank} coordinates, got {len(fields['weight'])}")
     picard = rank - len(fields["parabolic"])
     # only an absent flag is None: an empty --kahler= or --line= is refused
-    fields["kahler"] = (
-        None if ns.kahler is None else _picard_values(ns.kahler, _split_fractions, "--kahler", picard)
-    )
+    kahler = None if ns.kahler is None else _picard_values(ns.kahler, _split_fractions, "--kahler", picard)
+    fields["kahler"] = None if kahler is None else _read("--kahler", KahlerClass, kahler, refused=NotKahlerError)
     fields["line"] = None if ns.line is None else _picard_values(ns.line, _split_ints, "--line", picard)
     return fields
 
@@ -214,9 +220,16 @@ def _splitting_block(report: SplittingReport) -> dict:
         raise _ReportTooLarge("weight") from exc
 
 
-def _curvature_block(p: ParabolicData, kahler: KahlerClass, line: Weight | None) -> dict:
+def _parabolic(lie_type: SimpleLieType | str, parabolic: tuple[int, ...]) -> ParabolicData:
+    """The parabolic of ``lie_type`` with the 1-based Levi nodes ``parabolic``."""
+    return build_parabolic(build_root_system(lie_type), [n - 1 for n in parabolic])
+
+
+def _curvature_block(p: ParabolicData, kahler: KahlerClass | None, line: tuple[int, ...] | None) -> dict:
+    """Curvature constants under ``kahler`` of the line of degrees ``line``, each by default the Einstein class's."""
     einstein = einstein_class(p)
-    psi = line if line is not None else line_bundle_weight(einstein.coeffs, p)
+    kahler = einstein if kahler is None else kahler
+    psi = line_bundle_weight(einstein.coeffs if line is None else line, p)
     spectrum, traces = spectrum_and_traces(psi, kahler, p)
     try:
         block = {
@@ -240,13 +253,11 @@ def _root_label(root: tuple[int, ...]) -> str:
     return "+".join([f"a{i}" if m == 1 else f"{m}a{i}" for i, m in enumerate(root, 1) if m])
 
 
-def _spectral_block(
-    req: SpectralRequest, hym_target: float | None = None, hym_flag: str = "--hym", lambda_L0: Weight | None = None
-) -> dict:
-    """The demo's report; its target is hym_target (the constant of lambda_L0
-    under --kahler) or else req.hym (from hym_flag)."""
-    torus = spectral.FlatTorus((1.0,) * req.dim)
-    profile = req.profile()
+def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> dict:
+    """The demo's report; its target is hym_target (the constant of lambda(L0)
+    under --kahler) or else req.hym."""
+    profile = req.profile
+    torus = spectral.FlatTorus((1.0,) * profile.ambient_dim)
     check = spectral.integrability_check(profile)
     target = req.hym if hym_target is None else hym_target
     block: dict = {
@@ -268,39 +279,39 @@ def _spectral_block(
         residuals.append({"n": n, "residual": sol.residual_l2, "h2_norm": sol.h2_norm})
     gaps = []
     for m, n in zip(truncations, truncations[1:]):
-        bound = spectral.h2_cauchy_gap(f, n, m, torus, kappa=0.0)
-        gaps.append({"m": m, "n": n, "bound": bound, "gap": spectral.spectral_h2_gap(f, m, n, torus)})
+        bound, gap = spectral.h2_cauchy_gap(f, n, m, torus, kappa=0.0)
+        gaps.append({"m": m, "n": n, "bound": bound, "gap": gap})
     mean = f.coefficient(0) / torus.volume ** 0.5
-    c0 = spectral.compatibility_constant(mean, target)
-    if not math.isfinite(c0):  # the mean is finite, so 2*pi*target overflowed
-        if hym_target is not None:
-            raise _l0_target_too_large(lambda_L0)
-        raise ParseError(f"{hym_flag}: hym {target!r} puts the target mean 2*pi*hym past float range")
     block.update(
         {
             "coeffs_head": [f.coefficient(j) for j in range(8)],
             "residuals": residuals,
             "h2_gaps": gaps,
             "hym_target": target,
-            "c0": c0,
+            "c0": spectral.compatibility_constant(mean, target),
         }
     )
     return block
 
 
-def _l0_target_too_large(lambda_L0: Weight) -> _ReportTooLarge:
-    """The error for an L0 target whose 2*pi multiple passes float range.
-    The target is linear in lambda(L0): `--weight` is named when 2*pi*c
-    alone passes float range for a coordinate c of lambda(L0), else the
-    Kahler class and line."""
-    for c in lambda_L0.coords:
-        try:
-            finite = math.isfinite(2 * math.pi * float(c))
-        except OverflowError:  # float(c) of a rational past float range
-            finite = False
-        if not finite:
-            return _ReportTooLarge("weight")
-    return _ReportTooLarge("kahler", "line")
+def _l0_target(lambda_L0: Weight, kahler: KahlerClass, p: ParabolicData) -> float:
+    """The constant of lambda(L0) under ``kahler``, a split bundle's spectral
+    target.  When 2*pi times it passes float range, the error names --weight
+    if 2*pi*c does for a coordinate c of lambda(L0), which it is linear in, else --kahler and --line."""
+    target = hym_constant(lambda_L0, kahler, p)
+    if _two_pi_finite(target):
+        return float(target)
+    if all(map(_two_pi_finite, lambda_L0.coords)):
+        raise _ReportTooLarge("kahler", "line")
+    raise _ReportTooLarge("weight")
+
+
+def _two_pi_finite(x: Fraction | float) -> bool:
+    """Whether 2*pi*x is a finite float, the target mean of a constant x."""
+    try:
+        return math.isfinite(2 * math.pi * float(x))
+    except OverflowError:  # float(x) of a rational past float range
+        return False
 
 
 def _truncation_ladder(modes: int) -> list[int]:
@@ -314,52 +325,43 @@ def _truncation_ladder(modes: int) -> list[int]:
 
 
 def build_analysis_report(
-    lie_type: str,
+    lie_type: SimpleLieType | str,
     parabolic: tuple[int, ...],
     weight: tuple[int, ...],
-    kahler: tuple[Fraction, ...] | None = None,
+    kahler: KahlerClass | None = None,
     line: tuple[int, ...] | None = None,
     spectral: SpectralRequest | None = None,
 ) -> dict:
-    """The `analyze` report; the arguments are _lie_fields' keys and the
-    parsed `--spectral` request."""
+    """The `analyze` report; the arguments are _lie_fields' keys and the read
+    `--spectral` request.  A weight not dominant for the Levi is refused naming --weight."""
     # The line's constants are taken against a Kahler class; without one
     # the report would have no curvature block to carry them.
     if line is not None and kahler is None:
         raise ParseError("--line: needs --kahler, the Kahler class its curvature constants are taken against")
-    rs = build_root_system(lie_type)
-    p = build_parabolic(rs, [n - 1 for n in parabolic])
-    splitting = splitting_report(BundleSpec(parabolic=p, highest_weight=Weight.of(*weight)))
+    p = _parabolic(lie_type, parabolic)
+    splitting = splitting_report(_read("--weight", BundleSpec, p, Weight.of(*weight), refused=NotDominantError))
     report = {
         "schema_version": SCHEMA_VERSION,
         "request": {
-            "lie_type": lie_type,
+            "lie_type": str(p.rs.lie_type),
             "parabolic": list(parabolic),
             "weight": list(weight),
         },
         "root_system": {
-            "type": str(rs.lie_type),
-            "rank": rs.rank,
-            "positive_roots": len(rs.positive_roots),
+            "type": str(p.rs.lie_type),
+            "rank": p.rs.rank,
+            "positive_roots": len(p.rs.positive_roots),
         },
         "parabolic": _parabolic_block(p),
         "splitting": _splitting_block(splitting),
     }
-    kahler_class = KahlerClass(kahler) if kahler is not None else None
-    if kahler_class is not None:
-        line_weight = line_bundle_weight(line, p) if line is not None else None
-        report["curvature"] = _curvature_block(p, kahler_class, line_weight)
+    if kahler is not None:
+        report["curvature"] = _curvature_block(p, kahler, line)
     if spectral is not None:
         # when the bundle splits and a Kahler class is fixed, the demo's
         # target mean is the constant mean curvature of the split-off L0
-        hym_target, lambda_L0 = None, None
-        if kahler_class is not None and splitting.splits:
-            lambda_L0 = splitting.lambda_L0
-            try:
-                hym_target = float(hym_constant(lambda_L0, kahler_class, p))
-            except OverflowError as exc:
-                raise _l0_target_too_large(lambda_L0) from exc
-        report["spectral"] = _spectral_block(spectral, hym_target, "--spectral", lambda_L0)
+        hym_target = _l0_target(splitting.lambda_L0, kahler, p) if kahler is not None and splitting.splits else None
+        report["spectral"] = _spectral_block(spectral, hym_target)
     return report
 
 
@@ -453,10 +455,9 @@ _TANGENT_FIXTURE = {
 
 
 def _tangent_report() -> dict:
-    rs = build_root_system(_TANGENT_FIXTURE["type"])
-    p = build_parabolic(rs, [n - 1 for n in _TANGENT_FIXTURE["parabolic"]])
+    p = _parabolic(_TANGENT_FIXTURE["type"], _TANGENT_FIXTURE["parabolic"])
     delta = p.delta
-    in_simple = rs.weight_in_simple_roots(delta)
+    in_simple = p.rs.weight_in_simple_roots(delta)
     dim = len(p.complement_roots)  # rank of the tangent bundle
     degrees = [delta[i] / dim for i in p.picard_nodes]
     return {
@@ -557,20 +558,19 @@ def _profile_request(ns: argparse.Namespace) -> SpectralRequest:
     if ":" not in ns.profile:
         raise ParseError(f"--profile: expected kind:key=value[,...], got {ns.profile!r}")
     kind, rest = ns.profile.split(":", 1)
-    fields: dict[str, str | int | float] = _parse_fields(rest, "--profile")
+    fields: dict[str, str | float] = _parse_fields(rest, "--profile")
     if kind not in ("point", "subtorus"):
         raise ParseError(f"--profile: unknown singular-set kind {kind!r}")
-    if "s" not in fields:
-        raise ParseError("--profile: missing exponent s")
     if kind == "point":
         fields.pop("codim", None)  # a point has codimension dim
     elif "codim" not in fields:
         raise ParseError("--profile: subtorus profiles need codim=")
-    for key in ("dim", "modes", "hym"):
+    options = ("dim", "modes", "hym")
+    for key in options:
         fields.pop(key, None)
         if getattr(ns, key) is not None:
             fields[key] = getattr(ns, key)
-    return _spectral_request(fields, "--profile")
+    return _spectral_request(fields, "--profile", options)
 
 
 def _render_json(value: object, indent: str = "\n") -> str:
@@ -648,14 +648,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fields["spectral"] = _spectral_request(_parse_fields(ns.spectral, "--spectral"), "--spectral")
             _emit(build_analysis_report(**fields))
         elif ns.command == "curvature":
-            req = _lie_fields(ns)
-            p = build_parabolic(build_root_system(req["lie_type"]), [n - 1 for n in req["parabolic"]])
-            kahler = KahlerClass(req["kahler"]) if req["kahler"] is not None else einstein_class(p)
-            line = line_bundle_weight(req["line"], p) if req["line"] is not None else None
-            _emit(_curvature_block(p, kahler, line))
+            fields = _lie_fields(ns)
+            p = _parabolic(fields["lie_type"], fields["parabolic"])
+            _emit(_curvature_block(p, fields["kahler"], fields["line"]))
         elif ns.command == "spectral":
-            req = _profile_request(ns)
-            block = _spectral_block(req)
+            block = _spectral_block(_profile_request(ns))
             if ns.csv:
                 sys.stdout.write("n,residual\n")
                 for row in block.get("residuals", ()):
@@ -673,10 +670,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                     sys.stderr.write(f"ok {entry['name']}\n")
             _emit(reports)
         elif ns.command == "dump-roots":
-            _emit(build_root_system(_lie_type(ns.type)).to_dict())
+            _emit(build_root_system(_read("--type", SimpleLieType.from_string, ns.type)).to_dict())
         sys.stdout.flush()
     except SystemExit as exc:  # --help or --version
         return 0 if exc.code == 0 else 1
+    except ParseError as exc:
+        sys.stderr.write(f"error: {_clip(str(exc))}\n")
+        return 1
     except _ReportTooLarge as exc:
         flags = " and ".join(f"--{name}" for name in exc.args if getattr(ns, name, None))
         sys.stderr.write(f"error: {flags}: values too large or too finely divided for an exact report\n")
@@ -685,9 +685,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # The reader closed stdout early.  Point it at devnull so that the
         # flush at interpreter exit cannot raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except (ValueError, OverflowError) as exc:  # bad input, or a value past float range
-        sys.stderr.write(f"error: {_clip(str(exc))}\n")
         return 1
     except InvariantError as exc:
         sys.stderr.write(f"invariant violated: {exc}\n")

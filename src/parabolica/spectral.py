@@ -41,6 +41,10 @@ class NotL2Error(ValueError):
     """The requested singular profile is not square integrable."""
 
 
+class _OverBudget(ValueError):
+    """A grid or mode table past the budgets below."""
+
+
 # Grid budget: the default grid for d >= 2 is the finest power-of-two side
 # with at most _DEFAULT_GRID_POINTS nodes, and no grid, default or explicit,
 # may exceed _MAX_GRID_POINTS nodes.  At the budget, a 2048^2
@@ -62,7 +66,7 @@ def _default_points_per_axis(dimension: int) -> int:
     if dimension == 1:
         return 8192
     if 2**dimension > _DEFAULT_GRID_POINTS:
-        raise ValueError(f"no default grid for dimension {dimension}: 2^{dimension} points exceed the budget")
+        raise _OverBudget(f"no default grid for dimension {dimension}: 2^{dimension} points exceed the budget")
     side = 1
     while (2 * side) ** dimension <= _DEFAULT_GRID_POINTS:
         side *= 2
@@ -141,7 +145,7 @@ class FlatTorus:
         """Node count points_per_axis^d of a midpoint grid; ValueError over the budget."""
         total = points_per_axis**self.dimension
         if points_per_axis < 1 or total > _MAX_GRID_POINTS:
-            raise ValueError(
+            raise _OverBudget(
                 f"a grid of {points_per_axis}^{self.dimension} points is outside "
                 f"1..{_MAX_GRID_POINTS} points"
             )
@@ -194,7 +198,7 @@ def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
     bound = 1
     while True:
         if (2 * bound + 1) ** dim * dim > _MAX_FREQUENCY_BOX:
-            raise ValueError(f"a {size}-mode table of the {dim}-torus needs a frequency box over the budget")
+            raise _OverBudget(f"a {size}-mode table of the {dim}-torus needs a frequency box over the budget")
         span = np.arange(-bound, bound + 1)
         nu = np.stack(np.meshgrid(*(span,) * dim, indexing="ij"), axis=-1).reshape(-1, dim)
         first_nonzero = nu[np.arange(len(nu)), np.argmax(nu != 0, axis=1)]
@@ -318,10 +322,8 @@ def spectral_h2_gap(f: SpectralFunction, m: int, n: int, manifold: FlatTorus) ->
     return float(np.sum((1.0 + lam**2) * (c / lam) ** 2))
 
 
-def h2_cauchy_gap(
-    f: SpectralFunction, n: int, m_idx: int, manifold: FlatTorus, kappa: float
-) -> float:
-    """Bochner upper bound for the squared H2 gap between psi_n and psi_m.
+def h2_cauchy_gap(f: SpectralFunction, n: int, m_idx: int, manifold: FlatTorus, kappa: float) -> tuple[float, float]:
+    """Bochner upper bound for the squared H2 gap between psi_n and psi_m, and the gap.
 
     Bound = (1 + C) * sum_{j=m+1}^{n} (1/lambda_j^2 + 1) c_j^2 with
     C = max(1 + |kappa| eps, |kappa| / (4 eps)), eps = 1/(2 |kappa|); for
@@ -343,7 +345,7 @@ def h2_cauchy_gap(
             f"Bochner bound must dominate the exact H2 gap: bound {bound!r} < gap {gap!r} "
             f"for n={n}, m={m_idx}, kappa={kappa!r}"
         )
-    return bound
+    return bound, gap
 
 
 def compatibility_constant(profile_mean: float, hym_c: float) -> float:
@@ -367,7 +369,7 @@ class SingularProfile:
         if self.codim < 1 or self.codim > self.ambient_dim:
             raise ValueError("codimension must lie in 1..ambient_dim")
         if not (math.isfinite(self.exponent) and self.exponent > 0):
-            raise ValueError(f"exponent must be positive and finite, got {self.exponent!r}")
+            raise ValueError(f"exponent s must be finite and positive, got {self.exponent!r}")
 
     @property
     def square_integrable(self) -> bool:

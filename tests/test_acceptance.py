@@ -252,8 +252,8 @@ def test_acceptance_5_spectral_suite():
     # Bochner bound dominates the exact spectral gap for every tested case
     for kappa in (0.0, 1.0, -1.0):
         for m, n in ((0, 10), (10, 50), (50, 100), (10, 100), (100, 1000)):
-            bound = h2_cauchy_gap(f_harmonic, n, m, circle, kappa=kappa)
-            gap = spectral_h2_gap(f_harmonic, m, n, circle)
+            bound, gap = h2_cauchy_gap(f_harmonic, n, m, circle, kappa=kappa)
+            assert gap == spectral_h2_gap(f_harmonic, m, n, circle)
             assert bound >= gap
 
     # integrability dichotomy over the (k, s) grid, including the boundary

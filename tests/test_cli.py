@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parabolica import KahlerClass, SimpleLieType
 from parabolica.cli import (
     FixtureMismatchError,
     SpectralRequest,
@@ -26,6 +28,7 @@ from parabolica.cli import (
     main,
     run_reference_suite,
 )
+from parabolica.spectral import SingularProfile
 
 from oracles import check_report
 
@@ -586,14 +589,26 @@ def test_main_spectral_residual_ladder_never_increases(capsys):
         (["--profile=point:s=0.25", "--hym=-3e307"], "--hym: hym -3e+307 puts the target mean"),
         (["--profile=point:s=0.25,s=0.3"], "--profile: key 's' given twice"),
         (["--profile=subtorus:s=0.25,codim=1,dim=2,dim=3"], "--profile: key 'dim' given twice"),
+        (["--profile=point:s=-0.25"], "--profile: exponent s must be finite and positive, got -0.25"),
+        (["--profile=subtorus:s=0.25,codim=3", "--dim=2"], "--profile: codimension must lie in 1..ambient_dim"),
+        # the mode table's frequency box is over budget for every mode count once dim >= 12
+        (["--dim=12", "--profile=point:s=0.25"], "--dim: a 1-mode table of the 12-torus needs a frequency box over"),
+        (["--dim=18", "--modes=0", "--profile=subtorus:s=0.25,codim=1"], "--dim: a 1-mode table of the 18-torus"),
+        (["--dim=19", "--profile=point:s=0.25"], "--dim: no default grid for dimension 19"),
+        (["--dim=11", "--modes=2048", "--profile=point:s=0.25"], "--modes: modes 2048 is outside 0..2047 for a 2048"),
+        # below the grid's point count, but past what the frequency box holds
+        (["--dim=11", "--modes=1500", "--profile=point:s=0.25"], "--modes: a 2048-mode table of the 11-torus needs"),
+        (["--dim=3", "--modes=200000", "--profile=point:s=0.25"], "--modes: a 262144-mode table of the 3-torus"),
     ],
 )
 def test_main_spectral_rejects_bad_values(capsys, argv, message):
     assert main(["spectral", "--modes=8", *argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
     assert message in captured.err
+    flag = captured.err.removeprefix("error: ").split(":")[0]
+    assert any(token.startswith(f"{flag}=") for token in argv), captured.err  # the flag this case sets
 
 
 @pytest.mark.parametrize(
@@ -604,6 +619,13 @@ def test_main_spectral_rejects_bad_values(capsys, argv, message):
         ("dim=1,modes=8,s=0.25,hym=inf", "hym must be finite"),
         ("dim=1,modes=8,s=0.25,hym=3e307", "--spectral: hym 3e+307 puts the target mean 2*pi*hym past float range"),
         ("dim=1,modes=8,s=0.25,s=0.3", "--spectral: key 's' given twice"),
+        ("dim=1,modes=8,s=0", "--spectral: exponent s must be finite and positive, got 0.0"),
+        ("dim=2,modes=8,s=0.25,codim=0", "--spectral: codimension must lie in 1..ambient_dim"),
+        ("dim=0,s=0.25", "--spectral: dim must be at least 1, got 0"),
+        ("dim=12,modes=8,s=0.25", "--spectral: a 1-mode table of the 12-torus needs a frequency box over"),
+        ("dim=20,s=0.25", "--spectral: no default grid for dimension 20"),
+        ("dim=1,modes=8192,s=0.25", "--spectral: modes 8192 is outside 0..8191 for a 8192-point grid"),
+        ("dim=3,modes=200000,s=0.25", "--spectral: a 262144-mode table of the 3-torus"),
     ],
 )
 def test_main_analyze_rejects_bad_spectral_spec(capsys, spec, message):
@@ -611,7 +633,7 @@ def test_main_analyze_rejects_bad_spectral_spec(capsys, spec, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --spectral: ") and captured.err.count("\n") == 1
     assert message in captured.err
 
 
@@ -630,10 +652,10 @@ def test_main_refuses_to_emit_non_standard_json(capsys, monkeypatch):
     import parabolica.cli as cli_module
 
     monkeypatch.setattr(cli_module, "_spectral_block", lambda req: {"residual": math.nan})
-    assert main(["spectral", "--modes=8", "--profile=point:s=0.25"]) == 1
+    assert main(["spectral", "--modes=8", "--profile=point:s=0.25"]) == 3  # a NaN in a report is a library fault
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    assert captured.err == "internal error: ValueError: Out of range float values are not JSON compliant: nan\n"
 
 
 def test_build_analysis_report_derives_splitting_once(monkeypatch):
@@ -651,8 +673,8 @@ def test_build_analysis_report_derives_splitting_once(monkeypatch):
         lie_type="B3",
         parabolic=(2, 3),
         weight=(0, 0, 2),
-        kahler=(Fraction(1),),
-        spectral=SpectralRequest(dim=1, modes=16, exponent=0.25),
+        kahler=KahlerClass((Fraction(1),)),
+        spectral=SpectralRequest(SingularProfile(ambient_dim=1, codim=1, exponent=0.25), modes=16),
     )
     assert len(calls) == 1
     assert report["splitting"]["lambda_s"] == ["0", "0", "2"]
@@ -670,7 +692,15 @@ def test_main_invariant_violation_exit_three(capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("error", [IndexError("tuple index out of range"), KeyError("levi")])
+@pytest.mark.parametrize(
+    "error",
+    [
+        IndexError("tuple index out of range"),
+        KeyError("levi"),
+        ValueError("dimension mismatch"),
+        OverflowError("integer division result too large for a float"),
+    ],
+)
 def test_main_library_bug_exit_three(capsys, monkeypatch, error):
     import parabolica.cli as cli_module
 
@@ -728,7 +758,7 @@ def test_parabolic_nodes_validated_alike(capsys, argv, message):
             "--spectral: missing required field 's'",
         ),
         (["spectral", "--profile=point:s=0.25,codim"], "--profile: expected key=value, got 'codim'"),
-        (["spectral", "--profile=point:codim=1"], "--profile: missing exponent s"),
+        (["spectral", "--profile=point:codim=1"], "--profile: missing required field 's'"),
         (["spectral", "--profile=subtorus:s=0.25"], "--profile: subtorus profiles need codim="),
         (
             ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--spectral=s=0.25,mode=512"],
@@ -846,7 +876,7 @@ def test_analyze_builds_each_root_system_once(monkeypatch, capsys):
     monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: enumerated.append(cartan) or genuine(cartan))
     argv = ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2"]
     rootsys._memoized_root_system.cache_clear()
-    assert _lie_fields(_build_parser().parse_args(argv))["lie_type"] == "B3"
+    assert _lie_fields(_build_parser().parse_args(argv))["lie_type"] == SimpleLieType("B", 3)
     assert enumerated == []  # parsing only canonicalizes the type
     assert main(argv) == 0
     assert len(enumerated) == 1  # G only: the Levi is read off G's coroot table
@@ -907,6 +937,24 @@ def test_type_errors_name_the_flag(capsys, argv, message):
     assert captured.err == f"error: --type: {message}\n"
 
 
+# The paper's hypotheses on the exact side: a highest weight dominant for the
+# Levi and a Kahler class positive on every Picard generator.  The library's
+# types refuse the rest, and the reader names the flag.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,-1,1"], "--weight: weight is not dominant for the Levi"),
+        (["analyze", "--type=A3", "--parabolic=2", "--weight=1,0,0", "--kahler=1,-2"], "--kahler: all generator"),
+        (["curvature", "--type=A3", "--parabolic=2", "--kahler=0,1"], "--kahler: all generator coefficients must be"),
+    ],
+)
+def test_library_refusals_name_the_flag(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
 def test_spectral_defaults_are_shared(capsys):
     """`spectral --profile` and `analyze --spectral` read one request with
     the same defaults (dim 1, 128 modes, hym 1), so the blocks agree.  A
@@ -922,8 +970,9 @@ def test_spectral_defaults_are_shared(capsys):
 
 
 # CLI fuzzing: every request exits 0 with strict JSON (or CSV when asked),
-# or exits 1 with one line on stderr and nothing on stdout.  A request has at
-# most one malformed or extreme field, so the report paths run too.
+# or exits 1 with one line on stderr that names one of the flags sent (or is
+# argparse's own) and nothing on stdout; never 3, a library fault.  A request
+# has at most one malformed or extreme field, so the report paths run too.
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 _TYPE_RANKS = {"A1": 1, "a3": 3, "B3": 3, "C4": 4, "D4": 4, "G2": 2, "F4": 4, "E6": 6, "A9": 9, "D9": 9}
 _NUMBERS = ["0", "-1", "1/2", "1/0", "nan", "inf", "-inf", "1e308", "1e-320", "9" * 40, "x", ""]
@@ -1000,4 +1049,6 @@ def test_cli_fuzz_exits_cleanly(tokens):
     else:
         assert code == 1, (tokens, err)
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.count("\n") == 1, err
+        named = re.match(r"error: (--[a-z]+|parabolica)\b", err)
+        assert named and (named.group(1) in _FIELDS or named.group(1) == "parabolica"), err

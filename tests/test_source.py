@@ -12,7 +12,10 @@
   same in a fresh interpreter);
 * no method that only tests call: every method of a library class is read
   as an attribute somewhere in the library, or named ``Class.method`` in
-  ``bench/*.py``, or is a dunder, or is a hook listed in ``CALLED_FROM_OUTSIDE``.
+  ``bench/*.py``, or is a dunder, or is a hook listed in ``CALLED_FROM_OUTSIDE``;
+* one input boundary: an ``except`` clause of ``cli.main`` that can return 1
+  names only ``EXIT_ONE_ERRORS``, so a library fault such as a bare
+  ``ValueError`` exits 3 and never reads as bad input.
 """
 from __future__ import annotations
 
@@ -28,6 +31,10 @@ SOURCES = sorted((ROOT / "src" / "parabolica").glob("*.py"))
 CALLED_FROM_OUTSIDE = {
     "_ArgumentParser.error",  # argparse reports every parse failure through it
 }
+
+# What `cli.main` may map to exit 1: a reader's refusal, a report value too
+# large to carry, a reader that closed stdout early, and argparse's exits.
+EXIT_ONE_ERRORS = {"ParseError", "_ReportTooLarge", "BrokenPipeError", "SystemExit"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -127,3 +134,50 @@ def test_unread_method_rule_sees_test_only_methods():
         "    def __add__(self, other): pass\n"
     )
     assert _unread_methods({"m.py": source}, "LAYERS = ('A.traced',)") == ["m.py:2 A.used", "m.py:5 A.orphan"]
+
+
+def _exit_one_handlers(source: str, function: str = "main") -> list[str]:
+    """The exception names, in source order, of each ``except`` clause of
+    ``function`` with a ``return`` whose value can be the integer 1; a bare
+    ``except:`` reads as ``BaseException``."""
+    tree = ast.parse(source)
+    body = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function)
+    names = []
+    for handler in (node for node in ast.walk(body) if isinstance(node, ast.ExceptHandler)):
+        returns_one = any(
+            isinstance(node, ast.Return)
+            and node.value is not None
+            and any(type(c) is ast.Constant and type(c.value) is int and c.value == 1 for c in ast.walk(node.value))
+            for node in ast.walk(handler)
+        )
+        if not returns_one:
+            continue
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        names += ["BaseException" if t is None else ast.unparse(t) for t in caught]
+    return names
+
+
+def test_only_reader_refusals_exit_one():
+    names = _exit_one_handlers((ROOT / "src" / "parabolica" / "cli.py").read_text())
+    assert "ParseError" in names
+    assert set(names) <= EXIT_ONE_ERRORS, f"cli.main maps {set(names) - EXIT_ONE_ERRORS} to exit 1"
+
+
+def test_exit_one_rule_sees_broad_handlers():
+    source = (
+        "def main():\n"
+        "    try:\n"
+        "        run()\n"
+        "    except SystemExit as exc:\n"
+        "        return 0 if exc.code == 0 else 1\n"
+        "    except ParseError:\n"
+        "        return 1\n"
+        "    except (ValueError, errors.Overflow):\n"
+        "        code = 1\n"
+        "        return code if quiet else 1\n"
+        "    except InvariantError:\n"
+        "        return 3\n"
+        "    except:\n"
+        "        return 1\n"
+    )
+    assert _exit_one_handlers(source) == ["SystemExit", "ParseError", "ValueError", "errors.Overflow", "BaseException"]

@@ -161,8 +161,8 @@ def test_h2_gap_single_extra_mode():
     lam = float(CIRCLE.eigenvalues(j)[j])
     c = 0.3
     f = SpectralFunction(coeffs=dense({j: c}))
-    bound = h2_cauchy_gap(f, j, j - 1, CIRCLE, kappa=0.0)
-    gap = spectral_h2_gap(f, j - 1, j, CIRCLE)
+    bound, gap = h2_cauchy_gap(f, j, j - 1, CIRCLE, kappa=0.0)
+    assert gap == spectral_h2_gap(f, j - 1, j, CIRCLE)
     assert math.isclose(bound, 2.0 * (1.0 / lam**2 + 1.0) * c * c, rel_tol=1e-14)
     assert math.isclose(gap, (1.0 + lam**2) * (c / lam) ** 2, rel_tol=1e-14)
     assert bound >= gap
@@ -170,15 +170,15 @@ def test_h2_gap_single_extra_mode():
 
 def test_h2_gap_zero_tail():
     f = SpectralFunction(coeffs=[0.0, 1.0, 0.5])
-    assert h2_cauchy_gap(f, 10, 5, CIRCLE, kappa=0.0) == 0.0
+    assert h2_cauchy_gap(f, 10, 5, CIRCLE, kappa=0.0) == (0.0, 0.0)
     assert spectral_h2_gap(f, 5, 10, CIRCLE) == 0.0
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0])
 def test_h2_bound_dominates_gap(kappa):
     f = SpectralFunction(coeffs=dense({j: 1.0 / j for j in range(1, 101)}))
-    bound = h2_cauchy_gap(f, 100, 10, CIRCLE, kappa=kappa)
-    gap = spectral_h2_gap(f, 10, 100, CIRCLE)
+    bound, gap = h2_cauchy_gap(f, 100, 10, CIRCLE, kappa=kappa)
+    assert gap == spectral_h2_gap(f, 10, 100, CIRCLE)
     assert bound >= gap > 0.0
     assert math.isfinite(bound)
 

@@ -20,13 +20,14 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from operator import sub
 from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 from . import __version__, spectral
 from .bundle import BundleSpec, SplittingReport, line_bundle_weight, splitting_report
 from .curvature import KahlerClass, NotKahlerError, einstein_class, hym_constant, spectrum_and_traces
 from .parabolic import NotDominantError, ParabolicData, build_parabolic
-from .rootsys import InvariantError, SimpleLieType, Weight, build_root_system
+from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, build_root_system
 
 SCHEMA_VERSION = "1"
 T = TypeVar("T")
@@ -64,7 +65,7 @@ class SpectralRequest:
     hym: float = 1.0
 
 
-def _read(flag: str, build: Callable[..., T], *args, refused: type[ValueError] = ValueError) -> T:
+def _read(flag: str, build: Callable[..., T], *args, refused: type[ValueError]) -> T:
     """``build(*args)``, the library's check of a value of ``flag``; its ``refused`` error becomes a ParseError."""
     try:
         return build(*args)
@@ -156,7 +157,7 @@ def _spectral_request(fields: dict[str, str | float], what: str, options: tuple[
         raise ParseError(f"{flags['hym']}: hym must be finite, got {hym!r}")
     if not _two_pi_finite(hym):
         raise ParseError(f"{flags['hym']}: hym {hym!r} puts the target mean 2*pi*hym past float range")
-    profile = _read(what, spectral.SingularProfile, dim, codim, exponent)
+    profile = _read(what, spectral.SingularProfile, dim, codim, exponent, refused=spectral._InvalidProfile)
     if profile.square_integrable:
         # only an L2 profile builds a grid and (cached) mode tables; every table is over budget once dim >= 12
         over, sides = spectral._OverBudget, (1.0,) * dim
@@ -172,7 +173,7 @@ def _lie_fields(ns: argparse.Namespace) -> dict:
     """The one reader of the Lie-side flags of analyze and curvature, in this
     order: --type, --parabolic, --weight (analyze only), --kahler, --line, as
     build_analysis_report's keyword arguments (a SimpleLieType, a KahlerClass)."""
-    lie_type = _read("--type", SimpleLieType.from_string, ns.type)
+    lie_type = _read("--type", SimpleLieType.from_string, ns.type, refused=InvalidTypeError)
     rank = lie_type.rank
     fields: dict = {"lie_type": lie_type, "parabolic": _levi_nodes(ns.parabolic, rank)}
     if "weight" in ns:
@@ -273,10 +274,8 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> di
         return block
     f = spectral.distance_profile_coefficients(profile, torus, req.modes)
     truncations = _truncation_ladder(req.modes)
-    residuals = []
-    for n in truncations:
-        sol = spectral.solve_weight(f, n, torus)
-        residuals.append({"n": n, "residual": sol.residual_l2, "h2_norm": sol.h2_norm})
+    solutions = [spectral.solve_weight(f, n, torus) for n in truncations]
+    residuals = [{"n": sol.truncation, "residual": sol.residual_l2, "h2_norm": sol.h2_norm} for sol in solutions]
     gaps = []
     for m, n in zip(truncations, truncations[1:]):
         bound, gap = spectral.h2_cauchy_gap(f, n, m, torus, kappa=0.0)
@@ -315,13 +314,8 @@ def _two_pi_finite(x: Fraction | float) -> bool:
 
 
 def _truncation_ladder(modes: int) -> list[int]:
-    ladder = []
-    n = 2
-    while n < modes:
-        ladder.append(n)
-        n *= 2
-    ladder.append(modes)
-    return ladder
+    """The powers of two from 2 up to below ``modes``, then ``modes``."""
+    return [1 << k for k in range(1, max(modes - 1, 0).bit_length())] + [modes]
 
 
 def build_analysis_report(
@@ -482,11 +476,7 @@ def run_reference_suite() -> list[dict]:
         _check_fixture(fixture["name"], fixture["expected"], combined)
         reports.append({"name": fixture["name"], "report": report})
     tangent = _tangent_report()
-    _check_fixture(
-        _TANGENT_FIXTURE["name"],
-        _TANGENT_FIXTURE["expected"],
-        tangent,
-    )
+    _check_fixture(_TANGENT_FIXTURE["name"], _TANGENT_FIXTURE["expected"], tangent)
     reports.append({"name": _TANGENT_FIXTURE["name"], "report": tangent})
     return reports
 
@@ -496,9 +486,7 @@ def _check_fixture(name: str, expected: dict, actual: dict) -> None:
         if key not in actual:
             raise FixtureMismatchError(f"{name}: missing field {key!r}")
         if actual[key] != value:
-            raise FixtureMismatchError(
-                f"{name}: field {key!r} differs (expected {value!r}, got {actual[key]!r})"
-            )
+            raise FixtureMismatchError(f"{name}: field {key!r} differs (expected {value!r}, got {actual[key]!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +566,9 @@ def _render_json(value: object, indent: str = "\n") -> str:
     ``indent`` is a newline and the spaces of the enclosing level.
 
     json's encoder runs in pure Python whenever ``indent`` is set; here the
-    items of a list, or the values of a dict, that are all ``str``, all
-    ``int`` or all finite ``float`` (a report's weights, nodes, roots,
-    rationals and coefficient lists) are rendered by one ``map``.  Strings
+    items of a list, or the values of a dict, that are all ``str``, or all
+    numbers (a report's weights, nodes, rationals, coefficient lists and
+    ladder rows), are rendered by one ``map`` (see _render_items).  Strings
     and keys are quoted by json's C escaper, which raises ``TypeError`` for
     a key that is not a ``str``; nan and +-inf raise json's ``ValueError``;
     any other type raises ``TypeError``.
@@ -614,15 +602,15 @@ def _render_json(value: object, indent: str = "\n") -> str:
 
 
 def _render_items(values: Collection, indent: str) -> Iterable[str]:
-    """Each of ``values`` rendered at ``indent``."""
+    """Each of ``values`` rendered at ``indent``, by one ``map`` when all are
+    ``str`` or all are exact ``int`` or finite ``float``.  Floats are checked
+    only if present, by x - x: nan for nan or +-inf, and no int becomes a float."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return map(_quote, values)
-    if kinds == {int}:
-        return map(int.__repr__, values)
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return map(float.__repr__, values)
-    # mixed kinds, or a nan or inf, which raises json's ValueError here
+    if kinds <= {int, float} and (float not in kinds or not any(map(sub, values, values))):
+        return map(repr, values)
+    # any other kind, or a nan or inf, which raises json's ValueError here
     return [_render_json(item, indent) for item in values]
 
 
@@ -670,7 +658,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     sys.stderr.write(f"ok {entry['name']}\n")
             _emit(reports)
         elif ns.command == "dump-roots":
-            _emit(build_root_system(_read("--type", SimpleLieType.from_string, ns.type)).to_dict())
+            lie_type = _read("--type", SimpleLieType.from_string, ns.type, refused=InvalidTypeError)
+            _emit(build_root_system(lie_type).to_dict())
         sys.stdout.flush()
     except SystemExit as exc:  # --help or --version
         return 0 if exc.code == 0 else 1

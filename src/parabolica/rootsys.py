@@ -96,7 +96,10 @@ class SimpleLieType:
         match = _TYPE_RE.match(text.strip())
         if not match:
             raise InvalidTypeError(f"cannot parse Dynkin type {text!r}")
-        return cls(match.group(1).upper(), int(match.group(2)))
+        family, digits = match.group(1).upper(), match.group(2).lstrip("0") or "0"
+        if len(digits) > 9:  # past every rank range, and int() refuses digits past the int-to-str limit
+            raise InvalidTypeError(f"a rank of {len(digits)} digits is out of range for type {family}")
+        return cls(family, int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

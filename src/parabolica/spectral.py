@@ -45,6 +45,10 @@ class _OverBudget(ValueError):
     """A grid or mode table past the budgets below."""
 
 
+class _InvalidProfile(ValueError):
+    """A SingularProfile's codimension or exponent out of range."""
+
+
 # Grid budget: the default grid for d >= 2 is the finest power-of-two side
 # with at most _DEFAULT_GRID_POINTS nodes, and no grid, default or explicit,
 # may exceed _MAX_GRID_POINTS nodes.  At the budget, a 2048^2
@@ -311,9 +315,11 @@ def _matched_modes(
     f: SpectralFunction, m: int, n: int, manifold: FlatTorus
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices j with max(m, 0) < j <= n (within f's range), with their
-    coefficients and eigenvalues."""
-    lo, hi = max(m, 0) + 1, min(n, len(f.coeffs) - 1)
-    return np.arange(lo, hi + 1), f.coeffs[lo : hi + 1], manifold.eigenvalues(max(hi, 0))[lo:]
+    coefficients and eigenvalues, read from the table for all of f (the one
+    distance_profile_coefficients fetched), whatever n is."""
+    top = len(f.coeffs) - 1
+    lo, hi = max(m, 0) + 1, min(n, top)
+    return np.arange(lo, hi + 1), f.coeffs[lo : hi + 1], manifold.eigenvalues(max(top, 0))[lo : hi + 1]
 
 
 def spectral_h2_gap(f: SpectralFunction, m: int, n: int, manifold: FlatTorus) -> float:
@@ -367,9 +373,9 @@ class SingularProfile:
 
     def __post_init__(self) -> None:
         if self.codim < 1 or self.codim > self.ambient_dim:
-            raise ValueError("codimension must lie in 1..ambient_dim")
+            raise _InvalidProfile("codimension must lie in 1..ambient_dim")
         if not (math.isfinite(self.exponent) and self.exponent > 0):
-            raise ValueError(f"exponent s must be finite and positive, got {self.exponent!r}")
+            raise _InvalidProfile(f"exponent s must be finite and positive, got {self.exponent!r}")
 
     @property
     def square_integrable(self) -> bool:

@@ -714,6 +714,42 @@ def test_main_library_bug_exit_three(capsys, monkeypatch, error):
     assert captured.err == f"internal error: {type(error).__name__}: {error}\n"
 
 
+def test_type_rank_past_the_int_digit_limit_names_type(capsys):
+    for command in (["analyze", "--parabolic=", "--weight=0"], ["dump-roots"]):
+        assert main([*command, "--type=A" + "7" * 5000]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --type: a rank of 5000 digits is out of range for type A\n"
+    assert main(["dump-roots", "--type=A" + "0" * 5000 + "2"]) == 0  # leading zeros are not digits of the rank
+    assert json.loads(capsys.readouterr().out)["type"] == "A2"
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("from_string", ["dump-roots", "--type=A2"]),
+        ("from_string", ["analyze", "--type=A2", "--parabolic=1", "--weight=1,0"]),
+        ("SingularProfile", ["spectral", "--modes=8", "--profile=point:s=0.25"]),
+        ("SingularProfile", ["analyze", "--type=A2", "--parabolic=1", "--weight=1,0", "--spectral=s=0.25"]),
+    ],
+)
+def test_bare_value_error_from_a_reader_constructor_exits_three(capsys, monkeypatch, target, argv):
+    from parabolica import spectral
+    from parabolica.rootsys import SimpleLieType
+
+    def broken(*args):
+        raise ValueError("library bug")
+
+    if target == "from_string":
+        monkeypatch.setattr(SimpleLieType, "from_string", broken)
+    else:
+        monkeypatch.setattr(spectral, "SingularProfile", broken)
+    assert main(argv) == 3  # only the constructor's own refusal class is bad input
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ValueError: library bug\n"
+
+
 def test_analyze_borel_parabolic(capsys):
     assert main(["analyze", "--type=A2", "--parabolic=", "--weight=1,0"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -121,6 +121,23 @@ def test_tracer_finds_every_traced_function_and_sees_its_calls():
     assert layers["spectral.solve_weight.calls"] == 3
 
 
+# One cold spectral request, then the mode tables it built.
+COLD_TABLES = """
+import contextlib, io, json, sys
+import parabolica.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = parabolica.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "misses": parabolica.spectral._build_table.cache_info().misses}))
+"""
+
+
+@pytest.mark.parametrize("dim, modes", [(1, 4096), (2, 4000)])
+def test_cold_spectral_request_builds_two_mode_tables(dim, modes):
+    # the reader's one-mode budget probe, then the --modes table that every ladder rung reads
+    cold = _run(COLD_TABLES, "spectral", f"--dim={dim}", f"--modes={modes}", "--profile=point:s=0.25")
+    assert cold == {"code": 0, "misses": 2}
+
+
 # Threads that all read the module for the first time at once.
 RACE = """
 import json, sys, threading

@@ -58,6 +58,35 @@ def test_render_matches_json_dumps(value):
 @pytest.mark.parametrize(
     "value",
     [
+        {"n": 2, "residual": 0.125, "h2_norm": 3.5},
+        {"m": 2, "n": 4, "bound": 1e-300, "gap": -0.0},
+        [{"n": 0, "residual": 5e-324, "h2_norm": 0.0}, {"n": 2**70, "residual": 1e308, "h2_norm": -1e16}],
+        {"n": 2, "residual": math.nan, "h2_norm": 1.0},
+        {"m": 2, "n": 4, "bound": math.inf, "gap": 0.5},
+        [True, 1, 2.5],
+        [1, None, 2.5],
+        [10**400, 0.5],
+        [-(10**400), 10**400, 1e308, 7],
+        [10**400, math.nan],
+        [10**5000, 0.5],
+    ],
+    ids=["row", "gap-row", "rows", "row-nan", "row-inf", "bool-int-float", "none", "huge-int", "huge-ints",
+         "huge-int-nan", "past-digit-limit"],
+)
+def test_number_rows_render_as_json_dumps_or_raise_its_error(value):
+    try:
+        expected = json.dumps(value, indent=2, allow_nan=False)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            _render_json(value)
+        assert str(refused.value) == str(exc)
+    else:
+        assert _render_json(value) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
         math.nan,
         math.inf,
         -math.inf,

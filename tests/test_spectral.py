@@ -116,6 +116,34 @@ def test_solve_weight_single_high_mode():
     assert math.isclose(sol.h2_norm, math.sqrt((1.0 + lam**2) / lam**2), rel_tol=1e-14)
 
 
+def test_solve_weight_of_no_coefficients_is_empty():
+    sol = solve_weight(SpectralFunction([]), 3, CIRCLE)
+    assert sol.modes.tolist() == sol.psi.tolist() == sol.lam.tolist() == []
+    assert sol.residual_l2 == sol.h2_norm == sol.source_mode0 == 0.0
+
+
+@pytest.mark.parametrize("sides", [(1.0,), (2 * math.pi,), (1.0, 1.0), (1.0, 2.5), (1.0, 1.0, 1.0)])
+def test_each_table_is_a_prefix_of_every_larger_one(sides):
+    # the ladder reads rung n's eigenvalues from the table for all of f, so
+    # they must carry the bits of rung n's own table
+    largest = spectral._build_table(sides, 4096)
+    for size in (1 << k for k in range(12)):
+        table = spectral._build_table(sides, size)
+        assert table.eigenvalues.tobytes() == largest.eigenvalues[: size + 1].tobytes()
+        assert table.frequencies.tolist() == largest.frequencies[: size + 1].tolist()
+
+
+def test_ladder_rungs_read_the_table_of_the_whole_function(monkeypatch):
+    f = spectral.distance_profile_coefficients(SingularProfile(1, 1, 0.25), CIRCLE, 200, points_per_axis=1024)
+    counts = []
+    genuine = spectral._table_for
+    monkeypatch.setattr(spectral, "_table_for", lambda sides, count: counts.append(count) or genuine(sides, count))
+    for n in (2, 4, 8, 200):
+        solve_weight(f, n, CIRCLE)
+    h2_cauchy_gap(f, 8, 4, CIRCLE, kappa=0.0)
+    assert set(counts) == {200}
+
+
 def test_galerkin_solution_keeps_arrays():
     # modes with a zero coefficient are dropped from the aligned arrays
     f = SpectralFunction(coeffs=[2.0, 0.5, 0.0, -1.5])

@@ -15,42 +15,53 @@ raise InvariantError, also under ``python -O``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
 from .parabolic import NotDominantError, ParabolicData, WeightSplit, decompose_weight
-from .rootsys import InvariantError, Weight
+from .rootsys import InvariantError, Weight, _Record, _set
 
 
-@dataclass(frozen=True)
-class BundleSpec:
-    parabolic: ParabolicData
-    highest_weight: Weight
-    split: WeightSplit = field(init=False, compare=False, repr=False)  # by decompose_weight, which validates
+class BundleSpec(_Record):
+    __slots__ = ("parabolic", "highest_weight", "split")
+    _compared = ("parabolic", "highest_weight")
 
-    def __post_init__(self) -> None:
-        if self.highest_weight.rank != self.parabolic.rs.rank:
+    def __init__(self, parabolic: ParabolicData, highest_weight: Weight) -> None:
+        if highest_weight.rank != parabolic.rs.rank:
             raise ValueError("weight rank must match the root system rank")
-        object.__setattr__(self, "split", decompose_weight(self.highest_weight, self.parabolic))
+        _set(self, "parabolic", parabolic)
+        _set(self, "highest_weight", highest_weight)
+        _set(self, "split", decompose_weight(highest_weight, parabolic))  # which validates the weight
 
 
-@dataclass(frozen=True)
-class ChernData:
-    rank: int
-    lambda_E: Weight
-    cramer_a: tuple[Fraction, ...]
+class ChernData(_Record):
+    __slots__ = _compared = ("rank", "lambda_E", "cramer_a")
+
+    def __init__(self, rank: int, lambda_E: Weight, cramer_a: tuple[Fraction, ...]) -> None:
+        _set(self, "rank", rank)
+        _set(self, "lambda_E", lambda_E)
+        _set(self, "cramer_a", cramer_a)
 
 
-@dataclass(frozen=True)
-class SplittingReport:
-    chern: ChernData
-    criterion_values: dict[int, Fraction]
-    splits: bool
-    lambda_L0: Weight | None
-    lambda_E0_check: Weight | None
-    split: WeightSplit
+class SplittingReport(_Record):
+    __slots__ = _compared = ("chern", "criterion_values", "splits", "lambda_L0", "lambda_E0_check", "split")
+
+    def __init__(
+        self,
+        chern: ChernData,
+        criterion_values: dict[int, Fraction],
+        splits: bool,
+        lambda_L0: Weight | None,
+        lambda_E0_check: Weight | None,
+        split: WeightSplit,
+    ) -> None:
+        _set(self, "chern", chern)
+        _set(self, "criterion_values", criterion_values)
+        _set(self, "splits", splits)
+        _set(self, "lambda_L0", lambda_L0)
+        _set(self, "lambda_E0_check", lambda_E0_check)
+        _set(self, "split", split)
 
 
 def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:

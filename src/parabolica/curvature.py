@@ -9,44 +9,45 @@ reporting convention and is never stored here.
 A weight's pairings with every coroot of Phi_I^+ are one integer sweep over
 ``ParabolicData.complement_columns``, one column per node where the weight
 is nonzero, so a maximal parabolic with a weight off the Levi reads one
-column.  An eigenvalue is one Fraction per distinct (pairing, denominator)
-pair, shared by the roots that have it: on E8 with Levi E7 the 57
-eigenvalues of a line-bundle weight are two Fractions.
+column.  Each distinct eigenvalue is one Fraction, shared by the roots
+that have it: a (pairing, denominator) pair is reduced by its gcd before
+the Fraction is built, so on E8 with Levi E7 the 57 eigenvalues of a
+line-bundle weight are one Fraction.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
 from .parabolic import ParabolicData
-from .rootsys import Root, Weight, fundamental_weight
+from .rootsys import Root, Weight, _Record, _set, fundamental_weight
 
 
 class NotKahlerError(ValueError):
     """A Kahler class needs strictly positive generator coefficients."""
 
 
-@dataclass(frozen=True)
-class KahlerClass:
+class KahlerClass(_Record):
     """Coefficients over the Picard generators, ordered by node index."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _compared = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if any(c <= 0 for c in self.coeffs):
+    def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
+        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        if any(c <= 0 for c in coeffs):
             raise NotKahlerError("all generator coefficients must be positive")
+        _set(self, "coeffs", coeffs)
 
 
-@dataclass(frozen=True)
-class EndomorphismSpectrum:
+class EndomorphismSpectrum(_Record):
     """Eigenvalue of omega^-1 o psi per complementary positive root."""
 
-    eigenvalues: dict[Root, Fraction]
+    __slots__ = _compared = ("eigenvalues",)
+
+    def __init__(self, eigenvalues: dict[Root, Fraction]) -> None:
+        _set(self, "eigenvalues", eigenvalues)
 
     def trace(self) -> Fraction:
         """The sum of the eigenvalues: integer numerators over the lcm of
@@ -81,12 +82,21 @@ def _kahler_denominators(omega0: KahlerClass, p: ParabolicData) -> tuple[list[in
 
 def _spectrum(psi: Weight, denominators: list[int], w0_den: int, p: ParabolicData) -> EndomorphismSpectrum:
     """The eigenvalues from the columns of the nodes where psi is nonzero:
-    roots with the same (pairing, denominator) share one Fraction."""
+    each distinct (pairing, denominator) key is reduced by its gcd, and
+    roots whose keys reduce alike share one Fraction."""
     if psi.rank != p.rs.rank:
         raise ValueError("dimension mismatch")
     psi_nums, psi_den = psi.cleared()
     keys = list(zip(_column_sum(enumerate(psi_nums), p), denominators))
-    shared = {key: Fraction(key[0] * w0_den, key[1] * psi_den) for key in set(keys)}
+    values: dict[tuple[int, int], Fraction] = {}
+    shared = {}
+    for pairing, denom in set(keys):
+        g = math.gcd(pairing, denom)
+        reduced = (pairing // g, denom // g)
+        value = values.get(reduced)
+        if value is None:
+            value = values[reduced] = Fraction(reduced[0] * w0_den, reduced[1] * psi_den)
+        shared[pairing, denom] = value
     return EndomorphismSpectrum(eigenvalues=dict(zip(p.complement_roots, map(shared.__getitem__, keys))))
 
 
@@ -95,7 +105,7 @@ def endo_eigenvalues(psi: Weight, omega0: KahlerClass, p: ParabolicData) -> Endo
 
     psi and omega0 are brought to integer numerators over one denominator
     each, so both pairings are integer sums of the stored coroot columns,
-    and each distinct (pairing, denominator) pair costs one Fraction.
+    and each distinct eigenvalue costs one Fraction.
     """
     return _spectrum(psi, *_kahler_denominators(omega0, p), p)
 

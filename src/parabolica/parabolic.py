@@ -20,11 +20,10 @@ supported on I too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .rootsys import InvariantError, Root, RootSystem, Weight, _inverse_transpose
+from .rootsys import InvariantError, Root, RootSystem, Weight, _inverse_transpose, _Record, _set
 
 
 class FullSetNotParabolicError(ValueError):
@@ -35,8 +34,7 @@ class NotDominantError(ValueError):
     """A weight coordinate on the Levi nodes is negative."""
 
 
-@dataclass(frozen=True)
-class ParabolicData:
+class ParabolicData(_Record):
     """Parabolic for the Levi nodes I.
 
     The Levi tables are left out of equality, hashing and repr, as on
@@ -51,16 +49,43 @@ class ParabolicData:
     Phi_I^+ is a sweep over the columns of the nodes where w is nonzero.
     """
 
-    rs: RootSystem
-    levi_nodes: tuple[int, ...]
-    levi_cartan: tuple[tuple[int, ...], ...]
-    complement_roots: tuple[Root, ...]
-    delta: Weight
-    levi_coroots: Mapping[Root, tuple[int, ...]] = field(compare=False, repr=False)
-    levi_det: int = field(compare=False, repr=False)
-    levi_t_adjugate: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    picard_nodes: tuple[int, ...] = field(compare=False, repr=False)
-    complement_columns: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    __slots__ = (
+        "rs",
+        "levi_nodes",
+        "levi_cartan",
+        "complement_roots",
+        "delta",
+        "levi_coroots",
+        "levi_det",
+        "levi_t_adjugate",
+        "picard_nodes",
+        "complement_columns",
+    )
+    _compared = ("rs", "levi_nodes", "levi_cartan", "complement_roots", "delta")
+
+    def __init__(
+        self,
+        rs: RootSystem,
+        levi_nodes: tuple[int, ...],
+        levi_cartan: tuple[tuple[int, ...], ...],
+        complement_roots: tuple[Root, ...],
+        delta: Weight,
+        levi_coroots: Mapping[Root, tuple[int, ...]],
+        levi_det: int,
+        levi_t_adjugate: tuple[tuple[int, ...], ...],
+        picard_nodes: tuple[int, ...],
+        complement_columns: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _set(self, "rs", rs)
+        _set(self, "levi_nodes", levi_nodes)
+        _set(self, "levi_cartan", levi_cartan)
+        _set(self, "complement_roots", complement_roots)
+        _set(self, "delta", delta)
+        _set(self, "levi_coroots", levi_coroots)
+        _set(self, "levi_det", levi_det)
+        _set(self, "levi_t_adjugate", levi_t_adjugate)
+        _set(self, "picard_nodes", picard_nodes)
+        _set(self, "complement_columns", complement_columns)
 
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""
@@ -69,10 +94,12 @@ class ParabolicData:
         return Weight(tuple(weight[i] for i in self.levi_nodes))
 
 
-@dataclass(frozen=True)
-class WeightSplit:
-    lambda_s: Weight
-    lambda_c: Weight
+class WeightSplit(_Record):
+    __slots__ = _compared = ("lambda_s", "lambda_c")
+
+    def __init__(self, lambda_s: Weight, lambda_c: Weight) -> None:
+        _set(self, "lambda_s", lambda_s)
+        _set(self, "lambda_c", lambda_c)
 
 
 def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:

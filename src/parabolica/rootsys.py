@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -79,17 +78,62 @@ class InvariantError(AssertionError):
     Raised explicitly, so the checks also run under ``python -O``."""
 
 
-@dataclass(frozen=True)
-class SimpleLieType:
-    family: str
-    rank: int
+_set = object.__setattr__  # how a record's own __init__ sets its fields
 
-    def __post_init__(self) -> None:
-        lo, hi = _RANK_RANGE.get(self.family, (None, None))
+
+class _Record:
+    """Base of the package's frozen records.
+
+    A record lists its fields in ``__slots__`` and sets each once, in its
+    own ``__init__``, through ``_set``; assigning or deleting one afterwards
+    raises AttributeError.  Equality, hashing and repr read the fields named
+    in ``_compared``, in order, as a frozen dataclass does; the tables a
+    record derives from them stay out of all three.  ``copy`` and ``pickle``
+    restore the fields through ``__setstate__``.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        # object.__getstate__ gives (the instance dict or None, the slot values)
+        for values in state:
+            for name, value in (values or {}).items():
+                _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class SimpleLieType(_Record):
+    __slots__ = _compared = ("family", "rank")
+
+    def __init__(self, family: str, rank: int) -> None:
+        lo, hi = _RANK_RANGE.get(family, (None, None))
         if lo is None:
-            raise InvalidTypeError(f"unknown family {self.family!r}")
-        if not lo <= self.rank <= hi:
-            raise InvalidTypeError(f"rank {self.rank} out of range for type {self.family}: expected {lo}..{hi}")
+            raise InvalidTypeError(f"unknown family {family!r}")
+        if not lo <= rank <= hi:
+            raise InvalidTypeError(f"rank {rank} out of range for type {family}: expected {lo}..{hi}")
+        _set(self, "family", family)
+        _set(self, "rank", rank)
 
     @classmethod
     def from_string(cls, text: str) -> "SimpleLieType":
@@ -121,11 +165,13 @@ def positive_root_count(t: SimpleLieType) -> int:
     return {6: 36, 7: 63, 8: 120}[n]
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Record):
     """Point of the weight lattice (or its rational span), fw coordinates."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = _compared = ("coords",)
+
+    def __init__(self, coords: tuple[Fraction, ...]) -> None:
+        _set(self, "coords", coords)
 
     @classmethod
     def of(cls, *coords: int | Fraction | str) -> "Weight":
@@ -169,8 +215,7 @@ def fundamental_weight(rank: int, index: int) -> Weight:
     return Weight(tuple(coords))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(_Record):
     """Cartan matrix and the full list of positive roots.
 
     No root lengths are stored: every query goes through the coroot table,
@@ -184,12 +229,24 @@ class RootSystem:
     as adjugate / det.
     """
 
-    lie_type: SimpleLieType | None
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    coroots: Mapping[Root, tuple[int, ...]] = field(compare=False, repr=False)
-    cartan_det: int = field(compare=False, repr=False)
-    cartan_t_adjugate: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    __slots__ = ("lie_type", "cartan", "positive_roots", "coroots", "cartan_det", "cartan_t_adjugate")
+    _compared = ("lie_type", "cartan", "positive_roots")
+
+    def __init__(
+        self,
+        lie_type: SimpleLieType | None,
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[Root, ...],
+        coroots: Mapping[Root, tuple[int, ...]],
+        cartan_det: int,
+        cartan_t_adjugate: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _set(self, "lie_type", lie_type)
+        _set(self, "cartan", cartan)
+        _set(self, "positive_roots", positive_roots)
+        _set(self, "coroots", coroots)
+        _set(self, "cartan_det", cartan_det)
+        _set(self, "cartan_t_adjugate", cartan_t_adjugate)
 
     @property
     def rank(self) -> int:
@@ -294,10 +351,10 @@ def _inverse_transpose(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[
     det, adj = linalg.adjugate(transposed)
     if det <= 0:
         raise ValueError("Cartan matrix is not of finite type")
-    n = len(cartan)
-    for i in range(n):
-        for j in range(n):
-            if sum(transposed[i][k] * adj[k][j] for k in range(n)) != (det if i == j else 0):
+    columns = tuple(zip(*adj))
+    for i, row in enumerate(transposed):
+        for j, column in enumerate(columns):
+            if sum(map(mul, row, column)) != (det if i == j else 0):
                 raise InvariantError(
                     f"stored inverse of C^T must satisfy C^T X = I: Cartan matrix {cartan}, "
                     f"adjugate {adj}, det {det}"

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .rootsys import InvariantError
+from .rootsys import InvariantError, _Record, _set
 
 
 class NotL2Error(ValueError):
@@ -77,16 +76,17 @@ def _default_points_per_axis(dimension: int) -> int:
     return side
 
 
-@dataclass(frozen=True)
-class TorusMode:
-    index: int
-    eigenvalue: float
-    frequency: tuple[int, ...]
-    trig: str  # "const", "cos" or "sin"
+class TorusMode(_Record):
+    __slots__ = _compared = ("index", "eigenvalue", "frequency", "trig")
+
+    def __init__(self, index: int, eigenvalue: float, frequency: tuple[int, ...], trig: str) -> None:
+        _set(self, "index", index)
+        _set(self, "eigenvalue", eigenvalue)
+        _set(self, "frequency", frequency)
+        _set(self, "trig", trig)  # "const", "cos" or "sin"
 
 
-@dataclass(frozen=True)
-class FlatTorus:
+class FlatTorus(_Record):
     """Flat torus given by its side lengths; eigendata enumerated on demand.
 
     Mode 0 is the constant vol^{-1/2}; every nonzero frequency class
@@ -95,13 +95,13 @@ class FlatTorus:
     frequency, cos-before-sin), which fixes the index once and for all.
     """
 
-    side_lengths: tuple[float, ...]
+    __slots__ = _compared = ("side_lengths",)
 
-    def __post_init__(self) -> None:
-        sides = tuple(float(s) for s in self.side_lengths)
+    def __init__(self, side_lengths: tuple[float, ...]) -> None:
+        sides = tuple(float(s) for s in side_lengths)
         if not sides or any(s <= 0 for s in sides):
             raise ValueError("side lengths must be positive")
-        object.__setattr__(self, "side_lengths", sides)
+        _set(self, "side_lengths", sides)
 
     @property
     def dimension(self) -> int:
@@ -160,13 +160,15 @@ class FlatTorus:
         return (np.arange(points_per_axis) + 0.5) * (self.side_lengths[axis] / points_per_axis)
 
 
-@dataclass(frozen=True)
-class _ModeTable:
+class _ModeTable(_Record):
     """Modes 0..size of a torus as read-only arrays.  Mode 0 is the constant;
     each frequency then gives a cosine and a sine, told apart by _is_sine."""
 
-    eigenvalues: np.ndarray  # (size + 1,)
-    frequencies: np.ndarray  # (size + 1, d) integers
+    __slots__ = _compared = ("eigenvalues", "frequencies")
+
+    def __init__(self, eigenvalues: np.ndarray, frequencies: np.ndarray) -> None:
+        _set(self, "eigenvalues", eigenvalues)  # (size + 1,)
+        _set(self, "frequencies", frequencies)  # (size + 1, d) integers
 
 
 def _is_sine(index):
@@ -227,8 +229,7 @@ def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
     return _ModeTable(eigenvalues, frequencies)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralFunction:
+class SpectralFunction(_Record):
     """Eigen-coefficients c_0..c_n plus ``tail_sq``, the squared L2 mass
     past c_n.
 
@@ -240,17 +241,20 @@ class SpectralFunction:
     the squared tail past mode 8, 64 and 128 reads 3.50, 1.82 and 1.35,
     against continuum values of 10.0, 8.24 and 7.69, 3-6x larger."""
 
-    coeffs: np.ndarray
-    tail_sq: float = 0.0
+    __slots__ = ("coeffs", "tail_sq", "__dict__")  # the dict holds tails_sq once computed
+    _compared = ("coeffs", "tail_sq")  # for repr: equality and hashing are by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if isinstance(self.coeffs, Mapping):
+    def __init__(self, coeffs: np.ndarray, tail_sq: float = 0.0) -> None:
+        if isinstance(coeffs, Mapping):
             raise TypeError("coefficients must be a dense sequence c_0..c_n, not a mapping from index to value")
-        coeffs = np.array(self.coeffs, dtype=float)
+        coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 1:
             raise ValueError(f"coefficients must be a 1-D sequence c_0..c_n, got shape {coeffs.shape}")
         coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        _set(self, "coeffs", coeffs)
+        _set(self, "tail_sq", tail_sq)
 
     def coefficient(self, index: int) -> float:
         """c_index, and 0.0 outside 0..len(coeffs) - 1."""
@@ -267,21 +271,34 @@ class SpectralFunction:
         return np.append(np.cumsum(squares)[::-1], 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class GalerkinSolution:
+class GalerkinSolution(_Record):
     """Truncated conformal weight psi_n with its diagnostics.
 
     ``modes``, ``psi`` and ``lam`` are aligned arrays over the matched modes
     with a nonzero coefficient.
     """
 
-    truncation: int
-    modes: np.ndarray
-    psi: np.ndarray
-    lam: np.ndarray
-    source_mode0: float
-    residual_l2: float
-    h2_norm: float
+    __slots__ = _compared = ("truncation", "modes", "psi", "lam", "source_mode0", "residual_l2", "h2_norm")
+    __eq__ = object.__eq__  # by identity, as for SpectralFunction
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        truncation: int,
+        modes: np.ndarray,
+        psi: np.ndarray,
+        lam: np.ndarray,
+        source_mode0: float,
+        residual_l2: float,
+        h2_norm: float,
+    ) -> None:
+        _set(self, "truncation", truncation)
+        _set(self, "modes", modes)
+        _set(self, "psi", psi)
+        _set(self, "lam", lam)
+        _set(self, "source_mode0", source_mode0)
+        _set(self, "residual_l2", residual_l2)
+        _set(self, "h2_norm", h2_norm)
 
 
 def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSolution:
@@ -363,30 +380,32 @@ def compatibility_constant(profile_mean: float, hym_c: float) -> float:
     return 2.0 * math.pi * float(hym_c) - profile_mean
 
 
-@dataclass(frozen=True)
-class SingularProfile:
+class SingularProfile(_Record):
     """Distance-power singularity d(x, Y)^{-s} along a codimension-k set."""
 
-    ambient_dim: int
-    codim: int
-    exponent: float
+    __slots__ = _compared = ("ambient_dim", "codim", "exponent")
 
-    def __post_init__(self) -> None:
-        if self.codim < 1 or self.codim > self.ambient_dim:
+    def __init__(self, ambient_dim: int, codim: int, exponent: float) -> None:
+        if codim < 1 or codim > ambient_dim:
             raise _InvalidProfile("codimension must lie in 1..ambient_dim")
-        if not (math.isfinite(self.exponent) and self.exponent > 0):
-            raise _InvalidProfile(f"exponent s must be finite and positive, got {self.exponent!r}")
+        if not (math.isfinite(exponent) and exponent > 0):
+            raise _InvalidProfile(f"exponent s must be finite and positive, got {exponent!r}")
+        _set(self, "ambient_dim", ambient_dim)
+        _set(self, "codim", codim)
+        _set(self, "exponent", exponent)
 
     @property
     def square_integrable(self) -> bool:
         return self.exponent < self.codim / 2
 
 
-@dataclass(frozen=True)
-class IntegrabilityResult:
-    finite: bool
-    certificate: str  # "convergent" or "divergent"
-    tube_integral: float
+class IntegrabilityResult(_Record):
+    __slots__ = _compared = ("finite", "certificate", "tube_integral")
+
+    def __init__(self, finite: bool, certificate: str, tube_integral: float) -> None:
+        _set(self, "finite", finite)
+        _set(self, "certificate", certificate)  # "convergent" or "divergent"
+        _set(self, "tube_integral", tube_integral)
 
 
 _MAX_CUTOFF_STEPS = 250

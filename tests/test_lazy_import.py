@@ -1,4 +1,5 @@
-"""The package loads `parabolica.spectral`, and numpy with it, only on first use.
+"""The package loads `parabolica.spectral`, and numpy with it, only on first use,
+and never loads `dataclasses` or `inspect`.
 
 Each check that depends on what a process has imported runs in a fresh
 interpreter, since this test session has long since imported numpy.
@@ -48,11 +49,15 @@ ONE_PROCESS = """
 import contextlib, hashlib, io, json, sys
 import parabolica, parabolica.cli
 exact, requests = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-state = {"exact_exits": [], "numpy_after_exact": []}
+# the records do without these: dataclasses imports inspect, and the two were a third of the import
+introspection = ("dataclasses", "inspect")
+state = {"exact_exits": [], "numpy_after_exact": [], "introspection_after_exact": []}
+state["introspection_after_import"] = [name for name in introspection if name in sys.modules]
 for tokens in exact:
     with contextlib.redirect_stdout(io.StringIO()):
         state["exact_exits"].append(parabolica.cli.main(tokens))
     state["numpy_after_exact"].append("numpy" in sys.modules)
+    state["introspection_after_exact"].append([name for name in introspection if name in sys.modules])
 state["spectral_registered"] = "parabolica.spectral" in sys.modules
 digest, out = hashlib.sha256(), io.StringIO()
 for tokens in requests:
@@ -93,6 +98,12 @@ def test_exact_request_imports_no_numpy(one_process):
     assert one_process["exact_exits"] == [0] * len(EXACT_REQUESTS)
     assert one_process["numpy_after_exact"] == [False] * len(EXACT_REQUESTS)
     assert one_process["spectral_registered"] is True
+
+
+def test_import_and_exact_requests_leave_dataclasses_and_inspect_unimported(one_process):
+    assert one_process["exact_exits"] == [0] * len(EXACT_REQUESTS)
+    assert one_process["introspection_after_import"] == []
+    assert one_process["introspection_after_exact"] == [[]] * len(EXACT_REQUESTS)
 
 
 def test_spectral_requests_after_an_exact_one_print_the_pinned_bytes(one_process):

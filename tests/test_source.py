@@ -10,6 +10,8 @@
   outside ``spectral.py``: the package runs that module on first use, so
   exact requests never import numpy (``test_lazy_import.py`` checks the
   same in a fresh interpreter);
+* no import of ``dataclasses``, which imports ``inspect``: records derive
+  from ``rootsys._Record``, and the import stays light;
 * no method that only tests call: every method of a library class is read
   as an attribute somewhere in the library, or named ``Class.method`` in
   ``bench/*.py``, or is a dunder, or is a hook listed in ``CALLED_FROM_OUTSIDE``;
@@ -62,8 +64,8 @@ def test_library_has_no_indented_json_dump(path):
     assert found == []
 
 
-def _numpy_imports(tree: ast.AST) -> list[int]:
-    """Line numbers of every import of numpy or one of its submodules."""
+def _imports(tree: ast.AST, package: str) -> list[int]:
+    """Line numbers of every import of ``package`` or one of its submodules."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -72,14 +74,14 @@ def _numpy_imports(tree: ast.AST) -> list[int]:
             names = [node.module or ""]
         else:
             continue
-        if any(name == "numpy" or name.startswith("numpy.") for name in names):
+        if any(name == package or name.startswith(package + ".") for name in names):
             lines.append(node.lineno)
     return lines
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_only_spectral_imports_numpy(path):
-    found = _numpy_imports(ast.parse(path.read_text(), filename=str(path)))
+    found = _imports(ast.parse(path.read_text(), filename=str(path)), "numpy")
     if path.name == "spectral.py":
         assert found
     else:
@@ -88,7 +90,13 @@ def test_only_spectral_imports_numpy(path):
 
 def test_numpy_import_rule_sees_function_level_imports():
     source = "def f():\n    import numpy.linalg as la\n    from numpy import fft\n    import os\n"
-    assert _numpy_imports(ast.parse(source)) == [2, 3]
+    assert _imports(ast.parse(source), "numpy") == [2, 3]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_library_does_not_import_dataclasses(path):
+    found = _imports(ast.parse(path.read_text(), filename=str(path)), "dataclasses")
+    assert found == [], f"{path.name} imports dataclasses at line(s) {found}"
 
 
 def test_sources_are_found():

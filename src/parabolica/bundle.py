@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .parabolic import NotDominantError, ParabolicData, WeightSplit, decompose_weight
+from .parabolic import NotDominantError, ParabolicData, decompose_weight
 from .rootsys import InvariantError, Weight, _Record, _set
 
 
@@ -38,30 +38,9 @@ class BundleSpec(_Record):
 class ChernData(_Record):
     __slots__ = _compared = ("rank", "lambda_E", "cramer_a")
 
-    def __init__(self, rank: int, lambda_E: Weight, cramer_a: tuple[Fraction, ...]) -> None:
-        _set(self, "rank", rank)
-        _set(self, "lambda_E", lambda_E)
-        _set(self, "cramer_a", cramer_a)
-
 
 class SplittingReport(_Record):
     __slots__ = _compared = ("chern", "criterion_values", "splits", "lambda_L0", "lambda_E0_check", "split")
-
-    def __init__(
-        self,
-        chern: ChernData,
-        criterion_values: dict[int, Fraction],
-        splits: bool,
-        lambda_L0: Weight | None,
-        lambda_E0_check: Weight | None,
-        split: WeightSplit,
-    ) -> None:
-        _set(self, "chern", chern)
-        _set(self, "criterion_values", criterion_values)
-        _set(self, "splits", splits)
-        _set(self, "lambda_L0", lambda_L0)
-        _set(self, "lambda_E0_check", lambda_E0_check)
-        _set(self, "split", split)
 
 
 def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:

@@ -26,7 +26,7 @@ from . import __version__, spectral
 from .bundle import BundleSpec, SplittingReport, line_bundle_weight, splitting_report
 from .curvature import KahlerClass, NotKahlerError, einstein_class, hym_constant, spectrum_and_traces
 from .parabolic import NotDominantError, ParabolicData, build_parabolic
-from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, _Record, _set, build_root_system
+from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, _Record, build_root_system
 
 SCHEMA_VERSION = "1"
 T = TypeVar("T")
@@ -59,11 +59,6 @@ class SpectralRequest(_Record):
     """A profile on the unit torus of its dimension, the modes to expand and the target hym."""
 
     __slots__ = _compared = ("profile", "modes", "hym")
-
-    def __init__(self, profile: spectral.SingularProfile, modes: int, hym: float = 1.0) -> None:
-        _set(self, "profile", profile)
-        _set(self, "modes", modes)
-        _set(self, "hym", hym)
 
 
 def _read(flag: str, build: Callable[..., T], *args, refused: type[ValueError]) -> T:

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Iterable
 
 from .parabolic import ParabolicData
-from .rootsys import Root, Weight, _Record, _set, fundamental_weight
+from .rootsys import Weight, _Record, _set, fundamental_weight
 
 
 class NotKahlerError(ValueError):
@@ -45,9 +45,6 @@ class EndomorphismSpectrum(_Record):
     """Eigenvalue of omega^-1 o psi per complementary positive root."""
 
     __slots__ = _compared = ("eigenvalues",)
-
-    def __init__(self, eigenvalues: dict[Root, Fraction]) -> None:
-        _set(self, "eigenvalues", eigenvalues)
 
     def trace(self) -> Fraction:
         """The sum of the eigenvalues: integer numerators over the lcm of

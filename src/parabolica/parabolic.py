@@ -21,9 +21,9 @@ supported on I too.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .rootsys import InvariantError, Root, RootSystem, Weight, _inverse_transpose, _Record, _set
+from .rootsys import InvariantError, RootSystem, Weight, _inverse_transpose, _Record
 
 
 class FullSetNotParabolicError(ValueError):
@@ -63,30 +63,6 @@ class ParabolicData(_Record):
     )
     _compared = ("rs", "levi_nodes", "levi_cartan", "complement_roots", "delta")
 
-    def __init__(
-        self,
-        rs: RootSystem,
-        levi_nodes: tuple[int, ...],
-        levi_cartan: tuple[tuple[int, ...], ...],
-        complement_roots: tuple[Root, ...],
-        delta: Weight,
-        levi_coroots: Mapping[Root, tuple[int, ...]],
-        levi_det: int,
-        levi_t_adjugate: tuple[tuple[int, ...], ...],
-        picard_nodes: tuple[int, ...],
-        complement_columns: tuple[tuple[int, ...], ...],
-    ) -> None:
-        _set(self, "rs", rs)
-        _set(self, "levi_nodes", levi_nodes)
-        _set(self, "levi_cartan", levi_cartan)
-        _set(self, "complement_roots", complement_roots)
-        _set(self, "delta", delta)
-        _set(self, "levi_coroots", levi_coroots)
-        _set(self, "levi_det", levi_det)
-        _set(self, "levi_t_adjugate", levi_t_adjugate)
-        _set(self, "picard_nodes", picard_nodes)
-        _set(self, "complement_columns", complement_columns)
-
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""
         if weight.rank != self.rs.rank:
@@ -96,10 +72,6 @@ class ParabolicData(_Record):
 
 class WeightSplit(_Record):
     __slots__ = _compared = ("lambda_s", "lambda_c")
-
-    def __init__(self, lambda_s: Weight, lambda_c: Weight) -> None:
-        _set(self, "lambda_s", lambda_s)
-        _set(self, "lambda_c", lambda_c)
 
 
 def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:

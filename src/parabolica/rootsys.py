@@ -37,7 +37,7 @@ import re
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
 
@@ -78,22 +78,35 @@ class InvariantError(AssertionError):
     Raised explicitly, so the checks also run under ``python -O``."""
 
 
-_set = object.__setattr__  # how a record's own __init__ sets its fields
+_set = object.__setattr__  # how a record's __init__ sets its fields
 
 
 class _Record:
     """Base of the package's frozen records.
 
-    A record lists its fields in ``__slots__`` and sets each once, in its
-    own ``__init__``, through ``_set``; assigning or deleting one afterwards
-    raises AttributeError.  Equality, hashing and repr read the fields named
-    in ``_compared``, in order, as a frozen dataclass does; the tables a
-    record derives from them stay out of all three.  ``copy`` and ``pickle``
-    restore the fields through ``__setstate__``.
+    A record is built from its fields in ``__slots__`` order, positionally
+    or by keyword.  A class that defines no ``__init__`` gets one, written
+    from its ``__slots__`` when the class is created, that sets each field
+    once through ``_set``; a record with a check writes its own
+    ``__init__``, which sets its fields the same way.  Assigning or
+    deleting a field afterwards raises AttributeError.  Equality, hashing
+    and repr read the fields named in ``_compared``, in order, as a frozen
+    dataclass does; the tables a record derives from them stay out of all
+    three.  ``copy`` and ``pickle`` restore the fields through
+    ``__setstate__``.
     """
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "__init__" not in cls.__dict__:  # written from the class's own __slots__ literals
+            fields = cls.__slots__
+            sets = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+            namespace = {"_set": _set, "__name__": cls.__module__}
+            exec(f"def __init__(self, {', '.join(fields)}):{sets}", namespace)
+            namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = namespace["__init__"]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -170,9 +183,6 @@ class Weight(_Record):
 
     __slots__ = _compared = ("coords",)
 
-    def __init__(self, coords: tuple[Fraction, ...]) -> None:
-        _set(self, "coords", coords)
-
     @classmethod
     def of(cls, *coords: int | Fraction | str) -> "Weight":
         return cls(tuple(Fraction(c) for c in coords))
@@ -231,22 +241,6 @@ class RootSystem(_Record):
 
     __slots__ = ("lie_type", "cartan", "positive_roots", "coroots", "cartan_det", "cartan_t_adjugate")
     _compared = ("lie_type", "cartan", "positive_roots")
-
-    def __init__(
-        self,
-        lie_type: SimpleLieType | None,
-        cartan: tuple[tuple[int, ...], ...],
-        positive_roots: tuple[Root, ...],
-        coroots: Mapping[Root, tuple[int, ...]],
-        cartan_det: int,
-        cartan_t_adjugate: tuple[tuple[int, ...], ...],
-    ) -> None:
-        _set(self, "lie_type", lie_type)
-        _set(self, "cartan", cartan)
-        _set(self, "positive_roots", positive_roots)
-        _set(self, "coroots", coroots)
-        _set(self, "cartan_det", cartan_det)
-        _set(self, "cartan_t_adjugate", cartan_t_adjugate)
 
     @property
     def rank(self) -> int:

@@ -77,13 +77,9 @@ def _default_points_per_axis(dimension: int) -> int:
 
 
 class TorusMode(_Record):
-    __slots__ = _compared = ("index", "eigenvalue", "frequency", "trig")
+    """One eigenmode of a flat torus; ``trig`` is "const", "cos" or "sin"."""
 
-    def __init__(self, index: int, eigenvalue: float, frequency: tuple[int, ...], trig: str) -> None:
-        _set(self, "index", index)
-        _set(self, "eigenvalue", eigenvalue)
-        _set(self, "frequency", frequency)
-        _set(self, "trig", trig)  # "const", "cos" or "sin"
+    __slots__ = _compared = ("index", "eigenvalue", "frequency", "trig")
 
 
 class FlatTorus(_Record):
@@ -161,14 +157,12 @@ class FlatTorus(_Record):
 
 
 class _ModeTable(_Record):
-    """Modes 0..size of a torus as read-only arrays.  Mode 0 is the constant;
-    each frequency then gives a cosine and a sine, told apart by _is_sine."""
+    """Modes 0..size of a torus as read-only arrays: ``eigenvalues`` of shape
+    (size + 1,) and integer ``frequencies`` of shape (size + 1, d).  Mode 0
+    is the constant; each frequency then gives a cosine and a sine, told
+    apart by _is_sine."""
 
     __slots__ = _compared = ("eigenvalues", "frequencies")
-
-    def __init__(self, eigenvalues: np.ndarray, frequencies: np.ndarray) -> None:
-        _set(self, "eigenvalues", eigenvalues)  # (size + 1,)
-        _set(self, "frequencies", frequencies)  # (size + 1, d) integers
 
 
 def _is_sine(index):
@@ -282,24 +276,6 @@ class GalerkinSolution(_Record):
     __eq__ = object.__eq__  # by identity, as for SpectralFunction
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        truncation: int,
-        modes: np.ndarray,
-        psi: np.ndarray,
-        lam: np.ndarray,
-        source_mode0: float,
-        residual_l2: float,
-        h2_norm: float,
-    ) -> None:
-        _set(self, "truncation", truncation)
-        _set(self, "modes", modes)
-        _set(self, "psi", psi)
-        _set(self, "lam", lam)
-        _set(self, "source_mode0", source_mode0)
-        _set(self, "residual_l2", residual_l2)
-        _set(self, "h2_norm", h2_norm)
-
 
 def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSolution:
     """Conformal weight matching the first n modes of f.
@@ -400,12 +376,9 @@ class SingularProfile(_Record):
 
 
 class IntegrabilityResult(_Record):
-    __slots__ = _compared = ("finite", "certificate", "tube_integral")
+    """A profile's L2 flag and its numeric ``certificate``, "convergent" or "divergent"."""
 
-    def __init__(self, finite: bool, certificate: str, tube_integral: float) -> None:
-        _set(self, "finite", finite)
-        _set(self, "certificate", certificate)  # "convergent" or "divergent"
-        _set(self, "tube_integral", tube_integral)
+    __slots__ = _compared = ("finite", "certificate", "tube_integral")
 
 
 _MAX_CUTOFF_STEPS = 250

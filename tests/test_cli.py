@@ -674,7 +674,7 @@ def test_build_analysis_report_derives_splitting_once(monkeypatch):
         parabolic=(2, 3),
         weight=(0, 0, 2),
         kahler=KahlerClass((Fraction(1),)),
-        spectral=SpectralRequest(SingularProfile(ambient_dim=1, codim=1, exponent=0.25), modes=16),
+        spectral=SpectralRequest(SingularProfile(ambient_dim=1, codim=1, exponent=0.25), modes=16, hym=1.0),
     )
     assert len(calls) == 1
     assert report["splitting"]["lambda_s"] == ["0", "0", "2"]

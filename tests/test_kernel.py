@@ -13,6 +13,9 @@
   ``Fraction`` sum of the eigenvalues, against the integer sums that
   replaced them, on every pinned type and Levi, and against
   ``hym_constant`` on random parabolics;
+* the dual bundle E*, whose highest weight -w_{0,I} lambda comes from
+  reflections by the Cartan rows alone: its report must match E's up to
+  the signs duality predicts;
 * how many Fractions a splitting report, a mean-curvature constant and a
   spectrum build;
 * corrupted stored tables, which must raise InvariantError under ``python -O``.
@@ -258,7 +261,7 @@ def record_instances() -> list:
         report,
         omega0,
         endo_eigenvalues(report.chern.lambda_E, omega0, p),
-        SpectralRequest(profile, 8),
+        SpectralRequest(profile, 8, hym=1.0),
         profile,
         spectral.integrability_check(profile),
         torus,
@@ -286,6 +289,47 @@ def test_records_are_frozen():
             assert getattr(record, name) is before, (type(record), name)
         with pytest.raises(AttributeError):
             record.not_a_field = None
+
+
+# The records whose class writes no __init__: _Record writes theirs from __slots__.
+PLAIN_RECORDS = {
+    "Weight",
+    "RootSystem",
+    "ParabolicData",
+    "WeightSplit",
+    "ChernData",
+    "SplittingReport",
+    "EndomorphismSpectrum",
+    "SpectralRequest",
+    "IntegrabilityResult",
+    "TorusMode",
+    "_ModeTable",
+    "GalerkinSolution",
+}
+
+
+def test_plain_records_rebuild_from_their_slots():
+    """A plain record is rebuilt from its slot values, positionally and by
+    keyword, slot for slot; a missing field, an extra positional value, an
+    unknown keyword and a field given twice each raise TypeError."""
+    records = [r for r in record_instances() if type(r).__init__.__code__.co_filename == "<string>"]
+    assert {type(record).__qualname__ for record in records} == PLAIN_RECORDS
+    for record in records:
+        cls = type(record)
+        values = [getattr(record, name) for name in cls.__slots__]
+        for rebuilt in (cls(*values), cls(**dict(zip(cls.__slots__, values)))):
+            for name in cls.__slots__:
+                assert getattr(rebuilt, name) is getattr(record, name), (cls, name)
+            assert repr(rebuilt) == repr(record)
+        init = rf"{cls.__qualname__}\.__init__\(\)"
+        with pytest.raises(TypeError, match=f"{init} missing 1 required positional argument: '{cls.__slots__[-1]}'"):
+            cls(*values[:-1])
+        with pytest.raises(TypeError, match=f"{init} takes {len(values) + 1} positional arguments but"):
+            cls(*values, None)
+        with pytest.raises(TypeError, match=f"{init} got an unexpected keyword argument 'not_a_field'"):
+            cls(*values, not_a_field=None)
+        with pytest.raises(TypeError, match=f"{init} got multiple values for argument '{cls.__slots__[0]}'"):
+            cls(*values, **{cls.__slots__[0]: values[0]})
 
 
 def test_complement_columns_are_the_coroot_transpose():
@@ -412,9 +456,9 @@ def assert_same(actual, expected, path="report"):
 
 
 @st.composite
-def splitting_cases(draw):
+def splitting_cases(draw, types=SPLITTING_TYPES):
     """(type, Levi nodes, weight): Levi coordinates 0..3, Picard -5..5."""
-    name = draw(st.sampled_from(SPLITTING_TYPES))
+    name = draw(st.sampled_from(types))
     rank = cached_system(name).rank
     levi = tuple(sorted(draw(st.sets(st.integers(0, rank - 1), max_size=rank - 1))))
     coords = tuple(draw(st.integers(0, 3)) if i in levi else draw(st.integers(-5, 5)) for i in range(rank))
@@ -434,6 +478,44 @@ def test_splitting_report_matches_weight_fold(case):
     name, levi, coords = case
     spec = BundleSpec(cached_parabolic(name, levi), Weight.of(*coords))
     assert_same(splitting_report(spec), splitting_fold(spec))
+
+
+# The types of the duality oracle: every family, both non-simply-laced
+# directions and the exceptional Levi factors, at rank <= 6.
+DUAL_TYPES = ("A3", "B3", "C3", "D4", "G2", "F4", "E6", "B4", "C4", "A5")
+
+
+def dual_highest_weight(cartan, levi: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int, ...]:
+    """-w_{0,I} lambda, the highest weight of E*: the Levi-dominant weight in
+    the Levi Weyl orbit of -lambda, reached by the simple reflections
+    mu -> mu - mu_i (row i of C) while some mu_i < 0 with i in I."""
+    mu = [-c for c in coords]
+    while (i := next((i for i in levi if mu[i] < 0), None)) is not None:
+        k = mu[i]
+        mu = [m - k * a for m, a in zip(mu, cartan[i])]
+    return tuple(mu)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(splitting_cases(DUAL_TYPES))
+@example(("E6", (1, 2, 3, 4, 5), (3, 1, 0, 2, 0, 1)))
+@example(("G2", (0,), (3, -2)))
+def test_dual_bundle_reports_agree(case):
+    """E* against E: the same rank and verdict, lambda(E*) = -lambda(E) and
+    lambda(L0*) = -lambda(L0); the dual of E* is E again."""
+    name, levi, coords = case
+    p = cached_parabolic(name, levi)
+    dual = dual_highest_weight(p.rs.cartan, levi, coords)
+    assert dual_highest_weight(p.rs.cartan, levi, dual) == coords
+    report = splitting_report(BundleSpec(p, Weight.of(*coords)))
+    dual_report = splitting_report(BundleSpec(p, Weight.of(*dual)))
+    assert dual_report.chern.rank == report.chern.rank
+    assert dual_report.chern.lambda_E.coords == tuple(-c for c in report.chern.lambda_E.coords)
+    assert dual_report.splits == report.splits
+    if report.splits:
+        assert dual_report.lambda_L0.coords == tuple(-c for c in report.lambda_L0.coords)
+    else:
+        assert dual_report.lambda_L0 is None
 
 
 @KERNEL

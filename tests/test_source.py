@@ -12,6 +12,8 @@
   same in a fresh interpreter);
 * no import of ``dataclasses``, which imports ``inspect``: records derive
   from ``rootsys._Record``, and the import stays light;
+* no ``__init__`` of a ``_Record`` subclass that only ``_set``s its own
+  parameters: ``_Record`` writes that constructor from ``__slots__``;
 * no method that only tests call: every method of a library class is read
   as an attribute somewhere in the library, or named ``Class.method`` in
   ``bench/*.py``, or is a dunder, or is a hook listed in ``CALLED_FROM_OUTSIDE``;
@@ -97,6 +99,70 @@ def test_numpy_import_rule_sees_function_level_imports():
 def test_library_does_not_import_dataclasses(path):
     found = _imports(ast.parse(path.read_text(), filename=str(path)), "dataclasses")
     assert found == [], f"{path.name} imports dataclasses at line(s) {found}"
+
+
+def _copy_only_inits(sources: dict[str, str]) -> list[str]:
+    """``file:line Class.__init__`` for each ``__init__`` of a ``_Record``
+    subclass whose body, past a docstring, only sets fields of ``self`` to
+    its own parameters through ``_set`` or ``object.__setattr__``."""
+    classes = [
+        (name, node)
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text, filename=name))
+        if isinstance(node, ast.ClassDef)
+    ]
+    records, size = {"_Record"}, 0
+    while size != len(records):  # subclasses of subclasses, across files
+        size = len(records)
+        records |= {cls.name for _, cls in classes if any(ast.unparse(b) in records for b in cls.bases)}
+    found = []
+    for name, cls in classes:
+        for init in cls.body:
+            if cls.name not in records or not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                continue
+            params = {a.arg for a in init.args.posonlyargs + init.args.args[1:] + init.args.kwonlyargs}
+            body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+            if all(
+                isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Call)
+                and ast.unparse(stmt.value.func) in ("_set", "object.__setattr__")
+                and [type(arg) for arg in stmt.value.args] == [ast.Name, ast.Constant, ast.Name]
+                and stmt.value.args[0].id == "self"
+                and stmt.value.args[2].id in params
+                for stmt in body
+            ):
+                found.append(f"{name}:{init.lineno} {cls.name}.__init__")
+    return found
+
+
+def test_records_write_no_copy_only_init():
+    sources = {path.name: path.read_text() for path in SOURCES}
+    assert _copy_only_inits(sources) == []
+
+
+def test_copy_only_init_rule_sees_boilerplate():
+    source = (
+        "class Plain(_Record):\n"
+        "    def __init__(self, a, b):\n"
+        "        _set(self, 'a', a)\n"
+        "        object.__setattr__(self, 'b', b)\n"
+        "class Deeper(Plain):\n"
+        "    def __init__(self, a):\n"
+        '        """Only a."""\n'
+        "        _set(self, 'a', a)\n"
+        "class Checked(_Record):\n"
+        "    def __init__(self, a):\n"
+        "        if a < 0:\n"
+        "            raise ValueError(a)\n"
+        "        _set(self, 'a', a)\n"
+        "class Derived(_Record):\n"
+        "    def __init__(self, a):\n"
+        "        _set(self, 'a', abs(a))\n"
+        "class Other:\n"
+        "    def __init__(self, a):\n"
+        "        _set(self, 'a', a)\n"
+    )
+    assert _copy_only_inits({"m.py": source}) == ["m.py:2 Plain.__init__", "m.py:6 Deeper.__init__"]
 
 
 def test_sources_are_found():

@@ -4,23 +4,27 @@ Conventions: simple-root nodes are 1-based Bourbaki indices on the command
 line (0-based internally); weights are full-rank coordinate vectors over
 the fundamental weights; every rational in a report is rendered as a
 "p/q" string; reports carry a schema_version and are byte-stable for
-identical requests.  Each flag is read once, into the library's validated
-type.  Exit codes: 0 success, 1 a reader's refusal naming its flag, a
-report value too large to carry or a closed stdout, 2 fixture mismatch, 3
+identical requests.  Each command's flags are one table, _COMMANDS, read
+by one loop, _read_flags; each flag is then read once, into the library's
+validated type.  Exit codes: 0 success or help, 1 a refusal of the flags
+("parabolica <command>: ...") or of a reader naming its flag, a report
+value too large to carry or a closed stdout, 2 fixture mismatch, 3
 a failed internal invariant or any other library fault (one "invariant
 violated: ..." or "internal error: <Type>: <message>" line, no traceback).
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from operator import sub
 from typing import Callable, Collection, Iterable, Sequence, TypeVar
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import py_encode_basestring_ascii as _quote
 
 from . import __version__, spectral
 from .bundle import BundleSpec, SplittingReport, line_bundle_weight, splitting_report
@@ -165,22 +169,22 @@ def _spectral_request(fields: dict[str, str | float], what: str, options: tuple[
     return SpectralRequest(profile, modes, hym)
 
 
-def _lie_fields(ns: argparse.Namespace) -> dict:
+def _lie_fields(values: dict) -> dict:
     """The one reader of the Lie-side flags of analyze and curvature, in this
     order: --type, --parabolic, --weight (analyze only), --kahler, --line, as
     build_analysis_report's keyword arguments (a SimpleLieType, a KahlerClass)."""
-    lie_type = _read("--type", SimpleLieType.from_string, ns.type, refused=InvalidTypeError)
+    lie_type = _read("--type", SimpleLieType.from_string, values["type"], refused=InvalidTypeError)
     rank = lie_type.rank
-    fields: dict = {"lie_type": lie_type, "parabolic": _levi_nodes(ns.parabolic, rank)}
-    if "weight" in ns:
-        fields["weight"] = _split_ints(ns.weight, "--weight")
+    fields: dict = {"lie_type": lie_type, "parabolic": _levi_nodes(values["parabolic"], rank)}
+    if "weight" in values:
+        fields["weight"] = _split_ints(values["weight"], "--weight")
         if len(fields["weight"]) != rank:
             raise ParseError(f"--weight: expected {rank} coordinates, got {len(fields['weight'])}")
     picard = rank - len(fields["parabolic"])
     # only an absent flag is None: an empty --kahler= or --line= is refused
-    kahler = None if ns.kahler is None else _picard_values(ns.kahler, _split_fractions, "--kahler", picard)
+    kahler = None if "kahler" not in values else _picard_values(values["kahler"], _split_fractions, "--kahler", picard)
     fields["kahler"] = None if kahler is None else _read("--kahler", KahlerClass, kahler, refused=NotKahlerError)
-    fields["line"] = None if ns.line is None else _picard_values(ns.line, _split_ints, "--line", picard)
+    fields["line"] = None if "line" not in values else _picard_values(values["line"], _split_ints, "--line", picard)
     return fields
 
 
@@ -490,58 +494,135 @@ def _check_fixture(name: str, expected: dict, actual: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message: str):  # one line on stderr instead of usage text
-        raise ParseError(f"{self.prog}: {message}")
+_HELP = ("-h", "--help")
+_TYPE = (True, True, "Dynkin type, e.g. A3, B3, D4 (case-insensitive)")
+_PARABOLIC = (True, True, "Levi nodes, 1-based, e.g. 2,3 (empty: Borel)")
+_LINE = (False, True, "line bundle degrees over the Picard nodes")
+
+# Each command's summary and flags: flag -> (required, takes a value, help).
+_COMMANDS: dict[str, tuple[str, dict[str, tuple[bool, bool, str]]]] = {
+    "analyze": (
+        "splitting report for a bundle",
+        {
+            "--type": _TYPE,
+            "--parabolic": _PARABOLIC,
+            "--weight": (True, True, "highest weight coordinates, e.g. 0,0,2"),
+            "--kahler": (False, True, "Kahler coefficients over the Picard nodes, e.g. 1 or 1,2"),
+            "--line": _LINE,
+            "--spectral": (False, True, "spectral demo spec, e.g. dim=1,modes=128,s=0.25"),
+        },
+    ),
+    "curvature": (
+        "invariant curvature constants",
+        {
+            "--type": _TYPE,
+            "--parabolic": _PARABOLIC,
+            "--kahler": (False, True, "Kahler coefficients (default: the Einstein class)"),
+            "--line": _LINE,
+        },
+    ),
+    "spectral": (
+        "Galerkin demo for a singular profile",
+        {
+            "--dim": (False, True, "torus dimension (default 1)"),
+            "--modes": (False, True, "eigenmodes to materialize (default 128)"),
+            "--profile": (True, True, "e.g. point:s=0.25 or subtorus:s=0.4,codim=1"),
+            "--hym": (False, True, "target mean-curvature constant (default 1)"),
+            "--csv": (False, False, "residual ladder as CSV instead of JSON"),
+        },
+    ),
+    "paper-suite": ("run the pinned example battery", {"--quiet": (False, False, "no ok <name> lines on stderr")}),
+    "dump-roots": ("emit a root-system dump as JSON", {"--type": _TYPE}),
+}
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="parabolica",
-        description="Exact splitting analysis of homogeneous vector bundles on flag varieties.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _read_flags(tokens: Sequence[str]) -> tuple[str, dict]:
+    """The command of ``tokens`` and its flags, keyed by name without the
+    dashes: a value flag's raw string, or True for a switch.
 
-    def common(p: argparse.ArgumentParser, weighted: bool) -> None:
-        p.add_argument("--type", required=True, help="Dynkin type, e.g. A3, B3, D4 (case-insensitive)")
-        p.add_argument("--parabolic", required=True, help="Levi nodes, 1-based, e.g. 2,3 (empty: Borel)")
-        if weighted:
-            p.add_argument("--weight", required=True, help="highest weight coordinates, e.g. 0,0,2")
+    A value follows its flag after `=` or is the next token, whatever that
+    token is; a flag is never abbreviated, and the last of a repeated flag
+    wins.  `-h`/`--help` ends the reading with ``{"help": True}``, and as the
+    first token it, like `--version`, is the command.  A missing value or a
+    value given to a switch is refused where it stands; an unknown flag, or
+    a required one left out, once every token is read, so a later `--help`
+    still gets the help.
+    """
+    commands = ", ".join(_COMMANDS)
+    if not tokens:
+        raise ParseError(f"parabolica: expected a command: {commands}")
+    command = tokens[0]
+    if command in _HELP:
+        return command, {"help": True}
+    if command == "--version":
+        return command, {}
+    if command not in _COMMANDS:
+        raise ParseError(f"parabolica: unknown command {command!r}; expected one of {commands}")
+    flags = _COMMANDS[command][1]
+    values: dict = {}
+    refusal = None
+    rest = iter(tokens[1:])
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        if flag in _HELP and not eq:
+            return command, {"help": True}
+        if flag not in flags:
+            refusal = refusal or f"unknown flag {flag!r}"
+            continue
+        if not flags[flag][1]:
+            if eq:
+                raise ParseError(f"parabolica {command}: {flag} takes no value")
+            value = True
+        elif not eq:
+            value = next(rest, None)
+            if value is None:
+                raise ParseError(f"parabolica {command}: {flag} expects a value")
+        values[flag[2:]] = value
+    missing = [flag for flag, (required, _, _) in flags.items() if required and flag[2:] not in values]
+    if missing and not refusal:
+        refusal = f"missing required flag(s) {', '.join(missing)}"
+    if refusal:
+        raise ParseError(f"parabolica {command}: {refusal}")
+    return command, values
 
-    analyze = sub.add_parser("analyze", help="splitting report for a bundle")
-    common(analyze, weighted=True)
-    analyze.add_argument("--kahler", help="Kahler coefficients over the Picard nodes, e.g. 1 or 1,2")
-    analyze.add_argument("--line", help="line bundle degrees over the Picard nodes")
-    analyze.add_argument("--spectral", help="spectral demo spec, e.g. dim=1,modes=128,s=0.25")
 
-    curv = sub.add_parser("curvature", help="invariant curvature constants")
-    common(curv, weighted=False)
-    curv.add_argument("--kahler", help="Kahler coefficients (default: the Einstein class)")
-    curv.add_argument("--line", help="line bundle degrees over the Picard nodes")
-
-    spec = sub.add_parser("spectral", help="Galerkin demo for a singular profile")
-    spec.add_argument("--dim", type=int, help="torus dimension (default 1)")
-    spec.add_argument("--modes", type=int, help="eigenmodes to materialize (default 128)")
-    spec.add_argument("--profile", required=True, help="e.g. point:s=0.25 or subtorus:s=0.4,codim=1")
-    spec.add_argument("--hym", type=float, help="target mean-curvature constant (default 1)")
-    spec.add_argument("--csv", action="store_true", help="residual ladder as CSV instead of JSON")
-
-    suite = sub.add_parser("paper-suite", help="run the pinned example battery")
-    suite.add_argument("--quiet", action="store_true", help="no ok <name> lines on stderr")
-
-    dump = sub.add_parser("dump-roots", help="emit a root-system dump as JSON")
-    dump.add_argument("--type", required=True)
-    return parser
+def _help(command: str) -> str:
+    """The `--help` text of ``command``, or of the program when it names no command, from _COMMANDS."""
+    help_row = ("-h, --help", "print this help and exit")
+    if command in _COMMANDS:
+        about, flags = _COMMANDS[command]
+        names = [f"{flag}={flag[2:].upper()}" if takes else flag for flag, (_, takes, _) in flags.items()]
+        usage = " ".join(name if required else f"[{name}]" for name, (required, _, _) in zip(names, flags.values()))
+        lines = [f"usage: parabolica {command} {usage}", "", about]
+        sections = {"flags": [*zip(names, [text for _, _, text in flags.values()]), help_row]}
+    else:
+        lines = [f"usage: parabolica {{{','.join(_COMMANDS)}}} [flags]", ""]
+        lines.append("Exact splitting analysis of homogeneous vector bundles on flag varieties.")
+        sections = {
+            "commands": [(name, about) for name, (about, _) in _COMMANDS.items()],
+            "flags": [("--version", "print the version and exit"), help_row],
+        }
+    width = max(len(name) for rows in sections.values() for name, _ in rows) + 2
+    for title, rows in sections.items():
+        lines += ["", f"{title}:", *(f"  {name:<{width}}{text}" for name, text in rows)]
+    return "\n".join(lines) + "\n"
 
 
-def _profile_request(ns: argparse.Namespace) -> SpectralRequest:
+def _profile_request(values: dict) -> SpectralRequest:
     """`spectral --profile kind:key=value,...`: the kind's rules, then the
-    spectral reader; dim, modes and hym come only from their options."""
-    if ":" not in ns.profile:
-        raise ParseError(f"--profile: expected kind:key=value[,...], got {ns.profile!r}")
-    kind, rest = ns.profile.split(":", 1)
+    spectral reader; dim, modes and hym come only from their options, which
+    are read first."""
+    options, read = ("dim", "modes", "hym"), {}
+    for key in options:
+        if key in values:
+            kind = float if key == "hym" else int
+            try:
+                read[key] = kind(values[key])
+            except ValueError as exc:
+                raise ParseError(f"--{key}: invalid {kind.__name__} value: {values[key]!r}") from exc
+    if ":" not in values["profile"]:
+        raise ParseError(f"--profile: expected kind:key=value[,...], got {values['profile']!r}")
+    kind, rest = values["profile"].split(":", 1)
     fields: dict[str, str | float] = _parse_fields(rest, "--profile")
     if kind not in ("point", "subtorus"):
         raise ParseError(f"--profile: unknown singular-set kind {kind!r}")
@@ -549,11 +630,9 @@ def _profile_request(ns: argparse.Namespace) -> SpectralRequest:
         fields.pop("codim", None)  # a point has codimension dim
     elif "codim" not in fields:
         raise ParseError("--profile: subtorus profiles need codim=")
-    options = ("dim", "modes", "hym")
     for key in options:
         fields.pop(key, None)
-        if getattr(ns, key) is not None:
-            fields[key] = getattr(ns, key)
+    fields.update(read)
     return _spectral_request(fields, "--profile", options)
 
 
@@ -624,46 +703,49 @@ def _clip(message: str) -> str:
 
 def main(argv: Sequence[str] | None = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
+    values: dict = {}
     try:
-        ns = _build_parser().parse_args(tokens)
-        if ns.command == "analyze":
-            fields = _lie_fields(ns)
-            if ns.spectral is not None:
-                fields["spectral"] = _spectral_request(_parse_fields(ns.spectral, "--spectral"), "--spectral")
+        command, values = _read_flags(tokens)
+        if "help" in values:
+            sys.stdout.write(_help(command))
+        elif command == "--version":
+            sys.stdout.write(f"parabolica {__version__}\n")
+        elif command == "analyze":
+            fields = _lie_fields(values)
+            if "spectral" in values:
+                fields["spectral"] = _spectral_request(_parse_fields(values["spectral"], "--spectral"), "--spectral")
             _emit(build_analysis_report(**fields))
-        elif ns.command == "curvature":
-            fields = _lie_fields(ns)
+        elif command == "curvature":
+            fields = _lie_fields(values)
             p = _parabolic(fields["lie_type"], fields["parabolic"])
             _emit(_curvature_block(p, fields["kahler"], fields["line"]))
-        elif ns.command == "spectral":
-            block = _spectral_block(_profile_request(ns))
-            if ns.csv:
+        elif command == "spectral":
+            block = _spectral_block(_profile_request(values))
+            if "csv" in values:
                 sys.stdout.write("n,residual\n")
                 for row in block.get("residuals", ()):
                     sys.stdout.write(f"{row['n']},{row['residual']!r}\n")
             else:
                 _emit(block)
-        elif ns.command == "paper-suite":
+        elif command == "paper-suite":
             try:
                 reports = run_reference_suite()
             except FixtureMismatchError as exc:
                 sys.stderr.write(f"fixture mismatch: {exc}\n")
                 return 2
-            if not ns.quiet:
+            if "quiet" not in values:
                 for entry in reports:
                     sys.stderr.write(f"ok {entry['name']}\n")
             _emit(reports)
-        elif ns.command == "dump-roots":
-            lie_type = _read("--type", SimpleLieType.from_string, ns.type, refused=InvalidTypeError)
+        elif command == "dump-roots":
+            lie_type = _read("--type", SimpleLieType.from_string, values["type"], refused=InvalidTypeError)
             _emit(build_root_system(lie_type).to_dict())
         sys.stdout.flush()
-    except SystemExit as exc:  # --help or --version
-        return 0 if exc.code == 0 else 1
     except ParseError as exc:
         sys.stderr.write(f"error: {_clip(str(exc))}\n")
         return 1
     except _ReportTooLarge as exc:
-        flags = " and ".join(f"--{name}" for name in exc.args if getattr(ns, name, None))
+        flags = " and ".join(f"--{name}" for name in exc.args if values.get(name))
         sys.stderr.write(f"error: {flags}: values too large or too finely divided for an exact report\n")
         return 1
     except BrokenPipeError:

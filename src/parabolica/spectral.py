@@ -170,6 +170,18 @@ def _is_sine(index):
     return index % 2 == 0
 
 
+# Tables cached at once, and the keys of those fetched lately: a key is
+# dropped only when the set outgrows the cache, so a stale or missing key
+# costs a rebuild or a smaller table, never other bits (the prefix property).
+_TABLE_CACHE_SIZE = 64
+_fetched: set[tuple[tuple[float, ...], int]] = set()
+
+
+def _table_size(count: int) -> int:
+    """The power-of-two size of the table that covers modes 0..count."""
+    return 1 << max(count - 1, 0).bit_length()
+
+
 def _table_for(side_lengths: tuple[float, ...], count: int) -> _ModeTable:
     """The cached table covering modes 0..count.
 
@@ -179,10 +191,15 @@ def _table_for(side_lengths: tuple[float, ...], count: int) -> _ModeTable:
     """
     if count < 0:
         raise ValueError(f"mode count must be nonnegative, got {count}")
-    return _build_table(side_lengths, 1 << max(count - 1, 0).bit_length())
+    key = (side_lengths, _table_size(count))
+    if len(_fetched) >= _TABLE_CACHE_SIZE:
+        _fetched.clear()
+    table = _build_table(*key)
+    _fetched.add(key)
+    return table
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
     """Modes 0..size ordered by (eigenvalue, frequency, cos-before-sin).
 
@@ -308,11 +325,15 @@ def _matched_modes(
     f: SpectralFunction, m: int, n: int, manifold: FlatTorus
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices j with max(m, 0) < j <= n (within f's range), with their
-    coefficients and eigenvalues, read from the table for all of f (the one
-    distance_profile_coefficients fetched), whatever n is."""
+    coefficients and eigenvalues.  These are read from the table for all of
+    f when it was fetched lately (distance_profile_coefficients fetched it),
+    so a ladder of truncations builds no table of its own, and otherwise
+    from the table for j <= hi, so a long hand-built f needs no table past
+    the modes read.  The prefix property makes both the same bits."""
     top = len(f.coeffs) - 1
     lo, hi = max(m, 0) + 1, min(n, top)
-    return np.arange(lo, hi + 1), f.coeffs[lo : hi + 1], manifold.eigenvalues(max(top, 0))[lo : hi + 1]
+    count = top if (manifold.side_lengths, _table_size(top)) in _fetched else hi
+    return np.arange(lo, hi + 1), f.coeffs[lo : hi + 1], manifold.eigenvalues(max(count, 0))[lo : hi + 1]
 
 
 def spectral_h2_gap(f: SpectralFunction, m: int, n: int, manifold: FlatTorus) -> float:

@@ -27,10 +27,13 @@ coroot tables.
 * ``full_fft_profile_coefficients``: a profile's eigen-coefficients read
   off one ``rfftn`` of the whole N^d grid, free axes included, against
   which the cut-axes transform of ``distance_profile_coefficients`` is
-  checked.
+  checked;
+* ``argparse_parser``: the CLI's flags as an ``argparse`` parser, against
+  which ``cli._read_flags`` is checked (the one place argparse remains).
 """
 from __future__ import annotations
 
+import argparse
 import functools
 import math
 from fractions import Fraction
@@ -38,8 +41,9 @@ from typing import Iterable
 
 import numpy as np
 
-from parabolica import linalg
+from parabolica import __version__, linalg
 from parabolica.bundle import BundleSpec, ChernData, SplittingReport
+from parabolica.cli import ParseError
 from parabolica.parabolic import ParabolicData, WeightSplit
 from parabolica.rootsys import Root, RootSystem, Weight, root_system_from_cartan
 from parabolica.spectral import FlatTorus, GalerkinSolution, SingularProfile, SpectralFunction, _profile_values
@@ -270,3 +274,49 @@ def full_fft_profile_coefficients(
     for c in coeffs:
         captured += c * c
     return SpectralFunction(coeffs, tail_sq=max(norm_sq - captured, 0.0))
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line on stderr instead of usage text
+        raise ParseError(f"{self.prog}: {message}")
+
+
+@functools.cache
+def argparse_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
+        prog="parabolica",
+        description="Exact splitting analysis of homogeneous vector bundles on flag varieties.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, weighted: bool) -> None:
+        p.add_argument("--type", required=True, help="Dynkin type, e.g. A3, B3, D4 (case-insensitive)")
+        p.add_argument("--parabolic", required=True, help="Levi nodes, 1-based, e.g. 2,3 (empty: Borel)")
+        if weighted:
+            p.add_argument("--weight", required=True, help="highest weight coordinates, e.g. 0,0,2")
+
+    analyze = sub.add_parser("analyze", help="splitting report for a bundle")
+    common(analyze, weighted=True)
+    analyze.add_argument("--kahler", help="Kahler coefficients over the Picard nodes, e.g. 1 or 1,2")
+    analyze.add_argument("--line", help="line bundle degrees over the Picard nodes")
+    analyze.add_argument("--spectral", help="spectral demo spec, e.g. dim=1,modes=128,s=0.25")
+
+    curv = sub.add_parser("curvature", help="invariant curvature constants")
+    common(curv, weighted=False)
+    curv.add_argument("--kahler", help="Kahler coefficients (default: the Einstein class)")
+    curv.add_argument("--line", help="line bundle degrees over the Picard nodes")
+
+    spec = sub.add_parser("spectral", help="Galerkin demo for a singular profile")
+    spec.add_argument("--dim", type=int, help="torus dimension (default 1)")
+    spec.add_argument("--modes", type=int, help="eigenmodes to materialize (default 128)")
+    spec.add_argument("--profile", required=True, help="e.g. point:s=0.25 or subtorus:s=0.4,codim=1")
+    spec.add_argument("--hym", type=float, help="target mean-curvature constant (default 1)")
+    spec.add_argument("--csv", action="store_true", help="residual ladder as CSV instead of JSON")
+
+    suite = sub.add_parser("paper-suite", help="run the pinned example battery")
+    suite.add_argument("--quiet", action="store_true", help="no ok <name> lines on stderr")
+
+    dump = sub.add_parser("dump-roots", help="emit a root-system dump as JSON")
+    dump.add_argument("--type", required=True)
+    return parser

@@ -17,20 +17,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parabolica import KahlerClass, SimpleLieType
+from parabolica import KahlerClass, SimpleLieType, __version__
 from parabolica.cli import (
+    _COMMANDS,
     FixtureMismatchError,
+    ParseError,
     SpectralRequest,
-    _build_parser,
     _check_fixture,
     _lie_fields,
+    _read_flags,
     build_analysis_report,
     main,
     run_reference_suite,
 )
 from parabolica.spectral import SingularProfile
 
-from oracles import check_report
+from oracles import argparse_parser, check_report
 
 
 def _analyze(capsys, *flags: str) -> dict:
@@ -834,10 +836,6 @@ def test_removed_flags_are_rejected(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-def test_parser_is_built_once():
-    assert _build_parser() is _build_parser()
-
-
 def test_cold_cache_outputs_match_warm(capsys):
     from parabolica import rootsys
 
@@ -912,7 +910,7 @@ def test_analyze_builds_each_root_system_once(monkeypatch, capsys):
     monkeypatch.setattr(rootsys, "_positive_roots", lambda cartan: enumerated.append(cartan) or genuine(cartan))
     argv = ["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2"]
     rootsys._memoized_root_system.cache_clear()
-    assert _lie_fields(_build_parser().parse_args(argv))["lie_type"] == SimpleLieType("B", 3)
+    assert _lie_fields(_read_flags(argv)[1])["lie_type"] == SimpleLieType("B", 3)
     assert enumerated == []  # parsing only canonicalizes the type
     assert main(argv) == 0
     assert len(enumerated) == 1  # G only: the Levi is read off G's coroot table
@@ -1088,3 +1086,157 @@ def test_cli_fuzz_exits_cleanly(tokens):
         assert err.count("\n") == 1, err
         named = re.match(r"error: (--[a-z]+|parabolica)\b", err)
         assert named and (named.group(1) in _FIELDS or named.group(1) == "parabolica"), err
+
+
+# Every flag of each command, as its --help names it.
+COMMAND_FLAGS = {
+    "analyze": ["--type", "--parabolic", "--weight", "--kahler", "--line", "--spectral"],
+    "curvature": ["--type", "--parabolic", "--kahler", "--line"],
+    "spectral": ["--dim", "--modes", "--profile", "--hym", "--csv"],
+    "paper-suite": ["--quiet"],
+    "dump-roots": ["--type"],
+}
+
+
+def test_version_prints_the_package_version(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (f"parabolica {__version__}\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], *([command, "--help"] for command in COMMAND_FLAGS), ["spectral", "-h"]]
+    # a refusal still pending when --help comes is dropped for the help
+    + [["analyze", "--bogus", "--help"], ["paper-suite", "--quiet", "extra", "-h"]],
+)
+def test_help_names_every_flag(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    names = [*COMMAND_FLAGS, "--version"] if len(argv) == 1 else COMMAND_FLAGS[argv[0]]
+    for name in [*names, "-h", "--help"]:
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", captured.out), name
+
+
+@pytest.mark.parametrize("argv", [[], ["nosuch"], ["--type=A3"]])
+def test_missing_or_unknown_command_is_refused(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parabolica") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--type=B3", "--parabolic=2,3"], "parabolica analyze: missing required flag(s) --weight"),
+        (["analyze", "--type=B3", "--par=2,3", "--weight=0,0,2"], "parabolica analyze: unknown flag '--par'"),
+        (["spectral", "--profile"], "parabolica spectral: --profile expects a value"),
+        (["spectral", "--profile=point:s=0.25", "--csv=yes"], "parabolica spectral: --csv takes no value"),
+        (["dump-roots", "--type=A3", "extra"], "parabolica dump-roots: unknown flag 'extra'"),
+        (["spectral", "--profile=point:s=0.25", "--dim=x"], "--dim: invalid int value: 'x'"),
+        (["spectral", "--profile=point:s=0.25", "--hym=1/0"], "--hym: invalid float value: '1/0'"),
+    ],
+)
+def test_flag_refusals_are_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_spaced_values_read_as_joined_ones(capsys):
+    # a spaced value is the next token, whatever it starts with
+    spaced = ["curvature", "--type", "A3", "--parabolic", "2", "--kahler", "1,2", "--line", "-1,0"]
+    assert main(spaced) == 0
+    out = capsys.readouterr().out
+    assert main(["curvature", "--type=A3", "--parabolic=2", "--kahler=1,2", "--line=-1,0"]) == 0
+    assert capsys.readouterr().out == out
+
+
+# The flag table against argparse (oracles.argparse_parser) on the fuzz
+# grammar, with one refusal both see, spaced values, unique prefixes and
+# repeated flags (the last one wins in both) mixed in.  The two differ only
+# as CHANGES.md records: argparse reads a unique prefix as its flag, where
+# the table refuses it; argparse refuses a spaced value that starts with
+# "-" unless it is a plain negative number, where the table reads it.  A
+# value argparse's type= refuses (--dim, --modes, --hym) counts as refused
+# on both sides.
+REFUSED = "refused"
+_ARGPARSE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's _negative_number_matcher
+_TYPED = {"dim": int, "modes": int, "hym": float}
+
+
+def _table_read(tokens: list[str]):
+    try:
+        command, values = _read_flags(tokens)
+        return command, {name: repr(_TYPED.get(name, lambda v: v)(v)) for name, v in values.items()}
+    except (ParseError, ValueError):
+        return REFUSED
+
+
+def _argparse_read(tokens: list[str]):
+    try:
+        ns = argparse_parser().parse_args(tokens)
+    except ParseError:
+        return REFUSED
+    return ns.command, {name: repr(v) for name, v in vars(ns).items() if name != "command" and v not in (None, False)}
+
+
+def _argparse_reads_as_flag(value: str) -> bool:
+    """Whether argparse takes a spaced value for an option, and so refuses it."""
+    return len(value) > 1 and value.startswith("-") and not _ARGPARSE_NUMBER.match(value) and " " not in value
+
+
+@st.composite
+def _variant_cases(draw) -> tuple[list[str], list[str], set[str]]:
+    """A fuzz request (the base), the same request with flags spaced,
+    abbreviated or given once before with another value, and the names of
+    the differences it carries."""
+    command, *flags = draw(_cli_tokens())
+    if draw(st.integers(0, 3)) == 0:
+        extra = draw(st.sampled_from(["--bogus", "--quiet", "-x", "extra", "--csv=1", "--", None]))
+        if extra is None:
+            flags = flags[1:]  # the required first flag left out
+        else:
+            flags.insert(draw(st.integers(0, len(flags))), extra)
+    known = [*_COMMANDS[command][1], "--help"]
+    tokens, differences = [command], set()
+    for token in flags:
+        flag, eq, value = token.partition("=")
+        if flag in known:
+            if draw(st.integers(0, 5)) == 0:
+                tokens.append(f"{flag}=0" if eq else token)  # overridden by the token itself
+            unique = [flag[:k] for k in range(3, len(flag)) if [f for f in known if f.startswith(flag[:k])] == [flag]]
+            if unique and draw(st.integers(0, 4)) == 0:
+                flag = draw(st.sampled_from(unique))
+                differences.add("prefix")
+        if eq and draw(st.booleans()):
+            tokens += [flag, value]
+            if _argparse_reads_as_flag(value):
+                differences.add("minus")
+        else:
+            tokens.append(flag + eq + value)
+    return [command, *flags], tokens, differences
+
+
+@FUZZ
+@given(_variant_cases())
+@example((["analyze", "--type=B3", "--parabolic=2,3", "--weight=-1,0,0"],
+          ["analyze", "--type", "B3", "--parabolic", "2,3", "--weight", "-1,0,0"], {"minus"}))
+@example((["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2"],
+          ["analyze", "--type=B3", "--par=2,3", "--weight=0,0,2"], {"prefix"}))
+@example((["spectral", "--profile=point:s=0.25", "--hym=-2"],
+          ["spectral", "--profile=point:s=0.25", "--hym=1", "--hym", "-2"], set()))
+def test_flag_table_agrees_with_argparse(case):
+    base, tokens, differences = case
+    ours, theirs = _table_read(tokens), _argparse_read(tokens)
+    assert _table_read(base) == _argparse_read(base)
+    if "prefix" in differences:
+        assert ours == REFUSED
+    else:
+        assert ours == _table_read(base)
+    if "minus" in differences:
+        assert theirs == REFUSED
+    else:
+        assert theirs == _argparse_read(base)
+    if not differences:
+        assert ours == theirs

@@ -501,8 +501,9 @@ def dual_highest_weight(cartan, levi: tuple[int, ...], coords: tuple[int, ...]) 
 @example(("E6", (1, 2, 3, 4, 5), (3, 1, 0, 2, 0, 1)))
 @example(("G2", (0,), (3, -2)))
 def test_dual_bundle_reports_agree(case):
-    """E* against E: the same rank and verdict, lambda(E*) = -lambda(E) and
-    lambda(L0*) = -lambda(L0); the dual of E* is E again."""
+    """E* against E: the same rank and verdict, lambda(E*) = -lambda(E),
+    criterion - lambda_c negated on each Picard node (the criterion itself
+    is not) and lambda(L0*) = -lambda(L0); the dual of E* is E again."""
     name, levi, coords = case
     p = cached_parabolic(name, levi)
     dual = dual_highest_weight(p.rs.cartan, levi, coords)
@@ -512,6 +513,11 @@ def test_dual_bundle_reports_agree(case):
     assert dual_report.chern.rank == report.chern.rank
     assert dual_report.chern.lambda_E.coords == tuple(-c for c in report.chern.lambda_E.coords)
     assert dual_report.splits == report.splits
+
+    def shifted(r):
+        return {beta: v - r.split.lambda_c[beta] for beta, v in r.criterion_values.items()}
+
+    assert shifted(dual_report) == {beta: -v for beta, v in shifted(report).items()}
     if report.splits:
         assert dual_report.lambda_L0.coords == tuple(-c for c in report.lambda_L0.coords)
     else:

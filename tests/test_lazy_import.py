@@ -1,5 +1,6 @@
 """The package loads `parabolica.spectral`, and numpy with it, only on first use,
-and never loads `dataclasses` or `inspect`.
+and never loads `dataclasses` or `inspect`; exact requests load neither
+`argparse` nor `json`.
 
 Each check that depends on what a process has imported runs in a fresh
 interpreter, since this test session has long since imported numpy.
@@ -66,6 +67,28 @@ for tokens in requests:
 state["digest"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
 print(json.dumps(state))
 """
+
+# The import, then one request of each exact command, in a process that
+# imports nothing else first: the script itself uses neither module.
+BARE_EXACT = """
+import sys
+import parabolica, parabolica.cli
+import contextlib, io
+codes = []
+for tokens in {requests!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(parabolica.cli.main(tokens))
+print(codes, sorted(name for name in ("argparse", "json") if name in sys.modules))
+"""
+
+
+def test_exact_requests_leave_argparse_and_json_unimported():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = BARE_EXACT.format(requests=[list(tokens) for tokens in EXACT_REQUESTS])
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{[0] * len(EXACT_REQUESTS)} []\n"
+
 
 # The benchmark's tracer wraps each traced function wherever it is bound.
 TRACED = """

@@ -16,7 +16,7 @@
   parameters: ``_Record`` writes that constructor from ``__slots__``;
 * no method that only tests call: every method of a library class is read
   as an attribute somewhere in the library, or named ``Class.method`` in
-  ``bench/*.py``, or is a dunder, or is a hook listed in ``CALLED_FROM_OUTSIDE``;
+  ``bench/*.py``, or is a dunder;
 * one input boundary: an ``except`` clause of ``cli.main`` that can return 1
   names only ``EXIT_ONE_ERRORS``, so a library fault such as a bare
   ``ValueError`` exits 3 and never reads as bad input.
@@ -31,14 +31,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "parabolica").glob("*.py"))
 
-# Methods that code outside the package calls by name.
-CALLED_FROM_OUTSIDE = {
-    "_ArgumentParser.error",  # argparse reports every parse failure through it
-}
-
-# What `cli.main` may map to exit 1: a reader's refusal, a report value too
-# large to carry, a reader that closed stdout early, and argparse's exits.
-EXIT_ONE_ERRORS = {"ParseError", "_ReportTooLarge", "BrokenPipeError", "SystemExit"}
+# What `cli.main` may map to exit 1: a refusal of the flags or of a reader,
+# a report value too large to carry, and a reader that closed stdout early.
+EXIT_ONE_ERRORS = {"ParseError", "_ReportTooLarge", "BrokenPipeError"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -186,8 +181,8 @@ def _unread_methods(sources: dict[str, str], bench_text: str) -> list[str]:
                 if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
                 qualname = f"{cls.name}.{method.name}"
-                hook = method.name.startswith("__") and method.name.endswith("__") or qualname in CALLED_FROM_OUTSIDE
-                if not (hook or method.name in read or qualname in bench_text):
+                dunder = method.name.startswith("__") and method.name.endswith("__")
+                if not (dunder or method.name in read or qualname in bench_text):
                     found.append(f"{name}:{method.lineno} {qualname}")
     return found
 

@@ -144,6 +144,19 @@ def test_ladder_rungs_read_the_table_of_the_whole_function(monkeypatch):
     assert set(counts) == {200}
 
 
+@pytest.mark.parametrize("sides, length", [((1.0,) * 11, 1500), ((1.0,), 2_000_001)], ids=["11-torus", "circle"])
+def test_long_hand_built_function_reads_only_the_modes_it_needs(sides, length):
+    # no call fetched the table for all of f, which is over budget on both
+    # tori, so the modes 1..3 come from the table for mode 3, with its bits
+    torus = FlatTorus(sides)
+    long, short = SpectralFunction(np.ones(length)), SpectralFunction(np.ones(4))
+    sol = solve_weight(long, 3, torus)
+    assert sol.modes.tolist() == [1, 2, 3]
+    assert sol.lam.tobytes() == solve_weight(short, 3, torus).lam.tobytes()
+    assert spectral_h2_gap(long, 0, 3, torus) == spectral_h2_gap(short, 0, 3, torus)
+    assert h2_cauchy_gap(long, 3, 1, torus, kappa=0.0) == h2_cauchy_gap(short, 3, 1, torus, kappa=0.0)
+
+
 def test_galerkin_solution_keeps_arrays():
     # modes with a zero coefficient are dropped from the aligned arrays
     f = SpectralFunction(coeffs=[2.0, 0.5, 0.0, -1.5])

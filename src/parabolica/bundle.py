@@ -15,9 +15,9 @@ raise InvariantError, also under ``python -O``.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from .parabolic import NotDominantError, ParabolicData, decompose_weight
 from .rootsys import InvariantError, Weight, _Record, _set

@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Callable, Collection, Iterable, Sequence
 from fractions import Fraction
 from operator import sub
-from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 try:
     from _json import encode_basestring_ascii as _quote
@@ -33,7 +33,6 @@ from .parabolic import NotDominantError, ParabolicData, build_parabolic
 from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, _Record, build_root_system
 
 SCHEMA_VERSION = "1"
-T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -65,7 +64,7 @@ class SpectralRequest(_Record):
     __slots__ = _compared = ("profile", "modes", "hym")
 
 
-def _read(flag: str, build: Callable[..., T], *args, refused: type[ValueError]) -> T:
+def _read(flag: str, build: Callable, *args, refused: type[ValueError]):
     """``build(*args)``, the library's check of a value of ``flag``; its ``refused`` error becomes a ParseError."""
     try:
         return build(*args)

@@ -17,9 +17,9 @@ line-bundle weight are one Fraction.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
 
 from .parabolic import ParabolicData
 from .rootsys import Weight, _Record, _set, fundamental_weight

@@ -6,8 +6,8 @@ involved.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 Row = Sequence[int | Fraction]
 

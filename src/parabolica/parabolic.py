@@ -20,8 +20,8 @@ supported on I too.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from types import MappingProxyType
-from typing import Iterable
 
 from .rootsys import InvariantError, RootSystem, Weight, _inverse_transpose, _Record
 

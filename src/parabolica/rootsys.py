@@ -34,10 +34,10 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Sequence
 
 from . import linalg
 

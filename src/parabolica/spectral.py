@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from functools import cached_property, lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -170,36 +170,29 @@ def _is_sine(index):
     return index % 2 == 0
 
 
-# Tables cached at once, and the keys of those fetched lately: a key is
-# dropped only when the set outgrows the cache, so a stale or missing key
-# costs a rebuild or a smaller table, never other bits (the prefix property).
-_TABLE_CACHE_SIZE = 64
-_fetched: set[tuple[tuple[float, ...], int]] = set()
-
-
-def _table_size(count: int) -> int:
-    """The power-of-two size of the table that covers modes 0..count."""
-    return 1 << max(count - 1, 0).bit_length()
+# The largest table built so far for each torus.  A table is a prefix of
+# every larger one, so it serves every smaller count with the same bits; the
+# dict is emptied when a new torus would take it past _MAX_CACHED_TORI.
+_MAX_CACHED_TORI = 64
+_tables: dict[tuple[float, ...], _ModeTable] = {}
 
 
 def _table_for(side_lengths: tuple[float, ...], count: int) -> _ModeTable:
-    """The cached table covering modes 0..count.
-
-    The table for a count is a prefix of the table for any larger count, so
-    only power-of-two sizes are built and cached; at most log2(count) + 1
-    tables exist per torus.
+    """A table covering modes 0..count: the cached one for the torus if it
+    is large enough, else a new one of the power-of-two size that covers
+    count, which replaces it.  While a torus stays cached, counts up to
+    count build at most log2(count) + 1 tables for it, in any order.
     """
     if count < 0:
         raise ValueError(f"mode count must be nonnegative, got {count}")
-    key = (side_lengths, _table_size(count))
-    if len(_fetched) >= _TABLE_CACHE_SIZE:
-        _fetched.clear()
-    table = _build_table(*key)
-    _fetched.add(key)
+    table = _tables.get(side_lengths)
+    if table is None or len(table.eigenvalues) <= count:
+        if table is None and len(_tables) >= _MAX_CACHED_TORI:
+            _tables.clear()
+        table = _tables[side_lengths] = _build_table(side_lengths, 1 << max(count - 1, 0).bit_length())
     return table
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
     """Modes 0..size ordered by (eigenvalue, frequency, cos-before-sin).
 
@@ -242,17 +235,20 @@ def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
 
 class SpectralFunction(_Record):
     """Eigen-coefficients c_0..c_n plus ``tail_sq``, the squared L2 mass
-    past c_n.
+    past c_n, and ``tails_sq``, where tails_sq[k] = sum_{j >= k} c_j^2 for
+    k = 0..n + 1.
 
     ``coeffs`` is a read-only float64 copy of the 1-D sequence it is given,
-    so the arrays cached from it below cannot go stale.  For a profile from
-    ``distance_profile_coefficients`` both are midpoint-quadrature values,
-    and ``tail_sq`` is the quadrature tail, not a bound on the continuum
+    so ``tails_sq``, read-only too, cannot go stale.  It is one reverse
+    running sum of nonnegative terms, so it never increases with k, not
+    even by rounding.  For a profile from ``distance_profile_coefficients``
+    the coefficients and ``tail_sq`` are midpoint-quadrature values, and
+    ``tail_sq`` is the quadrature tail, not a bound on the continuum
     tail: for the point profile on the unit circle at s = 0.45 (N = 8192)
     the squared tail past mode 8, 64 and 128 reads 3.50, 1.82 and 1.35,
     against continuum values of 10.0, 8.24 and 7.69, 3-6x larger."""
 
-    __slots__ = ("coeffs", "tail_sq", "__dict__")  # the dict holds tails_sq once computed
+    __slots__ = ("coeffs", "tail_sq", "tails_sq")
     _compared = ("coeffs", "tail_sq")  # for repr: equality and hashing are by identity
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -263,23 +259,16 @@ class SpectralFunction(_Record):
         coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 1:
             raise ValueError(f"coefficients must be a 1-D sequence c_0..c_n, got shape {coeffs.shape}")
-        coeffs.setflags(write=False)
+        tails_sq = np.append(np.cumsum(coeffs[::-1] ** 2)[::-1], 0.0)
+        for array in (coeffs, tails_sq):
+            array.setflags(write=False)
         _set(self, "coeffs", coeffs)
         _set(self, "tail_sq", tail_sq)
+        _set(self, "tails_sq", tails_sq)
 
     def coefficient(self, index: int) -> float:
         """c_index, and 0.0 outside 0..len(coeffs) - 1."""
         return float(self.coeffs[index]) if 0 <= index < len(self.coeffs) else 0.0
-
-    @cached_property
-    def tails_sq(self) -> np.ndarray:
-        """tails_sq[k] = sum_{j >= k} c_j^2 for k = 0..len(coeffs).
-
-        One reverse running sum of nonnegative terms, so tails_sq never
-        increases with k, not even by rounding.
-        """
-        squares = self.coeffs[::-1] ** 2
-        return np.append(np.cumsum(squares)[::-1], 0.0)
 
 
 class GalerkinSolution(_Record):
@@ -325,15 +314,13 @@ def _matched_modes(
     f: SpectralFunction, m: int, n: int, manifold: FlatTorus
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices j with max(m, 0) < j <= n (within f's range), with their
-    coefficients and eigenvalues.  These are read from the table for all of
-    f when it was fetched lately (distance_profile_coefficients fetched it),
-    so a ladder of truncations builds no table of its own, and otherwise
-    from the table for j <= hi, so a long hand-built f needs no table past
-    the modes read.  The prefix property makes both the same bits."""
-    top = len(f.coeffs) - 1
-    lo, hi = max(m, 0) + 1, min(n, top)
-    count = top if (manifold.side_lengths, _table_size(top)) in _fetched else hi
-    return np.arange(lo, hi + 1), f.coeffs[lo : hi + 1], manifold.eigenvalues(max(count, 0))[lo : hi + 1]
+    coefficients and eigenvalues.  The eigenvalues come from the cached
+    table for the torus when it covers j <= hi (after
+    distance_profile_coefficients it covers all of f, so a ladder of
+    truncations builds no table), and a long hand-built f needs no table
+    past the modes read."""
+    lo, hi = max(m, 0) + 1, min(n, len(f.coeffs) - 1)
+    return np.arange(lo, hi + 1), f.coeffs[lo : hi + 1], manifold.eigenvalues(max(hi, 0))[lo : hi + 1]
 
 
 def spectral_h2_gap(f: SpectralFunction, m: int, n: int, manifold: FlatTorus) -> float:

@@ -16,6 +16,8 @@
 * the dual bundle E*, whose highest weight -w_{0,I} lambda comes from
   reflections by the Cartan rows alone: its report must match E's up to
   the signs duality predicts;
+* Dynkin diagram isomorphisms, which must relabel the report and the
+  curvature eigenvalues and change nothing else;
 * how many Fractions a splitting report, a mean-curvature constant and a
   spectrum build;
 * corrupted stored tables, which must raise InvariantError under ``python -O``.
@@ -278,7 +280,7 @@ def test_records_are_frozen():
     records = record_instances()
     assert {type(record) for record in records} == set(_Record.__subclasses__())
     for record in records:
-        fields = [name for name in type(record).__slots__ if name != "__dict__"]
+        fields = type(record).__slots__
         assert fields, type(record)
         for name in fields:
             before = getattr(record, name)
@@ -522,6 +524,64 @@ def test_dual_bundle_reports_agree(case):
         assert dual_report.lambda_L0.coords == tuple(-c for c in report.lambda_L0.coords)
     else:
         assert dual_report.lambda_L0 is None
+
+
+# Dynkin diagram isomorphisms (source type, target type, sigma), sigma[i]
+# the target node of source node i: the A_n flip, the D_n swap of the last
+# two nodes, D4 triality, the E6 flip, B2 = C2 with the nodes swapped, and
+# A3 = D3 with A3's middle node as D3's branch node.
+DIAGRAM_MAPS = (
+    ("A3", "A3", (2, 1, 0)),
+    ("A4", "A4", (3, 2, 1, 0)),
+    ("D4", "D4", (0, 1, 3, 2)),
+    ("D5", "D5", (0, 1, 2, 4, 3)),
+    ("D4", "D4", (2, 1, 3, 0)),
+    ("E6", "E6", (5, 1, 4, 3, 2, 0)),
+    ("B2", "C2", (1, 0)),
+    ("A3", "D3", (1, 0, 2)),
+)
+
+
+def relabeled(coords: tuple, sigma: tuple[int, ...]) -> tuple:
+    """The coordinates with the entry of node i moved to node sigma[i]."""
+    out = [None] * len(sigma)
+    for i, c in zip(sigma, coords):
+        out[i] = c
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(DIAGRAM_MAPS), st.data())
+def test_diagram_symmetry_relabels_the_report(symmetry, data):
+    """The report for (sigma Levi, sigma weight) is the report for (Levi,
+    weight) relabeled by sigma: rank, lambda(E), the Cramer coefficients,
+    the criterion, the verdict, lambda(L0), and the curvature eigenvalues of
+    lambda(E) for a Kahler class moved the same way, roots relabeled."""
+    source, target, sigma = symmetry
+    cartan, image_cartan = cached_system(source).cartan, cached_system(target).cartan
+    assert all(image_cartan[sigma[i]][sigma[j]] == row[j] for i, row in enumerate(cartan) for j in range(len(row)))
+    _, levi, coords = data.draw(splitting_cases((source,)))
+    p = cached_parabolic(source, levi)
+    image_p = cached_parabolic(target, tuple(sorted(sigma[i] for i in levi)))
+    report = splitting_report(BundleSpec(p, Weight.of(*coords)))
+    image = splitting_report(BundleSpec(image_p, Weight.of(*relabeled(coords, sigma))))
+
+    def moved(weight):
+        return None if weight is None else Weight(relabeled(weight.coords, sigma))
+
+    assert image.chern.rank == report.chern.rank
+    assert image.chern.lambda_E == moved(report.chern.lambda_E)
+    cramer = dict(zip(image_p.levi_nodes, image.chern.cramer_a))
+    assert cramer == {sigma[alpha]: a for alpha, a in zip(levi, report.chern.cramer_a)}
+    assert image.criterion_values == {sigma[beta]: v for beta, v in report.criterion_values.items()}
+    assert image.splits == report.splits
+    assert image.lambda_L0 == moved(report.lambda_L0)
+    kahler = {beta: data.draw(st.integers(1, 4)) for beta in p.picard_nodes}
+    omega0 = KahlerClass(tuple(kahler.values()))
+    image_omega0 = KahlerClass(tuple(c for _, c in sorted((sigma[beta], c) for beta, c in kahler.items())))
+    spectrum = endo_eigenvalues(report.chern.lambda_E, omega0, p).eigenvalues
+    image_spectrum = endo_eigenvalues(image.chern.lambda_E, image_omega0, image_p).eigenvalues
+    assert image_spectrum == {relabeled(root, sigma): q for root, q in spectrum.items()}
 
 
 @KERNEL

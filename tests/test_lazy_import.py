@@ -1,6 +1,6 @@
 """The package loads `parabolica.spectral`, and numpy with it, only on first use,
-and never loads `dataclasses` or `inspect`; exact requests load neither
-`argparse` nor `json`.
+and never loads `dataclasses` or `inspect`; exact requests load none of
+`argparse`, `json` and `typing`.
 
 Each check that depends on what a process has imported runs in a fresh
 interpreter, since this test session has long since imported numpy.
@@ -69,7 +69,7 @@ print(json.dumps(state))
 """
 
 # The import, then one request of each exact command, in a process that
-# imports nothing else first: the script itself uses neither module.
+# imports nothing else first: the script itself uses none of the modules named.
 BARE_EXACT = """
 import sys
 import parabolica, parabolica.cli
@@ -78,16 +78,25 @@ codes = []
 for tokens in {requests!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(parabolica.cli.main(tokens))
-print(codes, sorted(name for name in ("argparse", "json") if name in sys.modules))
+print(codes, sorted(name for name in {names!r} if name in sys.modules))
 """
 
 
-def test_exact_requests_leave_argparse_and_json_unimported():
+def _bare_exact(names: tuple[str, ...], *flags: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    script = BARE_EXACT.format(requests=[list(tokens) for tokens in EXACT_REQUESTS])
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    script = BARE_EXACT.format(requests=[list(tokens) for tokens in EXACT_REQUESTS], names=names)
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == f"{[0] * len(EXACT_REQUESTS)} []\n"
+    return done.stdout
+
+
+def test_exact_requests_leave_argparse_and_json_unimported():
+    assert _bare_exact(("argparse", "json")) == f"{[0] * len(EXACT_REQUESTS)} []\n"
+
+
+def test_exact_requests_leave_typing_unimported():
+    # -S: site, not the package, may import typing first
+    assert _bare_exact(("typing",), "-S") == f"{[0] * len(EXACT_REQUESTS)} []\n"
 
 
 # The benchmark's tracer wraps each traced function wherever it is bound.
@@ -155,13 +164,16 @@ def test_tracer_finds_every_traced_function_and_sees_its_calls():
     assert layers["spectral.solve_weight.calls"] == 3
 
 
-# One cold spectral request, then the mode tables it built.
+# One cold spectral request, counting the mode tables it builds.
 COLD_TABLES = """
 import contextlib, io, json, sys
 import parabolica.cli
+spectral, builds = parabolica.spectral, []
+genuine = spectral._build_table
+spectral._build_table = lambda sides, size: builds.append(size) or genuine(sides, size)
 with contextlib.redirect_stdout(io.StringIO()):
     code = parabolica.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "misses": parabolica.spectral._build_table.cache_info().misses}))
+print(json.dumps({"code": code, "builds": len(builds)}))
 """
 
 
@@ -169,7 +181,7 @@ print(json.dumps({"code": code, "misses": parabolica.spectral._build_table.cache
 def test_cold_spectral_request_builds_two_mode_tables(dim, modes):
     # the reader's one-mode budget probe, then the --modes table that every ladder rung reads
     cold = _run(COLD_TABLES, "spectral", f"--dim={dim}", f"--modes={modes}", "--profile=point:s=0.25")
-    assert cold == {"code": 0, "misses": 2}
+    assert cold == {"code": 0, "builds": 2}
 
 
 # Threads that all read the module for the first time at once.

@@ -133,15 +133,21 @@ def test_each_table_is_a_prefix_of_every_larger_one(sides):
         assert table.frequencies.tolist() == largest.frequencies[: size + 1].tolist()
 
 
+def _count_builds(monkeypatch) -> list[int]:
+    """The sizes of the mode tables built from now on, in order."""
+    sizes = []
+    genuine = spectral._build_table
+    monkeypatch.setattr(spectral, "_build_table", lambda sides, size: sizes.append(size) or genuine(sides, size))
+    return sizes
+
+
 def test_ladder_rungs_read_the_table_of_the_whole_function(monkeypatch):
     f = spectral.distance_profile_coefficients(SingularProfile(1, 1, 0.25), CIRCLE, 200, points_per_axis=1024)
-    counts = []
-    genuine = spectral._table_for
-    monkeypatch.setattr(spectral, "_table_for", lambda sides, count: counts.append(count) or genuine(sides, count))
+    built = _count_builds(monkeypatch)
     for n in (2, 4, 8, 200):
         solve_weight(f, n, CIRCLE)
     h2_cauchy_gap(f, 8, 4, CIRCLE, kappa=0.0)
-    assert set(counts) == {200}
+    assert built == []
 
 
 @pytest.mark.parametrize("sides, length", [((1.0,) * 11, 1500), ((1.0,), 2_000_001)], ids=["11-torus", "circle"])
@@ -449,14 +455,47 @@ def test_mode_table_matches_reference_enumeration(sides, counts):
         assert eigs.tolist() == [m.eigenvalue for m in table]
 
 
-def test_mode_table_cache_is_logarithmic():
-    sides = (0.9, 1.1)  # a torus no other test uses
+def test_mode_table_cache_is_logarithmic(monkeypatch):
+    monkeypatch.setattr(spectral, "_tables", {})
+    sides = (0.9, 1.1)
     top = 300
-    before = spectral._build_table.cache_info().currsize
+    built = _count_builds(monkeypatch)
     for count in range(1, top + 1):
         FlatTorus(sides).modes(count)
-    built = spectral._build_table.cache_info().currsize - before
-    assert built <= math.ceil(math.log2(top)) + 1
+    assert len(built) <= math.ceil(math.log2(top)) + 1
+
+
+def test_mode_table_cache_holds_a_bounded_number_of_tori(monkeypatch):
+    monkeypatch.setattr(spectral, "_tables", {})
+    for k in range(70):
+        spectral._table_for((1.0 + k / 128,), 1)
+        assert len(spectral._tables) <= spectral._MAX_CACHED_TORI
+    assert (1.0 + 69 / 128,) in spectral._tables
+    # a larger table for a torus already held replaces its entry and empties nothing
+    held = len(spectral._tables)
+    spectral._table_for((1.0 + 69 / 128,), 100)
+    assert len(spectral._tables) == held
+
+
+@pytest.mark.parametrize("sides", [(1.0,), (0.7, 1.3), (1.0, 1.0, 1.0)])
+def test_smaller_request_after_a_larger_one_builds_nothing(monkeypatch, sides):
+    monkeypatch.setattr(spectral, "_tables", {})
+    torus = FlatTorus(sides)
+    own = spectral._build_table(sides, 16)
+    torus.eigenvalues(1000)
+    built = _count_builds(monkeypatch)
+    assert torus.eigenvalues(10).tobytes() == own.eigenvalues[:11].tobytes()
+    assert [m.frequency for m in torus.modes(16)] == [tuple(nu) for nu in own.frequencies.tolist()]
+    assert built == []
+
+
+@pytest.mark.parametrize("sides", [(1.0,), (0.7, 1.3), (1.0, 1.0, 1.0)])
+def test_hand_built_function_reads_the_same_bits_from_any_cached_table(monkeypatch, sides):
+    monkeypatch.setattr(spectral, "_tables", {})
+    torus, long = FlatTorus(sides), SpectralFunction(np.ones(5000))
+    cold = solve_weight(long, 100, torus).lam.tobytes()
+    torus.eigenvalues(4096)
+    assert solve_weight(long, 100, torus).lam.tobytes() == cold
 
 
 def test_mode_count_must_be_nonnegative():

@@ -277,7 +277,7 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> di
     residuals = [{"n": sol.truncation, "residual": sol.residual_l2, "h2_norm": sol.h2_norm} for sol in solutions]
     gaps = []
     for m, n in zip(truncations, truncations[1:]):
-        bound, gap = spectral.h2_cauchy_gap(f, n, m, torus, kappa=0.0)
+        bound, gap = spectral.h2_cauchy_gap(f, n, m, torus)
         gaps.append({"m": m, "n": n, "bound": bound, "gap": gap})
     mean = f.coefficient(0) / torus.volume ** 0.5
     block.update(

@@ -1,75 +1,58 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-``det`` and ``solve`` work on sequences of ints or Fractions and return
-Fractions; ``adjugate`` stays in the integers.  No floating point is ever
-involved.
+``adjugate`` is the one elimination, and it stays in the integers.
+``det`` and ``solve`` take sequences of ints or Fractions, clear each row
+to integers, read their answer off ``adjugate`` and return Fractions.  No
+floating point is ever involved.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 
 Row = Sequence[int | Fraction]
 
 
-def _as_fraction_rows(rows: Sequence[Row]) -> list[list[Fraction]]:
-    out = [[Fraction(x) for x in row] for row in rows]
-    n = len(out)
-    if any(len(row) != n for row in out):
-        raise ValueError("square matrix required")
-    return out
-
-
-def _eliminate(a: list[list[Fraction]]) -> Fraction:
-    """Bring the leading n x n block of the n-row matrix a to upper-triangular
-    form in place and return its determinant (0, a left partly reduced, if
-    singular).  Further columns, a right-hand side, follow the row operations.
-    """
-    n = len(a)
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return result
+def _cleared(rows: Sequence[Row]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, which leaves integers,
+    and the product of those row scales."""
+    ints, scale = [], 1
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        k = math.lcm(*(x.denominator for x in fracs))
+        ints.append([x.numerator * (k // x.denominator) for x in fracs])
+        scale *= k
+    return ints, scale
 
 
 def det(rows: Sequence[Row]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination.
+    """Determinant: det of the integer-cleared rows over their scales.
 
     The empty matrix has determinant 1, so Cramer formulas degenerate
     gracefully for an empty index set.
     """
-    return _eliminate(_as_fraction_rows(rows))
+    ints, scale = _cleared(rows)
+    return Fraction(adjugate(ints)[0], scale)
 
 
 def solve(rows: Sequence[Row], rhs: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-    """Solve A x = b exactly: elimination on [A | b], then back substitution.
+    """Solve A x = b exactly as adj(A') b' / det(A'), where [A' | b'] is
+    [A | b] with each row cleared to integers.
 
     Raises ValueError on a singular matrix; finite-type Cartan matrices
     are always invertible.
     """
-    a = _as_fraction_rows(rows)
-    n = len(a)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("square matrix required")
     if len(rhs) != n:
         raise ValueError("dimension mismatch")
-    for row, b in zip(a, rhs):
-        row.append(Fraction(b))
-    if _eliminate(a) == 0:
+    augmented, _ = _cleared([[*row, b] for row, b in zip(rows, rhs)])
+    d, adj = adjugate([row[:n] for row in augmented])
+    if d == 0:
         raise ValueError("singular matrix")
-    x = [Fraction(0)] * n
-    for r in reversed(range(n)):
-        x[r] = (a[r][n] - sum((a[r][c] * x[c] for c in range(r + 1, n)), Fraction(0))) / a[r][r]
-    return tuple(x)
+    return tuple(Fraction(sum(a * row[n] for a, row in zip(adj_row, augmented)), d) for adj_row in adj)
 
 
 def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:

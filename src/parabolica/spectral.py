@@ -329,28 +329,23 @@ def spectral_h2_gap(f: SpectralFunction, m: int, n: int, manifold: FlatTorus) ->
     return float(np.sum((1.0 + lam**2) * (c / lam) ** 2))
 
 
-def h2_cauchy_gap(f: SpectralFunction, n: int, m_idx: int, manifold: FlatTorus, kappa: float) -> tuple[float, float]:
+def h2_cauchy_gap(f: SpectralFunction, n: int, m_idx: int, manifold: FlatTorus) -> tuple[float, float]:
     """Bochner upper bound for the squared H2 gap between psi_n and psi_m, and the gap.
 
-    Bound = (1 + C) * sum_{j=m+1}^{n} (1/lambda_j^2 + 1) c_j^2 with
-    C = max(1 + |kappa| eps, |kappa| / (4 eps)), eps = 1/(2 |kappa|); for
-    kappa = 0 the Young term drops and C = 1.  The bound is checked to
-    dominate the directly computed spectral gap (InvariantError if not).
+    Bound = 2 * sum_{j=m+1}^{n} (1/lambda_j^2 + 1) c_j^2: a flat torus has
+    Ricci curvature 0, so Bochner's formula has no Young term and its
+    constant is 1.  The bound is checked to dominate the directly computed
+    spectral gap (InvariantError if not).
     """
     if not n > m_idx >= 0:
         raise ValueError("need n > m >= 0")
-    if kappa == 0:
-        const = 1.0
-    else:
-        eps = 1.0 / (2.0 * abs(kappa))
-        const = max(1.0 + abs(kappa) * eps, abs(kappa) / (4.0 * eps))
     _, c, lam = _matched_modes(f, m_idx, n, manifold)
-    bound = (1.0 + const) * float(np.sum((1.0 / lam**2 + 1.0) * c * c))
+    bound = 2.0 * float(np.sum((1.0 / lam**2 + 1.0) * c * c))
     gap = spectral_h2_gap(f, m_idx, n, manifold)
     if not bound >= gap * (1.0 - 1e-12):
         raise InvariantError(
             f"Bochner bound must dominate the exact H2 gap: bound {bound!r} < gap {gap!r} "
-            f"for n={n}, m={m_idx}, kappa={kappa!r}"
+            f"for n={n}, m={m_idx}"
         )
     return bound, gap
 

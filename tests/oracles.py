@@ -10,8 +10,10 @@ coroot tables.
   from the root norms, in rationals, apart from the reflection closure;
 * ``pairing_fold``: <lambda, beta^vee> as 2 (lambda, beta) / (beta, beta),
   and from it ``weyl_dim_fold``, Weyl's formula as a ``Fraction`` product;
+* ``det``: the determinant by Laplace expansion along the first row, its
+  definition, with no elimination;
 * ``cramer_ratios_fold``: the Cramer ratios as determinants of row-replaced
-  Levi Cartan matrices, by ``Fraction`` elimination;
+  Levi Cartan matrices, by ``det``;
 * ``splitting_fold``: a whole splitting report by ``Weight`` arithmetic, one
   ``Fraction`` per coordinate and operation, from the two folds above;
 * ``root_as_weight_fold``: a root over the fundamental weights, folded
@@ -37,11 +39,11 @@ import argparse
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from parabolica import __version__, linalg
+from parabolica import __version__
 from parabolica.bundle import BundleSpec, ChernData, SplittingReport
 from parabolica.cli import ParseError
 from parabolica.parabolic import ParabolicData, WeightSplit
@@ -123,16 +125,27 @@ def weyl_dim_fold(p: ParabolicData, lambda_s: Weight) -> Fraction:
     return dim
 
 
+def det(rows: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
+    """The determinant by Laplace expansion along the first row:
+    sum_j (-1)^j a_0j det(minor_0j), skipping zero entries, so the sparse
+    Cartan matrices of rank <= 8 stay fast.  The empty matrix has
+    determinant 1."""
+    if not rows:
+        return 1
+    first, rest = rows[0], rows[1:]
+    return sum((-1) ** j * x * det([[*row[:j], *row[j + 1 :]] for row in rest]) for j, x in enumerate(first) if x)
+
+
 def cramer_ratios_fold(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]:
     """det of C_I with its alpha-row replaced by lambda_s, over det C_I."""
     coords = [lambda_s[i] for i in p.levi_nodes]
     base = [list(row) for row in p.levi_cartan]
-    denom = linalg.det(base) if base else Fraction(1)
+    denom = det(base)
     ratios = []
     for pos in range(len(coords)):
         replaced = [row[:] for row in base]
         replaced[pos] = coords
-        ratios.append(linalg.det(replaced) / denom)
+        ratios.append(Fraction(det(replaced), denom))
     return tuple(ratios)
 
 

@@ -4,9 +4,13 @@
 * the coroot identity <beta, beta^vee> = 2 for the stored coroot table;
 * a second reflection closure over C_I (``oracles.levi_closure``) for the
   Levi tables ``build_parabolic`` reads off the ambient coroot table;
+* the determinant's definition, Laplace expansion (``oracles.det``), for
+  ``linalg.adjugate`` entry by entry through signed cofactors, for
+  ``linalg.det``, and for the stored Cartan determinants; ``linalg.solve``
+  by substitution into its system;
 * ``Fraction`` reference copies of the per-call formulas the integer tables
-  replaced (pairings through (beta, beta), Cramer determinants by
-  elimination, in ``oracles``), compared on random parabolics and weights;
+  replaced (pairings through (beta, beta), Cramer determinants by Laplace
+  expansion, in ``oracles``), compared on random parabolics and weights;
 * ``oracles.splitting_fold``, the splitting report by ``Weight`` arithmetic,
   against the integer report, field by field and type for type;
 * the ``Fraction`` fold of a root over the fundamental weights, and the
@@ -63,6 +67,7 @@ from conftest import cached_parabolic, cached_system
 from oracles import (
     coroot_coefficients,
     cramer_ratios_fold,
+    det,
     levi_closure,
     pairing_fold,
     root_as_weight_fold,
@@ -150,7 +155,7 @@ def test_coroot_table_rows(name):
 def test_stored_inverse_of_cartan_transpose(name):
     rs = cached_system(name)
     n = rs.rank
-    assert rs.cartan_det == linalg.det(rs.cartan)
+    assert rs.cartan_det == det(rs.cartan)
     for i in range(n):
         for j in range(n):
             product = sum(rs.cartan[k][i] * rs.cartan_t_adjugate[k][j] for k in range(n))
@@ -363,23 +368,79 @@ def test_weight_cleared(coords):
     assert all(denom % Fraction(c).denominator == 0 for c in coords)
 
 
-def square_matrices(n: int):
-    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+def square_matrices(n: int, entries=st.integers(-4, 4)):
+    row = st.lists(entries, min_size=n, max_size=n)
     return st.lists(row, min_size=n, max_size=n)
+
+
+# cheaper to draw than st.fractions, which five-by-five matrices feel
+matrix_entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+def fraction_matrices(n: int):
+    return square_matrices(n, matrix_entries)
+
+
+def minor(rows, i: int, j: int) -> list[list]:
+    """rows without row i and column j."""
+    return [[*row[:j], *row[j + 1 :]] for k, row in enumerate(rows) if k != i]
 
 
 @KERNEL
 @given(st.integers(0, 6).flatmap(square_matrices))
-def test_adjugate_against_elimination(rows):
-    det, adj = linalg.adjugate(rows)
-    assert det == linalg.det(rows)
-    if det == 0:
+def test_adjugate_against_cofactors(rows):
+    # adj(A)_ij is the signed cofactor (-1)^(i+j) det(A without row j, column i)
+    d, adj = linalg.adjugate(rows)
+    assert d == det(rows)
+    if d == 0:
         assert adj == ()
         return
     n = len(rows)
-    for i in range(n):
-        for j in range(n):
-            assert sum(rows[i][k] * adj[k][j] for k in range(n)) == (det if i == j else 0)
+    assert adj == tuple(tuple((-1) ** (i + j) * det(minor(rows, j, i)) for j in range(n)) for i in range(n))
+
+
+@KERNEL
+@given(st.integers(0, 5).flatmap(fraction_matrices))
+def test_det_against_cofactor_expansion(rows):
+    d = linalg.det(rows)
+    assert type(d) is Fraction and d == det(rows)
+
+
+def fraction_systems(n: int):
+    return st.tuples(fraction_matrices(n), st.lists(matrix_entries, min_size=n, max_size=n))
+
+
+@KERNEL
+@given(st.integers(0, 5).flatmap(fraction_systems))
+def test_solve_satisfies_its_system(system):
+    rows, rhs = system
+    if det(rows) == 0:
+        return
+    x = linalg.solve(rows, rhs)
+    assert all(type(v) is Fraction for v in x)
+    assert [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in rows] == rhs
+
+
+@KERNEL
+@given(st.integers(1, 5).flatmap(fraction_matrices), matrix_entries, st.data())
+def test_det_and_solve_refusals(rows, scale, data):
+    n = len(rows)
+    i = data.draw(st.integers(0, n - 1))
+    rhs = [Fraction(1)] * n
+    ragged = [row[:-1] if k == i else row for k, row in enumerate(rows)]
+    with pytest.raises(ValueError, match="^square matrix required$"):
+        linalg.det(ragged)
+    with pytest.raises(ValueError, match="^square matrix required$"):
+        linalg.solve(ragged, rhs)
+    for wrong in (rhs[:-1], [*rhs, Fraction(0)]):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            linalg.solve(rows, wrong)
+    # row i a multiple of another row, or zero when there is no other
+    other = rows[(i + 1) % n] if n > 1 else [Fraction(0)]
+    singular = [[scale * x for x in other] if k == i else row for k, row in enumerate(rows)]
+    assert linalg.det(singular) == 0
+    with pytest.raises(ValueError, match="^singular matrix$"):
+        linalg.solve(singular, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from parabolica import (
 from parabolica.rootsys import cartan_matrix
 
 from conftest import cached_system
-from oracles import combine, coroot_coefficients, root_norm_sq, root_norms
+from oracles import combine, coroot_coefficients, det, root_norm_sq, root_norms
 
 ALL_TYPES = (
     [f"A{n}" for n in range(1, 9)]
@@ -196,10 +196,8 @@ def test_to_dict_shape(b3):
 
 
 def test_cartan_matrix_determinants_positive():
-    from parabolica import linalg
-
     for name in ALL_TYPES:
-        assert linalg.det(cartan_matrix(SimpleLieType.from_string(name))) > 0
+        assert det(cartan_matrix(SimpleLieType.from_string(name))) > 0
 
 
 def test_weight_predicates():

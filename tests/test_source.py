@@ -17,6 +17,8 @@
 * no method that only tests call: every method of a library class is read
   as an attribute somewhere in the library, or named ``Class.method`` in
   ``bench/*.py``, or is a dunder;
+* no module-level function that only tests call: each is read as a name or
+  an attribute somewhere in the library, or named in ``bench/*.py``;
 * one input boundary: an ``except`` clause of ``cli.main`` that can return 1
   names only ``EXIT_ONE_ERRORS``, so a library fault such as a bare
   ``ValueError`` exits 3 and never reads as bad input.
@@ -24,6 +26,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -164,6 +167,10 @@ def test_sources_are_found():
     assert {"cli.py", "rootsys.py", "spectral.py"} <= {p.name for p in SOURCES}
 
 
+def _bench_text() -> str:
+    return "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
+
+
 def _unread_methods(sources: dict[str, str], bench_text: str) -> list[str]:
     """``file:line Class.method`` for each non-dunder method that no library
     source reads as an attribute and that bench_text does not name."""
@@ -188,9 +195,7 @@ def _unread_methods(sources: dict[str, str], bench_text: str) -> list[str]:
 
 
 def test_every_library_method_has_a_library_or_bench_caller():
-    sources = {path.name: path.read_text() for path in SOURCES}
-    bench_text = "\n".join(path.read_text() for path in sorted((ROOT / "bench").glob("*.py")))
-    assert _unread_methods(sources, bench_text) == []
+    assert _unread_methods({path.name: path.read_text() for path in SOURCES}, _bench_text()) == []
 
 
 def test_unread_method_rule_sees_test_only_methods():
@@ -203,6 +208,39 @@ def test_unread_method_rule_sees_test_only_methods():
         "    def __add__(self, other): pass\n"
     )
     assert _unread_methods({"m.py": source}, "LAYERS = ('A.traced',)") == ["m.py:2 A.used", "m.py:5 A.orphan"]
+
+
+def _unread_functions(sources: dict[str, str], bench_text: str) -> list[str]:
+    """``file:line function`` for each module-level function that no library
+    source reads as a name or an attribute and that bench_text does not
+    name as a word."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    named = set(re.findall(r"\w+", bench_text))
+    return [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (node.name in read or node.name in named)
+    ]
+
+
+def test_every_library_function_has_a_library_or_bench_caller():
+    assert _unread_functions({path.name: path.read_text() for path in SOURCES}, _bench_text()) == []
+
+
+def test_unread_function_rule_sees_test_only_functions():
+    sources = {
+        "a.py": "def called(): return helper()\ndef helper(): return 1\ndef traced(): pass\ndef orphan(): pass\n",
+        "b.py": "import a\nx = a.called\ndef traced_b():\n    def nested(): pass\n",
+    }
+    bench = "LAYERS = {'a': ('traced',), 'b': ('traced_b',)}  # orphaned"
+    assert _unread_functions(sources, bench) == ["a.py:4 orphan"]
 
 
 def _exit_one_handlers(source: str, function: str = "main") -> list[str]:

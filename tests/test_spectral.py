@@ -146,7 +146,7 @@ def test_ladder_rungs_read_the_table_of_the_whole_function(monkeypatch):
     built = _count_builds(monkeypatch)
     for n in (2, 4, 8, 200):
         solve_weight(f, n, CIRCLE)
-    h2_cauchy_gap(f, 8, 4, CIRCLE, kappa=0.0)
+    h2_cauchy_gap(f, 8, 4, CIRCLE)
     assert built == []
 
 
@@ -160,7 +160,7 @@ def test_long_hand_built_function_reads_only_the_modes_it_needs(sides, length):
     assert sol.modes.tolist() == [1, 2, 3]
     assert sol.lam.tobytes() == solve_weight(short, 3, torus).lam.tobytes()
     assert spectral_h2_gap(long, 0, 3, torus) == spectral_h2_gap(short, 0, 3, torus)
-    assert h2_cauchy_gap(long, 3, 1, torus, kappa=0.0) == h2_cauchy_gap(short, 3, 1, torus, kappa=0.0)
+    assert h2_cauchy_gap(long, 3, 1, torus) == h2_cauchy_gap(short, 3, 1, torus)
 
 
 def test_galerkin_solution_keeps_arrays():
@@ -208,7 +208,7 @@ def test_h2_gap_single_extra_mode():
     lam = float(CIRCLE.eigenvalues(j)[j])
     c = 0.3
     f = SpectralFunction(coeffs=dense({j: c}))
-    bound, gap = h2_cauchy_gap(f, j, j - 1, CIRCLE, kappa=0.0)
+    bound, gap = h2_cauchy_gap(f, j, j - 1, CIRCLE)
     assert gap == spectral_h2_gap(f, j - 1, j, CIRCLE)
     assert math.isclose(bound, 2.0 * (1.0 / lam**2 + 1.0) * c * c, rel_tol=1e-14)
     assert math.isclose(gap, (1.0 + lam**2) * (c / lam) ** 2, rel_tol=1e-14)
@@ -217,14 +217,13 @@ def test_h2_gap_single_extra_mode():
 
 def test_h2_gap_zero_tail():
     f = SpectralFunction(coeffs=[0.0, 1.0, 0.5])
-    assert h2_cauchy_gap(f, 10, 5, CIRCLE, kappa=0.0) == (0.0, 0.0)
+    assert h2_cauchy_gap(f, 10, 5, CIRCLE) == (0.0, 0.0)
     assert spectral_h2_gap(f, 5, 10, CIRCLE) == 0.0
 
 
-@pytest.mark.parametrize("kappa", [0.0, 1.0, -1.0])
-def test_h2_bound_dominates_gap(kappa):
+def test_h2_bound_dominates_gap():
     f = SpectralFunction(coeffs=dense({j: 1.0 / j for j in range(1, 101)}))
-    bound, gap = h2_cauchy_gap(f, 100, 10, CIRCLE, kappa=kappa)
+    bound, gap = h2_cauchy_gap(f, 100, 10, CIRCLE)
     assert gap == spectral_h2_gap(f, 10, 100, CIRCLE)
     assert bound >= gap > 0.0
     assert math.isfinite(bound)
@@ -233,7 +232,7 @@ def test_h2_bound_dominates_gap(kappa):
 def test_h2_gap_argument_validation():
     f = SpectralFunction(coeffs=[0.0, 1.0])
     with pytest.raises(ValueError):
-        h2_cauchy_gap(f, 5, 5, CIRCLE, kappa=0.0)
+        h2_cauchy_gap(f, 5, 5, CIRCLE)
 
 
 def test_compatibility_constant_trivial():
@@ -775,8 +774,8 @@ def test_residual_tail_is_a_running_sum():
 def test_bochner_invariant_failure_names_its_inputs(monkeypatch):
     monkeypatch.setattr(spectral, "spectral_h2_gap", lambda *args: 1e300)
     f = SpectralFunction(coeffs=dense({j: 1.0 / j for j in range(1, 20)}))
-    with pytest.raises(InvariantError, match=r"Bochner bound .* n=10, m=2, kappa=0\.0"):
-        h2_cauchy_gap(f, 10, 2, CIRCLE, kappa=0.0)
+    with pytest.raises(InvariantError, match=r"Bochner bound .* for n=10, m=2$"):
+        h2_cauchy_gap(f, 10, 2, CIRCLE)
 
 
 def test_invariants_survive_optimized_mode():
@@ -785,7 +784,7 @@ def test_invariants_survive_optimized_mode():
         "s.spectral_h2_gap = lambda *args: 1e300\n"
         "f = s.SpectralFunction(coeffs=[0.0, 1.0, 0.5])\n"
         "try:\n"
-        "    s.h2_cauchy_gap(f, 2, 0, s.FlatTorus((1.0,)), kappa=0.0)\n"
+        "    s.h2_cauchy_gap(f, 2, 0, s.FlatTorus((1.0,)))\n"
         "except s.InvariantError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"

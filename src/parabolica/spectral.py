@@ -17,13 +17,14 @@ DFT F of the profile sampled on the N^d grid.  The profile depends only on
 the k coordinates its singular set cuts, so it is sampled on the N^k grid
 of those axes, and no (N^d, d) point array is built.  A point profile
 (k = d) is transformed in rfftn's passes, one axis at a time from the last:
-one rfft along the last axis of the N^d grid, then on each earlier axis an
-fft of only the lines that hold an entry some requested mode reads.  A
-subtorus profile (k < d) is constant along the d - k free axes, so F is
-N^(d-k) times the DFT of the N^k cut grid where every free frequency is 0
-(mod N) and 0 elsewhere; only the cut grid is transformed.  Grids are
-bounded: by default N^d stays at most 512^2 points for d >= 2 (8192 points
-for d = 1), and no grid may exceed _MAX_GRID_POINTS.
+an rfft along the last axis of the N^d grid, run on blocks of lines and
+keeping only the columns the requested modes read, then on each earlier
+axis an fft of only the lines that hold an entry some requested mode
+reads.  A subtorus profile (k < d) is constant along the d - k free axes,
+so F is N^(d-k) times the DFT of the N^k cut grid where every free
+frequency is 0 (mod N) and 0 elsewhere; only the cut grid is transformed.
+Grids are bounded: by default N^d stays at most 512^2 points for d >= 2
+(8192 points for d = 1), and no grid may exceed _MAX_GRID_POINTS.
 """
 from __future__ import annotations
 
@@ -52,12 +53,18 @@ class _InvalidProfile(ValueError):
 # with at most _DEFAULT_GRID_POINTS nodes, and no grid, default or explicit,
 # may exceed _MAX_GRID_POINTS nodes.  At the budget, a 2048^2
 # distance_profile_coefficients call with 4095 modes, in a fresh process on
-# a 2-core VM with numpy 2.4, takes 0.09-0.10 s and a 96 MB peak RSS for
-# the point profile (codim 2: an rfft along the last axis of all 2048^2
-# nodes, then 2048-point FFTs of the few columns the modes read), and
-# 0.03 s and 62 MB for the codim-1 profile (one 2048-point FFT).
+# a 2-core VM with numpy 2.4, takes 0.03 s and a 66 MB peak RSS for the
+# point profile (codim 2: blocked rffts along the last axis of all 2048^2
+# nodes, keeping the 37 columns the modes read, then 2048-point FFTs of
+# them), and 0.01 s and 62 MB for the codim-1 profile (one 2048-point FFT).
+# A fresh process that imports numpy peaks at 27 MB; the 2048^2 grid is 34 MB.
 _DEFAULT_GRID_POINTS = 512**2
 _MAX_GRID_POINTS = 1 << 22
+# A point profile's last-axis rfft runs over blocks of this many grid values
+# (whole lines: 64 at N = 512, 512 at N = 64), so each block's half spectrum
+# is freed before the next.  One block of the whole 512^2 grid page-faults
+# its 2 MB output on every request; 2^13 ran slower and 2^16 no faster.
+_RFFT_BLOCK_POINTS = 1 << 15
 # The integer frequency box searched for a mode table, (2b + 1)^d rows of d
 # entries, is bounded by its entry count.
 _MAX_FREQUENCY_BOX = 1 << 22
@@ -454,20 +461,22 @@ def distance_profile_coefficients(
     the N^d grid: with T = F[nu mod N] exp(-i pi sum(nu) / N) sqrt(2/vol)
     vol/N^d, the cosine coefficient is Re T and the sine coefficient is
     -Im T (see the module docstring).  A point profile takes F from rfftn's
-    passes over the N^d values: an rfft along the last axis, then on each
+    passes over the N^d values: an rfft along the last axis, run on
+    _RFFT_BLOCK_POINTS values at a time and keeping only the prefix of
+    columns up to the largest one a requested mode reads, then on each
     earlier axis an fft of only the lines that hold a requested entry, so
-    each entry read has the bits of the full rfftn.  A subtorus profile
-    takes F[nu] from one fftn of the N^k cut grid, times N^(d-k), when every
-    free entry of nu is 0 (mod N), and F[nu] = 0 otherwise, so no N^d
-    complex array is built.  For a power-of-two N this equals the full
-    rfftn entry for entry, up to the sign of some exact zeros; for other N
-    the two agree to rounding.  The mean (mode 0) and then the L2 norm sum
-    the full N^d values, the norm squaring them in place after the
-    transform.  The default N follows the grid budget; n must be below the
-    number of grid points.  The tail is the quadrature L2 mass not captured
-    by the materialized modes, which keeps Parseval partial sums monotone
-    and bounded; it does not bound the continuum tail (see
-    SpectralFunction).
+    each entry read has the bits of the full rfftn and no full N^d half
+    spectrum is built.  A subtorus profile takes F[nu] from one fftn of the
+    N^k cut grid, times N^(d-k), when every free entry of nu is 0 (mod N),
+    and F[nu] = 0 otherwise, so no N^d complex array is built.  For a
+    power-of-two N this equals the full rfftn entry for entry, up to the
+    sign of some exact zeros; for other N the two agree to rounding.  The
+    mean (mode 0) and then the L2 norm sum the full N^d values, the norm
+    squaring them in place after the transform.  The default N follows the
+    grid budget; n must be below the number of grid points.  The tail is
+    the quadrature L2 mass not captured by the materialized modes, which
+    keeps Parseval partial sums monotone and bounded; it does not bound the
+    continuum tail (see SpectralFunction).
     """
     if not p.square_integrable:
         raise NotL2Error(f"exponent {p.exponent} >= codim/2 = {p.codim / 2}")
@@ -490,12 +499,21 @@ def distance_profile_coefficients(
         spectrum = np.where(on_slice, cut[tuple(index[:, : p.codim].T)] * repeat, 0.0)
     else:
         # The profile is real, so the FFT keeps half of the last axis and
-        # F[m] = conj(F[-m mod N]) supplies the other half.  Each later pass
-        # transforms only the lines that the remaining indices read, and
-        # index is renumbered onto the lines kept.
+        # F[m] = conj(F[-m mod N]) supplies the other half.  The last-axis
+        # rfft runs on blocks of lines, and only the columns up to the last
+        # one read are copied out, so no block's full output outlives its
+        # iteration; a line's rfft does not depend on the other lines.  Each
+        # later pass transforms only the lines that the remaining indices
+        # read, and index is renumbered onto the lines kept.
         mirrored = index[:, -1] > points_per_axis // 2
         index[mirrored] = -index[mirrored] % points_per_axis
-        half = np.fft.rfft(values.reshape((points_per_axis,) * manifold.dimension), axis=-1)
+        columns = int(index[:, -1].max(initial=-1)) + 1
+        lines = values.reshape(-1, points_per_axis)
+        half = np.empty((len(lines), columns), dtype=complex)
+        step = max(1, _RFFT_BLOCK_POINTS // points_per_axis)
+        for start in range(0, len(lines), step):
+            half[start : start + step] = np.fft.rfft(lines[start : start + step], axis=-1)[:, :columns]
+        half = half.reshape((points_per_axis,) * (manifold.dimension - 1) + (columns,))
         for axis in range(manifold.dimension - 1, 0, -1):
             keep, index[:, axis] = np.unique(index[:, axis], return_inverse=True)
             half = np.fft.fft(half.take(keep, axis=axis), axis=axis - 1)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -355,6 +356,50 @@ def test_point_profile_quadrature_error_is_navots_term(exponent, points_per_axis
         assert abs(f.coefficient(j)) < 1e-12
 
 
+# Richardson extrapolation in N for d >= 2 and for subtori.  By the
+# d-dimensional form of Navot's expansion (J. N. Lyness, Math. Comp. 30
+# (1976) 1-23), the midpoint sum of d(x, Y)^-s g(x) on a grid of step
+# h = L/N is off from the integral by a h^(k-s) g|Y + b h^2 + O(h^(k-s+2)),
+# where k is the codimension of Y.  The first term comes from the singular
+# set, and its constant a depends on the grid but not on g; the second
+# comes from the kink of the distance at the cut locus.  The mass, the sum
+# of d^-2s, has the same expansion with k - 2s.  Combining grids N and 2N
+# as (4 Q(2N) - Q(N)) / 3 drops the h^2 term, and log2 of the ratio of
+# successive differences of what is left is the order of the singular
+# term.  Since a does not depend on g, the differences of a cosine
+# coefficient and of the mean stand in the ratio phi_j(Y) / phi_0(Y) =
+# sqrt(2) for every mode constant along Y.
+@pytest.mark.parametrize(
+    "sides, codim, exponent, sizes",
+    [
+        ((1.0, 0.8), 2, 0.9, (128, 256, 512, 1024)),
+        ((0.7, 0.8, 0.9), 3, 1.4, (16, 32, 64, 128)),
+        ((1.0, 0.8), 1, 0.4, (128, 256, 512, 1024)),
+        ((0.7, 0.8, 0.9), 2, 0.9, (16, 32, 64, 128)),
+    ],
+)
+def test_profile_quadrature_error_has_the_singular_order(sides, codim, exponent, sizes):
+    torus = FlatTorus(sides)
+    profile = SingularProfile(ambient_dim=len(sides), codim=codim, exponent=exponent)
+    n = 12
+    # the mean, then every cosine mode constant along Y
+    read = [0] + [mode.index for mode in torus.modes(n) if mode.trig == "cos" and not any(mode.frequency[codim:])]
+    assert len(read) >= 3
+    rows = []
+    for points_per_axis in sizes:
+        f = distance_profile_coefficients(profile, torus, n, points_per_axis=points_per_axis)
+        rows.append([norm_sq(f), *f.coeffs[read]])
+    extrapolated = np.array(rows)
+    extrapolated = (4 * extrapolated[1:] - extrapolated[:-1]) / 3
+    steps = np.diff(extrapolated, axis=0)
+    mass_order, *orders = np.log2(steps[0] / steps[1]).tolist()
+    assert math.isclose(mass_order, codim - 2 * exponent, abs_tol=0.05), mass_order
+    for j, order in zip(read, orders):
+        assert math.isclose(order, codim - exponent, abs_tol=0.05), (j, order)
+    for j, ratio in zip(read[1:], (steps[-1, 2:] / steps[-1, 1]).tolist()):
+        assert math.isclose(ratio, math.sqrt(2), rel_tol=0.01), (j, ratio)
+
+
 def test_profile_parseval_partial_sums_monotone_bounded():
     profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
     f = distance_profile_coefficients(profile, CIRCLE, 128)
@@ -672,26 +717,81 @@ def test_point_profile_transform_matches_full_fft(case):
     assert f.tail_sq.hex() == expected.tail_sq.hex()
 
 
+@st.composite
+def _ragged_point_requests(draw):
+    """A point request and a block size for its last-axis rfft: a whole
+    number of lines that does not divide the N^(d-1) lines (when there are
+    at least 3), plus a part of a line that the block must round down."""
+    sides, exponent, n, points_per_axis = draw(_point_requests())
+    lines = points_per_axis ** (len(sides) - 1)
+    per_block = draw(st.integers(2, lines - 1).filter(lambda k: lines % k)) if lines > 2 else 1
+    block = per_block * points_per_axis + draw(st.integers(0, points_per_axis - 1))
+    return (sides, exponent, n, points_per_axis), block
+
+
+@CUT_AXES
+@given(_ragged_point_requests())
+@example((((1.0, 1.0), 0.3, 0, 16), 100))  # no mode reads a column
+@example((((1.0, 1.0), 0.5, 512, 512), 7 * 512))  # the default d = 2 grid in blocks of 7, 7, ..., 1 lines
+@example((((1.0, 1.0, 1.0), 1.2, 1000, 64), 3 * 64 + 5))  # the default d = 3 grid in blocks of 3, ..., 1
+@example((((0.7, 1.3), 0.9, 4095, 100), 3 * 100 + 99))
+def test_point_profile_transform_matches_full_fft_in_ragged_blocks(case):
+    (sides, exponent, n, points_per_axis), block = case
+    torus = FlatTorus(sides)
+    profile = SingularProfile(ambient_dim=len(sides), codim=len(sides), exponent=exponent)
+    with mock.patch.object(spectral, "_RFFT_BLOCK_POINTS", block):
+        f = distance_profile_coefficients(profile, torus, n, points_per_axis=points_per_axis)
+    expected = full_fft_profile_coefficients(profile, torus, n, points_per_axis)
+    assert np.array_equal(f.coeffs, expected.coeffs)
+    assert np.array_equal(np.signbit(f.coeffs), np.signbit(expected.coeffs))
+    assert f.tail_sq.hex() == expected.tail_sq.hex()
+
+
 def test_point_profile_transforms_only_the_columns_its_modes_read(monkeypatch):
-    calls = []
-    fft = np.fft.fft
+    calls, blocks, grids = [], [], []
+    fft, rfft, profile_values = np.fft.fft, np.fft.rfft, spectral._profile_values
 
     def record(a, *args, axis=-1, **kwargs):
         calls.append((np.shape(a), axis))
         return fft(a, *args, axis=axis, **kwargs)
 
+    def record_block(a, *args, **kwargs):
+        blocks.append(a)
+        return rfft(a, *args, **kwargs)
+
+    def record_grid(*args):
+        grids.append(profile_values(*args))
+        return grids[-1]
+
     def refuse(*args, **kwargs):
         raise AssertionError("full-grid transform")
 
     monkeypatch.setattr(np.fft, "fft", record)
+    monkeypatch.setattr(np.fft, "rfft", record_block)
     monkeypatch.setattr(np.fft, "rfftn", refuse)
     monkeypatch.setattr(np.fft, "fftn", refuse)
-    points_per_axis = 512
-    profile = SingularProfile(ambient_dim=2, codim=2, exponent=0.5)
-    distance_profile_coefficients(profile, FlatTorus((1.0, 1.0)), 512, points_per_axis=points_per_axis)
-    ((shape, axis),) = calls
-    assert axis == 0 and shape[0] == points_per_axis
-    assert shape[1] < points_per_axis // 2 + 1, shape
+    monkeypatch.setattr(spectral, "_profile_values", record_grid)
+    for dim, n, points_per_axis in ((2, 512, 512), (3, 1000, 64)):  # the default grids
+        for log in (calls, blocks, grids):
+            log.clear()
+        profile = SingularProfile(ambient_dim=dim, codim=dim, exponent=0.5)
+        distance_profile_coefficients(profile, FlatTorus((1.0,) * dim), n, points_per_axis=points_per_axis)
+        # one fft per earlier axis, each of a few columns of the last axis
+        assert [axis for _, axis in calls] == list(range(dim - 2, -1, -1))
+        for shape, axis in calls:
+            assert shape[axis] == points_per_axis
+            assert shape[-1] < points_per_axis // 2 + 1, shape
+        # the rffts read whole lines of the one sampled grid, at most one
+        # block of them per call, and every line exactly once
+        (grid,) = grids
+        lines = grid.reshape(-1, points_per_axis)
+        read = []
+        for block in blocks:
+            assert np.shares_memory(block, lines) and block.shape[1:] == (points_per_axis,)
+            assert block.shape[0] <= spectral._RFFT_BLOCK_POINTS // points_per_axis
+            start = (block.ctypes.data - lines.ctypes.data) // lines.strides[0]
+            read.extend(range(start, start + block.shape[0]))
+        assert len(blocks) > 1 and sorted(read) == list(range(points_per_axis ** (dim - 1)))
 
 
 def _peak_bytes(profile, torus, n, points_per_axis):
@@ -707,14 +807,16 @@ def _peak_bytes(profile, torus, n, points_per_axis):
 
 def test_profile_coefficients_peak_memory():
     # in units of one N^d float64 array: the grid plus, for a point profile,
-    # the half spectrum of its last axis
-    points_per_axis = 512
-    grid_bytes = points_per_axis**2 * 8
+    # one block's half spectrum, the columns kept and the later passes'
+    # lines (about 0.2 of the grid at 512^2, 0.7 at 64^3), not a half
+    # spectrum of the whole grid
     torus = FlatTorus((1.0, 1.0))
     point = SingularProfile(ambient_dim=2, codim=2, exponent=0.5)
     subtorus = SingularProfile(ambient_dim=2, codim=1, exponent=0.3)
-    assert _peak_bytes(point, torus, 512, points_per_axis) <= 2.25 * grid_bytes
-    assert _peak_bytes(subtorus, torus, 512, points_per_axis) <= 1.25 * grid_bytes
+    assert _peak_bytes(point, torus, 512, 512) <= 1.3 * 512**2 * 8
+    assert _peak_bytes(subtorus, torus, 512, 512) <= 1.25 * 512**2 * 8
+    point = SingularProfile(ambient_dim=3, codim=3, exponent=1.2)
+    assert _peak_bytes(point, FlatTorus((1.0, 1.0, 1.0)), 1000, 64) <= 1.8 * 64**3 * 8
 
 
 def test_default_grid_follows_the_point_budget():

@@ -229,7 +229,7 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass | None, line: tuple[i
     """Curvature constants under ``kahler`` of the line of degrees ``line``, each by default the Einstein class's."""
     einstein = einstein_class(p)
     kahler = einstein if kahler is None else kahler
-    psi = line_bundle_weight(einstein.coeffs if line is None else line, p)
+    psi = p.delta if line is None else line_bundle_weight(line, p)  # delta is the Einstein class's weight
     spectrum, traces = spectrum_and_traces(psi, kahler, p)
     try:
         block = {
@@ -438,6 +438,7 @@ _TANGENT_FIXTURE = {
     "name": "tangent-gr2c4",
     "type": "A3",
     "parabolic": (1, 3),
+    "weight": (1, -2, 1),  # -w_{0,I} theta, the highest weight of the tangent module
     "expected": {
         "delta": ["0", "4", "0"],
         "delta_in_simple_roots": ["2", "4", "2"],
@@ -448,19 +449,18 @@ _TANGENT_FIXTURE = {
 
 
 def _tangent_report() -> dict:
+    """The tangent module's splitting report; its lambda(E) is c1(X), the parabolic block's root sum delta."""
     p = _parabolic(_TANGENT_FIXTURE["type"], _TANGENT_FIXTURE["parabolic"])
-    delta = p.delta
-    in_simple = p.rs.weight_in_simple_roots(delta)
-    dim = len(p.complement_roots)  # rank of the tangent bundle
-    degrees = [delta[i] / dim for i in p.picard_nodes]
+    report = splitting_report(BundleSpec(p, Weight.of(*_TANGENT_FIXTURE["weight"])))
+    c1 = report.chern.lambda_E
     return {
         "schema_version": SCHEMA_VERSION,
         "name": _TANGENT_FIXTURE["name"],
         "parabolic": _parabolic_block(p),
-        "delta": _weight_json(delta),
-        "delta_in_simple_roots": [str(x) for x in in_simple],
-        "degree_over_rank": str(degrees[0]),
-        "splits": all(d.denominator == 1 for d in degrees),
+        "delta": _weight_json(c1),
+        "delta_in_simple_roots": [str(x) for x in p.rs.weight_in_simple_roots(c1)],
+        "degree_over_rank": str(c1[p.picard_nodes[0]] / report.chern.rank),
+        "splits": report.splits,
     }
 
 
@@ -469,10 +469,7 @@ def run_reference_suite() -> list[dict]:
     reports = []
     for fixture in _REFERENCE_FIXTURES:
         report = build_analysis_report(fixture["type"], fixture["parabolic"], fixture["weight"])
-        combined = dict(report["splitting"])
-        combined["levi_cartan"] = report["parabolic"]["levi_cartan"]
-        combined["det_levi_cartan"] = report["parabolic"]["det_levi_cartan"]
-        _check_fixture(fixture["name"], fixture["expected"], combined)
+        _check_fixture(fixture["name"], fixture["expected"], {**report["parabolic"], **report["splitting"]})
         reports.append({"name": fixture["name"], "report": report})
     tangent = _tangent_report()
     _check_fixture(_TANGENT_FIXTURE["name"], _TANGENT_FIXTURE["expected"], tangent)

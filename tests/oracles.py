@@ -19,6 +19,8 @@ coroot tables.
 * ``root_as_weight_fold``: a root over the fundamental weights, folded
   one ``Fraction`` product at a time over the rows of C;
 * ``delta_from_root_sum``: delta as a sum of roots rewritten one by one;
+* ``dual_highest_weight``: -w_{0,I} lambda, the highest weight of the dual
+  bundle, by simple reflections over the Levi nodes;
 * ``levi_closure``: the Levi root system built by its own closure over
   C_I, against which the restriction in ``build_parabolic`` is checked;
 * ``norm_sq`` and ``curvature_coeffs``: a spectral function's squared L2
@@ -197,6 +199,17 @@ def delta_from_root_sum(rs: RootSystem, roots: Iterable[Root]) -> Weight:
     """delta as the sum of the given roots each rewritten as a weight."""
     zero = Weight.of(*[0] * rs.rank)
     return combine((1, zero), *((1, root_as_weight_fold(rs, root)) for root in roots))
+
+
+def dual_highest_weight(cartan, levi: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int, ...]:
+    """-w_{0,I} lambda, the highest weight of E*: the Levi-dominant weight in
+    the Levi Weyl orbit of -lambda, reached by the simple reflections
+    mu -> mu - mu_i (row i of C) while some mu_i < 0 with i in I."""
+    mu = [-c for c in coords]
+    while (i := next((i for i in levi if mu[i] < 0), None)) is not None:
+        k = mu[i]
+        mu = [m - k * a for m, a in zip(mu, cartan[i])]
+    return tuple(mu)
 
 
 def levi_closure(p: ParabolicData) -> RootSystem:

@@ -451,14 +451,24 @@ def test_main_paper_suite_progress_lines(capsys):
 
 
 def test_main_paper_suite_mismatch_exit_two(capsys, monkeypatch):
+    """A broken reference fixture, or the tangent entry that is checked
+    after them all, exits 2 naming the fixture and the field."""
     import parabolica.cli as cli_module
 
     broken = dict(cli_module._REFERENCE_FIXTURES[0])
     broken["expected"] = dict(broken["expected"], rank=99)
-    monkeypatch.setattr(cli_module, "_REFERENCE_FIXTURES", (broken,))
-    assert main(["paper-suite"]) == 2
-    err = capsys.readouterr().err
-    assert "universal-bundle-gr2c4" in err and "rank" in err
+    tangent = cli_module._TANGENT_FIXTURE
+    cases = (
+        ("_REFERENCE_FIXTURES", (broken,), "universal-bundle-gr2c4", "rank"),
+        ("_TANGENT_FIXTURE", dict(tangent, expected=dict(tangent["expected"], splits=False)), "tangent-gr2c4", "splits"),
+    )
+    for attr, value, name, field in cases:
+        with monkeypatch.context() as patched:
+            patched.setattr(cli_module, attr, value)
+            assert main(["paper-suite"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err and field in captured.err
 
 
 def test_analyze_with_curvature_and_spectral_blocks(capsys):

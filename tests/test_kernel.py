@@ -20,6 +20,8 @@
 * the dual bundle E*, whose highest weight -w_{0,I} lambda comes from
   reflections by the Cartan rows alone: its report must match E's up to
   the signs duality predicts;
+* the tangent module of each cominuscule G/P, whose rank and lambda(E)
+  must be the root count dim X and the root sum -delta;
 * Dynkin diagram isomorphisms, which must relabel the report and the
   curvature eigenvalues and change nothing else;
 * how many Fractions a splitting report, a mean-curvature constant and a
@@ -68,6 +70,7 @@ from oracles import (
     coroot_coefficients,
     cramer_ratios_fold,
     det,
+    dual_highest_weight,
     levi_closure,
     pairing_fold,
     root_as_weight_fold,
@@ -548,17 +551,6 @@ def test_splitting_report_matches_weight_fold(case):
 DUAL_TYPES = ("A3", "B3", "C3", "D4", "G2", "F4", "E6", "B4", "C4", "A5")
 
 
-def dual_highest_weight(cartan, levi: tuple[int, ...], coords: tuple[int, ...]) -> tuple[int, ...]:
-    """-w_{0,I} lambda, the highest weight of E*: the Levi-dominant weight in
-    the Levi Weyl orbit of -lambda, reached by the simple reflections
-    mu -> mu - mu_i (row i of C) while some mu_i < 0 with i in I."""
-    mu = [-c for c in coords]
-    while (i := next((i for i in levi if mu[i] < 0), None)) is not None:
-        k = mu[i]
-        mu = [m - k * a for m, a in zip(mu, cartan[i])]
-    return tuple(mu)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(splitting_cases(DUAL_TYPES))
 @example(("E6", (1, 2, 3, 4, 5), (3, 1, 0, 2, 0, 1)))
@@ -585,6 +577,41 @@ def test_dual_bundle_reports_agree(case):
         assert dual_report.lambda_L0.coords == tuple(-c for c in report.lambda_L0.coords)
     else:
         assert dual_report.lambda_L0 is None
+
+
+# Cominuscule (type, Picard node), 1-based: Grassmannians of A1-A5 and A7,
+# the quadrics B_n/P_1 and D_n/P_1, the Lagrangian Grassmannians C_n/P_n,
+# the spinor varieties D_n/P_{n-1} and D_n/P_n, the Cayley plane E6/P_1,
+# E6/P_6 and the Freudenthal variety E7/P_7.
+COMINUSCULE = (
+    ("A1", 1), ("A2", 1), ("A3", 2), ("A4", 2), ("A5", 3), ("A7", 4),
+    ("B2", 1), ("B3", 1), ("B4", 1), ("C2", 2), ("C3", 3), ("C4", 4),
+    ("D4", 1), ("D4", 3), ("D4", 4), ("D5", 1), ("D5", 4), ("D5", 5), ("D6", 6),
+    ("E6", 1), ("E6", 6), ("E7", 7),
+)
+
+
+@pytest.mark.parametrize("name, node", COMINUSCULE)
+def test_cominuscule_tangent_module_gives_the_canonical_class(name, node):
+    """On a cominuscule G/P the tangent bundle is the irreducible bundle of
+    the highest root theta, so c1(X) = delta is read off one Levi module:
+    E_theta has rank |Phi^+ minus Phi_I^+| (a Weyl product against a root
+    count) and lambda(E_theta) = -delta (Cramer ratios against a root sum);
+    its dual, of highest weight -w_{0,I} theta, has the same rank and
+    lambda = +delta.  theta's weight comes from the Fraction fold over C."""
+    rs = cached_system(name)
+    levi = tuple(i for i in range(rs.rank) if i != node - 1)
+    p = cached_parabolic(name, levi)
+    theta = tuple(map(int, root_as_weight_fold(rs, rs.positive_roots[-1]).coords))
+    dual = dual_highest_weight(rs.cartan, levi, theta)
+    delta = p.delta.coords
+    for coords, sign in ((theta, -1), (dual, 1)):
+        chern = splitting_report(BundleSpec(p, Weight.of(*coords))).chern
+        assert chern.rank == len(p.complement_roots), (name, node, coords)
+        assert chern.lambda_E.coords == tuple(sign * c for c in delta), (name, node, coords)
+    if (name, node) == ("A3", 2):  # Gr(2,4): the paper-suite tangent fixture
+        assert dual == (1, -2, 1)
+        assert splitting_report(BundleSpec(p, Weight.of(*dual))).lambda_L0 == Weight.of(0, 1, 0)
 
 
 # Dynkin diagram isomorphisms (source type, target type, sigma), sigma[i]

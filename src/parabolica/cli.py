@@ -129,23 +129,29 @@ def _levi_nodes(text: str, rank: int) -> tuple[int, ...]:
     return tuple(sorted(nodes))
 
 
-def _spectral_request(fields: dict[str, str | float], what: str, options: tuple[str, ...] = ()) -> SpectralRequest:
+def _spectral_request(fields: dict[str, str], what: str, options: dict | None = None) -> SpectralRequest:
     """The one reader of the fields of ``what``, `--spectral` or `spectral
-    --profile`, where a key in ``options`` came from its own option
-    `--<key>`.  s is required, dim, modes and hym default to 1, 128 and 1,
+    --profile`, where ``options``, the latter's flag values, alone set dim,
+    modes and hym.  Each value is converted once and refused naming the flag
+    it came from.  s is required, dim, modes and hym default to 1, 128 and 1,
     codim to dim; any other key is refused."""
-    flags = {key: f"--{key}" if key in options else what for key in ("dim", "modes", "hym")}
     for key in fields:
         if key not in ("s", "dim", "modes", "hym", "codim"):
             raise ParseError(f"{what}: unknown field {key!r}; expected s, dim, modes, hym or codim")
-    try:
-        dim, modes, exponent = int(fields.get("dim", 1)), int(fields.get("modes", 128)), float(fields["s"])
-        codim = int(fields.get("codim", dim))
-        hym = float(fields.get("hym", 1))
-    except KeyError as exc:
-        raise ParseError(f"{what}: missing required field {exc.args[0]!r}") from exc
-    except ValueError as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+    if "s" not in fields:
+        raise ParseError(f"{what}: missing required field 's'")
+    flags = {key: what if options is None else f"--{key}" for key in ("dim", "modes", "hym")}
+
+    def read(key: str, kind: type, default: object = None):
+        flag = flags.get(key, what)
+        text = (fields if flag == what else options).get(key, default)
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ParseError(f"{flag}: invalid {kind.__name__} value: {text!r}") from exc
+
+    dim, modes, exponent = read("dim", int, 1), read("modes", int, 128), read("s", float)
+    codim, hym = read("codim", int, dim), read("hym", float, 1)
     if dim < 1:
         raise ParseError(f"{flags['dim']}: dim must be at least 1, got {dim}")
     if dim > MAX_SPECTRAL_DIM:
@@ -159,12 +165,9 @@ def _spectral_request(fields: dict[str, str | float], what: str, options: tuple[
     profile = _read(what, spectral.SingularProfile, dim, codim, exponent, refused=spectral._InvalidProfile)
     if profile.square_integrable:
         # only an L2 profile builds a grid and (cached) mode tables; every table is over budget once dim >= 12
-        over, sides = spectral._OverBudget, (1.0,) * dim
-        points = _read(flags["dim"], spectral._default_points_per_axis, dim, refused=over) ** dim
-        _read(flags["dim"], spectral._table_for, sides, 0, refused=over)
-        if modes >= points:
-            raise ParseError(f"{flags['modes']}: modes {modes} is outside 0..{points - 1} for a {points}-point grid")
-        _read(flags["modes"], spectral._table_for, sides, modes, refused=over)
+        torus = spectral.FlatTorus((1.0,) * dim)
+        for flag, count in ((flags["dim"], 0), (flags["modes"], modes)):
+            _read(flag, spectral._quadrature_grid, torus, count, refused=spectral._OverBudget)
     return SpectralRequest(profile, modes, hym)
 
 
@@ -606,30 +609,18 @@ def _help(command: str) -> str:
 
 def _profile_request(values: dict) -> SpectralRequest:
     """`spectral --profile kind:key=value,...`: the kind's rules, then the
-    spectral reader; dim, modes and hym come only from their options, which
-    are read first."""
-    options, read = ("dim", "modes", "hym"), {}
-    for key in options:
-        if key in values:
-            kind = float if key == "hym" else int
-            try:
-                read[key] = kind(values[key])
-            except ValueError as exc:
-                raise ParseError(f"--{key}: invalid {kind.__name__} value: {values[key]!r}") from exc
+    spectral reader, which takes dim, modes and hym only from their options."""
     if ":" not in values["profile"]:
         raise ParseError(f"--profile: expected kind:key=value[,...], got {values['profile']!r}")
     kind, rest = values["profile"].split(":", 1)
-    fields: dict[str, str | float] = _parse_fields(rest, "--profile")
+    fields = _parse_fields(rest, "--profile")
     if kind not in ("point", "subtorus"):
         raise ParseError(f"--profile: unknown singular-set kind {kind!r}")
     if kind == "point":
         fields.pop("codim", None)  # a point has codimension dim
     elif "codim" not in fields:
         raise ParseError("--profile: subtorus profiles need codim=")
-    for key in options:
-        fields.pop(key, None)
-    fields.update(read)
-    return _spectral_request(fields, "--profile", options)
+    return _spectral_request(fields, "--profile", values)
 
 
 def _render_json(value: object, indent: str = "\n") -> str:

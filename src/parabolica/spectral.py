@@ -240,6 +240,19 @@ def _build_table(side_lengths: tuple[float, ...], size: int) -> _ModeTable:
     return _ModeTable(eigenvalues, frequencies)
 
 
+def _quadrature_grid(manifold: FlatTorus, n: int, points_per_axis: int | None = None) -> tuple[int, int, _ModeTable]:
+    """(points_per_axis, total, table) for modes 0..n: the default side if
+    none is given, the grid budget, n below the N^d node count and the table
+    budget, each refused with an _OverBudget, which the CLI's spectral reader
+    reports under the flag that set the refused value."""
+    if points_per_axis is None:
+        points_per_axis = _default_points_per_axis(manifold.dimension)
+    total = manifold._grid_size(points_per_axis)
+    if not 0 <= n < total:
+        raise _OverBudget(f"modes {n} is outside 0..{total - 1} for a {total}-point grid")
+    return points_per_axis, total, _table_for(manifold.side_lengths, n)
+
+
 class SpectralFunction(_Record):
     """Eigen-coefficients c_0..c_n plus ``tail_sq``, the squared L2 mass
     past c_n, and ``tails_sq``, where tails_sq[k] = sum_{j >= k} c_j^2 for
@@ -434,8 +447,6 @@ def _profile_values(p: SingularProfile, manifold: FlatTorus, points_per_axis: in
     overwrite.  It feeds the mean and the L2 norm for every profile, but the
     FFT only for a point profile.
     """
-    if p.ambient_dim != manifold.dimension:
-        raise ValueError("profile and manifold dimensions disagree")
     manifold._grid_size(points_per_axis)
     squares = []
     for axis in range(p.codim):
@@ -478,14 +489,11 @@ def distance_profile_coefficients(
     keeps Parseval partial sums monotone and bounded; it does not bound the
     continuum tail (see SpectralFunction).
     """
+    if p.ambient_dim != manifold.dimension:
+        raise ValueError("profile and manifold dimensions disagree")
     if not p.square_integrable:
         raise NotL2Error(f"exponent {p.exponent} >= codim/2 = {p.codim / 2}")
-    if points_per_axis is None:
-        points_per_axis = _default_points_per_axis(manifold.dimension)
-    total = manifold._grid_size(points_per_axis)
-    if not 0 <= n < total:
-        raise ValueError(f"mode count {n} is outside 0..{total - 1} for a {total}-point grid")
-    table = _table_for(manifold.side_lengths, n)
+    points_per_axis, total, table = _quadrature_grid(manifold, n, points_per_axis)
     cell = manifold.volume / total
     values = _profile_values(p, manifold, points_per_axis)
     nu = table.frequencies[1 : n + 1]

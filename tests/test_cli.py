@@ -1146,6 +1146,20 @@ def test_missing_or_unknown_command_is_refused(capsys, argv):
         (["dump-roots", "--type=A3", "extra"], "parabolica dump-roots: unknown flag 'extra'"),
         (["spectral", "--profile=point:s=0.25", "--dim=x"], "--dim: invalid int value: 'x'"),
         (["spectral", "--profile=point:s=0.25", "--hym=1/0"], "--hym: invalid float value: '1/0'"),
+        # every spectral value is converted once, by the reader, in one wording that names its flag
+        (["spectral", "--profile=point:s=0.25", "--modes=x"], "--modes: invalid int value: 'x'"),
+        (["spectral", "--profile=point:s=x"], "--profile: invalid float value: 'x'"),
+        (["spectral", "--profile=subtorus:s=0.25,codim=x", "--dim=2"], "--profile: invalid int value: 'x'"),
+        *(
+            (["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", f"--spectral={spec}"], message)
+            for spec, message in (
+                ("s=x", "--spectral: invalid float value: 'x'"),
+                ("s=0.25,dim=x", "--spectral: invalid int value: 'x'"),
+                ("s=0.25,modes=1.5", "--spectral: invalid int value: '1.5'"),
+                ("s=0.25,hym=x", "--spectral: invalid float value: 'x'"),
+                ("s=0.25,codim=x", "--spectral: invalid int value: 'x'"),
+            )
+        ),
     ],
 )
 def test_flag_refusals_are_one_line(capsys, argv, message):

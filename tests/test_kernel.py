@@ -22,6 +22,9 @@
   the signs duality predicts;
 * the tangent module of each cominuscule G/P, whose rank and lambda(E)
   must be the root count dim X and the root sum -delta;
+* the intersection numbers of G/P, read off Borel-Weil dimensions
+  h^0(aL + bM) = dim V(a lambda + b mu), whose ratio n (L.M^(n-1)) / M^n
+  must be ``hym_constant`` on every G/P of rank <= 3 and dimension <= 6;
 * Dynkin diagram isomorphisms, which must relabel the report and the
   curvature eigenvalues and change nothing else;
 * how many Fractions a splitting report, a mean-curvature constant and a
@@ -35,10 +38,12 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -684,6 +689,83 @@ def test_hym_constant_matches_eigenvalue_sum(data):
     value = hym_constant(line, omega0, p)
     assert type(value) is Fraction
     assert value == sum(endo_eigenvalues(line, omega0, p).eigenvalues.values(), Fraction(0))
+
+
+# Every flag variety G/P of rank <= 3 and dimension n = |Phi^+ minus Phi_I^+|
+# <= 6, as (type, 0-based Levi nodes): 24 of them, among them P^1 to P^3,
+# Gr(2,4), the full flags of A2, B2 = C2 and G2, and the quadric Q5 = B3/P1.
+SMALL_FLAG_VARIETIES = tuple(
+    (name, levi)
+    for name in ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3")
+    for size in range(cached_system(name).rank)
+    for levi in combinations(range(cached_system(name).rank), size)
+    if len(cached_parabolic(name, levi).complement_roots) <= 6
+)
+
+
+def borel_weil_dim(rs, coords: Sequence[int]) -> Fraction:
+    """h^0(G/P, L) = dim V(lambda) by Borel-Weil: Weyl's formula over every
+    positive root of G, each pairing 2 (lambda, beta) / (beta, beta) from the
+    root norms, with no coroot table."""
+    e = root_norms(rs.cartan)
+    rho = Weight.of(*(1 for _ in coords))
+    shifted = Weight.of(*(c + 1 for c in coords))
+    dim = Fraction(1)
+    for root in rs.positive_roots:
+        dim *= pairing_fold(rs.cartan, e, shifted, root) / pairing_fold(rs.cartan, e, rho, root)
+    assert dim.denominator == 1, (rs.lie_type, coords, dim)
+    return dim
+
+
+def intersection_ratio(p, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
+    """n (L.M^(n-1)) / M^n from P(a, b) = h^0(aL + bM), a polynomial of
+    degree n whose top part is (aL + bM)^n / n!.  Its coefficients of b^n
+    and a b^(n-1) are exact Newton forward differences at integer nodes:
+    n! [b^n] P = D_b^n P(0, .)(0) and (n-1)! [a b^(n-1)] P =
+    D_b^(n-1) (P(1, .) - P(0, .))(0), since every other monomial of degree
+    <= n vanishes under them."""
+    n = len(p.complement_roots)
+
+    def difference(a: int, order: int) -> Fraction:
+        values = [borel_weil_dim(p.rs, [a * x + b * y for x, y in zip(lam, mu)]) for b in range(order + 1)]
+        return sum((-1) ** (order - b) * math.comb(order, b) * v for b, v in enumerate(values))
+
+    return n * (difference(1, n - 1) - difference(0, n - 1)) / difference(0, n)
+
+
+@st.composite
+def intersection_cases(draw):
+    """(type, Levi, lambda, mu, None): lambda and mu over the fundamental
+    weights, 1..3 on each Picard node and 0 on the Levi."""
+    name, levi = draw(st.sampled_from(SMALL_FLAG_VARIETIES))
+    rank = cached_system(name).rank
+    lam = [0 if i in levi else draw(st.integers(1, 3)) for i in range(rank)]
+    mu = [0 if i in levi else draw(st.integers(1, 3)) for i in range(rank)]
+    return name, levi, lam, mu, None
+
+
+@KERNEL
+@given(intersection_cases())
+# G2/B with L = omega_1 and M = omega_1 + omega_2 = rho, both nodes in the Picard group
+@example(("G2", (), [1, 0], [1, 1], Fraction(149, 60)))
+# the quadric Q5 = B3/P1 with M = 2L: 5 (2^4 L^5) / (2^5 L^5), with L^5 = deg Q5 = 2 cancelling
+@example(("B3", (1, 2), [1, 0, 0], [2, 0, 0], Fraction(5, 2)))
+# Gr(2,4) with L = M, the Pluecker class: n L^n / L^n = n = 4
+@example(("A3", (0, 2), [0, 1, 0], [0, 1, 0], Fraction(4)))
+# the anticanonical class delta = (2, 2) of G2/B against the Einstein class: n = 6
+@example(("G2", (), [2, 2], [2, 2], Fraction(6)))
+def test_hym_constant_is_a_ratio_of_intersection_numbers(case):
+    """The mean-curvature constant of L under the Kahler class M is
+    n (L.M^(n-1)) / M^n, read off Borel-Weil dimensions alone; L = M gives n."""
+    name, levi, lam, mu, pinned = case
+    p = cached_parabolic(name, levi)
+    ratio = intersection_ratio(p, lam, mu)
+    if pinned is not None:
+        assert ratio == pinned, (name, levi, lam, mu, ratio)
+    if lam == mu:
+        assert ratio == len(p.complement_roots), (name, levi, lam, ratio)
+    kahler = KahlerClass(tuple(mu[i] for i in p.picard_nodes))
+    assert hym_constant(Weight.of(*lam), kahler, p) == ratio, (name, levi, lam, mu)
 
 
 @contextlib.contextmanager

@@ -21,7 +21,10 @@
   an attribute somewhere in the library, or named in ``bench/*.py``;
 * one input boundary: an ``except`` clause of ``cli.main`` that can return 1
   names only ``EXIT_ONE_ERRORS``, so a library fault such as a bare
-  ``ValueError`` exits 3 and never reads as bad input.
+  ``ValueError`` exits 3 and never reads as bad input;
+* one spectral budget: ``cli.py`` reads from ``spectral`` only its public
+  names and ``CLI_SPECTRAL_PRIVATE``, so the grid, mode-range and table
+  rules are checked by the library's ``_quadrature_grid`` alone.
 """
 from __future__ import annotations
 
@@ -37,6 +40,9 @@ SOURCES = sorted((ROOT / "src" / "parabolica").glob("*.py"))
 # What `cli.main` may map to exit 1: a refusal of the flags or of a reader,
 # a report value too large to carry, and a reader that closed stdout early.
 EXIT_ONE_ERRORS = {"ParseError", "_ReportTooLarge", "BrokenPipeError"}
+# What `cli.py` may read from `spectral` beyond its public names: the two
+# refusals its reader reports under a flag, and the budget check it runs.
+CLI_SPECTRAL_PRIVATE = {"_InvalidProfile", "_OverBudget", "_quadrature_grid"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -288,3 +294,34 @@ def test_exit_one_rule_sees_broad_handlers():
         "        return 1\n"
     )
     assert _exit_one_handlers(source) == ["SystemExit", "ParseError", "ValueError", "errors.Overflow", "BaseException"]
+
+
+def _private_spectral_reads(source: str) -> list[str]:
+    """``line name`` for each private name outside ``CLI_SPECTRAL_PRIVATE``
+    that ``source`` reads as ``spectral.<name>`` or imports from a module
+    named ``spectral``, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "spectral":
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "spectral":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.startswith("_") and name not in CLI_SPECTRAL_PRIVATE]
+    return [f"{line} {name}" for line, name in sorted(found)]
+
+
+def test_cli_reads_spectral_through_one_budget_check():
+    assert _private_spectral_reads((ROOT / "src" / "parabolica" / "cli.py").read_text()) == []
+
+
+def test_spectral_boundary_rule_sees_private_reads():
+    source = (
+        "from . import spectral\n"
+        "from .spectral import FlatTorus, _tables\n"
+        "spectral._quadrature_grid(spectral.FlatTorus((1.0,)), 0)\n"
+        "spectral._table_for((1.0,), spectral._OverBudget)\n"
+        "spectral.SingularProfile, other._table_for\n"
+    )
+    assert _private_spectral_reads(source) == ["2 _tables", "4 _table_for"]

@@ -847,13 +847,20 @@ def test_mode_table_is_refused_before_sampling(monkeypatch):
     with pytest.raises(ValueError, match="frequency box over the budget"):
         distance_profile_coefficients(profile, torus, 8)
     circle_profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
-    with pytest.raises(ValueError, match="mode count 64"):
+    with pytest.raises(ValueError, match="modes 64 is outside 0..63"):
         distance_profile_coefficients(circle_profile, CIRCLE, 64, points_per_axis=64)
+
+
+def test_dimension_mismatch_is_refused_before_any_table(monkeypatch):
+    monkeypatch.setattr(spectral, "_tables", {})
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        distance_profile_coefficients(SingularProfile(1, 1, 0.25), FlatTorus((1.0, 1.0)), 8)
+    assert spectral._tables == {}
 
 
 def test_more_modes_than_grid_points_is_refused():
     profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
-    with pytest.raises(ValueError, match="mode count 64"):
+    with pytest.raises(ValueError, match="modes 64 is outside 0..63"):
         distance_profile_coefficients(profile, CIRCLE, 64, points_per_axis=64)
 
 

@@ -61,7 +61,7 @@ def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:
         raise NotDominantError("lambda_s must be dominant for the Levi factor")
     shifted = [x + 1 for x in levi]  # lambda_s + rho over the Levi
     numerator = denominator = 1
-    for coroot in p.levi_coroots.values():
+    for coroot in p.levi.coroots.values():
         numerator *= sum(map(mul, coroot, shifted))
         denominator *= sum(coroot)  # <rho, alpha^vee> is the coroot's height
     dim, remainder = divmod(numerator, denominator)
@@ -85,7 +85,10 @@ def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[tuple[int, ...
     over d * det(C_I); for an integral lambda_s, d = 1.
     """
     nums, denom = p.levi_coords(lambda_s).cleared()
-    return tuple(sum(map(mul, row, nums)) for row in p.levi_t_adjugate), denom * p.levi_det
+    # not p.levi.simple_root_numerators: _verify's residue identity checks this
+    # product with RootSystem.simple_root_numerators, so a fault there must not
+    # reach both sides
+    return tuple(sum(map(mul, row, nums)) for row in p.levi.cartan_t_adjugate), denom * p.levi.cartan_det
 
 
 def cramer_coefficients(spec: BundleSpec) -> tuple[Fraction, ...]:
@@ -173,7 +176,7 @@ def _verify(
     rs = p.rs
     chern = report.chern
     rank = chern.rank
-    det = p.levi_det
+    det = p.levi.cartan_det
 
     def require(ok: bool, invariant: str) -> None:
         if not ok:

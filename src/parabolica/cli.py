@@ -198,8 +198,8 @@ def _parabolic_block(p: ParabolicData) -> dict:
     return {
         "levi_nodes": [i + 1 for i in p.levi_nodes],
         "picard_nodes": [i + 1 for i in p.picard_nodes],
-        "levi_cartan": [list(row) for row in p.levi_cartan],
-        "det_levi_cartan": str(p.levi_det),
+        "levi_cartan": [list(row) for row in p.levi.cartan],
+        "det_levi_cartan": str(p.levi.cartan_det),
         "phi_I_plus": [list(r) for r in p.complement_roots],
         "delta": _weight_json(p.delta),
     }

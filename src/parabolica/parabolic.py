@@ -2,11 +2,12 @@
 
 A standard parabolic is named by the set I of simple roots spanning its
 Levi factor.  The structure precomputed here is everything the splitting
-criterion needs: the Levi Cartan submatrix C_I with det C_I and the
-adjugate of C_I^T, the Levi coroot table, the complementary positive
-roots, and their sum delta, which is the anticanonical weight of the flag
-variety.  The coroots of the complementary roots are also stored column by
-column, one column per node, for the curvature pairings.
+criterion needs: the Levi factor as a ``RootSystem`` of its own (the Levi
+Cartan submatrix C_I with det C_I, the adjugate of C_I^T and the Levi
+coroot table), the complementary positive roots, and their sum delta,
+which is the anticanonical weight of the flag variety.  The coroots of the
+complementary roots are also stored column by column, one column per node,
+for the curvature pairings.
 
 Each table is checked once, here: the adjugate by ``_inverse_transpose``,
 delta by its vanishing on I, and the coroot columns, so that every Kahler
@@ -21,9 +22,8 @@ supported on I too.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from types import MappingProxyType
 
-from .rootsys import InvariantError, RootSystem, Weight, _inverse_transpose, _Record
+from .rootsys import InvariantError, RootSystem, Weight, _Record, _root_system
 
 
 class FullSetNotParabolicError(ValueError):
@@ -37,31 +37,21 @@ class NotDominantError(ValueError):
 class ParabolicData(_Record):
     """Parabolic for the Levi nodes I.
 
-    The Levi tables are left out of equality, hashing and repr, as on
-    RootSystem: ``levi_coroots`` is a read-only mapping from each positive
-    root of the Levi, in Levi coordinates and in the ambient (height,
-    coefficients) order, to its coroot in Levi coordinates; ``levi_det``
-    and ``levi_t_adjugate`` give the exact inverse of C_I^T as
-    adjugate / det; ``picard_nodes`` are the nodes outside the Levi, which
-    index the Picard group generators; ``complement_columns`` holds, for
-    each node i, the i-th coefficients of the coroots of
-    ``complement_roots`` in that order, so a pairing <w, beta^vee> over
-    Phi_I^+ is a sweep over the columns of the nodes where w is nonzero.
+    ``levi`` is the Levi factor as a RootSystem with no ``lie_type``: its
+    Cartan matrix is C_I, its positive roots are the ambient positive roots
+    supported on I, in Levi coordinates and in the ambient (height,
+    coefficients) order, and its tables, left out of equality, hashing and
+    repr, are their coroots in Levi coordinates and the exact inverse of
+    C_I^T.  Two more tables stay out of all three: ``picard_nodes`` are the
+    nodes outside the Levi, which index the Picard group generators;
+    ``complement_columns`` holds, for each node i, the i-th coefficients of
+    the coroots of ``complement_roots`` in that order, so a pairing
+    <w, beta^vee> over Phi_I^+ is a sweep over the columns of the nodes
+    where w is nonzero.
     """
 
-    __slots__ = (
-        "rs",
-        "levi_nodes",
-        "levi_cartan",
-        "complement_roots",
-        "delta",
-        "levi_coroots",
-        "levi_det",
-        "levi_t_adjugate",
-        "picard_nodes",
-        "complement_columns",
-    )
-    _compared = ("rs", "levi_nodes", "levi_cartan", "complement_roots", "delta")
+    __slots__ = ("rs", "levi_nodes", "levi", "complement_roots", "delta", "picard_nodes", "complement_columns")
+    _compared = ("rs", "levi_nodes", "levi", "complement_roots", "delta")
 
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""
@@ -84,8 +74,6 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
         raise FullSetNotParabolicError("I must be a proper subset of the simple roots")
 
     picard = tuple(i for i in range(rs.rank) if i not in nodes)
-    levi_cartan = tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes)
-    levi_det, levi_t_adjugate = _inverse_transpose(levi_cartan)
     complement = []
     complement_coroots = []
     levi_coroots = {}
@@ -112,12 +100,9 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
     return ParabolicData(
         rs=rs,
         levi_nodes=nodes,
-        levi_cartan=levi_cartan,
+        levi=_root_system(tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes), coroots=levi_coroots),
         complement_roots=tuple(complement),
         delta=delta,
-        levi_coroots=MappingProxyType(levi_coroots),
-        levi_det=levi_det,
-        levi_t_adjugate=levi_t_adjugate,
         picard_nodes=picard,
         complement_columns=columns,
     )

@@ -391,6 +391,18 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> dict[Root, tuple[int, ..
     return {root: table[root] for root in sorted(table, key=lambda r: (sum(r), r))}
 
 
+def _root_system(
+    cartan: tuple[tuple[int, ...], ...], lie_type: SimpleLieType | None = None, coroots: dict | None = None
+) -> RootSystem:
+    """The RootSystem of C with its checked det C and adj(C^T), and its
+    coroot table: the given one, sorted by (height, coefficients), or else
+    the closure over C, run only after det C > 0 has been checked."""
+    det, adjugate = _inverse_transpose(cartan)
+    if coroots is None:
+        coroots = _positive_roots(cartan)
+    return RootSystem(lie_type, cartan, tuple(coroots), MappingProxyType(coroots), det, adjugate)
+
+
 def root_system_from_cartan(
     cartan: Sequence[Sequence[int]], lie_type: SimpleLieType | None = None
 ) -> RootSystem:
@@ -398,17 +410,7 @@ def root_system_from_cartan(
     validated and built on every call.  Every build check runs and raises
     on failure, so nothing broken is memoized."""
     _validate_cartan(cartan)
-    frozen = tuple(tuple(int(x) for x in row) for row in cartan)
-    det, adjugate = _inverse_transpose(frozen)
-    coroots = _positive_roots(frozen)
-    rs = RootSystem(
-        lie_type=lie_type,
-        cartan=frozen,
-        positive_roots=tuple(coroots),
-        coroots=MappingProxyType(coroots),
-        cartan_det=det,
-        cartan_t_adjugate=adjugate,
-    )
+    rs = _root_system(tuple(tuple(int(x) for x in row) for row in cartan), lie_type)
     if lie_type is not None:
         expected = positive_root_count(lie_type)
         if len(rs.positive_roots) != expected:

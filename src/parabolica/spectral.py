@@ -447,7 +447,6 @@ def _profile_values(p: SingularProfile, manifold: FlatTorus, points_per_axis: in
     overwrite.  It feeds the mean and the L2 norm for every profile, but the
     FFT only for a point profile.
     """
-    manifold._grid_size(points_per_axis)
     squares = []
     for axis in range(p.codim):
         nodes = manifold._midpoint_axis(axis, points_per_axis)

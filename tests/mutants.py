@@ -1,0 +1,221 @@
+"""Catalogue of source mutants, each with the tests that must catch it, and
+a runner that checks they do.
+
+Each entry names a file under ``src/``, an exact snippet that occurs once
+in it, the replacement that makes the mutant, and the test ids (file::name,
+as pytest takes them) of which every one must fail on the mutant: run,
+and fail or raise (a module that cannot even be collected does not count).
+The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, applies one mutant there, runs its named tests with pytest and
+prints ``caught`` or ``MISSED``; it exits 1 if any mutant was missed, or its
+run ended without a test report.  The checkout itself is never edited.
+
+    python tests/mutants.py              # every mutant, about a minute
+    python tests/mutants.py NAME ...     # the named ones
+
+A full run takes one pytest start-up per mutant, too slow for Tier-1;
+``tests/test_source.py`` checks only that every snippet still occurs once
+and every named test still exists.  Run this after editing a named test.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ElementTree
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+# A mutant can make a closure run without end; its run is then cut, and missed.
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "adjugate-det-sign",
+        "src/parabolica/linalg.py",
+        "return sign * prev, tuple(",
+        "return prev, tuple(",
+        (
+            "tests/test_kernel.py::test_adjugate_against_cofactors",
+            "tests/test_kernel.py::test_det_against_cofactor_expansion",
+        ),
+    ),
+    Mutant(
+        "adjugate-entry-sign",
+        "src/parabolica/linalg.py",
+        "tuple(tuple(sign * x for x in row[n:]) for row in m)",
+        "tuple(tuple(x for x in row[n:]) for row in m)",
+        ("tests/test_kernel.py::test_adjugate_against_cofactors",),
+    ),
+    Mutant(
+        "solve-reads-first-column",
+        "src/parabolica/linalg.py",
+        "sum(a * row[n] for a, row in zip(adj_row, augmented))",
+        "sum(a * row[0] for a, row in zip(adj_row, augmented))",
+        ("tests/test_kernel.py::test_solve_satisfies_its_system",),
+    ),
+    Mutant(
+        "closure-pairing-transposed",
+        "src/parabolica/rootsys.py",
+        "pairings = [sum(m * cartan[j][i] for j, m in enumerate(root) if m) for i in range(n)]",
+        "pairings = [sum(m * cartan[i][j] for j, m in enumerate(root) if m) for i in range(n)]",
+        (
+            "tests/test_rootsys.py::test_positive_root_counts",
+            "tests/test_rootsys.py::test_pairing_times_norm_identity",
+        ),
+    ),
+    Mutant(
+        "levi-restriction-reads-roots",
+        "src/parabolica/parabolic.py",
+        "= tuple(map(coroot.__getitem__, nodes))",
+        "= tuple(map(root.__getitem__, nodes))",
+        ("tests/test_kernel.py::test_levi_restriction_matches_its_own_closure",),
+    ),
+    Mutant(
+        "lambda-e-negated",
+        "src/parabolica/bundle.py",
+        "lambda_e = {beta: rank * (c - det * lam[beta])",
+        "lambda_e = {beta: rank * (det * lam[beta] - c)",
+        (
+            "tests/test_kernel.py::test_cominuscule_tangent_module_gives_the_canonical_class",
+            "tests/test_kernel.py::test_levi_module_weights_give_rank_and_first_chern_weight",
+        ),
+    ),
+    Mutant(
+        "weyl-dim-reads-roots",
+        "src/parabolica/bundle.py",
+        "for coroot in p.levi.coroots.values():",
+        "for coroot in p.levi.positive_roots:",
+        ("tests/test_kernel.py::test_levi_module_weights_give_rank_and_first_chern_weight",),
+    ),
+    Mutant(
+        "cramer-through-simple-root-numerators",
+        "src/parabolica/bundle.py",
+        "return tuple(sum(map(mul, row, nums)) for row in p.levi.cartan_t_adjugate), denom",
+        "return p.levi.simple_root_numerators(nums), denom",
+        (
+            "tests/test_bundle.py::test_broken_residue_identity_raises_invariant_error",
+            "tests/test_bundle.py::test_bundle_invariants_survive_optimized_mode",
+        ),
+    ),
+    Mutant(
+        "coroot-totals-unscaled",
+        "src/parabolica/curvature.py",
+        "scales = [common // denom for denom in denominators]",
+        "scales = [1 for denom in denominators]",
+        ("tests/test_kernel.py::test_hym_constant_is_a_ratio_of_intersection_numbers",),
+    ),
+    Mutant(
+        "kahler-picard-order-reversed",
+        "src/parabolica/curvature.py",
+        "for i, c in zip(nodes, coeffs)), p), d",
+        "for i, c in zip(reversed(nodes), coeffs)), p), d",
+        ("tests/test_kernel.py::test_diagram_symmetry_relabels_the_report",),
+    ),
+    Mutant(
+        "subtorus-profile-tiled",
+        "src/parabolica/spectral.py",
+        "return np.repeat(values, points_per_axis ** (p.ambient_dim - p.codim))",
+        "return np.tile(values, points_per_axis ** (p.ambient_dim - p.codim))",
+        ("tests/test_spectral.py::test_profile_values_match_point_reference",),
+    ),
+    Mutant(
+        "fft-amplitude-halved",
+        "src/parabolica/spectral.py",
+        "shared *= math.sqrt(2.0 / manifold.volume) * cell",
+        "shared *= math.sqrt(1.0 / manifold.volume) * cell",
+        ("tests/test_spectral.py::test_point_profile_quadrature_error_is_navots_term",),
+    ),
+    Mutant(
+        "fft-phase-sign",
+        "src/parabolica/spectral.py",
+        "np.exp(-1j * math.pi * nu.sum(axis=1) / points_per_axis)",
+        "np.exp(1j * math.pi * nu.sum(axis=1) / points_per_axis)",
+        ("tests/test_spectral.py::test_point_profile_quadrature_error_is_navots_term",),
+    ),
+    Mutant(
+        "mode-range-admits-grid-size",
+        "src/parabolica/spectral.py",
+        "if not 0 <= n < total:",
+        "if not 0 <= n <= total:",
+        ("tests/test_spectral.py::test_mode_table_is_refused_before_sampling",),
+    ),
+    Mutant(
+        "levi-nodes-rendered-zero-based",
+        "src/parabolica/cli.py",
+        '"levi_nodes": [i + 1 for i in p.levi_nodes],',
+        '"levi_nodes": [i for i in p.levi_nodes],',
+        ("tests/test_cli.py::test_paper_suite_quiet_stdout_is_pinned",),
+    ),
+)
+
+
+def failed_tests(report: Path) -> set[str]:
+    """file::name of every test case, parameters dropped, with a failure or
+    an error in a junit XML report."""
+    failed = set()
+    for case in ElementTree.parse(report).iter("testcase"):
+        if case.find("failure") is not None or case.find("error") is not None:
+            module = case.get("classname", "").replace(".", "/")
+            failed.add(f"{module}.py::{case.get('name', '').split('[')[0]}")
+    return failed
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """(caught, detail) for one mutant, applied to a temporary copy."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / mutant.file
+        text = target.read_text()
+        if text.count(mutant.snippet) != 1:
+            return False, f"snippet occurs {text.count(mutant.snippet)} times in {mutant.file}"
+        target.write_text(text.replace(mutant.snippet, mutant.replacement))
+        report = work / "report.xml"
+        command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}"]
+        env = dict(os.environ, PYTHONPATH=str(work / "src"))
+        try:
+            subprocess.run(
+                command + list(mutant.tests), cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return False, f"no report within {TIMEOUT_S} s"
+        if not report.exists():
+            return False, "pytest wrote no report"
+        missed = [test for test in mutant.tests if test not in failed_tests(report)]
+        return not missed, ("did not fail: " + ", ".join(missed)) if missed else f"{len(mutant.tests)} test(s) failed"
+
+
+def main(names: list[str]) -> int:
+    known = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(unknown)}; known: {', '.join(known)}", file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in names] or list(MUTANTS)
+    missed = 0
+    for mutant in chosen:
+        caught, detail = run(mutant)
+        missed += not caught
+        print(f"{'caught' if caught else 'MISSED'}  {mutant.name}  ({detail})", flush=True)
+    print(f"{len(chosen) - missed} of {len(chosen)} caught")
+    return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -23,6 +23,9 @@ coroot tables.
   bundle, by simple reflections over the Levi nodes;
 * ``levi_closure``: the Levi root system built by its own closure over
   C_I, against which the restriction in ``build_parabolic`` is checked;
+* ``levi_module_weights``: the weights of a Levi module with their
+  multiplicities, by Freudenthal's formula over the Levi's positive roots
+  and root norms, lifted to the ambient weight lattice;
 * ``norm_sq`` and ``curvature_coeffs``: a spectral function's squared L2
   mass and a Galerkin solution's curvature coefficients, read off their
   arrays;
@@ -118,12 +121,12 @@ def pairing_fold(cartan, e, weight: Weight, root) -> Fraction:
 def weyl_dim_fold(p: ParabolicData, lambda_s: Weight) -> Fraction:
     """Weyl's formula over the positive roots of ``levi_closure``, each
     pairing through (beta, beta) with the Levi's own root norms."""
-    e = root_norms(p.levi_cartan)
+    e = root_norms(p.levi.cartan)
     rho = Weight.of(*(1 for _ in p.levi_nodes))
     shifted = combine((1, p.levi_coords(lambda_s)), (1, rho))
     dim = Fraction(1)
     for root in levi_closure(p).positive_roots:
-        dim *= pairing_fold(p.levi_cartan, e, shifted, root) / pairing_fold(p.levi_cartan, e, rho, root)
+        dim *= pairing_fold(p.levi.cartan, e, shifted, root) / pairing_fold(p.levi.cartan, e, rho, root)
     return dim
 
 
@@ -141,7 +144,7 @@ def det(rows: Sequence[Sequence[int | Fraction]]) -> int | Fraction:
 def cramer_ratios_fold(p: ParabolicData, lambda_s: Weight) -> tuple[Fraction, ...]:
     """det of C_I with its alpha-row replaced by lambda_s, over det C_I."""
     coords = [lambda_s[i] for i in p.levi_nodes]
-    base = [list(row) for row in p.levi_cartan]
+    base = [list(row) for row in p.levi.cartan]
     denom = det(base)
     ratios = []
     for pos in range(len(coords)):
@@ -215,7 +218,65 @@ def dual_highest_weight(cartan, levi: tuple[int, ...], coords: tuple[int, ...]) 
 def levi_closure(p: ParabolicData) -> RootSystem:
     """The Levi subsystem as a root system of its own, by a second reflection
     closure over the Levi Cartan matrix C_I."""
-    return root_system_from_cartan(p.levi_cartan)
+    return root_system_from_cartan(p.levi.cartan)
+
+
+def levi_module_weights(p: ParabolicData, coords: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """Each weight of the Levi module with highest weight ``coords`` (over the
+    ambient fundamental weights, dominant on the Levi nodes) with its
+    multiplicity, by Freudenthal's formula (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 22.3).  It reads only the positive
+    roots of ``p.levi`` and the form (alpha_i, alpha_j) = C_ij e_j of the
+    root norms e: no coroot table and no Weyl product.
+
+    A weight is mu = lambda - gamma, with gamma = sum_i k_i alpha_i over the
+    Levi simple roots.  Since (lambda, alpha_j) = lambda_j e_j and
+    (rho, alpha_j) = e_j, the formula reads, in integers,
+
+        (2 (lambda + rho, gamma) - (gamma, gamma)) m(mu)
+            = 2 sum_{alpha > 0} sum_{k >= 1} m(mu + k alpha) (mu + k alpha, alpha),
+
+    where the left factor, |lambda + rho|^2 - |mu + rho|^2, is positive on
+    every weight other than lambda.  Every such weight is one simple root
+    below another weight, so the weights are found layer by layer in the
+    height of gamma, each layer from the one above.  Each is returned lifted
+    to the ambient lattice: lambda minus gamma over the rows of C."""
+    cartan, nodes, roots = p.levi.cartan, p.levi_nodes, p.levi.positive_roots
+    e = root_norms(cartan)
+    top = [coords[i] for i in nodes]
+
+    def form(x, y) -> int:
+        return sum(a * b * cartan[i][j] * e[j] for i, a in enumerate(x) for j, b in enumerate(y))
+
+    def paired(gamma, root) -> int:  # (lambda - gamma, root)
+        return sum(a * t * f for a, t, f in zip(root, top, e)) - form(gamma, root)
+
+    mult = {(0,) * len(nodes): 1}
+    layer = list(mult)
+    while layer:
+        below = sorted({g[:i] + (g[i] + 1,) + g[i + 1 :] for g in layer for i in range(len(nodes))})
+        layer = []
+        for gamma in below:
+            gap = 2 * sum(k * (t + 1) * f for k, t, f in zip(gamma, top, e)) - form(gamma, gamma)
+            if gap <= 0:  # not a weight
+                continue
+            total = 0
+            for root in roots:
+                k = 1
+                while all(g >= k * a for g, a in zip(gamma, root)):
+                    higher = tuple(g - k * a for g, a in zip(gamma, root))
+                    total += mult.get(higher, 0) * paired(higher, root)
+                    k += 1
+            m, rest = divmod(2 * total, gap)
+            assert rest == 0 and m >= 0, (p.levi.cartan, coords, gamma, Fraction(2 * total, gap))
+            if m:
+                mult[gamma] = m
+                layer.append(gamma)
+    rows = [p.rs.cartan[i] for i in nodes]
+    return {
+        tuple(c - sum(k * row[j] for k, row in zip(gamma, rows)) for j, c in enumerate(coords)): m
+        for gamma, m in mult.items()
+    }
 
 
 def norm_sq(f: SpectralFunction) -> float:

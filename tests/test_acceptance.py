@@ -97,7 +97,7 @@ def test_acceptance_1_reference_fixture_battery():
     tangent_rank = len(gr2c4.complement_roots)
     assert Fraction(delta[1], tangent_rank) == 1
 
-    assert det(spin8.levi_cartan) == 3
+    assert det(spin8.levi.cartan) == 3
     failing = splitting_report(BundleSpec(spin8, Weight.of(1, 0, 0, 0)))
     assert failing.criterion_values == {2: Fraction(-1, 3), 3: Fraction(-1, 3)}
     assert failing.splits is False
@@ -148,7 +148,7 @@ def test_acceptance_2_structural_property_suites():
         # Cramer per-entry determinants by cofactor expansion, and the
         # coefficients substituted into C_I^T x = rank * lambda_s
         if p.levi_nodes:
-            base = [list(row) for row in p.levi_cartan]
+            base = [list(row) for row in p.levi.cartan]
             denom = det(base)
             lam_s = spec.highest_weight.restricted(p.levi_nodes)
             b = [report.chern.rank * lam_s[i] for i in p.levi_nodes]

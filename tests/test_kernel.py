@@ -25,6 +25,9 @@
 * the intersection numbers of G/P, read off Borel-Weil dimensions
   h^0(aL + bM) = dim V(a lambda + b mu), whose ratio n (L.M^(n-1)) / M^n
   must be ``hym_constant`` on every G/P of rank <= 3 and dimension <= 6;
+* the weights of the Levi module by Freudenthal's multiplicity formula
+  (``oracles.levi_module_weights``), whose count must be the rank and whose
+  sum must be -lambda(E) on the same flag varieties;
 * Dynkin diagram isomorphisms, which must relabel the report and the
   curvature eigenvalues and change nothing else;
 * how many Fractions a splitting report, a mean-curvature constant and a
@@ -77,6 +80,7 @@ from oracles import (
     det,
     dual_highest_weight,
     levi_closure,
+    levi_module_weights,
     pairing_fold,
     root_as_weight_fold,
     root_norms,
@@ -208,10 +212,11 @@ def test_root_tables_are_pinned():
 
 
 def test_levi_restriction_matches_its_own_closure():
-    """build_parabolic reads the Levi tables off the ambient coroot table; a
-    second closure over C_I must give the same roots and coroots in the same
-    order, det C_I and adj(C_I^T).  Every Levi of the 33 types of rank <= 8
-    (174 distinct C_I), and A14 in A15 and D15 in D16 past the memo rank."""
+    """build_parabolic reads the Levi root system off the ambient coroot
+    table; a second closure over C_I must give an equal RootSystem, with the
+    same coroots in the same order, det C_I and adj(C_I^T).  Every Levi of
+    the 33 types of rank <= 8 (174 distinct C_I), and A14 in A15 and D15 in
+    D16 past the memo rank."""
     cases = [
         (name, nodes)
         for name in ALL_TYPES
@@ -222,11 +227,13 @@ def test_levi_restriction_matches_its_own_closure():
     closures = {}
     for name, nodes in cases:
         p = build_parabolic(cached_system(name), nodes)
-        if p.levi_cartan not in closures:
-            closures[p.levi_cartan] = levi_closure(p)
-        levi = closures[p.levi_cartan]
-        assert list(p.levi_coroots.items()) == list(levi.coroots.items()), (name, nodes)
-        assert (p.levi_det, p.levi_t_adjugate) == (levi.cartan_det, levi.cartan_t_adjugate), (name, nodes)
+        if p.levi.cartan not in closures:
+            closures[p.levi.cartan] = levi_closure(p)
+        levi = closures[p.levi.cartan]
+        assert p.levi == levi, (name, nodes)
+        assert list(p.levi.coroots.items()) == list(levi.coroots.items()), (name, nodes)
+        assert p.levi.cartan_det == levi.cartan_det, (name, nodes)
+        assert p.levi.cartan_t_adjugate == levi.cartan_t_adjugate, (name, nodes)
     assert len(closures) == 174 + 2
 
 
@@ -237,7 +244,7 @@ def test_tables_stay_out_of_eq_repr_and_dump():
     assert set(rs.to_dict()) == {"type", "cartan", "positive_roots"}
     p = build_parabolic(rs, (1, 2))
     assert p == cached_parabolic("B3", (1, 2)) and hash(p) == hash(cached_parabolic("B3", (1, 2)))
-    for name in ("levi_coroots", "levi_det", "levi_t_adjugate", "picard_nodes", "complement_columns"):
+    for name in ("coroots", "cartan_det", "cartan_t_adjugate", "picard_nodes", "complement_columns"):
         assert f"{name}=" not in repr(p), name
     # a BundleSpec compares, hashes and prints its parabolic and weight, not the split it derives
     spec = BundleSpec(p, Weight.of(0, 0, 2))
@@ -768,6 +775,39 @@ def test_hym_constant_is_a_ratio_of_intersection_numbers(case):
     assert hym_constant(Weight.of(*lam), kahler, p) == ratio, (name, levi, lam, mu)
 
 
+@st.composite
+def levi_module_cases(draw):
+    """(type, Levi, lambda, None, None): lambda 0..3 on the Levi nodes and
+    -3..3 on the Picard nodes."""
+    name, levi = draw(st.sampled_from(SMALL_FLAG_VARIETIES))
+    rank = cached_system(name).rank
+    coords = tuple(draw(st.integers(0, 3) if i in levi else st.integers(-3, 3)) for i in range(rank))
+    return name, levi, coords, None, None
+
+
+@KERNEL
+@given(levi_module_cases())
+# Gr(2,4): the tangent module, whose weights are minus the four roots of Phi_I^+
+@example(("A3", (0, 2), (1, -2, 1), 4, (0, 4, 0)))
+# Q5 = B3/P1: the spinor bundle, a B2 Levi module, where roots and coroots differ
+@example(("B3", (1, 2), (0, 0, 1), 4, (-2, 0, 0)))
+def test_levi_module_weights_give_rank_and_first_chern_weight(case):
+    """The rank is the number of weights of the Levi module, counted with
+    their Freudenthal multiplicities, and lambda(E) is minus their sum:
+    two readings of the module that share no formula with weyl_dim or the
+    Cramer ratios."""
+    name, levi, coords, pinned_rank, pinned_lambda = case
+    p = cached_parabolic(name, levi)
+    weights = levi_module_weights(p, coords)
+    rank = sum(weights.values())
+    lambda_e = tuple(-sum(m * weight[j] for weight, m in weights.items()) for j in range(p.rs.rank))
+    if pinned_rank is not None:
+        assert (rank, lambda_e) == (pinned_rank, pinned_lambda), (name, levi, coords)
+    chern = splitting_report(BundleSpec(p, Weight.of(*coords))).chern
+    assert chern.rank == rank, (name, levi, coords)
+    assert chern.lambda_E == Weight.of(*lambda_e), (name, levi, coords)
+
+
 @contextlib.contextmanager
 def fractions_built(monkeypatch):
     """Count Fraction.__new__ calls inside the block into the yielded list."""
@@ -916,7 +956,7 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "spec = lambda p: pb.BundleSpec(p, pb.Weight.of(0, 0, 1))\n"
         # the stored adjugate of C_I^T gives the Cramer ratios, which the residue identity re-checks
         "p = fresh()\n"
-        "p = replace(p, levi_t_adjugate=bump(p.levi_t_adjugate))\n"
+        "p = replace(p, levi=replace(p.levi, cartan_t_adjugate=bump(p.levi.cartan_t_adjugate)))\n"
         "expect('residue identity failed', lambda: pb.splitting_report(spec(p)))\n"
         # the full system's stored inverse gives the residue identity
         "p = fresh()\n"
@@ -924,10 +964,10 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "expect('residue identity failed', lambda: pb.splitting_report(spec(p)))\n"
         # a wrong Levi coroot breaks Weyl-dimension integrality
         "p = fresh()\n"
-        "table = dict(p.levi_coroots)\n"
+        "table = dict(p.levi.coroots)\n"
         "first = next(iter(table))\n"
         "table[first] = tuple(k + 1 for k in table[first])\n"
-        "p = replace(p, levi_coroots=types.MappingProxyType(table))\n"
+        "p = replace(p, levi=replace(p.levi, coroots=types.MappingProxyType(table)))\n"
         "expect('Weyl dimension', lambda: pb.weyl_dim(p, pb.Weight.of(0, 0, 1)))\n"
         # a negated complement coroot breaks Kahler positivity when the parabolic is built
         "rs = pb.build_root_system('B3')\n"

@@ -37,21 +37,21 @@ def test_gr2c4_complement(gr2c4):
 
 
 def test_q5_levi_cartan(q5):
-    assert q5.levi_cartan == ((2, -2), (-1, 2))
+    assert q5.levi.cartan == ((2, -2), (-1, 2))
     assert len(q5.complement_roots) == 5
     assert q5.delta.coords == (5, 0, 0)
 
 
 def test_borel_p1(p1):
-    assert p1.levi_cartan == ()
-    assert det(p1.levi_cartan) == 1
+    assert p1.levi.cartan == ()
+    assert det(p1.levi.cartan) == 1
     assert p1.complement_roots == ((1,),)
     assert p1.delta.coords == (2,)
 
 
 def test_spin8_levi_determinant(spin8):
-    assert spin8.levi_cartan == ((2, -1), (-1, 2))
-    assert det(spin8.levi_cartan) == 3
+    assert spin8.levi.cartan == ((2, -1), (-1, 2))
+    assert det(spin8.levi.cartan) == 3
 
 
 def test_full_set_rejected(a3):
@@ -71,7 +71,7 @@ def test_complement_plus_levi_count(name):
     rs = cached_system(name)
     for nodes in proper_subsets(rs.rank):
         p = cached_parabolic(name, nodes)
-        assert len(p.complement_roots) + len(p.levi_coroots) == len(
+        assert len(p.complement_roots) + len(p.levi.coroots) == len(
             rs.positive_roots
         )
 
@@ -149,8 +149,8 @@ def test_levi_subsystem_is_finite_type(name):
     rs = cached_system(name)
     for nodes in proper_subsets(rs.rank):
         p = cached_parabolic(name, nodes)
-        if p.levi_cartan:
-            assert det(p.levi_cartan) > 0
+        if p.levi.cartan:
+            assert det(p.levi.cartan) > 0
 
 
 def test_delta_check_raises_invariant_error(monkeypatch):

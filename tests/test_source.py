@@ -24,7 +24,11 @@
   ``ValueError`` exits 3 and never reads as bad input;
 * one spectral budget: ``cli.py`` reads from ``spectral`` only its public
   names and ``CLI_SPECTRAL_PRIVATE``, so the grid, mode-range and table
-  rules are checked by the library's ``_quadrature_grid`` alone.
+  rules are checked by the library's ``_quadrature_grid`` alone;
+* a current mutant catalogue: each snippet of ``tests/mutants.py`` occurs
+  exactly once in its file under ``src/``, and each test it names exists,
+  so a refactor that moves a snippet or renames a test updates the entry
+  (running the mutants themselves is ``python tests/mutants.py``).
 """
 from __future__ import annotations
 
@@ -33,6 +37,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "parabolica").glob("*.py"))
@@ -325,3 +331,14 @@ def test_spectral_boundary_rule_sees_private_reads():
         "spectral.SingularProfile, other._table_for\n"
     )
     assert _private_spectral_reads(source) == ["2 _tables", "4 _table_for"]
+
+
+def test_mutant_catalogue_matches_the_source():
+    assert len({mutant.name for mutant in MUTANTS}) == len(MUTANTS)
+    for mutant in MUTANTS:
+        assert mutant.file.startswith("src/parabolica/"), mutant.name
+        assert (ROOT / mutant.file).read_text().count(mutant.snippet) == 1, mutant.name
+        assert mutant.replacement != mutant.snippet, mutant.name
+        for test in mutant.tests:
+            path, name = test.split("::")
+            assert f"\ndef {name}(" in (ROOT / path).read_text(), (mutant.name, test)

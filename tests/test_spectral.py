@@ -834,7 +834,7 @@ def test_explicit_grid_over_budget_is_refused():
     with pytest.raises(ValueError, match="grid of 512\\^3 points"):
         distance_profile_coefficients(profile, torus, 8, points_per_axis=512)
     with pytest.raises(ValueError, match="grid of 256\\^3 points"):
-        spectral._profile_values(profile, torus, 256)
+        distance_profile_coefficients(profile, torus, 8, points_per_axis=256)
 
 
 def test_mode_table_is_refused_before_sampling(monkeypatch):

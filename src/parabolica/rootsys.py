@@ -19,15 +19,13 @@ Cartan matrix that is not of finite type once a root coefficient passes 6.
 Root lengths, the symmetrizer of C, are not computed: pairings read the
 coroot table instead of 2 (lambda, beta) / (beta, beta).
 
-``build_root_system`` memoizes the simple types of rank at most
-``ROOT_SYSTEM_MEMO_MAX_RANK``, keyed by ``SimpleLieType``: each is built once
-per process, so the memo holds at most the 33 types of rank <= 8 (E8, the
-largest entry, takes about 31 KiB).  A system's tables grow like rank^3, so
-larger types (up to ``MAX_CLASSICAL_RANK``) are built on every call and freed
-with their last reference.  ``root_system_from_cartan`` validates its input
-and builds afresh on every call.  Memoized systems are shared by every
-caller, so their tables are read-only: tuples, and a ``MappingProxyType`` for
-``coroots``.
+``build_root_system`` memoizes every simple type, keyed by
+``SimpleLieType``: each is built once per process and kept for its life.
+``MAX_CLASSICAL_RANK`` leaves 129 types, about 21 MB if every one is built
+(E8 30 KiB, A32 369 KiB, B32 729 KiB).  ``root_system_from_cartan``
+validates its input and builds afresh on every call: custom matrices have
+no finite key set.  Memoized systems are shared by every caller, so their
+tables are read-only: tuples, and a ``MappingProxyType`` for ``coroots``.
 """
 from __future__ import annotations
 
@@ -42,9 +40,6 @@ from types import MappingProxyType
 from . import linalg
 
 Root = tuple[int, ...]
-
-# Largest rank the root-system memo holds.
-ROOT_SYSTEM_MEMO_MAX_RANK = 8
 
 # Rank budget of the classical families A-D, the only ones without a rank
 # of their own.  A build costs about rank^4 (dump-roots A120 took 12.6 s and
@@ -324,14 +319,17 @@ def cartan_matrix(t: SimpleLieType) -> list[list[int]]:
 
 
 def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
-    """Shape, diagonal and sign pattern; _inverse_transpose checks det > 0."""
+    """Shape, integer entries, diagonal and sign pattern; _inverse_transpose
+    checks det > 0.  An integral value such as 2.0 passes."""
     n = len(cartan)
+    if any(len(row) != n for row in cartan):  # before the zero pattern reads row j
+        raise ValueError("Cartan matrix must be square")
     for i in range(n):
-        if len(cartan[i]) != n:
-            raise ValueError("Cartan matrix must be square")
         if cartan[i][i] != 2:
             raise ValueError("Cartan diagonal must be 2")
         for j in range(n):
+            if cartan[i][j] % 1:  # a fraction, or nan or inf
+                raise ValueError(f"Cartan entry ({i + 1}, {j + 1}) must be an integer, got {cartan[i][j]}")
             if i != j:
                 if cartan[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
@@ -427,9 +425,7 @@ def _memoized_root_system(t: SimpleLieType) -> RootSystem:
 
 def build_root_system(t: SimpleLieType | str) -> RootSystem:
     """Root system of a finite simple type, e.g. build_root_system("B3");
-    memoized up to rank ROOT_SYSTEM_MEMO_MAX_RANK, built afresh above it."""
+    built once per process and shared by every later call."""
     if isinstance(t, str):
         t = SimpleLieType.from_string(t)
-    if t.rank > ROOT_SYSTEM_MEMO_MAX_RANK:
-        return root_system_from_cartan(cartan_matrix(t), lie_type=t)
     return _memoized_root_system(t)

@@ -72,6 +72,7 @@ MUTANTS = (
         "pairings = [sum(m * cartan[j][i] for j, m in enumerate(root) if m) for i in range(n)]",
         "pairings = [sum(m * cartan[i][j] for j, m in enumerate(root) if m) for i in range(n)]",
         (
+            "tests/test_kernel.py::test_root_tables_are_pinned",
             "tests/test_rootsys.py::test_positive_root_counts",
             "tests/test_rootsys.py::test_pairing_times_norm_identity",
         ),
@@ -157,7 +158,63 @@ MUTANTS = (
         "src/parabolica/cli.py",
         '"levi_nodes": [i + 1 for i in p.levi_nodes],',
         '"levi_nodes": [i for i in p.levi_nodes],',
-        ("tests/test_cli.py::test_paper_suite_quiet_stdout_is_pinned",),
+        (
+            "tests/test_cli.py::test_paper_suite_quiet_stdout_is_pinned",
+            "tests/test_cli.py::test_report_is_byte_stable",
+        ),
+    ),
+    Mutant(
+        "profile-colon-unchecked",
+        "src/parabolica/cli.py",
+        'if ":" not in values["profile"]:',
+        'if not values["profile"]:',
+        ("tests/test_cli.py::test_main_spectral_rejects_bad_values",),
+    ),
+    Mutant(
+        "spectral-imported-eagerly",
+        "src/parabolica/__init__.py",
+        'spectral = _register_deferred("spectral")',
+        "from . import spectral",
+        ("tests/test_lazy_import.py::test_exact_request_imports_no_numpy",),
+    ),
+    Mutant(
+        "memo-rank-cap",
+        "src/parabolica/rootsys.py",
+        "    return _memoized_root_system(t)",
+        "    if t.rank > 8:\n        return root_system_from_cartan(cartan_matrix(t), lie_type=t)\n"
+        "    return _memoized_root_system(t)",
+        (
+            "tests/test_rootsys.py::test_every_rank_is_built_once",
+            "tests/test_rootsys.py::test_memo_holds_one_entry_per_type",
+        ),
+    ),
+    Mutant(
+        "cartan-entries-truncated",
+        "src/parabolica/rootsys.py",
+        "if cartan[i][j] % 1:",
+        "if False:",
+        ("tests/test_rootsys.py::test_malformed_cartan_is_refused",),
+    ),
+    Mutant(
+        "record-equality-across-classes",
+        "src/parabolica/rootsys.py",
+        "if other.__class__ is self.__class__:",
+        "if isinstance(other, _Record):",
+        ("tests/test_rootsys.py::test_records_of_different_classes_are_unequal",),
+    ),
+    Mutant(
+        "weyl-dim-integral-check-dropped",
+        "src/parabolica/bundle.py",
+        "if not lambda_s.is_integral:",
+        "if False:",
+        ("tests/test_bundle.py::test_weyl_dim_rejects_non_integral",),
+    ),
+    Mutant(
+        "omega-trace-on-levi-node",
+        "src/parabolica/curvature.py",
+        "if alpha not in p.picard_nodes:",
+        "if not 0 <= alpha < p.rs.rank:",
+        ("tests/test_curvature.py::test_curvature_refusals",),
     ),
 )
 

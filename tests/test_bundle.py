@@ -62,6 +62,11 @@ def test_weyl_dim_rejects_non_dominant(gr2c4):
         weyl_dim(gr2c4, Weight.of(0, 1, 0))
 
 
+def test_weyl_dim_rejects_non_integral(gr2c4):
+    with pytest.raises(ValueError, match="^integral lambda_s required$"):
+        weyl_dim(gr2c4, Weight.of("1/2", 0, 0))
+
+
 def test_weyl_dim_rejects_wrong_rank(q5):
     """The rank is checked before any Levi coordinate is read."""
     with pytest.raises(ValueError, match="dimension mismatch"):

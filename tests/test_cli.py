@@ -120,11 +120,32 @@ def test_request_round_trip_leading_negatives(capsys):
     assert report["curvature"]["psi"] == ["-2", "0", "1"]
 
 
-def test_report_is_byte_stable():
+# sha256 of the stdout of this request.  It carries every block of an
+# `analyze` report, and its bundle splits, so the spectral block reads its
+# target off lambda_L0 (hym_target -9.0).
+BYTE_STABLE_REQUEST = (
+    "analyze",
+    "--type=D4",
+    "--parabolic=1,2",
+    "--weight=1,1,0,0",
+    "--kahler=1,1",
+    "--line=0,-1",
+    "--spectral=s=0.25,modes=16",
+)
+BYTE_STABLE_SHA256 = "216d1f33dd9b57390c4a4ec7609903f77ff78faea5538276e2c1af5c2e7307c9"
+
+
+def test_report_is_byte_stable(capsys):
     req = dict(lie_type="B3", parabolic=(2, 3), weight=(0, 0, 2))
     first = json.dumps(build_analysis_report(**req))
     second = json.dumps(build_analysis_report(**req))
     assert first == second
+    assert main(list(BYTE_STABLE_REQUEST)) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert set(report) >= {"parabolic", "splitting", "curvature", "spectral"}
+    assert report["splitting"]["splits"] and report["spectral"]["hym_target"] == -9.0
+    assert hashlib.sha256(out.encode()).hexdigest() == BYTE_STABLE_SHA256
 
 
 def test_report_rationals_rendered_as_strings():
@@ -611,6 +632,7 @@ def test_main_spectral_residual_ladder_never_increases(capsys):
         # below the grid's point count, but past what the frequency box holds
         (["--dim=11", "--modes=1500", "--profile=point:s=0.25"], "--modes: a 2048-mode table of the 11-torus needs"),
         (["--dim=3", "--modes=200000", "--profile=point:s=0.25"], "--modes: a 262144-mode table of the 3-torus"),
+        (["--profile=point"], "error: --profile: expected kind:key=value[,...], got 'point'"),
     ],
 )
 def test_main_spectral_rejects_bad_values(capsys, argv, message):

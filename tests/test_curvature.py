@@ -170,6 +170,21 @@ def test_hym_rejects_wrong_rank(q5):
         hym_constant(Weight.of(1), einstein_class(q5), q5)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: endo_eigenvalues(Weight.of(0, 0, 0), KahlerClass((1, 1)), p), r"expected 1 value\(s\) over"),
+        (lambda p: endo_eigenvalues(Weight.of(1), unit_class(p), p), "dimension mismatch"),
+        (lambda p: omega_trace(1, unit_class(p), p), "node 1 is not a Picard generator"),
+    ],
+    ids=["kahler-length", "psi-rank", "levi-node"],
+)
+def test_curvature_refusals(q5, call, message):
+    """Q5 = B3/P1 has one Picard node, 0; nodes 1 and 2 are Levi nodes."""
+    with pytest.raises(ValueError, match=message):
+        call(q5)
+
+
 def test_splitting_to_curvature_pipeline(q5):
     """L0 built from the splitting verdict feeds the curvature formulas."""
     report = splitting_report(BundleSpec(q5, Weight.of(0, 0, 2)))

@@ -114,11 +114,17 @@ small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
 @st.composite
-def parabolics(draw):
+def parabolic_keys(draw):
+    """(type, sorted Levi nodes) of a parabolic: built by the test that
+    draws it, so collecting a module builds nothing."""
     name = draw(st.sampled_from(SAMPLED_TYPES))
     rank = cached_system(name).rank
     levi = draw(st.sets(st.integers(0, rank - 1), max_size=rank - 1))
-    return cached_parabolic(name, tuple(sorted(levi)))
+    return name, tuple(sorted(levi))
+
+
+def parabolics():
+    return parabolic_keys().map(lambda key: cached_parabolic(*key))
 
 
 @st.composite
@@ -216,7 +222,7 @@ def test_levi_restriction_matches_its_own_closure():
     table; a second closure over C_I must give an equal RootSystem, with the
     same coroots in the same order, det C_I and adj(C_I^T).  Every Levi of
     the 33 types of rank <= 8 (174 distinct C_I), and A14 in A15 and D15 in
-    D16 past the memo rank."""
+    D16, past rank 8."""
     cases = [
         (name, nodes)
         for name in ALL_TYPES
@@ -482,24 +488,26 @@ def test_criterion_ratios_match_fraction_reference(data):
 
 @st.composite
 def endo_cases(draw):
-    """(parabolic, psi, omega0): psi with coordinates on every node."""
-    p = draw(parabolics())
-    psi = Weight(tuple(draw(small_fractions) for _ in range(p.rs.rank)))
+    """(parabolic key, psi, omega0): psi with coordinates on every node."""
+    name, levi = draw(parabolic_keys())
+    rank = cached_system(name).rank
+    psi = Weight(tuple(draw(small_fractions) for _ in range(rank)))
     positive = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=5)
-    omega0 = KahlerClass(tuple(draw(positive) for _ in p.picard_nodes))
-    return p, psi, omega0
+    omega0 = KahlerClass(tuple(draw(positive) for _ in range(rank - len(levi))))
+    return (name, levi), psi, omega0
 
 
 @KERNEL
 @given(endo_cases())
 # psi supported only on the Levi nodes
-@example((cached_parabolic("D6", (1, 2, 4)), Weight.of(0, "5/2", -3, 0, 1, 0), KahlerClass((2, "1/3", 5))))
+@example((("D6", (1, 2, 4)), Weight.of(0, "5/2", -3, 0, 1, 0), KahlerClass((2, "1/3", 5))))
 # psi = 0
-@example((cached_parabolic("E7", (0, 3)), Weight.of(*[0] * 7), KahlerClass(("3/4", 1, 2, "5/2", 1))))
+@example((("E7", (0, 3)), Weight.of(*[0] * 7), KahlerClass(("3/4", 1, 2, "5/2", 1))))
 # Picard rank 3, with a short-root Levi
-@example((cached_parabolic("F4", (1,)), Weight.of("1/2", -3, 4, "-2/3"), KahlerClass(("2/3", 5, "1/4"))))
+@example((("F4", (1,)), Weight.of("1/2", -3, 4, "-2/3"), KahlerClass(("2/3", 5, "1/4"))))
 def test_endo_eigenvalues_match_fraction_reference(case):
-    p, psi, omega0 = case
+    key, psi, omega0 = case
+    p = cached_parabolic(*key)
     spectrum = endo_eigenvalues(psi, omega0, p)
     assert spectrum.eigenvalues == ref_endo_eigenvalues(psi, omega0, p)
     assert list(spectrum.eigenvalues) == list(p.complement_roots)
@@ -701,13 +709,16 @@ def test_hym_constant_matches_eigenvalue_sum(data):
 # Every flag variety G/P of rank <= 3 and dimension n = |Phi^+ minus Phi_I^+|
 # <= 6, as (type, 0-based Levi nodes): 24 of them, among them P^1 to P^3,
 # Gr(2,4), the full flags of A2, B2 = C2 and G2, and the quadric Q5 = B3/P1.
-SMALL_FLAG_VARIETIES = tuple(
-    (name, levi)
-    for name in ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3")
-    for size in range(cached_system(name).rank)
-    for levi in combinations(range(cached_system(name).rank), size)
-    if len(cached_parabolic(name, levi).complement_roots) <= 6
-)
+# Listed on first draw, so collecting the module builds nothing.
+@functools.cache
+def small_flag_varieties() -> tuple[tuple[str, tuple[int, ...]], ...]:
+    return tuple(
+        (name, levi)
+        for name in ("A1", "A2", "A3", "B2", "C2", "G2", "B3", "C3")
+        for size in range(cached_system(name).rank)
+        for levi in combinations(range(cached_system(name).rank), size)
+        if len(cached_parabolic(name, levi).complement_roots) <= 6
+    )
 
 
 def borel_weil_dim(rs, coords: Sequence[int]) -> Fraction:
@@ -744,7 +755,7 @@ def intersection_ratio(p, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
 def intersection_cases(draw):
     """(type, Levi, lambda, mu, None): lambda and mu over the fundamental
     weights, 1..3 on each Picard node and 0 on the Levi."""
-    name, levi = draw(st.sampled_from(SMALL_FLAG_VARIETIES))
+    name, levi = draw(st.sampled_from(small_flag_varieties()))
     rank = cached_system(name).rank
     lam = [0 if i in levi else draw(st.integers(1, 3)) for i in range(rank)]
     mu = [0 if i in levi else draw(st.integers(1, 3)) for i in range(rank)]
@@ -779,7 +790,7 @@ def test_hym_constant_is_a_ratio_of_intersection_numbers(case):
 def levi_module_cases(draw):
     """(type, Levi, lambda, None, None): lambda 0..3 on the Levi nodes and
     -3..3 on the Picard nodes."""
-    name, levi = draw(st.sampled_from(SMALL_FLAG_VARIETIES))
+    name, levi = draw(st.sampled_from(small_flag_varieties()))
     rank = cached_system(name).rank
     coords = tuple(draw(st.integers(0, 3) if i in levi else st.integers(-3, 3)) for i in range(rank))
     return name, levi, coords, None, None

@@ -7,13 +7,14 @@ import pytest
 
 from parabolica import (
     InvalidTypeError,
+    KahlerClass,
     SimpleLieType,
     Weight,
     build_root_system,
     fundamental_weight,
     positive_root_count,
 )
-from parabolica.rootsys import cartan_matrix
+from parabolica.rootsys import cartan_matrix, root_system_from_cartan
 
 from conftest import cached_system
 from oracles import combine, coroot_coefficients, det, root_norm_sq, root_norms
@@ -111,6 +112,15 @@ def test_pairing_short_roots_use_coroots(b3):
     assert b3.pairing(fundamental_weight(3, 2), (1, 1, 1)) == 1
 
 
+def test_pairing_and_numerators_check_the_rank(b3):
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        b3.pairing(Weight.of(1, 0), (1, 0, 0))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        b3.pairing(Weight.of(1, 0, 0), (1, 0))
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        b3.simple_root_numerators((1, 0))
+
+
 def test_root_as_weight_rows(a3):
     for i in range(3):
         assert a3.root_as_weight(tuple(int(k == i) for k in range(3))).coords == a3.cartan[i]
@@ -167,6 +177,39 @@ def test_invalid_types(bad):
         build_root_system(bad)
 
 
+def test_unknown_family_is_refused():
+    """The parser admits only the letters A-G; the constructor checks the
+    family itself."""
+    with pytest.raises(InvalidTypeError, match="^unknown family 'H'$"):
+        SimpleLieType("H", 3)
+
+
+@pytest.mark.parametrize(
+    "cartan, message",
+    [
+        ([[2, -1], [-1]], "Cartan matrix must be square"),
+        ([[2, -1], []], "Cartan matrix must be square"),
+        ([[2, -1], [-1, 1]], "Cartan diagonal must be 2"),
+        ([[2, 1], [-1, 2]], "off-diagonal Cartan entries must be <= 0"),
+        ([[2, -1], [0, 2]], "Cartan zero pattern must be symmetric"),
+        # int() would read both as A2's -1
+        ([[2, -1.9], [-1, 2]], r"Cartan entry \(1, 2\) must be an integer, got -1.9"),
+        ([[2, Fraction(-3, 2)], [-1, 2]], r"Cartan entry \(1, 2\) must be an integer, got -3/2"),
+        ([[2, -1], [float("-inf"), 2]], r"Cartan entry \(2, 1\) must be an integer, got -inf"),
+    ],
+    ids=["square", "square-empty-row", "diagonal", "sign", "zero-pattern", "float", "fraction", "infinite"],
+)
+def test_malformed_cartan_is_refused(cartan, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        root_system_from_cartan(cartan)
+
+
+def test_integral_cartan_values_are_read_as_integers():
+    rs = root_system_from_cartan([[2.0, -1.0], [Fraction(-1), 2]])
+    assert rs.cartan == ((2, -1), (-1, 2)) and all(type(x) is int for row in rs.cartan for x in row)
+    assert len(rs.positive_roots) == 3
+
+
 def test_classical_ranks_have_one_budget():
     from parabolica.rootsys import MAX_CLASSICAL_RANK as top
 
@@ -208,6 +251,12 @@ def test_weight_predicates():
     assert w.restricted([0]).coords == (1, 0)
 
 
+def test_records_of_different_classes_are_unequal():
+    """Equality reads the fields only between records of one class."""
+    assert Weight.of(1)._values() == KahlerClass((1,))._values()
+    assert Weight.of(1) != KahlerClass((1,)) and not Weight.of(1) == KahlerClass((1,))
+
+
 def test_positive_root_count_check_raises_invariant_error(monkeypatch):
     from parabolica import InvariantError, rootsys
 
@@ -227,19 +276,16 @@ def test_root_system_is_built_once():
     assert build_root_system("e8") is build_root_system(SimpleLieType("E", 8))
 
 
-def test_systems_above_the_memo_rank_are_built_afresh():
-    from parabolica import rootsys
-
-    assert rootsys.ROOT_SYSTEM_MEMO_MAX_RANK == 8
-    before = rootsys._memoized_root_system.cache_info()
-    first, second = build_root_system("A9"), build_root_system("A9")
-    assert first == second and first is not second
-    assert rootsys._memoized_root_system.cache_info() == before
+def test_every_rank_is_built_once():
+    """No rank is built afresh: A9, past the old cap, and A32, the top of the
+    rank budget, are memoized like E8."""
+    assert build_root_system("A9") is build_root_system("A9")
+    assert build_root_system("A32") is build_root_system(SimpleLieType("A", 32))
 
 
 def test_memo_holds_one_entry_per_type():
     """The memo is keyed by the simple type: the 33 types of rank <= 8 and
-    their maximal parabolics fill it with 33 entries, and A9 adds none."""
+    their maximal parabolics fill it with 33 entries, and A9 adds one."""
     from parabolica import build_parabolic, rootsys
 
     rootsys._memoized_root_system.cache_clear()
@@ -248,8 +294,8 @@ def test_memo_holds_one_entry_per_type():
         for drop in range(rs.rank):
             build_parabolic(rs, [i for i in range(rs.rank) if i != drop])
     assert rootsys._memoized_root_system.cache_info().currsize == len(ALL_TYPES) == 33
-    assert build_root_system("A9") is not build_root_system("A9")
-    assert rootsys._memoized_root_system.cache_info().currsize == 33
+    assert build_root_system("A9") is build_root_system("A9")
+    assert rootsys._memoized_root_system.cache_info().currsize == 34
 
 
 def test_cached_tables_are_read_only():

@@ -57,6 +57,8 @@ _MAX_ERROR_CHARS = 200
 # square integrable builds no grid but lists one side length per dimension.
 MAX_SPECTRAL_DIM = 64
 
+_SPECTRAL_KEYS = ("s", "dim", "modes", "hym", "codim")  # the fields of `analyze --spectral`
+
 
 class SpectralRequest(_Record):
     """A profile on the unit torus of its dimension, the modes to expand and the target hym."""
@@ -101,17 +103,20 @@ def _picard_values(text: str, parse: Callable[[str, str], tuple], what: str, cou
     return values
 
 
-def _parse_fields(text: str, what: str) -> dict[str, str]:
-    """Comma-separated key=value chunks as a dict; ParseError names a bad
-    chunk or a repeated key."""
-    fields: dict[str, str] = {}
+def _parse_fields(text: str, what: str, keys: Sequence[str]) -> dict[str, tuple[str, str]]:
+    """Comma-separated key=value chunks as key -> (value, the flag ``what``);
+    ParseError names a bad chunk, a key outside ``keys`` or a repeated key."""
+    fields: dict[str, tuple[str, str]] = {}
     for chunk in text.split(","):
         if "=" not in chunk:
             raise ParseError(f"{what}: expected key=value, got {chunk!r}")
         key, value = (part.strip() for part in chunk.split("=", 1))
+        if key not in keys:
+            listed = f"{', '.join(keys[:-1])} or {keys[-1]}" if len(keys) > 1 else keys[0]
+            raise ParseError(f"{what}: unknown field {key!r}; expected {listed}")
         if key in fields:
             raise ParseError(f"{what}: key {key!r} given twice")
-        fields[key] = value
+        fields[key] = value, what
     return fields
 
 
@@ -129,44 +134,38 @@ def _levi_nodes(text: str, rank: int) -> tuple[int, ...]:
     return tuple(sorted(nodes))
 
 
-def _spectral_request(fields: dict[str, str], what: str, options: dict | None = None) -> SpectralRequest:
-    """The one reader of the fields of ``what``, `--spectral` or `spectral
-    --profile`, where ``options``, the latter's flag values, alone set dim,
-    modes and hym.  Each value is converted once and refused naming the flag
-    it came from.  s is required, dim, modes and hym default to 1, 128 and 1,
-    codim to dim; any other key is refused."""
-    for key in fields:
-        if key not in ("s", "dim", "modes", "hym", "codim"):
-            raise ParseError(f"{what}: unknown field {key!r}; expected s, dim, modes, hym or codim")
+def _spectral_request(fields: dict[str, tuple[str, str]], what: str) -> SpectralRequest:
+    """The one reader of a spectral request: ``fields`` maps each key given to
+    its text and its flag, which a refusal of the value names (a default names
+    ``what``).  s is required; dim, modes and hym default to 1, 128 and 1,
+    codim to dim."""
     if "s" not in fields:
         raise ParseError(f"{what}: missing required field 's'")
-    flags = {key: what if options is None else f"--{key}" for key in ("dim", "modes", "hym")}
 
-    def read(key: str, kind: type, default: object = None):
-        flag = flags.get(key, what)
-        text = (fields if flag == what else options).get(key, default)
+    def read(key: str, kind: type, default: object = None) -> tuple:
+        text, flag = fields.get(key, (default, what))
         try:
-            return kind(text)
+            return kind(text), flag
         except ValueError as exc:
             raise ParseError(f"{flag}: invalid {kind.__name__} value: {text!r}") from exc
 
-    dim, modes, exponent = read("dim", int, 1), read("modes", int, 128), read("s", float)
-    codim, hym = read("codim", int, dim), read("hym", float, 1)
+    (dim, dim_flag), (modes, modes_flag), (exponent, _) = read("dim", int, 1), read("modes", int, 128), read("s", float)
+    (codim, _), (hym, hym_flag) = read("codim", int, dim), read("hym", float, 1)
     if dim < 1:
-        raise ParseError(f"{flags['dim']}: dim must be at least 1, got {dim}")
+        raise ParseError(f"{dim_flag}: dim must be at least 1, got {dim}")
     if dim > MAX_SPECTRAL_DIM:
-        raise ParseError(f"{flags['dim']}: dim must be at most {MAX_SPECTRAL_DIM}, got {dim}")
+        raise ParseError(f"{dim_flag}: dim must be at most {MAX_SPECTRAL_DIM}, got {dim}")
     if modes < 0:
-        raise ParseError(f"{flags['modes']}: modes must be nonnegative, got {modes}")
+        raise ParseError(f"{modes_flag}: modes must be nonnegative, got {modes}")
     if not math.isfinite(hym):
-        raise ParseError(f"{flags['hym']}: hym must be finite, got {hym!r}")
+        raise ParseError(f"{hym_flag}: hym must be finite, got {hym!r}")
     if not _two_pi_finite(hym):
-        raise ParseError(f"{flags['hym']}: hym {hym!r} puts the target mean 2*pi*hym past float range")
+        raise ParseError(f"{hym_flag}: hym {hym!r} puts the target mean 2*pi*hym past float range")
     profile = _read(what, spectral.SingularProfile, dim, codim, exponent, refused=spectral._InvalidProfile)
     if profile.square_integrable:
         # only an L2 profile builds a grid and (cached) mode tables; every table is over budget once dim >= 12
         torus = spectral.FlatTorus((1.0,) * dim)
-        for flag, count in ((flags["dim"], 0), (flags["modes"], modes)):
+        for flag, count in ((dim_flag, 0), (modes_flag, modes)):
             _read(flag, spectral._quadrature_grid, torus, count, refused=spectral._OverBudget)
     return SpectralRequest(profile, modes, hym)
 
@@ -608,19 +607,18 @@ def _help(command: str) -> str:
 
 
 def _profile_request(values: dict) -> SpectralRequest:
-    """`spectral --profile kind:key=value,...`: the kind's rules, then the
-    spectral reader, which takes dim, modes and hym only from their options."""
-    if ":" not in values["profile"]:
+    """`spectral --profile kind:key=value,...`: s for a point (codimension dim), s
+    and codim for a subtorus, then --dim, --modes and --hym under their own flags."""
+    kind, colon, rest = values["profile"].partition(":")
+    if not colon:
         raise ParseError(f"--profile: expected kind:key=value[,...], got {values['profile']!r}")
-    kind, rest = values["profile"].split(":", 1)
-    fields = _parse_fields(rest, "--profile")
     if kind not in ("point", "subtorus"):
         raise ParseError(f"--profile: unknown singular-set kind {kind!r}")
-    if kind == "point":
-        fields.pop("codim", None)  # a point has codimension dim
-    elif "codim" not in fields:
+    fields = _parse_fields(rest, "--profile", ("s",) if kind == "point" else ("s", "codim"))
+    if kind == "subtorus" and "codim" not in fields:
         raise ParseError("--profile: subtorus profiles need codim=")
-    return _spectral_request(fields, "--profile", values)
+    fields.update((key, (values[key], f"--{key}")) for key in ("dim", "modes", "hym") if key in values)
+    return _spectral_request(fields, "--profile")
 
 
 def _render_json(value: object, indent: str = "\n") -> str:
@@ -700,7 +698,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif command == "analyze":
             fields = _lie_fields(values)
             if "spectral" in values:
-                fields["spectral"] = _spectral_request(_parse_fields(values["spectral"], "--spectral"), "--spectral")
+                spec = _parse_fields(values["spectral"], "--spectral", _SPECTRAL_KEYS)
+                fields["spectral"] = _spectral_request(spec, "--spectral")
             _emit(build_analysis_report(**fields))
         elif command == "curvature":
             fields = _lie_fields(values)

@@ -46,7 +46,7 @@ class _OverBudget(ValueError):
 
 
 class _InvalidProfile(ValueError):
-    """A SingularProfile's codimension or exponent out of range."""
+    """A SingularProfile's dimensions not integers, or its codimension or exponent out of range."""
 
 
 # Grid budget: the default grid for d >= 2 is the finest power-of-two side
@@ -104,6 +104,8 @@ class FlatTorus(_Record):
         sides = tuple(float(s) for s in side_lengths)
         if not sides or any(s <= 0 for s in sides):
             raise ValueError("side lengths must be positive")
+        if not all(map(math.isfinite, sides)):
+            raise ValueError(f"side lengths must be finite, got {sides}")
         _set(self, "side_lengths", sides)
 
     @property
@@ -385,6 +387,10 @@ class SingularProfile(_Record):
     __slots__ = _compared = ("ambient_dim", "codim", "exponent")
 
     def __init__(self, ambient_dim: int, codim: int, exponent: float) -> None:
+        for name, value in (("ambient dimension", ambient_dim), ("codimension", codim)):
+            if value % 1:  # a fraction, or nan or inf
+                raise _InvalidProfile(f"{name} must be an integer, got {value!r}")
+        ambient_dim, codim = int(ambient_dim), int(codim)
         if codim < 1 or codim > ambient_dim:
             raise _InvalidProfile("codimension must lie in 1..ambient_dim")
         if not (math.isfinite(exponent) and exponent > 0):

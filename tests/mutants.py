@@ -166,9 +166,30 @@ MUTANTS = (
     Mutant(
         "profile-colon-unchecked",
         "src/parabolica/cli.py",
-        'if ":" not in values["profile"]:',
+        "if not colon:",
         'if not values["profile"]:',
         ("tests/test_cli.py::test_main_spectral_rejects_bad_values",),
+    ),
+    Mutant(
+        "point-profile-takes-spectral-keys",
+        "src/parabolica/cli.py",
+        '("s",) if kind == "point"',
+        '_SPECTRAL_KEYS if kind == "point"',
+        ("tests/test_cli.py::test_spectral_defaults_are_shared",),
+    ),
+    Mutant(
+        "torus-sides-finiteness-dropped",
+        "src/parabolica/spectral.py",
+        "if not all(map(math.isfinite, sides)):",
+        "if False:",
+        ("tests/test_spectral.py::test_flat_torus_validation",),
+    ),
+    Mutant(
+        "profile-integral-check-dropped",
+        "src/parabolica/spectral.py",
+        "if value % 1:  # a fraction, or nan or inf",
+        "if False:",
+        ("tests/test_spectral.py::test_singular_profile_validation",),
     ),
     Mutant(
         "spectral-imported-eagerly",

@@ -621,7 +621,7 @@ def test_main_spectral_residual_ladder_never_increases(capsys):
         (["--profile=point:s=0.25", "--hym=3e307"], "--hym: hym 3e+307 puts the target mean 2*pi*hym past float range"),
         (["--profile=point:s=0.25", "--hym=-3e307"], "--hym: hym -3e+307 puts the target mean"),
         (["--profile=point:s=0.25,s=0.3"], "--profile: key 's' given twice"),
-        (["--profile=subtorus:s=0.25,codim=1,dim=2,dim=3"], "--profile: key 'dim' given twice"),
+        (["--profile=subtorus:s=0.25,codim=1,codim=2"], "--profile: key 'codim' given twice"),
         (["--profile=point:s=-0.25"], "--profile: exponent s must be finite and positive, got -0.25"),
         (["--profile=subtorus:s=0.25,codim=3", "--dim=2"], "--profile: codimension must lie in 1..ambient_dim"),
         # the mode table's frequency box is over budget for every mode count once dim >= 12
@@ -828,7 +828,7 @@ def test_parabolic_nodes_validated_alike(capsys, argv, message):
             "--spectral: missing required field 's'",
         ),
         (["spectral", "--profile=point:s=0.25,codim"], "--profile: expected key=value, got 'codim'"),
-        (["spectral", "--profile=point:codim=1"], "--profile: missing required field 's'"),
+        (["spectral", "--profile=subtorus:codim=1"], "--profile: missing required field 's'"),
         (["spectral", "--profile=subtorus:s=0.25"], "--profile: subtorus profiles need codim="),
         (
             ["analyze", "--type=A3", "--parabolic=1,3", "--weight=1,0,0", "--spectral=s=0.25,mode=512"],
@@ -1024,12 +1024,17 @@ def test_library_refusals_name_the_flag(capsys, argv, message):
 def test_spectral_defaults_are_shared(capsys):
     """`spectral --profile` and `analyze --spectral` read one request with
     the same defaults (dim 1, 128 modes, hym 1), so the blocks agree.  A
-    profile's own dim, modes and hym keys are ignored: only the options set
-    them."""
+    profile takes no dim, modes or hym key, nor a point a codim: only the
+    options set them, and each such key is refused naming --profile."""
+    kinds = ["point:s=0.25", "subtorus:s=0.25,codim=1"]
+    cases = [(f"{kind},{key}=1", key) for kind in kinds for key in ("dim", "modes", "hym")]
+    for profile, key in [*cases, ("point:s=0.25,codim=1", "codim")]:
+        assert main(["spectral", "--dim=2", "--modes=4", f"--profile={profile}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --profile: unknown field {key!r}; expected s")
     assert main(["spectral", "--profile=point:s=0.25"]) == 0
     alone = json.loads(capsys.readouterr().out)
-    assert main(["spectral", "--profile=point:s=0.25,dim=2,modes=8,hym=3"]) == 0
-    assert json.loads(capsys.readouterr().out) == alone
     assert main(["analyze", "--type=A1", "--parabolic=", "--weight=1", "--spectral=s=0.25"]) == 0
     assert json.loads(capsys.readouterr().out)["spectral"] == alone
     assert alone["residuals"][-1]["n"] == 128 and alone["hym_target"] == 1.0
@@ -1058,7 +1063,8 @@ _FIELDS = {  # flag -> (well-formed values, odd values; None: drawn elsewhere)
         ["point:s=0.25", "subtorus:s=0.2,codim=1", "subtorus:s=0.9,codim=1", "point:s=0.7"],
         ["point:s=0.25,codim=x", "subtorus:s=0.2,codim=0", "subtorus:s=0.2,codim=99", "subtorus:s=0.2"]
         + ["point:codim=1", "point:s=nan", "point:s=1/0", "point:s=-1", "point:s=0.25,,", "point:="]
-        + ["point", ":", "blob:s=1", ""],
+        + ["point", ":", "blob:s=1", "", "point:s=0.25,dim=2", "point:s=0.25,codim=1"]
+        + ["subtorus:s=0.2,codim=1,modes=8"],
     ),
     "--dim": (["1", "2", "3"], ["0", "-1", "12", "40", "65", "1000000000", "x"]),
     "--modes": (["1", "8", "64"], ["0", "-1", "1000000000", "x"]),

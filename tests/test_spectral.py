@@ -431,6 +431,14 @@ def test_singular_profile_validation():
         SingularProfile(ambient_dim=2, codim=3, exponent=0.5)
     with pytest.raises(ValueError):
         SingularProfile(ambient_dim=2, codim=1, exponent=0.0)
+    for ambient_dim, codim in [(2, 1.5), (2.5, 2), (math.nan, 1), (2, math.inf)]:
+        with pytest.raises(spectral._InvalidProfile, match="must be an integer"):
+            SingularProfile(ambient_dim, codim, 0.25)
+    # an integral float is stored as an int, so the profile's grid can be built
+    profile, torus = SingularProfile(2.0, 2.0, 0.25), FlatTorus((1.0, 1.0))
+    assert (type(profile.ambient_dim), type(profile.codim)) == (int, int)
+    expected = distance_profile_coefficients(SingularProfile(2, 2, 0.25), torus, 8)
+    assert distance_profile_coefficients(profile, torus, 8).coeffs.tolist() == expected.coeffs.tolist()
 
 
 def test_flat_torus_validation():
@@ -438,6 +446,9 @@ def test_flat_torus_validation():
         FlatTorus(())
     with pytest.raises(ValueError):
         FlatTorus((1.0, -2.0))
+    for side in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="side lengths must be finite"):
+            FlatTorus((1.0, side))
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,6 @@ class Weight(_Record):
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __getitem__(self, i: int) -> Fraction:
         return self.coords[i]
 

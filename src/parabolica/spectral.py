@@ -66,8 +66,13 @@ _MAX_GRID_POINTS = 1 << 22
 # its 2 MB output on every request; 2^13 ran slower and 2^16 no faster.
 _RFFT_BLOCK_POINTS = 1 << 15
 # The integer frequency box searched for a mode table, (2b + 1)^d rows of d
-# entries, is bounded by its entry count.
+# entries, is bounded by its entry count.  _build_table doubles b from 1, so
+# the largest b it can search is a power of two, 2^20 on the 1-torus and
+# less on any other; FlatTorus refuses a side L whose L^2 or
+# (2 pi (_MAX_BOX_BOUND + 1) / L)^2 would overflow, which keeps about
+# 4.9e-148 < L < 1.3e154.
 _MAX_FREQUENCY_BOX = 1 << 22
+_MAX_BOX_BOUND = 1 << (((_MAX_FREQUENCY_BOX - 1) // 2).bit_length() - 1)
 
 
 def _default_points_per_axis(dimension: int) -> int:
@@ -106,6 +111,12 @@ class FlatTorus(_Record):
             raise ValueError("side lengths must be positive")
         if not all(map(math.isfinite, sides)):
             raise ValueError(f"side lengths must be finite, got {sides}")
+        for s in sides:
+            top = 2.0 * math.pi * (_MAX_BOX_BOUND + 1) / s
+            if not math.isfinite(s * s) or not math.isfinite(top * top):
+                raise ValueError(f"side length {s} is outside the range a mode table can serve, about 4.9e-148..1.3e154")
+        if not 0.0 < math.prod(sides) < math.inf:
+            raise ValueError(f"torus volume must be positive and finite, got {math.prod(sides)} for sides {sides}")
         _set(self, "side_lengths", sides)
 
     @property

@@ -95,6 +95,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "cramer-a-over-twice-det",
+        "src/parabolica/bundle.py",
+        "cramer_a=tuple(over_det(rank * y) for y in solution)",
+        "cramer_a=tuple(Fraction(rank * y, 2 * det) for y in solution)",
+        ("tests/test_kernel.py::test_splitting_report_matches_weight_fold",),
+    ),
+    Mutant(
+        "report-levi-coords-nonzero",
+        "src/parabolica/bundle.py",
+        "coords = [zero] * rs.rank",
+        "coords = [Fraction(1, det)] * rs.rank",
+        ("tests/test_kernel.py::test_splitting_report_matches_weight_fold",),
+    ),
+    Mutant(
+        "criterion-values-shifted",
+        "src/parabolica/bundle.py",
+        "criterion_values={beta: over_det(c) for",
+        "criterion_values={beta: over_det(c + 1) for",
+        ("tests/test_kernel.py::test_splitting_report_matches_weight_fold",),
+    ),
+    Mutant(
+        "splits-on-any-node",
+        "src/parabolica/bundle.py",
+        "splits = all(c % det == 0",
+        "splits = any(c % det == 0",
+        ("tests/test_kernel.py::test_splitting_report_matches_weight_fold",),
+    ),
+    Mutant(
+        "lambda-l0-off-by-one",
+        "src/parabolica/bundle.py",
+        "l0 = {beta: n // rank for",
+        "l0 = {beta: n // rank + 1 for",
+        ("tests/test_kernel.py::test_splitting_report_matches_weight_fold",),
+    ),
+    Mutant(
         "weyl-dim-reads-roots",
         "src/parabolica/bundle.py",
         "for coroot in p.levi.coroots.values():",
@@ -181,6 +216,20 @@ MUTANTS = (
         "torus-sides-finiteness-dropped",
         "src/parabolica/spectral.py",
         "if not all(map(math.isfinite, sides)):",
+        "if False:",
+        ("tests/test_spectral.py::test_flat_torus_validation",),
+    ),
+    Mutant(
+        "torus-side-bound-dropped",
+        "src/parabolica/spectral.py",
+        "if not math.isfinite(s * s) or not math.isfinite(top * top):",
+        "if False:",
+        ("tests/test_spectral.py::test_flat_torus_validation",),
+    ),
+    Mutant(
+        "torus-volume-check-dropped",
+        "src/parabolica/spectral.py",
+        "if not 0.0 < math.prod(sides) < math.inf:",
         "if False:",
         ("tests/test_spectral.py::test_flat_torus_validation",),
     ),

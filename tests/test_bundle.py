@@ -153,7 +153,7 @@ def test_splitting_spinor_square(q5):
     assert report.criterion_values == {0: Fraction(-1)}
     assert report.splits
     assert report.lambda_L0.coords == (-1, 0, 0)
-    assert report.lambda_E0_check.is_zero
+    assert not any(report.lambda_E0_check.coords)
 
 
 def test_splitting_spin8_family(spin8):
@@ -190,7 +190,7 @@ def test_line_bundles_split_trivially(p1, q5):
 
 def test_line_bundle_weight(gr2c4, q5):
     assert line_bundle_weight([1], gr2c4).coords == (0, 1, 0)
-    assert line_bundle_weight([0], gr2c4).is_zero
+    assert not any(line_bundle_weight([0], gr2c4).coords)
     assert line_bundle_weight([-1], q5).coords == (-1, 0, 0)
     with pytest.raises(ValueError):
         line_bundle_weight([1, 2], q5)
@@ -259,7 +259,7 @@ def test_splitting_report_derives_each_input_once(q5, monkeypatch):
     report = splitting_report(BundleSpec(q5, Weight.of(0, 0, 2)))
     assert calls == {"decompose_weight": 1, "weyl_dim": 1, "criterion_ratios": 1}
     assert report.split.lambda_s == Weight.of(0, 0, 2)
-    assert report.split.lambda_c.is_zero
+    assert not any(report.split.lambda_c.coords)
 
 
 def test_one_levi_dominance_check_per_report(q5, monkeypatch):

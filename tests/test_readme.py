@@ -1,5 +1,6 @@
 """The README's examples run: its Python block executes and every
-`parabolica ...` line of its CLI block exits 0."""
+`parabolica ...` line of its CLI block exits 0; its count of the mutant
+catalogue is current."""
 from __future__ import annotations
 
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from parabolica.cli import main
+
+from mutants import MUTANTS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -32,3 +35,8 @@ def test_readme_has_cli_examples():
 @pytest.mark.parametrize("line", CLI_LINES)
 def test_readme_cli_line_exits_zero(capsys, line):
     assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_mutant_count_is_current():
+    (count,) = re.findall(r"(\d+) mutants", README)
+    assert int(count) == len(MUTANTS)

@@ -247,7 +247,6 @@ def test_weight_predicates():
     w = Weight.of(1, "-1/2")
     assert w.coords == (1, Fraction(-1, 2))
     assert not w.is_integral and Weight.of(2, -1).is_integral
-    assert Weight.of(0, 0).is_zero and not w.is_zero
     assert w.restricted([0]).coords == (1, 0)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -449,6 +450,15 @@ def test_flat_torus_validation():
     for side in (math.nan, math.inf):
         with pytest.raises(ValueError, match="side lengths must be finite"):
             FlatTorus((1.0, side))
+    # L^2 or (2 pi (b + 1) / L)^2 overflows for the largest box b = 2^20
+    for side in (1e-320, 1e-160, 1e160, 1e200, 4.8e-148, 1.35e154):
+        with pytest.raises(ValueError, match=re.escape(f"side length {side} is outside the range")):
+            FlatTorus((1.0, side))
+    for side in (4.95e-148, 1.34e154):
+        assert FlatTorus((side,)).side_lengths == (side,)
+    for sides in ((1e100,) * 4, (1e-100,) * 4):
+        with pytest.raises(ValueError, match="torus volume must be positive and finite"):
+            FlatTorus(sides)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,9 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
     """Assemble ParabolicData for the subset I of simple-root indices (0-based)."""
     nodes = tuple(sorted(set(levi_nodes)))
     for i in nodes:
-        if not 0 <= i < rs.rank:
+        if i % 1 or not 0 <= i < rs.rank:  # a fraction, or nan or inf, is no index either
             raise IndexError(f"simple-root index {i} out of range for rank {rs.rank}")
+    nodes = tuple(map(int, nodes))
     if len(nodes) == rs.rank:
         raise FullSetNotParabolicError("I must be a proper subset of the simple roots")
 

@@ -13,11 +13,11 @@ Conventions, fixed once for the whole package:
 All arithmetic in this module is exact.  The integer tables a query needs
 (the coroot of every positive root, det C and the adjugate of C^T) are
 computed once, when the root system is built, and checked there.  One
-closure under the simple reflections yields the positive roots together
-with their coroots, each checked through <beta, beta^vee> = 2; it refuses a
-Cartan matrix that is not of finite type once a root coefficient passes 6.
-Root lengths, the symmetrizer of C, are not computed: pairings read the
-coroot table instead of 2 (lambda, beta) / (beta, beta).
+closure under the simple reflections yields the positive roots with their
+coroots, which pair to 2 with them as each step keeps <beta, beta^vee>, and
+refuses a Cartan matrix that is not of finite type once a root coefficient
+passes 6.  Root lengths, the symmetrizer of C, are not computed: pairings
+read the coroot table instead of 2 (lambda, beta) / (beta, beta).
 
 ``build_root_system`` memoizes every simple type, keyed by
 ``SimpleLieType``: each is built once per process and kept for its life.
@@ -138,10 +138,12 @@ class SimpleLieType(_Record):
         lo, hi = _RANK_RANGE.get(family, (None, None))
         if lo is None:
             raise InvalidTypeError(f"unknown family {family!r}")
+        if rank % 1:  # a fraction, or nan or inf
+            raise InvalidTypeError(f"rank of type {family} must be an integer, got {rank!r}")
         if not lo <= rank <= hi:
             raise InvalidTypeError(f"rank {rank} out of range for type {family}: expected {lo}..{hi}")
         _set(self, "family", family)
-        _set(self, "rank", rank)
+        _set(self, "rank", int(rank))
 
     @classmethod
     def from_string(cls, text: str) -> "SimpleLieType":
@@ -359,9 +361,9 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> dict[Root, tuple[int, ..
     positive root, and its coroot is s_i beta^vee = beta^vee - <alpha_i,
     beta^vee> alpha_i^vee.  A positive root that is not simple has some i
     with <beta, alpha_i^vee> > 0, so it is reached from s_i beta, which is
-    lower.  Each root is checked through <beta, beta^vee> = 2.  No root of a
-    finite system has a coefficient above _MAX_ROOT_COEFFICIENT; past it the
-    closure stops, so a matrix that is not of finite type is refused.
+    lower.  The step keeps <beta, beta^vee>, C_ii = 2 for alpha_i; see
+    ``test_coroot_table_rows``.  No root of a finite system has a coefficient
+    above _MAX_ROOT_COEFFICIENT; past it the closure stops and refuses C.
     """
     n = len(cartan)
     queue = [tuple(int(k == i) for k in range(n)) for i in range(n)]
@@ -369,8 +371,6 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> dict[Root, tuple[int, ..
     for root in queue:
         coroot = table[root]
         pairings = [sum(m * cartan[j][i] for j, m in enumerate(root) if m) for i in range(n)]
-        if sum(c * k for c, k in zip(coroot, pairings)) != 2:
-            raise InvariantError(f"coroot {coroot} of {root} must pair to 2 with it: Cartan matrix {cartan}")
         for i, k in enumerate(pairings):
             if k >= 0:
                 continue
@@ -397,31 +397,26 @@ def _root_system(
     return RootSystem(lie_type, cartan, tuple(coroots), MappingProxyType(coroots), det, adjugate)
 
 
-def root_system_from_cartan(
-    cartan: Sequence[Sequence[int]], lie_type: SimpleLieType | None = None
-) -> RootSystem:
-    """Root system of any finite-type (possibly reducible) Cartan matrix,
-    validated and built on every call.  Every build check runs and raises
-    on failure, so nothing broken is memoized."""
+def root_system_from_cartan(cartan: Sequence[Sequence[int]]) -> RootSystem:
+    """Root system of any finite-type (possibly reducible) Cartan matrix, validated and built on every call."""
     _validate_cartan(cartan)
-    rs = _root_system(tuple(tuple(int(x) for x in row) for row in cartan), lie_type)
-    if lie_type is not None:
-        expected = positive_root_count(lie_type)
-        if len(rs.positive_roots) != expected:
-            raise InvariantError(
-                f"positive-root count of {lie_type}: enumerated {len(rs.positive_roots)}, expected {expected}"
-            )
-    return rs
+    return _root_system(tuple(tuple(int(x) for x in row) for row in cartan))
 
 
 @functools.cache
 def _memoized_root_system(t: SimpleLieType) -> RootSystem:
-    return root_system_from_cartan(cartan_matrix(t), lie_type=t)
+    cartan = cartan_matrix(t)
+    _validate_cartan(cartan)
+    rs = _root_system(tuple(map(tuple, cartan)), t)
+    expected = positive_root_count(t)
+    if len(rs.positive_roots) != expected:
+        raise InvariantError(f"positive-root count of {t}: enumerated {len(rs.positive_roots)}, expected {expected}")
+    return rs
 
 
 def build_root_system(t: SimpleLieType | str) -> RootSystem:
-    """Root system of a finite simple type, e.g. build_root_system("B3");
-    built once per process and shared by every later call."""
+    """Root system of a finite simple type, e.g. build_root_system("B3"), built
+    once per process, by checks that raise on failure, and shared thereafter."""
     if isinstance(t, str):
         t = SimpleLieType.from_string(t)
     return _memoized_root_system(t)

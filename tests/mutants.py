@@ -72,8 +72,8 @@ MUTANTS = (
         "pairings = [sum(m * cartan[j][i] for j, m in enumerate(root) if m) for i in range(n)]",
         "pairings = [sum(m * cartan[i][j] for j, m in enumerate(root) if m) for i in range(n)]",
         (
+            "tests/test_kernel.py::test_coroot_table_rows",
             "tests/test_kernel.py::test_root_tables_are_pinned",
-            "tests/test_rootsys.py::test_positive_root_counts",
             "tests/test_rootsys.py::test_pairing_times_norm_identity",
         ),
     ),
@@ -234,6 +234,13 @@ MUTANTS = (
         ("tests/test_spectral.py::test_flat_torus_validation",),
     ),
     Mutant(
+        "h2-overflow-returned",
+        "src/parabolica/spectral.py",
+        "if not math.isfinite(value):",
+        "if False:",
+        ("tests/test_spectral.py::test_h2_sums_past_float_range_are_refused",),
+    ),
+    Mutant(
         "profile-integral-check-dropped",
         "src/parabolica/spectral.py",
         "if value % 1:  # a fraction, or nan or inf",
@@ -251,12 +258,19 @@ MUTANTS = (
         "memo-rank-cap",
         "src/parabolica/rootsys.py",
         "    return _memoized_root_system(t)",
-        "    if t.rank > 8:\n        return root_system_from_cartan(cartan_matrix(t), lie_type=t)\n"
+        "    if t.rank > 8:\n        return _memoized_root_system.__wrapped__(t)\n"
         "    return _memoized_root_system(t)",
         (
             "tests/test_rootsys.py::test_every_rank_is_built_once",
             "tests/test_rootsys.py::test_memo_holds_one_entry_per_type",
         ),
+    ),
+    Mutant(
+        "type-rank-truncated",
+        "src/parabolica/rootsys.py",
+        "if rank % 1:",
+        "if False:",
+        ("tests/test_rootsys.py::test_fractional_rank_is_refused",),
     ),
     Mutant(
         "cartan-entries-truncated",

@@ -64,6 +64,11 @@ def test_index_out_of_range(a3):
         build_parabolic(a3, [0, 3])
     with pytest.raises(IndexError):
         build_parabolic(a3, [-1])
+    for bad in (0.5, float("nan"), float("inf")):  # the rule for Cartan entries: no fraction, nan or inf
+        with pytest.raises(IndexError, match=f"^simple-root index {bad} out of range for rank 3$"):
+            build_parabolic(a3, [bad])
+    nodes = build_parabolic(a3, [True, 2.0]).levi_nodes
+    assert nodes == (1, 2) and all(type(i) is int for i in nodes)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C4", "D4", "F4", "G2"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,28 @@ def test_unknown_family_is_refused():
     family itself."""
     with pytest.raises(InvalidTypeError, match="^unknown family 'H'$"):
         SimpleLieType("H", 3)
+
+
+@pytest.mark.parametrize(
+    "rank", [2.5, Fraction(5, 2), float("nan"), float("inf")], ids=["float", "fraction", "nan", "infinite"]
+)
+def test_fractional_rank_is_refused(rank):
+    """2.5 would pass 1 <= rank <= 32, and range() refuse it later."""
+    with pytest.raises(InvalidTypeError, match=f"^rank of type A must be an integer, got {re.escape(repr(rank))}$"):
+        SimpleLieType("A", rank)
+
+
+def test_integral_rank_is_stored_as_an_int(capsys):
+    """True and 2.0 are stored as 1 and 2, so a type built from either is
+    memoized under its own name, and a later A1 request prints A1."""
+    from parabolica import cli, rootsys
+
+    rootsys._memoized_root_system.cache_clear()
+    assert type(SimpleLieType("A", 2.0).rank) is int
+    assert str(build_root_system(SimpleLieType("A", True)).lie_type) == "A1"
+    assert build_root_system(SimpleLieType("A", 2.0)) is build_root_system("A2")
+    assert cli.main(["dump-roots", "--type=A1"]) == 0
+    assert '"type": "A1"' in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

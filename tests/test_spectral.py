@@ -1,13 +1,9 @@
 from __future__ import annotations
 
 import math
-import os
 import random
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -16,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parabolica import InvariantError, spectral
+from parabolica import spectral
 from parabolica.spectral import (
     FlatTorus,
     NotL2Error,
@@ -901,25 +897,26 @@ def test_residual_tail_is_a_running_sum():
     assert residuals[-1] == math.sqrt(0.5)
 
 
-def test_bochner_invariant_failure_names_its_inputs(monkeypatch):
-    monkeypatch.setattr(spectral, "spectral_h2_gap", lambda *args: 1e300)
-    f = SpectralFunction(coeffs=dense({j: 1.0 / j for j in range(1, 20)}))
-    with pytest.raises(InvariantError, match=r"Bochner bound .* for n=10, m=2$"):
-        h2_cauchy_gap(f, 10, 2, CIRCLE)
-
-
-def test_invariants_survive_optimized_mode():
-    script = (
-        "import parabolica.spectral as s\n"
-        "s.spectral_h2_gap = lambda *args: 1e300\n"
-        "f = s.SpectralFunction(coeffs=[0.0, 1.0, 0.5])\n"
-        "try:\n"
-        "    s.h2_cauchy_gap(f, 2, 0, s.FlatTorus((1.0,)))\n"
-        "except s.InvariantError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
-    )
-    src = str(Path(spectral.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+def test_h2_sums_past_float_range_are_refused():
+    """Every value solve_weight, spectral_h2_gap and h2_cauchy_gap return is
+    finite, or the call raises ValueError.  At L = 1e-100 lambda^2 overflows
+    and (c/lambda)^2 underflows, so the sums read inf * 0 = nan; at L = 1e100
+    (c/lambda)^2 overflows; a hand-built c_1 = 1e200 on the unit circle
+    overflows its square.  No RuntimeWarning escapes (warnings are errors here)."""
+    profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
+    cases = []
+    for side, value in ((1e-100, "nan"), (1e100, "inf")):
+        torus = FlatTorus((side,))
+        cases.append((distance_profile_coefficients(profile, torus, 8), torus, 8, 4, value))
+    with np.errstate(over="ignore"):  # its own tails_sq overflows too
+        huge = SpectralFunction([0.0, 1e200])
+    cases.append((huge, FlatTorus((1.0,)), 1, 0, "inf"))
+    for f, torus, n, m, value in cases:
+        with pytest.raises(ValueError, match=f"^solve_weight at n={n}: squared_h2_norm is {value}, outside float64"):
+            solve_weight(f, n, torus)
+        with pytest.raises(ValueError, match=f"^spectral_h2_gap for n={n}, m={m}: gap is {value}, outside float64"):
+            spectral_h2_gap(f, m, n, torus)
+        with pytest.raises(ValueError, match=f"^h2_cauchy_gap for n={n}, m={m}: (bound|gap) is {value}, outside"):
+            h2_cauchy_gap(f, n, m, torus)
+    with pytest.raises(ValueError, match="^solve_weight at n=0: squared_residual is inf, outside float64"):
+        solve_weight(huge, 0, FlatTorus((1.0,)))

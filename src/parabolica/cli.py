@@ -274,13 +274,9 @@ def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> di
     if not check.finite:
         return block
     f = spectral.distance_profile_coefficients(profile, torus, req.modes)
-    truncations = _truncation_ladder(req.modes)
-    solutions = [spectral.solve_weight(f, n, torus) for n in truncations]
-    residuals = [{"n": sol.truncation, "residual": sol.residual_l2, "h2_norm": sol.h2_norm} for sol in solutions]
-    gaps = []
-    for m, n in zip(truncations, truncations[1:]):
-        bound, gap = spectral.h2_cauchy_gap(f, n, m, torus)
-        gaps.append({"m": m, "n": n, "bound": bound, "gap": gap})
+    rungs, pairs = spectral.galerkin_ladder(f, _truncation_ladder(req.modes), torus)
+    residuals = [{"n": n, "residual": residual, "h2_norm": h2_norm} for n, residual, h2_norm in rungs]
+    gaps = [{"m": m, "n": n, "bound": bound, "gap": gap} for m, n, bound, gap in pairs]
     mean = f.coefficient(0) / torus.volume ** 0.5
     block.update(
         {

@@ -6,8 +6,10 @@ exactly zero.  A target profile f is expanded in eigenmodes, held as one
 read-only array c_0..c_n (a SpectralFunction, which takes no mapping); the
 conformal weight psi_n = sum c_j/lambda_j phi_j matches the truncation
 exactly, and Sobolev control of the sequence comes from the Bochner
-estimate.  This is the only module that uses floating point; each
-operation states its tolerance.
+estimate.  Every H2 sum and Bochner bound, for one truncation or for a
+whole ladder of them (galerkin_ladder), is a sum over a slice of one set
+of per-mode term arrays, built by _mode_terms.  This is the only module
+that uses floating point; each operation states its tolerance.
 
 Profile coefficients come from one FFT.  On the uniform midpoint grid
 x_k = (k + 1/2) L / N the cosine and sine modes of frequency nu sample to
@@ -292,7 +294,8 @@ class SpectralFunction(_Record):
         coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 1:
             raise ValueError(f"coefficients must be a 1-D sequence c_0..c_n, got shape {coeffs.shape}")
-        tails_sq = np.append(np.cumsum(coeffs[::-1] ** 2)[::-1], 0.0)
+        with np.errstate(over="ignore"):  # an inf tail is refused where it is read, by _require_finite
+            tails_sq = np.append(np.cumsum(coeffs[::-1] ** 2)[::-1], 0.0)
         for array in (coeffs, tails_sq):
             array.setflags(write=False)
         _set(self, "coeffs", coeffs)
@@ -327,19 +330,15 @@ def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSo
     """
     if n < 0:
         raise ValueError("truncation order must be nonnegative")
-    index, c, lam = _matched_modes(f, 0, n, manifold)
+    c, lam, psi, terms = _mode_terms(f, n, manifold)
     kept = c != 0.0
-    index, c, lam = index[kept], c[kept], lam[kept]
-    with np.errstate(all="ignore"):
-        psi = c / lam
-        h2_sq = float(np.sum((1.0 + lam**2) * psi**2))
-    tail_sq = f.tail_sq + float(f.tails_sq[min(n + 1, len(f.coeffs))])
+    h2_sq, tail_sq = _rung_sums(f, n, terms[0][kept])
     _require_finite(f"solve_weight at n={n}", squared_h2_norm=h2_sq, squared_residual=tail_sq, c_0=f.coefficient(0))
     return GalerkinSolution(
         truncation=n,
-        modes=index,
-        psi=psi,
-        lam=lam,
+        modes=np.flatnonzero(kept) + 1,
+        psi=psi[kept],
+        lam=lam[kept],
         source_mode0=f.coefficient(0),
         residual_l2=math.sqrt(tail_sq),
         h2_norm=math.sqrt(h2_sq),
@@ -350,31 +349,51 @@ def _require_finite(where: str, **values: float) -> None:
     """ValueError for a nan or infinite value a caller would return.  An H2
     sum leaves float64 range on a torus far from unit size (at L = 1e-100,
     lambda^2 overflows and (c/lambda)^2 underflows: inf * 0) or for huge
-    coefficients; callers sum under np.errstate(all="ignore"), so this
-    refusal, not a RuntimeWarning, reports it."""
+    coefficients; _mode_terms computes under np.errstate(all="ignore"), so
+    this refusal, not a RuntimeWarning, reports it."""
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{where}: {name} is {value!r}, outside float64 range for this torus and coefficients")
 
 
-def _matched_modes(
-    f: SpectralFunction, m: int, n: int, manifold: FlatTorus
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices j with max(m, 0) < j <= n (within f's range), with their
-    coefficients and eigenvalues.  The eigenvalues come from the cached
-    table for the torus when it covers j <= hi (after
-    distance_profile_coefficients it covers all of f, so a ladder of
-    truncations builds no table), and a long hand-built f needs no table
-    past the modes read."""
-    lo, hi = max(m, 0) + 1, min(n, len(f.coeffs) - 1)
-    return np.arange(lo, hi + 1), f.coeffs[lo : hi + 1], manifold.eigenvalues(max(hi, 0))[lo : hi + 1]
+def _mode_terms(
+    f: SpectralFunction, n: int, manifold: FlatTorus
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Aligned arrays over the modes 1..n of f (those within its range): c_j,
+    lambda_j, psi_j = c_j / lambda_j, and ``terms``, whose rows are the H2
+    terms (1 + lambda_j^2) psi_j^2 and the Bochner terms (1/lambda_j^2 + 1)
+    c_j^2.  Every H2 sum and bound is the sum of a slice of a row, so each
+    formula is written only here and a term has the same bits whichever sum
+    reads it.  The eigenvalues come from the cached table for the torus
+    when it covers the modes read (after distance_profile_coefficients it
+    covers all of f, so a ladder of truncations builds no table), and a long
+    hand-built f needs no table past the modes read."""
+    top = max(min(n, len(f.coeffs) - 1), 0)
+    c, lam = f.coeffs[1 : top + 1], manifold.eigenvalues(top)[1:]
+    with np.errstate(all="ignore"):
+        psi = c / lam
+        return c, lam, psi, np.array([(1.0 + lam**2) * psi**2, (1.0 / lam**2 + 1.0) * c * c])
+
+
+def _rung_sums(f: SpectralFunction, n: int, kept_h2: np.ndarray) -> tuple[float, float]:
+    """(squared H2 norm, squared residual) of psi_n, from the H2 terms of the
+    modes 1..n with c_j != 0.  The zero modes are left out, not summed as
+    zeros: pairwise summation rounds by the length it sums, and where
+    lambda^2 overflows a zero mode's term is inf * 0 = nan."""
+    return float(np.add.reduce(kept_h2)), f.tail_sq + float(f.tails_sq[min(n + 1, len(f.coeffs))])
+
+
+def _gap_sums(terms: np.ndarray, m: int, n: int) -> tuple[float, float]:
+    """(Bochner bound, gap) over the modes m < j <= n, from _mode_terms rows
+    that start at mode 1 and cover at least those modes of f.  Both rows are
+    reduced in one call, each with the bits of its own 1-D sum."""
+    gap, half_bound = np.add.reduce(terms[:, max(m, 0) : n], axis=1).tolist()
+    return 2.0 * half_bound, gap
 
 
 def spectral_h2_gap(f: SpectralFunction, m: int, n: int, manifold: FlatTorus) -> float:
     """Exact squared spectral H2 distance between psi_n and psi_m; ValueError if it is nan or infinite."""
-    _, c, lam = _matched_modes(f, m, n, manifold)
-    with np.errstate(all="ignore"):
-        gap = float(np.sum((1.0 + lam**2) * (c / lam) ** 2))
+    _, gap = _gap_sums(_mode_terms(f, n, manifold)[3], m, n)
     _require_finite(f"spectral_h2_gap for n={n}, m={m}", gap=gap)
     return gap
 
@@ -390,12 +409,40 @@ def h2_cauchy_gap(f: SpectralFunction, n: int, m_idx: int, manifold: FlatTorus) 
     """
     if not n > m_idx >= 0:
         raise ValueError("need n > m >= 0")
-    _, c, lam = _matched_modes(f, m_idx, n, manifold)
-    with np.errstate(all="ignore"):
-        bound = 2.0 * float(np.sum((1.0 / lam**2 + 1.0) * c * c))
-        gap = float(np.sum((1.0 + lam**2) * (c / lam) ** 2))  # spectral_h2_gap's sum over these modes
+    bound, gap = _gap_sums(_mode_terms(f, n, manifold)[3], m_idx, n)
     _require_finite(f"h2_cauchy_gap for n={n}, m={m_idx}", bound=bound, gap=gap)
     return bound, gap
+
+
+def galerkin_ladder(
+    f: SpectralFunction, truncations: list[int], manifold: FlatTorus
+) -> tuple[list[tuple[int, float, float]], list[tuple[int, int, float, float]]]:
+    """The Galerkin ladder of f in one pass over its modes: ``(n,
+    residual_l2, h2_norm)`` of solve_weight(f, n) for each truncation n, and
+    ``(m, n, bound, gap)`` of h2_cauchy_gap(f, n, m) for each consecutive
+    pair, with the bits and the refusals of those calls, in their order
+    (every rung, then every pair).  _mode_terms runs once, up to the largest
+    truncation; a rung sums a prefix of the H2 terms of the modes with
+    c_j != 0, and a pair a slice of both rows, as the per-call functions do.
+    """
+    c, _, _, terms = _mode_terms(f, max(truncations, default=0), manifold)
+    kept = c != 0.0
+    kept_h2, c_0 = terms[0][kept], f.coefficient(0)
+    rungs = []
+    for n in truncations:
+        if n < 0:
+            raise ValueError("truncation order must be nonnegative")
+        h2_sq, tail_sq = _rung_sums(f, n, kept_h2[: np.count_nonzero(kept[:n])])
+        _require_finite(f"solve_weight at n={n}", squared_h2_norm=h2_sq, squared_residual=tail_sq, c_0=c_0)
+        rungs.append((n, math.sqrt(tail_sq), math.sqrt(h2_sq)))
+    pairs = []
+    for m, n in zip(truncations, truncations[1:]):
+        if not n > m >= 0:
+            raise ValueError("need n > m >= 0")
+        bound, gap = _gap_sums(terms, m, n)
+        _require_finite(f"h2_cauchy_gap for n={n}, m={m}", bound=bound, gap=gap)
+        pairs.append((m, n, bound, gap))
+    return rungs, pairs
 
 
 def compatibility_constant(profile_mean: float, hym_c: float) -> float:

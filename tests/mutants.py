@@ -241,6 +241,23 @@ MUTANTS = (
         ("tests/test_spectral.py::test_h2_sums_past_float_range_are_refused",),
     ),
     Mutant(
+        "ladder-rungs-sum-zero-modes",
+        "src/parabolica/spectral.py",
+        "kept_h2[: np.count_nonzero(kept[:n])]",
+        "terms[0][:n]",
+        ("tests/test_spectral.py::test_ladder_matches_the_per_call_functions_bit_for_bit",),
+    ),
+    Mutant(
+        "gap-slice-shifted",
+        "src/parabolica/spectral.py",
+        "terms[:, max(m, 0) : n]",
+        "terms[:, max(m, 0) + 1 : n + 1]",
+        (
+            "tests/test_spectral.py::test_h2_gap_single_extra_mode",
+            "tests/test_cli.py::test_spectral_stdout_is_pinned",
+        ),
+    ),
+    Mutant(
         "profile-integral-check-dropped",
         "src/parabolica/spectral.py",
         "if value % 1:  # a fraction, or nan or inf",

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parabolica import spectral
+from parabolica.cli import _truncation_ladder
 from parabolica.spectral import (
     FlatTorus,
     NotL2Error,
@@ -21,6 +22,7 @@ from parabolica.spectral import (
     TorusMode,
     compatibility_constant,
     distance_profile_coefficients,
+    galerkin_ladder,
     h2_cauchy_gap,
     integrability_check,
     solve_weight,
@@ -145,6 +147,7 @@ def test_ladder_rungs_read_the_table_of_the_whole_function(monkeypatch):
     for n in (2, 4, 8, 200):
         solve_weight(f, n, CIRCLE)
     h2_cauchy_gap(f, 8, 4, CIRCLE)
+    galerkin_ladder(f, [2, 4, 8, 200], CIRCLE)
     assert built == []
 
 
@@ -897,19 +900,27 @@ def test_residual_tail_is_a_running_sum():
     assert residuals[-1] == math.sqrt(0.5)
 
 
+def _refusal(call, *args) -> str:
+    """The message of the ValueError that call(*args) raises."""
+    with pytest.raises(ValueError) as refused:
+        call(*args)
+    return str(refused.value)
+
+
 def test_h2_sums_past_float_range_are_refused():
-    """Every value solve_weight, spectral_h2_gap and h2_cauchy_gap return is
-    finite, or the call raises ValueError.  At L = 1e-100 lambda^2 overflows
-    and (c/lambda)^2 underflows, so the sums read inf * 0 = nan; at L = 1e100
-    (c/lambda)^2 overflows; a hand-built c_1 = 1e200 on the unit circle
-    overflows its square.  No RuntimeWarning escapes (warnings are errors here)."""
+    """Every value solve_weight, spectral_h2_gap, h2_cauchy_gap and
+    galerkin_ladder return is finite, or the call raises ValueError.  At
+    L = 1e-100 lambda^2 overflows and (c/lambda)^2 underflows, so the sums
+    read inf * 0 = nan; at L = 1e100 (c/lambda)^2 overflows; a hand-built
+    c_1 = 1e200 on the unit circle overflows its square.  No RuntimeWarning
+    escapes (warnings are errors here), not even from building that function,
+    whose tails_sq overflows too."""
     profile = SingularProfile(ambient_dim=1, codim=1, exponent=0.25)
     cases = []
     for side, value in ((1e-100, "nan"), (1e100, "inf")):
         torus = FlatTorus((side,))
         cases.append((distance_profile_coefficients(profile, torus, 8), torus, 8, 4, value))
-    with np.errstate(over="ignore"):  # its own tails_sq overflows too
-        huge = SpectralFunction([0.0, 1e200])
+    huge = SpectralFunction([0.0, 1e200])
     cases.append((huge, FlatTorus((1.0,)), 1, 0, "inf"))
     for f, torus, n, m, value in cases:
         with pytest.raises(ValueError, match=f"^solve_weight at n={n}: squared_h2_norm is {value}, outside float64"):
@@ -918,5 +929,93 @@ def test_h2_sums_past_float_range_are_refused():
             spectral_h2_gap(f, m, n, torus)
         with pytest.raises(ValueError, match=f"^h2_cauchy_gap for n={n}, m={m}: (bound|gap) is {value}, outside"):
             h2_cauchy_gap(f, n, m, torus)
+        # the ladder refuses what the per-call functions refuse, at the first rung they refuse
+        assert _refusal(galerkin_ladder, f, [n], torus) == _refusal(solve_weight, f, n, torus)
+        assert _refusal(galerkin_ladder, f, [m, n], torus) == _refusal(solve_weight, f, m, torus)
     with pytest.raises(ValueError, match="^solve_weight at n=0: squared_residual is inf, outside float64"):
         solve_weight(huge, 0, FlatTorus((1.0,)))
+    # zero modes drop out of every rung, but their gap terms read inf * 0 at L = 1e-100
+    zeros, tiny = SpectralFunction([1.0, 0.0, 0.0]), FlatTorus((1e-100,))
+    message = "^h2_cauchy_gap for n=2, m=1: gap is nan, outside float64"
+    with pytest.raises(ValueError, match=message):
+        h2_cauchy_gap(zeros, 2, 1, tiny)
+    with pytest.raises(ValueError, match=message):
+        galerkin_ladder(zeros, [1, 2], tiny)
+
+
+def test_ladder_keeps_the_order_of_its_refusals():
+    f = SpectralFunction([1.0, 0.5, -0.25])
+    with pytest.raises(ValueError, match="^truncation order must be nonnegative$"):
+        galerkin_ladder(f, [2, -1], CIRCLE)
+    for ladder in ([2, 2], [2, 1], [1, 3, 3]):
+        with pytest.raises(ValueError, match="^need n > m >= 0$"):
+            galerkin_ladder(f, ladder, CIRCLE)
+    # every rung is checked before any pair: the rung -1, not the pair (2, 1)
+    with pytest.raises(ValueError, match="^truncation order must be nonnegative$"):
+        galerkin_ladder(f, [2, 1, -1], CIRCLE)
+    assert galerkin_ladder(f, [], CIRCLE) == ([], [])
+
+
+LADDER = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# The unit circle, the unit 2-torus and an anisotropic 2-torus.
+LADDER_TORI = (FlatTorus((1.0,)), FlatTorus((1.0, 1.0)), FlatTorus((0.37, 2.9)))
+
+
+@st.composite
+def ladder_cases(draw) -> tuple[SpectralFunction, list[int], FlatTorus]:
+    """A hand-built f, a CLI ladder for some --modes (often past the end of
+    f), and a torus.  The coefficients have mixed signs, magnitudes from
+    1e-150 to 1e150 and runs of exact zeros, whose H2 terms the rungs leave
+    out while the pairs sum them."""
+    modes = draw(st.integers(0, 4096))
+    length = draw(st.integers(0, 4200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = sorted(draw(st.tuples(st.integers(-150, 150), st.integers(-150, 150))))
+    coeffs = rng.choice((-1.0, 1.0), length) * 10.0 ** rng.uniform(low, high, length)
+    # runs of exact zeros: alternate runs of kept and zeroed modes of random lengths
+    mean_run = draw(st.sampled_from((1, 3, 17, 200)))
+    zero_share = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    start = 0
+    while start < length:
+        run = int(rng.geometric(1.0 / mean_run))
+        if rng.random() < zero_share:
+            coeffs[start : start + run] = 0.0
+        start += run
+    return SpectralFunction(coeffs, tail_sq=draw(st.sampled_from((0.0, 0.5)))), _truncation_ladder(modes), draw(
+        st.sampled_from(LADDER_TORI)
+    )
+
+
+def _per_call_ladder(f, truncations, torus):
+    """What the ladder returns, from one solve_weight per rung and one
+    h2_cauchy_gap per pair, in float.hex, or the message of their first
+    refusal; each pair's gap is also spectral_h2_gap's."""
+    try:
+        rungs = [solve_weight(f, n, torus) for n in truncations]
+        pairs = [(m, n, *h2_cauchy_gap(f, n, m, torus)) for m, n in zip(truncations, truncations[1:])]
+    except ValueError as refused:
+        return str(refused)
+    for m, n, _, gap in pairs:
+        assert spectral_h2_gap(f, m, n, torus).hex() == gap.hex()
+    return (
+        [(sol.truncation, sol.residual_l2.hex(), sol.h2_norm.hex()) for sol in rungs],
+        [(m, n, bound.hex(), gap.hex()) for m, n, bound, gap in pairs],
+    )
+
+
+@LADDER
+@given(ladder_cases())
+@example((SpectralFunction([0.0, 1e200, 0.0, 1.0]), [2, 3], LADDER_TORI[0]))
+@example((SpectralFunction([1.0] + [0.0, 1.0] * 40), _truncation_ladder(100), LADDER_TORI[1]))
+def test_ladder_matches_the_per_call_functions_bit_for_bit(case):
+    f, truncations, torus = case
+    try:
+        rungs, pairs = galerkin_ladder(f, truncations, torus)
+    except ValueError as refused:
+        assert str(refused) == _per_call_ladder(f, truncations, torus)
+        return
+    ladder = (
+        [(n, residual.hex(), h2_norm.hex()) for n, residual, h2_norm in rungs],
+        [(m, n, bound.hex(), gap.hex()) for m, n, bound, gap in pairs],
+    )
+    assert ladder == _per_call_ladder(f, truncations, torus)

@@ -19,6 +19,7 @@ import os
 import sys
 from collections.abc import Callable, Collection, Iterable, Sequence
 from fractions import Fraction
+from itertools import chain
 from operator import sub
 
 try:
@@ -233,14 +234,18 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass | None, line: tuple[i
     kahler = einstein if kahler is None else kahler
     psi = p.delta if line is None else line_bundle_weight(line, p)  # delta is the Einstein class's weight
     spectrum, traces = spectrum_and_traces(psi, kahler, p)
+    eigenvalues = spectrum.eigenvalues
+    labels = p.rs.labels
     try:
+        # roots with one eigenvalue share one Fraction, so str runs once per distinct value
+        texts = {id(q): str(q) for q in {id(q): q for q in eigenvalues.values()}.values()}
         block = {
             "kahler_class": [str(c) for c in kahler.coeffs],
             "einstein_class": [str(c) for c in einstein.coeffs],
             "normalization": "curvature forms carry a further 2*pi factor at report time",
             "omega_traces": {str(alpha + 1): str(t) for alpha, t in traces.items()},
             "psi": _weight_json(psi),
-            "eigenvalues": {_root_label(root): str(q) for root, q in spectrum.eigenvalues.items()},
+            "eigenvalues": {labels[root]: texts[id(q)] for root, q in eigenvalues.items()},
             "trace": str(spectrum.trace()),
         }
     except ValueError as exc:  # str() of a rational past the int-to-str digit limit
@@ -249,10 +254,6 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass | None, line: tuple[i
         # psi is the line's weight here, so the trace is its mean-curvature constant
         block["hym_constant"] = block["trace"]
     return block
-
-
-def _root_label(root: tuple[int, ...]) -> str:
-    return "+".join([f"a{i}" if m == 1 else f"{m}a{i}" for i, m in enumerate(root, 1) if m])
 
 
 def _spectral_block(req: SpectralRequest, hym_target: float | None = None) -> dict:
@@ -660,12 +661,21 @@ def _render_json(value: object, indent: str = "\n") -> str:
 def _render_items(values: Collection, indent: str) -> Iterable[str]:
     """Each of ``values`` rendered at ``indent``, by one ``map`` when all are
     ``str`` or all are exact ``int`` or finite ``float``.  Floats are checked
-    only if present, by x - x: nan for nan or +-inf, and no int becomes a float."""
+    only if present, by x - x: nan for nan or +-inf, and no int becomes a float.
+
+    A list of non-empty lists of exact ``int`` (a root or a Cartan row per
+    item) is rendered in one step, as one item that holds every row: its
+    ``repr`` with json's separators put in.  An int past the int-to-str
+    digit limit raises the ``ValueError`` that json's ``int.__repr__`` does."""
     kinds = set(map(type, values))
     if kinds == {str}:
         return map(_quote, values)
     if kinds <= {int, float} and (float not in kinds or not any(map(sub, values, values))):
         return map(repr, values)
+    if kinds == {list} and type(values) is list and all(values) and set(map(type, chain(*values))) == {int}:
+        inner = indent + "  "
+        rows = repr(values)[2:-2].replace("], [", f"{indent}],{indent}[{inner}").replace(", ", "," + inner)
+        return [f"[{inner}{rows}{indent}]"]
     # any other kind, or a nan or inf, which raises json's ValueError here
     return [_render_json(item, indent) for item in values]
 

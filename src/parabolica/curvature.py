@@ -12,7 +12,9 @@ is nonzero, so a maximal parabolic with a weight off the Levi reads one
 column.  Each distinct eigenvalue is one Fraction, shared by the roots
 that have it: a (pairing, denominator) pair is reduced by its gcd before
 the Fraction is built, so on E8 with Levi E7 the 57 eigenvalues of a
-line-bundle weight are one Fraction.
+line-bundle weight are one Fraction.  A spectrum is keyed by the roots
+themselves: a report names each by the ambient ``RootSystem.labels``
+table, built with the root system, and writes each distinct Fraction once.
 """
 from __future__ import annotations
 

@@ -17,13 +17,17 @@ positive sum over the Picard nodes for every root.
 The Levi subsystem is read off the ambient root system by restriction, with
 no second root closure: its positive roots are the ambient positive roots
 supported on I, and their coroots are the ambient coroots, which are
-supported on I too.
+supported on I too.  The split of Phi^+ reads each root's support mask from
+the ambient system's ``supports`` table, one ``&`` with the mask of the
+Picard nodes per root; a system without that table, such as a Levi factor,
+has its masks computed for the build.
 """
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable
 
-from .rootsys import InvariantError, RootSystem, Weight, _Record, _root_system
+from .rootsys import InvariantError, RootSystem, Weight, _Record, _root_system, _shown, _supports
 
 
 class FullSetNotParabolicError(ValueError):
@@ -66,21 +70,24 @@ class WeightSplit(_Record):
 
 def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
     """Assemble ParabolicData for the subset I of simple-root indices (0-based)."""
-    nodes = tuple(sorted(set(levi_nodes)))
+    nodes = tuple(levi_nodes)
     for i in nodes:
-        if i % 1 or not 0 <= i < rs.rank:  # a fraction, or nan or inf, is no index either
-            raise IndexError(f"simple-root index {i} out of range for rank {rs.rank}")
-    nodes = tuple(map(int, nodes))
+        # a non-number, a fraction, or nan or inf, is no index either
+        if not isinstance(i, numbers.Real) or i % 1 or not 0 <= i < rs.rank:
+            raise IndexError(f"simple-root index {_shown(i)} out of range for rank {rs.rank}")
+    nodes = tuple(sorted(set(map(int, nodes))))
     if len(nodes) == rs.rank:
         raise FullSetNotParabolicError("I must be a proper subset of the simple roots")
 
     picard = tuple(i for i in range(rs.rank) if i not in nodes)
+    picard_mask = sum([1 << i for i in picard])
+    supports = _supports(rs.coroots) if rs.supports is None else rs.supports
     complement = []
     complement_coroots = []
     levi_coroots = {}
-    for root, coroot in rs.coroots.items():
+    for (root, coroot), support in zip(rs.coroots.items(), supports.values()):
         # a positive root lies outside the Levi iff it has a Picard coefficient
-        if any(map(root.__getitem__, picard)):
+        if support & picard_mask:
             complement.append(root)
             complement_coroots.append(coroot)
         else:

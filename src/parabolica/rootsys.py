@@ -12,7 +12,11 @@ Conventions, fixed once for the whole package:
 
 All arithmetic in this module is exact.  The integer tables a query needs
 (the coroot of every positive root, det C and the adjugate of C^T) are
-computed once, when the root system is built, and checked there.  One
+computed once, when the root system is built, and checked there.  So are
+two tables a request would otherwise re-derive root by root: each positive
+root's report label, such as ``a1+2a2``, and its support over the simple
+roots as an int bitmask.  A Levi system, built from a coroot table read off
+its ambient system, carries neither.  One
 closure under the simple reflections yields the positive roots with their
 coroots, which pair to 2 with them as each step keeps <beta, beta^vee>, and
 refuses a Cartan matrix that is not of finite type once a root coefficient
@@ -21,18 +25,21 @@ read the coroot table instead of 2 (lambda, beta) / (beta, beta).
 
 ``build_root_system`` memoizes every simple type, keyed by
 ``SimpleLieType``: each is built once per process and kept for its life.
-``MAX_CLASSICAL_RANK`` leaves 129 types, about 21 MB if every one is built
-(E8 30 KiB, A32 369 KiB, B32 729 KiB).  ``root_system_from_cartan``
+``MAX_CLASSICAL_RANK`` leaves 129 types, about 28 MB if every one is built
+(E8 47 KiB, A32 466 KiB, B32 949 KiB, of which the label and support
+tables are about a quarter).  ``root_system_from_cartan``
 validates its input and builds afresh on every call: custom matrices have
 no finite key set.  Memoized systems are shared by every caller, so their
-tables are read-only: tuples, and a ``MappingProxyType`` for ``coroots``.
+tables are read-only: tuples, and a ``MappingProxyType`` for ``coroots``,
+``labels`` and ``supports``.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 from types import MappingProxyType
@@ -131,6 +138,14 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+def _shown(value: object, show: Callable[[object], str] = str) -> str:
+    """show(value) for a refusal message, or a stand-in for a number past the int-to-str digit limit."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"a {type(value).__name__} too large to print"
+
+
 class SimpleLieType(_Record):
     __slots__ = _compared = ("family", "rank")
 
@@ -138,10 +153,10 @@ class SimpleLieType(_Record):
         lo, hi = _RANK_RANGE.get(family, (None, None))
         if lo is None:
             raise InvalidTypeError(f"unknown family {family!r}")
-        if rank % 1:  # a fraction, or nan or inf
-            raise InvalidTypeError(f"rank of type {family} must be an integer, got {rank!r}")
+        if not isinstance(rank, numbers.Real) or rank % 1:  # a non-number, a fraction, or nan or inf
+            raise InvalidTypeError(f"rank of type {family} must be an integer, got {_shown(rank, repr)}")
         if not lo <= rank <= hi:
-            raise InvalidTypeError(f"rank {rank} out of range for type {family}: expected {lo}..{hi}")
+            raise InvalidTypeError(f"rank {_shown(rank)} out of range for type {family}: expected {lo}..{hi}")
         _set(self, "family", family)
         _set(self, "rank", int(rank))
 
@@ -229,10 +244,15 @@ class RootSystem(_Record):
     read-only mapping from each positive root, in ``positive_roots`` order,
     to the integer coefficients of its coroot over the simple coroots;
     ``cartan_det`` and ``cartan_t_adjugate`` give the exact inverse of C^T
-    as adjugate / det.
+    as adjugate / det.  ``labels`` and ``supports`` map each positive root,
+    in the same order, to its label (``_root_label``) and to its support
+    mask (``_supports``); both are None on a system built from a given
+    coroot table, as a Levi factor is.
     """
 
-    __slots__ = ("lie_type", "cartan", "positive_roots", "coroots", "cartan_det", "cartan_t_adjugate")
+    __slots__ = (
+        "lie_type", "cartan", "positive_roots", "coroots", "cartan_det", "cartan_t_adjugate", "labels", "supports"
+    )
     _compared = ("lie_type", "cartan", "positive_roots")
 
     @property
@@ -326,8 +346,8 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
         if cartan[i][i] != 2:
             raise ValueError("Cartan diagonal must be 2")
         for j in range(n):
-            if cartan[i][j] % 1:  # a fraction, or nan or inf
-                raise ValueError(f"Cartan entry ({i + 1}, {j + 1}) must be an integer, got {cartan[i][j]}")
+            if not isinstance(cartan[i][j], numbers.Real) or cartan[i][j] % 1:  # a non-number, a fraction, nan or inf
+                raise ValueError(f"Cartan entry ({i + 1}, {j + 1}) must be an integer, got {_shown(cartan[i][j])}")
             if i != j:
                 if cartan[i][j] > 0:
                     raise ValueError("off-diagonal Cartan entries must be <= 0")
@@ -385,16 +405,30 @@ def _positive_roots(cartan: Sequence[Sequence[int]]) -> dict[Root, tuple[int, ..
     return {root: table[root] for root in sorted(table, key=lambda r: (sum(r), r))}
 
 
+def _root_label(root: Root) -> str:
+    """The report's name of a root: ``2a1+a3`` for 2 alpha_1 + alpha_3."""
+    return "+".join([f"a{i}" if m == 1 else f"{m}a{i}" for i, m in enumerate(root, 1) if m])
+
+
+def _supports(roots: Iterable[Root]) -> dict[Root, int]:
+    """Each root's support as a bitmask: bit i is set iff its i-th coefficient is nonzero."""
+    return {root: sum([1 << i for i, m in enumerate(root) if m]) for root in roots}
+
+
 def _root_system(
     cartan: tuple[tuple[int, ...], ...], lie_type: SimpleLieType | None = None, coroots: dict | None = None
 ) -> RootSystem:
     """The RootSystem of C with its checked det C and adj(C^T), and its
-    coroot table: the given one, sorted by (height, coefficients), or else
-    the closure over C, run only after det C > 0 has been checked."""
+    coroot table: the given one, sorted by (height, coefficients), with no
+    label or support table; or else the closure over C, run only after
+    det C > 0 has been checked, with both."""
     det, adjugate = _inverse_transpose(cartan)
+    labels = supports = None
     if coroots is None:
         coroots = _positive_roots(cartan)
-    return RootSystem(lie_type, cartan, tuple(coroots), MappingProxyType(coroots), det, adjugate)
+        labels = MappingProxyType({root: _root_label(root) for root in coroots})
+        supports = MappingProxyType(_supports(coroots))
+    return RootSystem(lie_type, cartan, tuple(coroots), MappingProxyType(coroots), det, adjugate, labels, supports)
 
 
 def root_system_from_cartan(cartan: Sequence[Sequence[int]]) -> RootSystem:
@@ -419,4 +453,6 @@ def build_root_system(t: SimpleLieType | str) -> RootSystem:
     once per process, by checks that raise on failure, and shared thereafter."""
     if isinstance(t, str):
         t = SimpleLieType.from_string(t)
+    elif not isinstance(t, SimpleLieType):
+        raise TypeError(f"expected a SimpleLieType or a type name such as 'B3', got {type(t).__name__}")
     return _memoized_root_system(t)

@@ -285,16 +285,36 @@ MUTANTS = (
     Mutant(
         "type-rank-truncated",
         "src/parabolica/rootsys.py",
-        "if rank % 1:",
-        "if False:",
+        "if not isinstance(rank, numbers.Real) or rank % 1:",
+        "if not isinstance(rank, numbers.Real):",
         ("tests/test_rootsys.py::test_fractional_rank_is_refused",),
     ),
     Mutant(
         "cartan-entries-truncated",
         "src/parabolica/rootsys.py",
-        "if cartan[i][j] % 1:",
-        "if False:",
+        "if not isinstance(cartan[i][j], numbers.Real) or cartan[i][j] % 1:",
+        "if not isinstance(cartan[i][j], numbers.Real):",
         ("tests/test_rootsys.py::test_malformed_cartan_is_refused",),
+    ),
+    Mutant(
+        "label-table-0-based",
+        "src/parabolica/rootsys.py",
+        'f"{m}a{i}" for i, m in enumerate(root, 1) if m]',
+        'f"{m}a{i}" for i, m in enumerate(root) if m]',
+        (
+            "tests/test_rootsys.py::test_label_and_support_tables_match_their_definitions",
+            "tests/test_cli.py::test_report_is_byte_stable",
+        ),
+    ),
+    Mutant(
+        "support-mask-drops-a-bit",
+        "src/parabolica/rootsys.py",
+        "sum([1 << i for i, m in enumerate(root) if m])",
+        "sum([1 << i for i, m in enumerate(root[:-1]) if m])",
+        (
+            "tests/test_rootsys.py::test_label_and_support_tables_match_their_definitions",
+            "tests/test_parabolic.py::test_complement_plus_levi_count",
+        ),
     ),
     Mutant(
         "record-equality-across-classes",

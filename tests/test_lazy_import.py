@@ -184,6 +184,26 @@ def test_cold_spectral_request_builds_two_mode_tables(dim, modes):
     assert cold == {"code": 0, "builds": 2}
 
 
+# A value set on the deferred module before its first read.
+SET_BEFORE_FIRST_READ = """
+import json, sys
+import parabolica
+module = parabolica.spectral
+deferred = type(module).__name__  # type() reads no attribute, so the module stays deferred
+module.solve_weight = "set before the first read"
+print(json.dumps({"deferred": deferred, "after": type(module).__name__, "numpy": "numpy" in sys.modules,
+                  "value": module.solve_weight, "ran": callable(module.galerkin_ladder)}))
+"""
+
+
+def test_a_value_set_before_the_first_read_survives_the_module_code():
+    """The first write runs the module and then sets the value, so the
+    module's own ``def solve_weight`` does not overwrite it."""
+    assert _run(SET_BEFORE_FIRST_READ) == {
+        "deferred": "_DeferredModule", "after": "module", "numpy": True, "value": "set before the first read", "ran": True,
+    }
+
+
 # Threads that all read the module for the first time at once.
 RACE = """
 import json, sys, threading

@@ -6,11 +6,17 @@ reinterpret, anything else: nan and +-inf with json's own ``ValueError``,
 a key that is not a ``str`` and a value of any other type with
 ``TypeError``.  json itself accepts int, float, bool and None keys; the
 renderer refuses them, because no report has one.
+
+A list of non-empty rows of exact ints (a report's roots and Cartan rows)
+takes its own path, rendered in one step from the list's ``repr``; the
+matrices below reach both that path and, with a bool, a float, an empty
+row or a tuple row, the general one.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,6 +59,50 @@ _VALUES = st.recursive(
 @example({"coeffs": [0.1, -0.0, 0.0, 5e-324, -1e308, 1e16, 1e-7, 2.0], "gap": (1.5,), "r": {"a": 3.25, "b": -2.5}})
 def test_render_matches_json_dumps(value):
     assert _render_json(value) == json.dumps(value, indent=2, allow_nan=False)
+
+
+# Past sys.get_int_max_str_digits(), where int.__repr__ raises ValueError.
+_PAST_DIGIT_LIMIT = 10 ** sys.get_int_max_str_digits()
+_MATRIX_INTS = (
+    st.integers(-6, 6)
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+)
+# Mostly non-empty rows of exact ints, as a report holds; now and then a row
+# with a bool or a float in it, an empty row or a tuple row.
+_ROWS = st.lists(_MATRIX_INTS, min_size=1, max_size=8) | st.one_of(
+    st.lists(_MATRIX_INTS | st.booleans() | st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+    st.lists(_MATRIX_INTS, max_size=4).map(tuple),
+)
+_MATRICES = st.lists(_ROWS, min_size=1, max_size=8)
+
+
+def _bytes_or_error_class(render, value) -> tuple[str, str]:
+    try:
+        return "ok", render(value)
+    except (TypeError, ValueError) as exc:
+        return "raised", type(exc).__name__
+
+
+@KERNEL
+@given(_MATRICES, st.sampled_from(["bare", "in-dict", "in-list"]))
+@example([[1, -2, 0], [-1, 2, -1]], "bare")
+@example([[0, 1], [1, 1], [1, 2]], "in-dict")
+@example([[2**64, -(2**64)], [2**200, -(2**200)]], "bare")
+@example([[1, True], [0, 1]], "bare")
+@example([[1, 0], [2.5, 1]], "in-dict")
+@example([[1, 0], []], "bare")
+@example([[]], "bare")
+@example([[1, 2], (3, 4), [5]], "in-list")
+@example([[1, 2], [_PAST_DIGIT_LIMIT]], "bare")
+@example([[-_PAST_DIGIT_LIMIT]], "in-dict")
+def test_int_matrices_render_as_json_dumps_or_raise_its_error(matrix, where):
+    """Every int matrix, alone, as a report field or as a list item, renders
+    as json.dumps does, or raises the same class of error (an int past the
+    digit limit raises ValueError in both)."""
+    value = {"bare": matrix, "in-dict": {"phi_I_plus": matrix, "d": "3"}, "in-list": [matrix, [matrix]]}[where]
+    dumps = _bytes_or_error_class(lambda v: json.dumps(v, indent=2, allow_nan=False), value)
+    assert _bytes_or_error_class(_render_json, value) == dumps
 
 
 @pytest.mark.parametrize(

@@ -234,18 +234,15 @@ def _curvature_block(p: ParabolicData, kahler: KahlerClass | None, line: tuple[i
     kahler = einstein if kahler is None else kahler
     psi = p.delta if line is None else line_bundle_weight(line, p)  # delta is the Einstein class's weight
     spectrum, traces = spectrum_and_traces(psi, kahler, p)
-    eigenvalues = spectrum.eigenvalues
     labels = p.rs.labels
     try:
-        # roots with one eigenvalue share one Fraction, so str runs once per distinct value
-        texts = {id(q): str(q) for q in {id(q): q for q in eigenvalues.values()}.values()}
         block = {
             "kahler_class": [str(c) for c in kahler.coeffs],
             "einstein_class": [str(c) for c in einstein.coeffs],
             "normalization": "curvature forms carry a further 2*pi factor at report time",
             "omega_traces": {str(alpha + 1): str(t) for alpha, t in traces.items()},
             "psi": _weight_json(psi),
-            "eigenvalues": {labels[root]: texts[id(q)] for root, q in eigenvalues.items()},
+            "eigenvalues": {labels[root]: str(q) for root, q in spectrum.eigenvalues.items()},
             "trace": str(spectrum.trace()),
         }
     except ValueError as exc:  # str() of a rational past the int-to-str digit limit

@@ -14,7 +14,7 @@ that have it: a (pairing, denominator) pair is reduced by its gcd before
 the Fraction is built, so on E8 with Levi E7 the 57 eigenvalues of a
 line-bundle weight are one Fraction.  A spectrum is keyed by the roots
 themselves: a report names each by the ambient ``RootSystem.labels``
-table, built with the root system, and writes each distinct Fraction once.
+table, built with the root system.
 """
 from __future__ import annotations
 

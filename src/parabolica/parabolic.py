@@ -17,17 +17,14 @@ positive sum over the Picard nodes for every root.
 The Levi subsystem is read off the ambient root system by restriction, with
 no second root closure: its positive roots are the ambient positive roots
 supported on I, and their coroots are the ambient coroots, which are
-supported on I too.  The split of Phi^+ reads each root's support mask from
-the ambient system's ``supports`` table, one ``&`` with the mask of the
-Picard nodes per root; a system without that table, such as a Levi factor,
-has its masks computed for the build.
+supported on I too.
 """
 from __future__ import annotations
 
 import numbers
 from collections.abc import Iterable
 
-from .rootsys import InvariantError, RootSystem, Weight, _Record, _root_system, _shown, _supports
+from .rootsys import InvariantError, RootSystem, Weight, _Record, _root_system, _shown
 
 
 class FullSetNotParabolicError(ValueError):
@@ -80,14 +77,12 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
         raise FullSetNotParabolicError("I must be a proper subset of the simple roots")
 
     picard = tuple(i for i in range(rs.rank) if i not in nodes)
-    picard_mask = sum([1 << i for i in picard])
-    supports = _supports(rs.coroots) if rs.supports is None else rs.supports
     complement = []
     complement_coroots = []
     levi_coroots = {}
-    for (root, coroot), support in zip(rs.coroots.items(), supports.values()):
+    for root, coroot in rs.coroots.items():
         # a positive root lies outside the Levi iff it has a Picard coefficient
-        if support & picard_mask:
+        if any(map(root.__getitem__, picard)):
             complement.append(root)
             complement_coroots.append(coroot)
         else:

@@ -12,11 +12,10 @@ Conventions, fixed once for the whole package:
 
 All arithmetic in this module is exact.  The integer tables a query needs
 (the coroot of every positive root, det C and the adjugate of C^T) are
-computed once, when the root system is built, and checked there.  So are
-two tables a request would otherwise re-derive root by root: each positive
-root's report label, such as ``a1+2a2``, and its support over the simple
-roots as an int bitmask.  A Levi system, built from a coroot table read off
-its ambient system, carries neither.  One
+computed once, when the root system is built, and checked there.  So is
+the table of each positive root's report label, such as ``a1+2a2``, which a
+request would otherwise re-derive root by root.  A Levi system, built from
+a coroot table read off its ambient system, carries none.  One
 closure under the simple reflections yields the positive roots with their
 coroots, which pair to 2 with them as each step keeps <beta, beta^vee>, and
 refuses a Cartan matrix that is not of finite type once a root coefficient
@@ -25,13 +24,13 @@ read the coroot table instead of 2 (lambda, beta) / (beta, beta).
 
 ``build_root_system`` memoizes every simple type, keyed by
 ``SimpleLieType``: each is built once per process and kept for its life.
-``MAX_CLASSICAL_RANK`` leaves 129 types, about 28 MB if every one is built
-(E8 47 KiB, A32 466 KiB, B32 949 KiB, of which the label and support
-tables are about a quarter).  ``root_system_from_cartan``
+``MAX_CLASSICAL_RANK`` leaves 129 types, about 26 MB if every one is built
+(E8 43 KiB, A32 433 KiB, B32 882 KiB, of which the label table is about a
+fifth).  ``root_system_from_cartan``
 validates its input and builds afresh on every call: custom matrices have
 no finite key set.  Memoized systems are shared by every caller, so their
-tables are read-only: tuples, and a ``MappingProxyType`` for ``coroots``,
-``labels`` and ``supports``.
+tables are read-only: tuples, and a ``MappingProxyType`` for ``coroots``
+and ``labels``.
 """
 from __future__ import annotations
 
@@ -244,15 +243,12 @@ class RootSystem(_Record):
     read-only mapping from each positive root, in ``positive_roots`` order,
     to the integer coefficients of its coroot over the simple coroots;
     ``cartan_det`` and ``cartan_t_adjugate`` give the exact inverse of C^T
-    as adjugate / det.  ``labels`` and ``supports`` map each positive root,
-    in the same order, to its label (``_root_label``) and to its support
-    mask (``_supports``); both are None on a system built from a given
-    coroot table, as a Levi factor is.
+    as adjugate / det.  ``labels`` maps each positive root, in the same
+    order, to its label (``_root_label``); it is None on a system built
+    from a given coroot table, as a Levi factor is.
     """
 
-    __slots__ = (
-        "lie_type", "cartan", "positive_roots", "coroots", "cartan_det", "cartan_t_adjugate", "labels", "supports"
-    )
+    __slots__ = ("lie_type", "cartan", "positive_roots", "coroots", "cartan_det", "cartan_t_adjugate", "labels")
     _compared = ("lie_type", "cartan", "positive_roots")
 
     @property
@@ -410,25 +406,19 @@ def _root_label(root: Root) -> str:
     return "+".join([f"a{i}" if m == 1 else f"{m}a{i}" for i, m in enumerate(root, 1) if m])
 
 
-def _supports(roots: Iterable[Root]) -> dict[Root, int]:
-    """Each root's support as a bitmask: bit i is set iff its i-th coefficient is nonzero."""
-    return {root: sum([1 << i for i, m in enumerate(root) if m]) for root in roots}
-
-
 def _root_system(
     cartan: tuple[tuple[int, ...], ...], lie_type: SimpleLieType | None = None, coroots: dict | None = None
 ) -> RootSystem:
     """The RootSystem of C with its checked det C and adj(C^T), and its
     coroot table: the given one, sorted by (height, coefficients), with no
-    label or support table; or else the closure over C, run only after
-    det C > 0 has been checked, with both."""
+    label table; or else the closure over C, run only after det C > 0 has
+    been checked, with its label table."""
     det, adjugate = _inverse_transpose(cartan)
-    labels = supports = None
+    labels = None
     if coroots is None:
         coroots = _positive_roots(cartan)
         labels = MappingProxyType({root: _root_label(root) for root in coroots})
-        supports = MappingProxyType(_supports(coroots))
-    return RootSystem(lie_type, cartan, tuple(coroots), MappingProxyType(coroots), det, adjugate, labels, supports)
+    return RootSystem(lie_type, cartan, tuple(coroots), MappingProxyType(coroots), det, adjugate, labels)
 
 
 def root_system_from_cartan(cartan: Sequence[Sequence[int]]) -> RootSystem:

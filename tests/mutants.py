@@ -302,18 +302,8 @@ MUTANTS = (
         'f"{m}a{i}" for i, m in enumerate(root, 1) if m]',
         'f"{m}a{i}" for i, m in enumerate(root) if m]',
         (
-            "tests/test_rootsys.py::test_label_and_support_tables_match_their_definitions",
+            "tests/test_rootsys.py::test_label_table_matches_its_definition",
             "tests/test_cli.py::test_report_is_byte_stable",
-        ),
-    ),
-    Mutant(
-        "support-mask-drops-a-bit",
-        "src/parabolica/rootsys.py",
-        "sum([1 << i for i, m in enumerate(root) if m])",
-        "sum([1 << i for i, m in enumerate(root[:-1]) if m])",
-        (
-            "tests/test_rootsys.py::test_label_and_support_tables_match_their_definitions",
-            "tests/test_parabolic.py::test_complement_plus_levi_count",
         ),
     ),
     Mutant(

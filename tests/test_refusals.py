@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import linecache
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parabolica import SimpleLieType, build_parabolic, build_root_system
+from parabolica import InvalidTypeError, SimpleLieType, build_parabolic, build_root_system
 from parabolica.rootsys import root_system_from_cartan
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "parabolica"
@@ -101,11 +103,30 @@ def test_huge_fractions_are_refused_from_a_raise():
     _returns_or_refuses(build_parabolic, build_root_system("A3"), [huge])
 
 
+
+def test_decimals_are_refused_as_non_reals():
+    """A rank, Cartan entry or node must be a ``numbers.Real``; a
+    ``Decimal`` is not registered as one, so even a whole one is refused,
+    with the builder's own exception."""
+    with pytest.raises(InvalidTypeError, match="must be an integer, got Decimal"):
+        SimpleLieType("A", Decimal(3))
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) must be an integer"):
+        root_system_from_cartan([[2, Decimal(-1)], [-1, 2]])
+    with pytest.raises(IndexError, match="index 0 out of range"):
+        build_parabolic(build_root_system("A3"), [Decimal(0)])
+    for build, args in (
+        (lambda: SimpleLieType("A", Decimal("Infinity")), ()),
+        (root_system_from_cartan, ([[2, Decimal("sNaN")], [-1, 2]],)),
+        (build_parabolic, (build_root_system("A3"), [Decimal("NaN")])),
+    ):
+        _returns_or_refuses(build, *args)
+
+
 _SYSTEMS = ("A3", "B3", "G2", "D4", "levi of D4", "custom A2")
 
 
 def _system(name: str):
-    if name == "levi of D4":  # carries no support table
+    if name == "levi of D4":  # carries no label table
         return build_parabolic(build_root_system("D4"), [0, 1]).levi
     if name == "custom A2":
         return root_system_from_cartan([[2, -1], [-1, 2]])

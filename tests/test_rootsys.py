@@ -322,14 +322,14 @@ def test_memo_holds_one_entry_per_type():
 
 def test_cached_tables_are_read_only():
     rs = build_root_system("B3")
-    for table, value in ((rs.coroots, (0, 0, 0)), (rs.labels, "a2"), (rs.supports, 2)):
+    for table, value in ((rs.coroots, (0, 0, 0)), (rs.labels, "a2")):
         with pytest.raises(TypeError):
             table[(1, 0, 0)] = value
-    assert (rs.coroots[(1, 0, 0)], rs.labels[(1, 0, 0)], rs.supports[(1, 0, 0)]) == ((1, 0, 0), "a1", 1)
+    assert (rs.coroots[(1, 0, 0)], rs.labels[(1, 0, 0)]) == ((1, 0, 0), "a1")
 
 
 # ---------------------------------------------------------------------------
-# The per-root tables built with the closure
+# The label table built with the closure
 # ---------------------------------------------------------------------------
 
 
@@ -344,30 +344,26 @@ def _parsed_label(label: str, rank: int) -> tuple[int, ...]:
 
 
 @pytest.mark.parametrize("name", ALL_TYPES + ["A32", "D32"])
-def test_label_and_support_tables_match_their_definitions(name):
+def test_label_table_matches_its_definition(name):
     """Each positive root's label is ``_root_label``'s, and names the root
-    back in 1-based Bourbaki nodes; each support mask has bit i set iff
-    root[i] != 0.  Both tables list the roots in ``positive_roots`` order,
-    which ``build_parabolic`` relies on, and stay out of equality and repr."""
+    back in 1-based Bourbaki nodes.  The table lists the roots in
+    ``positive_roots`` order and stays out of equality and repr."""
     rs = build_root_system(name)
-    assert tuple(rs.labels) == tuple(rs.supports) == rs.positive_roots
+    assert tuple(rs.labels) == rs.positive_roots
     for root in rs.positive_roots:
-        label, mask = rs.labels[root], rs.supports[root]
+        label = rs.labels[root]
         assert label == _root_label(root) and _parsed_label(label, rs.rank) == root, (name, root, label)
-        assert {i for i in range(rs.rank) if mask >> i & 1} == {i for i in range(rs.rank) if root[i] != 0}, root
-        assert mask < 1 << rs.rank, (name, root, mask)
-    assert "labels" not in repr(rs) and "supports" not in repr(rs)
+    assert "labels" not in repr(rs)
 
 
-def test_levi_systems_carry_no_per_root_tables():
+def test_levi_systems_carry_no_label_table():
     """A Levi factor is built from a coroot table read off its ambient
-    system, so it pays for no label or support table; a parabolic of it is
-    still built, with masks computed for that build, as from the same
-    Cartan matrix by a fresh closure."""
+    system, so it pays for no label table; a parabolic of it is built as
+    from the same Cartan matrix by a fresh closure."""
     from parabolica import build_parabolic
 
     levi = build_parabolic(build_root_system("E8"), [0, 1, 2, 3, 4]).levi
-    assert levi.labels is None and levi.supports is None
+    assert levi.labels is None
     fresh = root_system_from_cartan(levi.cartan)
     assert fresh.labels is not None and fresh == levi
     for nodes in ([], [0], [1, 3], [0, 2, 3]):

@@ -9,22 +9,27 @@ which is the anticanonical weight of the flag variety.  The coroots of the
 complementary roots are also stored column by column, one column per node,
 for the curvature pairings.
 
-Each table is checked once, here: the adjugate by ``_inverse_transpose``,
-delta by its vanishing on I, and the coroot columns, so that every Kahler
-pairing <omega0, beta^vee> is positive, by having no negative entry and a
-positive sum over the Picard nodes for every root.
+Each table is checked once, here: delta by its vanishing on I, and the
+coroot columns, so that every Kahler pairing <omega0, beta^vee> is
+positive, by having no negative entry and a positive sum over the Picard
+nodes for every root, when the parabolic is built; the Levi adjugate by
+``_inverse_transpose`` when the Levi factor is built.  That is on its first
+read, not with the parabolic: the curvature constants are sums over the
+complementary roots alone and never read it, while the splitting criterion,
+equality, hashing, repr, copy and pickle do.
 
 The Levi subsystem is read off the ambient root system by restriction, with
 no second root closure: its positive roots are the ambient positive roots
-supported on I, and their coroots are the ambient coroots, which are
-supported on I too.
+supported on I, which the one pass that finds the complementary roots
+keeps, and their coroots are the ambient coroots, which are supported on I
+too.
 """
 from __future__ import annotations
 
 import numbers
 from collections.abc import Iterable
 
-from .rootsys import InvariantError, RootSystem, Weight, _Record, _root_system, _shown
+from .rootsys import InvariantError, RootSystem, Weight, _Record, _root_system, _set, _shown
 
 
 class FullSetNotParabolicError(ValueError):
@@ -36,23 +41,75 @@ class NotDominantError(ValueError):
 
 
 class ParabolicData(_Record):
-    """Parabolic for the Levi nodes I.
+    """Parabolic for the Levi nodes I: distinct simple-root indices, 0-based,
+    sorted, that leave out at least one node, as ``build_parabolic`` checks.
 
     ``levi`` is the Levi factor as a RootSystem with no ``lie_type``: its
     Cartan matrix is C_I, its positive roots are the ambient positive roots
     supported on I, in Levi coordinates and in the ambient (height,
     coefficients) order, and its tables, left out of equality, hashing and
     repr, are their coroots in Levi coordinates and the exact inverse of
-    C_I^T.  Two more tables stay out of all three: ``picard_nodes`` are the
-    nodes outside the Levi, which index the Picard group generators;
-    ``complement_columns`` holds, for each node i, the i-th coefficients of
-    the coroots of ``complement_roots`` in that order, so a pairing
-    <w, beta^vee> over Phi_I^+ is a sweep over the columns of the nodes
-    where w is nonzero.
+    C_I^T.  It is built, with the check of that inverse, the first time it
+    is read: until then its slot is unset and ``levi_roots`` holds those
+    positive roots in ambient coordinates.  Three more tables stay out of
+    equality, hashing and repr: ``levi_roots``; ``picard_nodes``, the nodes
+    outside the Levi, which index the Picard group generators; and
+    ``complement_columns``, which holds, for each node i, the i-th
+    coefficients of the coroots of ``complement_roots`` in that order, so a
+    pairing <w, beta^vee> over Phi_I^+ is a sweep over the columns of the
+    nodes where w is nonzero.
     """
 
-    __slots__ = ("rs", "levi_nodes", "levi", "complement_roots", "delta", "picard_nodes", "complement_columns")
+    __slots__ = (
+        "rs", "levi_nodes", "levi", "complement_roots", "delta", "picard_nodes", "complement_columns", "levi_roots"
+    )
     _compared = ("rs", "levi_nodes", "levi", "complement_roots", "delta")
+
+    def __init__(self, rs: RootSystem, nodes: tuple[int, ...]) -> None:
+        picard = tuple(i for i in range(rs.rank) if i not in nodes)
+        complement = []
+        complement_coroots = []
+        levi_roots = []
+        for root, coroot in rs.coroots.items():
+            # a positive root lies outside the Levi iff it has a Picard coefficient
+            if any(map(root.__getitem__, picard)):
+                complement.append(root)
+                complement_coroots.append(coroot)
+            else:
+                levi_roots.append(root)
+        # delta = (sum of the complement roots) written over the fundamental weights
+        delta = rs.root_as_weight(tuple(map(sum, zip(*complement))))
+        if any(delta[i] != 0 for i in nodes):
+            raise InvariantError(f"delta must vanish on the Levi nodes {nodes} of {rs.lie_type}: delta {delta}")
+        columns = tuple(zip(*complement_coroots))
+        if min(map(min, columns)) < 0 or min(map(sum, zip(*(columns[i] for i in picard)))) <= 0:
+            root, coroot = next(
+                (r, c) for r, c in zip(complement, complement_coroots) if min(c) < 0 or not any(c[i] for i in picard)
+            )
+            raise InvariantError(
+                f"Kahler positivity needs every complement coroot nonnegative with a Picard entry: "
+                f"{rs.lie_type}, Levi nodes {nodes}, root {root}, coroot {coroot}"
+            )
+        _set(self, "rs", rs)
+        _set(self, "levi_nodes", nodes)
+        _set(self, "complement_roots", tuple(complement))
+        _set(self, "delta", delta)
+        _set(self, "picard_nodes", picard)
+        _set(self, "complement_columns", columns)
+        _set(self, "levi_roots", tuple(levi_roots))
+
+    def __getattr__(self, name: str) -> RootSystem:
+        """Build ``levi`` on its first read; Python calls this only for a slot that is unset."""
+        if name != "levi":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nodes, coroots = self.levi_nodes, self.rs.coroots
+        cartan = tuple(tuple(self.rs.cartan[i][j] for j in nodes) for i in nodes)
+        restricted = {
+            tuple(map(root.__getitem__, nodes)): tuple(map(coroots[root].__getitem__, nodes)) for root in self.levi_roots
+        }
+        levi = _root_system(cartan, coroots=restricted)
+        _set(self, "levi", levi)
+        return levi
 
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""
@@ -75,40 +132,7 @@ def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
     nodes = tuple(sorted(set(map(int, nodes))))
     if len(nodes) == rs.rank:
         raise FullSetNotParabolicError("I must be a proper subset of the simple roots")
-
-    picard = tuple(i for i in range(rs.rank) if i not in nodes)
-    complement = []
-    complement_coroots = []
-    levi_coroots = {}
-    for root, coroot in rs.coroots.items():
-        # a positive root lies outside the Levi iff it has a Picard coefficient
-        if any(map(root.__getitem__, picard)):
-            complement.append(root)
-            complement_coroots.append(coroot)
-        else:
-            levi_coroots[tuple(map(root.__getitem__, nodes))] = tuple(map(coroot.__getitem__, nodes))
-    # delta = (sum of the complement roots) written over the fundamental weights
-    delta = rs.root_as_weight(tuple(map(sum, zip(*complement))))
-    if any(delta[i] != 0 for i in nodes):
-        raise InvariantError(f"delta must vanish on the Levi nodes {nodes} of {rs.lie_type}: delta {delta}")
-    columns = tuple(zip(*complement_coroots))
-    if min(map(min, columns)) < 0 or min(map(sum, zip(*(columns[i] for i in picard)))) <= 0:
-        root, coroot = next(
-            (r, c) for r, c in zip(complement, complement_coroots) if min(c) < 0 or not any(c[i] for i in picard)
-        )
-        raise InvariantError(
-            f"Kahler positivity needs every complement coroot nonnegative with a Picard entry: "
-            f"{rs.lie_type}, Levi nodes {nodes}, root {root}, coroot {coroot}"
-        )
-    return ParabolicData(
-        rs=rs,
-        levi_nodes=nodes,
-        levi=_root_system(tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes), coroots=levi_coroots),
-        complement_roots=tuple(complement),
-        delta=delta,
-        picard_nodes=picard,
-        complement_columns=columns,
-    )
+    return ParabolicData(rs, nodes)
 
 
 def is_dominant_for_levi(weight: Weight, p: ParabolicData) -> bool:

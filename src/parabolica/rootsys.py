@@ -88,8 +88,9 @@ class _Record:
     A record is built from its fields in ``__slots__`` order, positionally
     or by keyword.  A class that defines no ``__init__`` gets one, written
     from its ``__slots__`` when the class is created, that sets each field
-    once through ``_set``; a record with a check writes its own
-    ``__init__``, which sets its fields the same way.  Assigning or
+    once through ``_set``; a record with a check, or one built from other
+    arguments than its fields, writes its own ``__init__``, which sets its
+    fields the same way.  Assigning or
     deleting a field afterwards raises AttributeError.  Equality, hashing
     and repr read the fields named in ``_compared``, in order, as a frozen
     dataclass does; the tables a record derives from them stay out of all
@@ -161,6 +162,8 @@ class SimpleLieType(_Record):
 
     @classmethod
     def from_string(cls, text: str) -> "SimpleLieType":
+        if not isinstance(text, str):
+            raise InvalidTypeError(f"a Dynkin type name must be a str such as 'B3', got {type(text).__name__}")
         match = _TYPE_RE.match(text.strip())
         if not match:
             raise InvalidTypeError(f"cannot parse Dynkin type {text!r}")
@@ -227,6 +230,12 @@ class Weight(_Record):
 
 
 def fundamental_weight(rank: int, index: int) -> Weight:
+    """omega_index of a rank-``rank`` weight lattice, for an integer 0 <= index < rank."""
+    for name, value in (("rank", rank), ("index", index)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"fundamental weight {name} must be an integer, got {type(value).__name__}")
+    if not 0 <= index < rank:
+        raise IndexError(f"fundamental weight index {_shown(index)} out of range for rank {_shown(rank)}")
     coords = [Fraction(0)] * rank
     coords[index] = Fraction(1)
     return Weight(tuple(coords))
@@ -245,7 +254,9 @@ class RootSystem(_Record):
     ``cartan_det`` and ``cartan_t_adjugate`` give the exact inverse of C^T
     as adjugate / det.  ``labels`` maps each positive root, in the same
     order, to its label (``_root_label``); it is None on a system built
-    from a given coroot table, as a Levi factor is.
+    from a given coroot table, as a Levi factor is.  ``copy`` and
+    ``pickle`` rebuild a system, and so re-check it, from C, with a Levi
+    factor's coroot table, since a mappingproxy does not pickle.
     """
 
     __slots__ = ("lie_type", "cartan", "positive_roots", "coroots", "cartan_det", "cartan_t_adjugate", "labels")
@@ -254,6 +265,9 @@ class RootSystem(_Record):
     @property
     def rank(self) -> int:
         return len(self.cartan)
+
+    def __reduce__(self) -> tuple:
+        return _root_system, (self.cartan, self.lie_type, None if self.labels is not None else dict(self.coroots))
 
     def pairing(self, weight: Weight, root: Root) -> Fraction:
         """<lambda, beta^vee> for a root beta (positive or negative), read as

@@ -31,12 +31,14 @@ Grids are bounded: by default N^d stays at most 512^2 points for d >= 2
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections.abc import Mapping
 from functools import reduce
 
 import numpy as np
 
-from .rootsys import _Record, _set
+from .rootsys import _Record, _set, _shown
 
 
 class NotL2Error(ValueError):
@@ -259,12 +261,15 @@ def _quadrature_grid(manifold: FlatTorus, n: int, points_per_axis: int | None = 
     """(points_per_axis, total, table) for modes 0..n: the default side if
     none is given, the grid budget, n below the N^d node count and the table
     budget, each refused with an _OverBudget, which the CLI's spectral reader
-    reports under the flag that set the refused value."""
+    reports under the flag that set the refused value; an n that is not an
+    int, a bool among them, with a TypeError."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise TypeError(f"mode count n must be an integer, got {type(n).__name__}")
     if points_per_axis is None:
         points_per_axis = _default_points_per_axis(manifold.dimension)
     total = manifold._grid_size(points_per_axis)
     if not 0 <= n < total:
-        raise _OverBudget(f"modes {n} is outside 0..{total - 1} for a {total}-point grid")
+        raise _OverBudget(f"modes {_shown(n)} is outside 0..{total - 1} for a {total}-point grid")
     return points_per_axis, total, _table_for(manifold.side_lengths, n)
 
 
@@ -449,9 +454,16 @@ def compatibility_constant(profile_mean: float, hym_c: float) -> float:
     """Additive shift moving a profile's mean onto the topological target.
 
     The prescribed equation needs (1/2pi) x mean = hym constant, i.e. a
-    target mean of 2 pi * hym_c; only mode-0 arithmetic is involved.
+    target mean of 2 pi * hym_c; only mode-0 arithmetic is involved.  Both
+    must be real numbers in float64 range, and so must the shift.
     """
-    return 2.0 * math.pi * float(hym_c) - profile_mean
+    for value in (profile_mean, hym_c):
+        if not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:  # nan fails too
+            raise ValueError(f"profile mean and HYM constant must be finite reals, got {_shown(value, repr)}")
+    shift = 2.0 * math.pi * float(hym_c) - profile_mean
+    if not math.isfinite(shift):
+        raise ValueError(f"compatibility constant {shift!r} is outside float64 range")
+    return shift
 
 
 class SingularProfile(_Record):
@@ -461,13 +473,13 @@ class SingularProfile(_Record):
 
     def __init__(self, ambient_dim: int, codim: int, exponent: float) -> None:
         for name, value in (("ambient dimension", ambient_dim), ("codimension", codim)):
-            if value % 1:  # a fraction, or nan or inf
-                raise _InvalidProfile(f"{name} must be an integer, got {value!r}")
+            if not isinstance(value, numbers.Real) or value % 1:  # a non-number, a fraction, or nan or inf
+                raise _InvalidProfile(f"{name} must be an integer, got {_shown(value, repr)}")
         ambient_dim, codim = int(ambient_dim), int(codim)
         if codim < 1 or codim > ambient_dim:
             raise _InvalidProfile("codimension must lie in 1..ambient_dim")
-        if not (math.isfinite(exponent) and exponent > 0):
-            raise _InvalidProfile(f"exponent s must be finite and positive, got {exponent!r}")
+        if not isinstance(exponent, numbers.Real) or not 0 < exponent <= sys.float_info.max:  # nan fails too
+            raise _InvalidProfile(f"exponent s must be finite and positive, got {_shown(exponent, repr)}")
         _set(self, "ambient_dim", ambient_dim)
         _set(self, "codim", codim)
         _set(self, "exponent", exponent)

@@ -80,9 +80,16 @@ MUTANTS = (
     Mutant(
         "levi-restriction-reads-roots",
         "src/parabolica/parabolic.py",
-        "= tuple(map(coroot.__getitem__, nodes))",
-        "= tuple(map(root.__getitem__, nodes))",
+        ": tuple(map(coroots[root].__getitem__, nodes))",
+        ": tuple(map(root.__getitem__, nodes))",
         ("tests/test_kernel.py::test_levi_restriction_matches_its_own_closure",),
+    ),
+    Mutant(
+        "levi-built-eagerly",
+        "src/parabolica/parabolic.py",
+        '_set(self, "levi_roots", tuple(levi_roots))',
+        '_set(self, "levi_roots", tuple(levi_roots))\n        self.levi',
+        ("tests/test_kernel.py::test_levi_is_built_only_by_requests_that_read_it",),
     ),
     Mutant(
         "lambda-e-negated",
@@ -260,8 +267,8 @@ MUTANTS = (
     Mutant(
         "profile-integral-check-dropped",
         "src/parabolica/spectral.py",
-        "if value % 1:  # a fraction, or nan or inf",
-        "if False:",
+        "if not isinstance(value, numbers.Real) or value % 1:",
+        "if not isinstance(value, numbers.Real):",
         ("tests/test_spectral.py::test_singular_profile_validation",),
     ),
     Mutant(

@@ -3,7 +3,9 @@
 * ``sympy.liealgebras`` for Cartan matrices and positive-root counts;
 * the coroot identity <beta, beta^vee> = 2 for the stored coroot table;
 * a second reflection closure over C_I (``oracles.levi_closure``) for the
-  Levi tables ``build_parabolic`` reads off the ambient coroot table;
+  Levi tables ``build_parabolic`` reads off the ambient coroot table, and
+  the Levi built eagerly from the restricted coroot table for the one a
+  parabolic builds on its first read;
 * the determinant's definition, Laplace expansion (``oracles.det``), for
   ``linalg.adjugate`` entry by entry through signed cofactors, for
   ``linalg.det``, and for the stored Cartan determinants; ``linalg.solve``
@@ -31,7 +33,7 @@
 * Dynkin diagram isomorphisms, which must relabel the report and the
   curvature eigenvalues and change nothing else;
 * how many Fractions a splitting report, a mean-curvature constant and a
-  spectrum build;
+  spectrum build, and how many Bareiss eliminations a warm request runs;
 * corrupted stored tables, which must raise InvariantError under ``python -O``.
 """
 from __future__ import annotations
@@ -43,6 +45,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -57,6 +60,7 @@ from hypothesis import strategies as st
 
 from parabolica import (
     BundleSpec,
+    ParabolicData,
     EndomorphismSpectrum,
     KahlerClass,
     Weight,
@@ -71,7 +75,7 @@ from parabolica import (
     weyl_dim,
 )
 from parabolica.parabolic import build_parabolic
-from parabolica.rootsys import SimpleLieType, _Record, cartan_matrix, root_system_from_cartan
+from parabolica.rootsys import SimpleLieType, _Record, _root_system, cartan_matrix, root_system_from_cartan
 
 from conftest import cached_parabolic, cached_system
 from oracles import (
@@ -243,6 +247,103 @@ def test_levi_restriction_matches_its_own_closure():
     assert len(closures) == 174 + 2
 
 
+def levi_built(p: ParabolicData) -> bool:
+    """Whether p's ``levi`` slot is set, read without building it."""
+    try:
+        ParabolicData.levi.__get__(p)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_lazy_levi_matches_the_eager_restriction():
+    """A parabolic leaves its Levi unbuilt until the first read, which builds
+    it once; it must equal the Levi built eagerly, as a build used to, from
+    the ambient coroot table restricted to I: the same Cartan matrix,
+    positive roots and coroots in the same order, det C_I and adj(C_I^T).
+    Every Levi of the 33 types of rank <= 8."""
+    for name in ALL_TYPES:
+        rs = cached_system(name)
+        for nodes in _levi_subsets(name):
+            p = build_parabolic(rs, nodes)
+            assert not levi_built(p), (name, nodes)
+            picard = [i for i in range(rs.rank) if i not in nodes]
+            restricted = {
+                tuple(root[i] for i in nodes): tuple(coroot[i] for i in nodes)
+                for root, coroot in rs.coroots.items()
+                if not any(root[i] for i in picard)
+            }
+            eager = _root_system(tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes), coroots=restricted)
+            levi = p.levi
+            assert levi_built(p) and p.levi is levi, (name, nodes)
+            assert levi.cartan == eager.cartan and levi.positive_roots == eager.positive_roots, (name, nodes)
+            assert list(levi.coroots.items()) == list(eager.coroots.items()), (name, nodes)
+            assert (levi.cartan_det, levi.cartan_t_adjugate) == (eager.cartan_det, eager.cartan_t_adjugate), (name, nodes)
+
+
+def test_parabolic_records_work_before_and_after_the_levi_is_built():
+    """==, hash, copy.copy and pickle give the same answers on a parabolic
+    whose Levi is not built yet as after its first read; a copy or an
+    unpickled parabolic has every table of the original, an unpickled
+    Levi rebuilt and so re-checked.  Reading a name that is no field raises
+    AttributeError and builds nothing."""
+
+    def same(q: ParabolicData, p: ParabolicData) -> bool:
+        tables = ("levi_roots", "picard_nodes", "complement_columns")
+        levi_tables = ("cartan_det", "cartan_t_adjugate", "labels")
+        return (
+            q == p
+            and all(getattr(q, name) == getattr(p, name) for name in tables)
+            and all(getattr(q.levi, name) == getattr(p.levi, name) for name in levi_tables)
+            and list(q.levi.coroots.items()) == list(p.levi.coroots.items())
+        )
+
+    for name, nodes in (("B3", (1, 2)), ("E8", (0, 2, 3, 4)), ("A3", ())):
+        built = build_parabolic(cached_system(name), nodes)
+        built.levi
+        holds = {
+            "==": lambda p: p == built and not p != built,
+            "hash": lambda p: hash(p) == hash(built),
+            "copy": lambda p: same(copy.copy(p), built),
+            "pickle": lambda p: same(pickle.loads(pickle.dumps(p)), built),
+        }
+        for what, check in holds.items():
+            p = build_parabolic(cached_system(name), nodes)
+            with pytest.raises(AttributeError, match="'ParabolicData' object has no attribute 'not_a_field'"):
+                p.not_a_field
+            assert not levi_built(p), (name, what)
+            assert check(p), (name, what, "before the first read")
+            p.levi
+            assert check(p), (name, what, "after the first read")
+
+
+# Warm requests: the same Levi with a single Picard node and with three.
+LEVI_BUILD_REQUESTS = [
+    (["curvature", "--type=B3", "--parabolic=2,3"], 0),
+    (["curvature", "--type=B3", "--parabolic=2,3", "--line=2"], 0),
+    (["curvature", "--type=E7", "--parabolic=1,3,4,5", "--kahler=1,2,1/2", "--line=1,-1,2"], 0),
+    (["analyze", "--type=B3", "--parabolic=2,3", "--weight=0,0,2"], 1),
+    (["analyze", "--type=E7", "--parabolic=1,3,4,5", "--weight=1,-1,0,1,2,-3,1", "--kahler=1,2,1/2"], 1),
+]
+
+
+@pytest.mark.parametrize("tokens, eliminations", LEVI_BUILD_REQUESTS)
+def test_levi_is_built_only_by_requests_that_read_it(tokens, eliminations, monkeypatch, capsys):
+    """A warm request, its root system memoized, runs Bareiss elimination
+    (``linalg.adjugate``) only for its Levi factor: a curvature request,
+    whose constants are sums over Phi_I^+ alone, never; an analyze request,
+    which reads the Levi's adjugate and coroots, once."""
+    from parabolica import cli
+
+    assert cli.main(tokens) == 0
+    calls = []
+    genuine = linalg.adjugate
+    monkeypatch.setattr(linalg, "adjugate", lambda rows: calls.append(rows) or genuine(rows))
+    assert cli.main(tokens) == 0
+    capsys.readouterr()
+    assert len(calls) == eliminations, calls
+
+
 def test_tables_stay_out_of_eq_repr_and_dump():
     rs = build_root_system("B3")
     assert rs == cached_system("B3") and hash(rs) == hash(cached_system("B3"))
@@ -323,7 +424,6 @@ def test_records_are_frozen():
 PLAIN_RECORDS = {
     "Weight",
     "RootSystem",
-    "ParabolicData",
     "WeightSplit",
     "ChernData",
     "SplittingReport",
@@ -936,7 +1036,8 @@ def test_corrupted_tables_raise_under_optimized_mode():
     """Each corruption must be caught by an explicit raise, not an assert:
     the residue identity (for a wrong Levi or ambient adjugate),
     Weyl-dimension integrality, the coroot-column check of a parabolic build
-    and the C^T X = I check of a root-system build.  Memoized root systems
+    and the C^T X = I check of a root-system build and of a Levi build,
+    which runs on the first read of ``levi``.  Memoized root systems
     are shared and read-only, so each corruption builds a copy of the
     parabolic or root system with one corrupted table, and each build starts
     from a cleared memo."""
@@ -988,10 +1089,14 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "rs = replace(rs, coroots=types.MappingProxyType(coroots))\n"
         "expect('Kahler positivity', lambda: pb.build_parabolic(rs, [1, 2]))\n"
         # a wrong adjugate out of the elimination is caught when the system is built
+        "ambient = fresh().rs\n"
         "genuine = pb.linalg.adjugate\n"
         "pb.linalg.adjugate = lambda rows: (lambda d, a: (d, bump(a)))(*genuine(rows))\n"
         "rootsys._memoized_root_system.cache_clear()\n"
         "expect('C^T X = I', lambda: pb.build_root_system('B3'))\n"
+        # and, for a Levi factor, when it is built, on its first read
+        "p = pb.build_parabolic(ambient, [1, 2])\n"
+        "expect('C^T X = I', lambda: p.levi)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

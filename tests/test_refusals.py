@@ -1,14 +1,20 @@
-"""The refusal contract of the Lie-side builders.
+"""The refusal contract of the Lie-side builders and of the spectral inputs.
 
-``build_root_system``, ``root_system_from_cartan`` and ``build_parabolic``
-each either return, or raise from a ``raise`` statement under
+``build_root_system``, ``root_system_from_cartan``, ``build_parabolic``,
+``SimpleLieType.from_string`` and ``fundamental_weight``, and on the
+spectral side ``SingularProfile``, the mode count of
+``distance_profile_coefficients`` and ``compatibility_constant``, each
+either return, or raise from a ``raise`` statement under
 ``src/parabolica/``: never from inside ``int()``, ``%``, ``sorted`` or
 ``str()`` of a huge int on the way.  The innermost traceback frame of the
 exception must be such a line, and the exception must be of the class that
-line names.  Ranks, nodes and Cartan entries are drawn from bools, floats
-(nan and +-inf among them), strings, ``None``, small ``Fraction``s and
-huge ints, as well as the values that build; the arguments keep their
-shape (a type or its name, a list of rows, a list of nodes).
+line names.  Ranks, nodes, indices, Cartan entries, dimensions, exponents
+and mode counts are drawn from bools, floats (nan and +-inf among them),
+strings, ``None``, small ``Fraction``s and huge ints, as well as the values
+that build; the arguments keep their shape (a type or its name, a list of
+rows, a list of nodes).  A value that is returned must be the right one:
+a fundamental weight for an index in range only, and a finite float from
+``compatibility_constant``.
 """
 from __future__ import annotations
 
@@ -22,8 +28,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parabolica import InvalidTypeError, SimpleLieType, build_parabolic, build_root_system
+from parabolica import InvalidTypeError, SimpleLieType, build_parabolic, build_root_system, fundamental_weight
 from parabolica.rootsys import root_system_from_cartan
+from parabolica.spectral import FlatTorus, SingularProfile, compatibility_constant, distance_profile_coefficients
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "parabolica"
 CONTRACT = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -40,9 +47,10 @@ _ODD = (
 )
 
 
-def _returns_or_refuses(build, *args) -> None:
+def _returns_or_refuses(build, *args):
+    """build(*args), or None once its refusal has passed the contract."""
     try:
-        build(*args)
+        return build(*args)
     except Exception as exc:
         tb = exc.__traceback__
         while tb.tb_next is not None:
@@ -53,6 +61,7 @@ def _returns_or_refuses(build, *args) -> None:
         assert path.parent == PACKAGE and line.startswith("raise "), (type(exc).__name__, where)
         named = line[len("raise ") :].split("(")[0]
         assert type(exc).__name__ == named, (type(exc).__name__, where)
+        return None
 
 
 # Ranks that build stay at 8 or below, since a cold build of rank 32 takes
@@ -77,6 +86,41 @@ def test_simple_types_build_or_refuse_from_a_raise(family, rank):
 @example(3)
 def test_type_names_build_or_refuse_from_a_raise(name):
     _returns_or_refuses(build_root_system, name)
+
+
+@CONTRACT
+@given(st.text(max_size=4) | _ODD | st.lists(st.integers(), max_size=2))
+@example(3)
+@example(b"B3")
+@example(" g2 ")
+def test_type_names_parse_or_refuse_from_a_raise(text):
+    _returns_or_refuses(SimpleLieType.from_string, text)
+
+
+def test_type_names_must_be_strings():
+    with pytest.raises(InvalidTypeError, match="must be a str such as 'B3', got int"):
+        SimpleLieType.from_string(3)
+
+
+# Valid ranks only: a rank past sys.maxsize fails inside the list repeat.
+@CONTRACT
+@given(st.integers(1, 8), st.integers(-3, 10) | _ODD)
+@example(3, 9)
+@example(3, -1)
+@example(3, True)
+@example(3, 1.0)
+def test_fundamental_weights_build_or_refuse_from_a_raise(rank, index):
+    weight = _returns_or_refuses(fundamental_weight, rank, index)
+    if type(index) is int and 0 <= index < rank:
+        assert weight.coords == tuple(int(i == index) for i in range(rank))
+    else:
+        assert weight is None, (rank, index)
+
+
+def test_fundamental_weight_rank_must_be_an_integer():
+    for rank in ("3", 3.0, True, None):
+        with pytest.raises(TypeError, match="rank must be an integer"):
+            fundamental_weight(rank, 0)
 
 
 _ENTRIES = st.sampled_from([2, 0, -1, -2, -3]) | _ODD
@@ -142,3 +186,39 @@ def _system(name: str):
 @example("G2", [[0]])
 def test_parabolics_build_or_refuse_from_a_raise(system, nodes):
     _returns_or_refuses(build_parabolic, _system(system), nodes)
+
+
+_DIMENSIONS = st.integers(-1, 4) | _ODD
+
+
+@CONTRACT
+@given(_DIMENSIONS, _DIMENSIONS, st.floats() | _ODD)
+@example("a", 1, 0.25)
+@example(2, 1, 10**5000)
+@example(2, "1", 0.25)
+def test_singular_profiles_build_or_refuse_from_a_raise(ambient_dim, codim, exponent):
+    _returns_or_refuses(SingularProfile, ambient_dim, codim, exponent)
+
+
+@CONTRACT
+@given(st.integers(-2, 70) | _ODD)
+@example(2.5)
+@example(63)
+@example(True)
+def test_mode_counts_are_refused_from_a_raise(n):
+    """On a 64-point grid, so every accepted count is cheap."""
+    _returns_or_refuses(distance_profile_coefficients, SingularProfile(1, 1, 0.25), FlatTorus((1.0,)), n, 64)
+
+
+_MEANS = st.floats() | st.integers(-(10**6), 10**6) | _ODD
+
+
+@CONTRACT
+@given(_MEANS, _MEANS)
+@example(math.nan, 1.0)
+@example(1.0, math.inf)
+@example(-1e308, 1e308)
+@example(0.5, Fraction(1, 3))
+def test_compatibility_constants_are_finite_or_refused_from_a_raise(mean, hym):
+    shift = _returns_or_refuses(compatibility_constant, mean, hym)
+    assert shift is None or math.isfinite(shift), (mean, hym, shift)

@@ -26,6 +26,7 @@ too.
 """
 from __future__ import annotations
 
+import functools
 import numbers
 from collections.abc import Iterable
 
@@ -50,8 +51,8 @@ class ParabolicData(_Record):
     coefficients) order, and its tables, left out of equality, hashing and
     repr, are their coroots in Levi coordinates and the exact inverse of
     C_I^T.  It is built, with the check of that inverse, the first time it
-    is read: until then its slot is unset and ``levi_roots`` holds those
-    positive roots in ambient coordinates.  Three more tables stay out of
+    is read: until then ``levi_roots`` holds those positive roots in
+    ambient coordinates.  Three more tables stay out of
     equality, hashing and repr: ``levi_roots``; ``picard_nodes``, the nodes
     outside the Levi, which index the Picard group generators; and
     ``complement_columns``, which holds, for each node i, the i-th
@@ -60,8 +61,9 @@ class ParabolicData(_Record):
     nodes where w is nonzero.
     """
 
+    # __dict__ holds levi once built: functools.cached_property stores it there
     __slots__ = (
-        "rs", "levi_nodes", "levi", "complement_roots", "delta", "picard_nodes", "complement_columns", "levi_roots"
+        "rs", "levi_nodes", "complement_roots", "delta", "picard_nodes", "complement_columns", "levi_roots", "__dict__"
     )
     _compared = ("rs", "levi_nodes", "levi", "complement_roots", "delta")
 
@@ -98,18 +100,14 @@ class ParabolicData(_Record):
         _set(self, "complement_columns", columns)
         _set(self, "levi_roots", tuple(levi_roots))
 
-    def __getattr__(self, name: str) -> RootSystem:
-        """Build ``levi`` on its first read; Python calls this only for a slot that is unset."""
-        if name != "levi":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        nodes, coroots = self.levi_nodes, self.rs.coroots
-        cartan = tuple(tuple(self.rs.cartan[i][j] for j in nodes) for i in nodes)
-        restricted = {
-            tuple(map(root.__getitem__, nodes)): tuple(map(coroots[root].__getitem__, nodes)) for root in self.levi_roots
-        }
-        levi = _root_system(cartan, coroots=restricted)
-        _set(self, "levi", levi)
-        return levi
+    @functools.cached_property
+    def levi(self) -> RootSystem:
+        nodes, rs = self.levi_nodes, self.rs
+        # coefficient rows, one per node, of the Levi roots and of their coroots
+        root_rows = tuple(zip(*self.levi_roots))
+        coroot_rows = tuple(zip(*map(rs.coroots.__getitem__, self.levi_roots)))
+        restricted = dict(zip(zip(*(root_rows[i] for i in nodes)), zip(*(coroot_rows[i] for i in nodes))))
+        return _root_system(tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes), coroots=restricted)
 
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""

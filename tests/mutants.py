@@ -80,9 +80,16 @@ MUTANTS = (
     Mutant(
         "levi-restriction-reads-roots",
         "src/parabolica/parabolic.py",
-        ": tuple(map(coroots[root].__getitem__, nodes))",
-        ": tuple(map(root.__getitem__, nodes))",
+        "zip(*(coroot_rows[i] for i in nodes))",
+        "zip(*(root_rows[i] for i in nodes))",
         ("tests/test_kernel.py::test_levi_restriction_matches_its_own_closure",),
+    ),
+    Mutant(
+        "levi-inverse-scale-one-power-short",
+        "src/parabolica/parabolic.py",
+        "scale = det ** len(picard)",
+        "scale = det ** (len(picard) - 1)",
+        ("tests/test_kernel.py::test_lazy_levi_matches_the_eager_restriction",),
     ),
     Mutant(
         "levi-built-eagerly",

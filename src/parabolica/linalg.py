@@ -63,12 +63,19 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...],
     division by the previous pivot is exact and nothing leaves the integers.
     It ends at [d I | d A^-1] with d = +-det(A), the sign set by the row
     swaps.  A singular matrix gives (0, ()).
+
+    The elimination runs in place, in n columns rather than 2n: once step k
+    has cleared column k of A, which then holds the pivot in row k alone, it
+    stores column k of the right-hand side there.  Before step k that column
+    is still the previous pivot times e_k, so each other row's new entry is
+    -(its entry in column k of A).  A row swap then inverts A with those two
+    rows swapped, so the columns swap back, last swap first, at the end.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("square matrix required")
-    m = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign, prev = 1, 1
+    m = [[int(x) for x in row] for row in rows]
+    sign, prev, swaps = 1, 1, []
     for k in range(n):
         pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
         if pivot is None:
@@ -76,13 +83,18 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...],
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
+            swaps.append((k, pivot))
         top = m[k]
         p = top[k]
+        top[k] = prev
         for i in range(n):
             if i != k:
                 row = m[i]
                 f = row[k]
+                row[k] = 0
                 m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
-
+    for k, r in reversed(swaps):
+        for row in m:
+            row[k], row[r] = row[r], row[k]
+    return sign * prev, tuple(tuple(sign * x for x in row) for row in m)

@@ -16,24 +16,20 @@ nodes for every root, when the parabolic is built; the Levi adjugate by
 ``_inverse_transpose`` when the Levi factor is built.  That is on its first
 read, not with the parabolic: the curvature constants are sums over the
 complementary roots alone and never read it, while the splitting criterion,
-equality, hashing, repr, copy and pickle do.
+equality, hashing and repr do.  A copy or a pickle carries the Levi factor
+only once it is built.
 
 The Levi subsystem is read off the ambient root system by restriction, with
 no second root closure: its positive roots are the ambient positive roots
 supported on I, which the one pass that finds the complementary roots
 keeps, and their coroots are the ambient coroots, which are supported on I
-too.  Its inverse takes one Bareiss elimination, of the smaller of two
-matrices: C_I^T itself, or, when I leaves out fewer nodes than it holds,
-the Picard block of the ambient adj(C^T), whose Schur complement gives
-adj(C_I^T) (``_levi_inverse``).
+too.  Its inverse is Bareiss elimination of C_I^T, as for any root system.
 """
 from __future__ import annotations
 
 import numbers
 from collections.abc import Iterable
-from operator import mul
 
-from . import linalg
 from .rootsys import InvariantError, RootSystem, Weight, _Record, _root_system, _set, _shown
 
 
@@ -46,8 +42,8 @@ class NotDominantError(ValueError):
 
 
 class ParabolicData(_Record):
-    """Parabolic for the Levi nodes I: distinct simple-root indices, 0-based,
-    sorted, that leave out at least one node, as ``build_parabolic`` checks.
+    """Parabolic for the Levi nodes I, given as simple-root indices, 0-based,
+    in any order and with repeats, that must leave out at least one node.
 
     ``levi`` is the Levi factor as a RootSystem with no ``lie_type``: its
     Cartan matrix is C_I, its positive roots are the ambient positive roots
@@ -55,10 +51,10 @@ class ParabolicData(_Record):
     coefficients) order, and its tables, left out of equality, hashing and
     repr, are their coroots in Levi coordinates and the exact inverse of
     C_I^T.  It is built, with the check of that inverse, the first time it
-    is read, and kept in its slot: until then ``levi_roots`` holds those
-    positive roots in ambient coordinates.  Three more tables stay out of
-    equality, hashing and repr: ``levi_roots``; ``picard_nodes``, the nodes
-    outside the Levi, which index the Picard group generators; and
+    is read, and kept in the ``_levi`` slot: until then ``levi_roots`` holds
+    those positive roots in ambient coordinates.  Three more tables stay out
+    of equality, hashing and repr: ``levi_roots``; ``picard_nodes``, the
+    nodes outside the Levi, which index the Picard group generators; and
     ``complement_columns``, which holds, for each node i, the i-th
     coefficients of the coroots of ``complement_roots`` in that order, so a
     pairing <w, beta^vee> over Phi_I^+ is a sweep over the columns of the
@@ -66,11 +62,19 @@ class ParabolicData(_Record):
     """
 
     __slots__ = (
-        "rs", "levi_nodes", "levi", "complement_roots", "delta", "picard_nodes", "complement_columns", "levi_roots"
+        "rs", "levi_nodes", "_levi", "complement_roots", "delta", "picard_nodes", "complement_columns", "levi_roots"
     )
     _compared = ("rs", "levi_nodes", "levi", "complement_roots", "delta")
 
-    def __init__(self, rs: RootSystem, nodes: tuple[int, ...]) -> None:
+    def __init__(self, rs: RootSystem, levi_nodes: Iterable[int]) -> None:
+        nodes = tuple(levi_nodes)
+        for i in nodes:
+            # a non-number, a fraction, or nan or inf, is no index either
+            if not isinstance(i, numbers.Real) or i % 1 or not 0 <= i < rs.rank:
+                raise IndexError(f"simple-root index {_shown(i)} out of range for rank {rs.rank}")
+        nodes = tuple(sorted(set(map(int, nodes))))
+        if len(nodes) == rs.rank:
+            raise FullSetNotParabolicError("I must be a proper subset of the simple roots")
         picard = tuple(i for i in range(rs.rank) if i not in nodes)
         complement = []
         complement_coroots = []
@@ -103,56 +107,32 @@ class ParabolicData(_Record):
         _set(self, "complement_columns", columns)
         _set(self, "levi_roots", tuple(levi_roots))
 
+    @property
+    def levi(self) -> RootSystem:
+        """The Levi factor in its slot, or else built, checked and stored there."""
+        try:
+            return self._levi
+        except AttributeError:  # not built yet
+            pass
+        nodes, rs = self.levi_nodes, self.rs
+        # coefficient rows, one per node, of the Levi roots and of their coroots
+        root_rows = tuple(zip(*self.levi_roots))
+        coroot_rows = tuple(zip(*map(rs.coroots.__getitem__, self.levi_roots)))
+        restricted = dict(zip(zip(*(root_rows[i] for i in nodes)), zip(*(coroot_rows[i] for i in nodes))))
+        levi = _root_system(tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes), coroots=restricted)
+        _set(self, "_levi", levi)
+        return levi
+
+    @levi.setter
+    def levi(self, value: RootSystem) -> None:
+        # only object.__setattr__ gets here: _Record.__setattr__ refuses every field
+        _set(self, "_levi", value)
+
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""
         if weight.rank != self.rs.rank:
             raise ValueError("dimension mismatch")
         return Weight(tuple(weight[i] for i in self.levi_nodes))
-
-
-def _levi_on_first_read(p: ParabolicData) -> RootSystem:
-    """``p.levi``: the Levi factor in its slot, or else built, checked and stored there."""
-    try:
-        return _LEVI_SLOT.__get__(p)
-    except AttributeError:  # not built yet
-        pass
-    nodes, picard, rs = p.levi_nodes, p.picard_nodes, p.rs
-    # coefficient rows, one per node, of the Levi roots and of their coroots
-    root_rows = tuple(zip(*p.levi_roots))
-    coroot_rows = tuple(zip(*map(rs.coroots.__getitem__, p.levi_roots)))
-    restricted = dict(zip(zip(*(root_rows[i] for i in nodes)), zip(*(coroot_rows[i] for i in nodes))))
-    cartan = tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes)
-    # one elimination, of the smaller matrix: C_I^T, or the Picard block of adj(C^T)
-    inverse = _levi_inverse(rs, nodes, picard) if len(picard) < len(nodes) else None
-    levi = _root_system(cartan, coroots=restricted, inverse=inverse)
-    _LEVI_SLOT.__set__(p, levi)
-    return levi
-
-
-# A read of levi goes through the builder; a write, which only object.__setattr__ can make, goes to the
-# slot.  As a data descriptor over the slot, levi leaves every other field read on the plain slot path.
-_LEVI_SLOT = ParabolicData.levi
-ParabolicData.levi = property(_levi_on_first_read, _LEVI_SLOT.__set__)
-
-
-def _levi_inverse(rs: RootSystem, nodes: tuple[int, ...], picard: tuple[int, ...]) -> tuple[int, tuple]:
-    """det C_I and adj(C_I^T) read off the ambient det C and B = adj(C^T).
-
-    With A = C^T, J the k Picard nodes and M = B_JJ, Jacobi's identity gives
-    det A_II = det M / det(A)^(k-1), and the Schur complement of M in B,
-    B_II - B_IJ M^-1 B_JI, is det(A) A_II^-1, so adj(A_II) =
-    (det M B_II - B_IJ adj(M) B_JI) / det(A)^k, every division exact.
-    """
-    b, det = rs.cartan_t_adjugate, rs.cartan_det
-    m_det, m_adj = linalg.adjugate([[b[r][c] for c in picard] for r in picard])
-    left = [[sum(map(mul, [b[i][c] for c in picard], column)) for column in zip(*m_adj)] for i in nodes]
-    right = [[b[r][j] for r in picard] for j in nodes]
-    scale = det ** len(picard)
-    adj = tuple(
-        tuple((m_det * b[i][j] - sum(map(mul, row, column))) // scale for j, column in zip(nodes, right))
-        for i, row in zip(nodes, left)
-    )
-    return m_det // det ** (len(picard) - 1), adj
 
 
 class WeightSplit(_Record):
@@ -161,15 +141,7 @@ class WeightSplit(_Record):
 
 def build_parabolic(rs: RootSystem, levi_nodes: Iterable[int]) -> ParabolicData:
     """Assemble ParabolicData for the subset I of simple-root indices (0-based)."""
-    nodes = tuple(levi_nodes)
-    for i in nodes:
-        # a non-number, a fraction, or nan or inf, is no index either
-        if not isinstance(i, numbers.Real) or i % 1 or not 0 <= i < rs.rank:
-            raise IndexError(f"simple-root index {_shown(i)} out of range for rank {rs.rank}")
-    nodes = tuple(sorted(set(map(int, nodes))))
-    if len(nodes) == rs.rank:
-        raise FullSetNotParabolicError("I must be a proper subset of the simple roots")
-    return ParabolicData(rs, nodes)
+    return ParabolicData(rs, levi_nodes)
 
 
 def is_dominant_for_levi(weight: Weight, p: ParabolicData) -> bool:

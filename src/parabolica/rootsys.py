@@ -90,12 +90,11 @@ class _Record:
     from its ``__slots__`` when the class is created, that sets each field
     once through ``_set``; a record with a check, or one built from other
     arguments than its fields, writes its own ``__init__``, which sets its
-    fields the same way.  Assigning or
-    deleting a field afterwards raises AttributeError.  Equality, hashing
-    and repr read the fields named in ``_compared``, in order, as a frozen
-    dataclass does; the tables a record derives from them stay out of all
-    three.  ``copy`` and ``pickle`` restore the fields through
-    ``__setstate__``.
+    fields the same way.  Assigning or deleting a field afterwards raises
+    AttributeError.  Equality, hashing and repr read the fields named in
+    ``_compared``, in order, as a frozen dataclass does; the tables a record
+    derives from them stay out of all three.  ``copy`` and ``pickle``
+    restore the fields through ``__setstate__``.
     """
 
     __slots__ = ()
@@ -365,13 +364,10 @@ def _validate_cartan(cartan: Sequence[Sequence[int]]) -> None:
                     raise ValueError("Cartan zero pattern must be symmetric")
 
 
-def _inverse_transpose(
-    cartan: tuple[tuple[int, ...], ...], inverse: tuple[int, tuple[tuple[int, ...], ...]] | None = None
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """det C and adj(C^T): the given pair, or else Bareiss elimination's;
-    either is checked once through C^T adj(C^T) = det C * I."""
+def _inverse_transpose(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """det C and adj(C^T), checked once through C^T adj(C^T) = det C * I."""
     transposed = tuple(zip(*cartan))
-    det, adj = linalg.adjugate(transposed) if inverse is None else inverse
+    det, adj = linalg.adjugate(transposed)
     if det <= 0:
         raise ValueError("Cartan matrix is not of finite type")
     columns = tuple(zip(*adj))
@@ -424,16 +420,13 @@ def _root_label(root: Root) -> str:
 
 
 def _root_system(
-    cartan: tuple[tuple[int, ...], ...],
-    lie_type: SimpleLieType | None = None,
-    coroots: dict | None = None,
-    inverse: tuple[int, tuple[tuple[int, ...], ...]] | None = None,
+    cartan: tuple[tuple[int, ...], ...], lie_type: SimpleLieType | None = None, coroots: dict | None = None
 ) -> RootSystem:
     """The RootSystem of C with its checked det C and adj(C^T), and its
     coroot table: the given one, sorted by (height, coefficients), with no
     label table; or else the closure over C, run only after det C > 0 has
     been checked, with its label table."""
-    det, adjugate = _inverse_transpose(cartan, inverse)
+    det, adjugate = _inverse_transpose(cartan)
     labels = None
     if coroots is None:
         coroots = _positive_roots(cartan)

@@ -1,6 +1,7 @@
 """The refusal contract of the Lie-side builders and of the spectral inputs.
 
-``build_root_system``, ``root_system_from_cartan``, ``build_parabolic``,
+``build_root_system``, ``root_system_from_cartan``, ``build_parabolic``
+and the ``ParabolicData`` constructor it calls,
 ``SimpleLieType.from_string`` and ``fundamental_weight``, and on the
 spectral side ``SingularProfile``, the mode count of
 ``distance_profile_coefficients`` and ``compatibility_constant``, each
@@ -28,7 +29,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parabolica import InvalidTypeError, SimpleLieType, build_parabolic, build_root_system, fundamental_weight
+from parabolica import (
+    InvalidTypeError,
+    ParabolicData,
+    SimpleLieType,
+    build_parabolic,
+    build_root_system,
+    fundamental_weight,
+)
 from parabolica.rootsys import root_system_from_cartan
 from parabolica.spectral import FlatTorus, SingularProfile, compatibility_constant, distance_profile_coefficients
 
@@ -185,7 +193,15 @@ def _system(name: str):
 @example("levi of D4", [True, 1.0])
 @example("G2", [[0]])
 def test_parabolics_build_or_refuse_from_a_raise(system, nodes):
-    _returns_or_refuses(build_parabolic, _system(system), nodes)
+    for build in (build_parabolic, ParabolicData):
+        _returns_or_refuses(build, _system(system), nodes)
+
+
+def test_parabolic_nodes_are_sorted_and_deduplicated():
+    rs = build_root_system("B3")
+    for nodes in ((2, 0), [0, 2, 2, 0.0]):
+        p = ParabolicData(rs, nodes)
+        assert p.levi_nodes == (0, 2) and p == build_parabolic(rs, [0, 2]), nodes
 
 
 _DIMENSIONS = st.integers(-1, 4) | _ODD

@@ -13,11 +13,9 @@ Each table is checked once, here: delta by its vanishing on I, and the
 coroot columns, so that every Kahler pairing <omega0, beta^vee> is
 positive, by having no negative entry and a positive sum over the Picard
 nodes for every root, when the parabolic is built; the Levi adjugate by
-``_inverse_transpose`` when the Levi factor is built.  That is on its first
-read, not with the parabolic: the curvature constants are sums over the
-complementary roots alone and never read it, while the splitting criterion,
-equality, hashing and repr do.  A copy or a pickle carries the Levi factor
-only once it is built.
+``_inverse_transpose`` when the Levi factor is built, on its first read:
+the curvature constants are sums over the complementary roots alone and
+never read it.
 
 The Levi subsystem is read off the ambient root system by restriction, with
 no second root closure: its positive roots are the ambient positive roots
@@ -45,26 +43,25 @@ class ParabolicData(_Record):
     """Parabolic for the Levi nodes I, given as simple-root indices, 0-based,
     in any order and with repeats, that must leave out at least one node.
 
-    ``levi`` is the Levi factor as a RootSystem with no ``lie_type``: its
-    Cartan matrix is C_I, its positive roots are the ambient positive roots
-    supported on I, in Levi coordinates and in the ambient (height,
-    coefficients) order, and its tables, left out of equality, hashing and
-    repr, are their coroots in Levi coordinates and the exact inverse of
-    C_I^T.  It is built, with the check of that inverse, the first time it
-    is read, and kept in the ``_levi`` slot: until then ``levi_roots`` holds
-    those positive roots in ambient coordinates.  Three more tables stay out
-    of equality, hashing and repr: ``levi_roots``; ``picard_nodes``, the
-    nodes outside the Levi, which index the Picard group generators; and
-    ``complement_columns``, which holds, for each node i, the i-th
-    coefficients of the coroots of ``complement_roots`` in that order, so a
-    pairing <w, beta^vee> over Phi_I^+ is a sweep over the columns of the
-    nodes where w is nonzero.
+    Equality, hashing and repr read ``rs`` and ``levi_nodes``, which fix
+    every table below.  ``levi`` is the Levi factor as a RootSystem with no
+    ``lie_type``: its Cartan matrix is C_I, its positive roots are the
+    ambient positive roots supported on I, in Levi coordinates and in the
+    ambient (height, coefficients) order, and its tables are their coroots
+    in Levi coordinates and the exact inverse of C_I^T.  It is built, with
+    the check of that inverse, the first time it is read, and kept in the
+    ``_levi`` slot: until then ``levi_roots`` holds those positive roots in
+    ambient coordinates.  ``picard_nodes`` are the nodes outside the Levi,
+    which index the Picard group generators; ``complement_columns`` holds,
+    for each node i, the i-th coefficients of the coroots of
+    ``complement_roots`` in that order, so a pairing <w, beta^vee> over
+    Phi_I^+ is a sweep over the columns of the nodes where w is nonzero.
     """
 
     __slots__ = (
         "rs", "levi_nodes", "_levi", "complement_roots", "delta", "picard_nodes", "complement_columns", "levi_roots"
     )
-    _compared = ("rs", "levi_nodes", "levi", "complement_roots", "delta")
+    _compared = ("rs", "levi_nodes")
 
     def __init__(self, rs: RootSystem, levi_nodes: Iterable[int]) -> None:
         nodes = tuple(levi_nodes)
@@ -122,11 +119,6 @@ class ParabolicData(_Record):
         levi = _root_system(tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes), coroots=restricted)
         _set(self, "_levi", levi)
         return levi
-
-    @levi.setter
-    def levi(self, value: RootSystem) -> None:
-        # only object.__setattr__ gets here: _Record.__setattr__ refuses every field
-        _set(self, "_levi", value)
 
     def levi_coords(self, weight: Weight) -> Weight:
         """Coordinates of a weight over the Levi's own fundamental weights."""

@@ -91,10 +91,11 @@ class _Record:
     once through ``_set``; a record with a check, or one built from other
     arguments than its fields, writes its own ``__init__``, which sets its
     fields the same way.  Assigning or deleting a field afterwards raises
-    AttributeError.  Equality, hashing and repr read the fields named in
-    ``_compared``, in order, as a frozen dataclass does; the tables a record
-    derives from them stay out of all three.  ``copy`` and ``pickle``
-    restore the fields through ``__setstate__``.
+    AttributeError.  ``_compared`` names the constructor's arguments, in
+    order: equality, hashing and repr read those fields, as a frozen
+    dataclass does, and the tables a record derives from them stay out of
+    all three; ``copy`` and ``pickle`` rebuild a record through its
+    constructor from them, and so re-run its checks.
     """
 
     __slots__ = ()
@@ -115,11 +116,8 @@ class _Record:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __setstate__(self, state: tuple) -> None:
-        # object.__getstate__ gives (the instance dict or None, the slot values)
-        for values in state:
-            for name, value in (values or {}).items():
-                _set(self, name, value)
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -253,9 +251,8 @@ class RootSystem(_Record):
     ``cartan_det`` and ``cartan_t_adjugate`` give the exact inverse of C^T
     as adjugate / det.  ``labels`` maps each positive root, in the same
     order, to its label (``_root_label``); it is None on a system built
-    from a given coroot table, as a Levi factor is.  ``copy`` and
-    ``pickle`` rebuild a system, and so re-check it, from C, with a Levi
-    factor's coroot table, since a mappingproxy does not pickle.
+    from a given coroot table, as a Levi factor is.  Its constructor takes
+    the tables too, so a copy or a pickle is rebuilt by the closure over C.
     """
 
     __slots__ = ("lie_type", "cartan", "positive_roots", "coroots", "cartan_det", "cartan_t_adjugate", "labels")
@@ -266,7 +263,7 @@ class RootSystem(_Record):
         return len(self.cartan)
 
     def __reduce__(self) -> tuple:
-        return _root_system, (self.cartan, self.lie_type, None if self.labels is not None else dict(self.coroots))
+        return _root_system, (self.cartan, self.lie_type)
 
     def pairing(self, weight: Weight, root: Root) -> Fraction:
         """<lambda, beta^vee> for a root beta (positive or negative), read as

@@ -263,8 +263,7 @@ def _quadrature_grid(manifold: FlatTorus, n: int, points_per_axis: int | None = 
     budget, each refused with an _OverBudget, which the CLI's spectral reader
     reports under the flag that set the refused value; an n that is not an
     int, a bool among them, with a TypeError."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise TypeError(f"mode count n must be an integer, got {type(n).__name__}")
+    _require_ints("mode count n", n)
     if points_per_axis is None:
         points_per_axis = _default_points_per_axis(manifold.dimension)
     total = manifold._grid_size(points_per_axis)
@@ -273,10 +272,18 @@ def _quadrature_grid(manifold: FlatTorus, n: int, points_per_axis: int | None = 
     return points_per_axis, total, _table_for(manifold.side_lengths, n)
 
 
+def _require_ints(what: str, *values: object) -> None:
+    """TypeError for a value that is not an int, a bool among them."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
+
+
 class SpectralFunction(_Record):
     """Eigen-coefficients c_0..c_n plus ``tail_sq``, the squared L2 mass
     past c_n, and ``tails_sq``, where tails_sq[k] = sum_{j >= k} c_j^2 for
-    k = 0..n + 1.
+    k = 0..n + 1.  A nan or infinite coefficient is refused with a
+    ValueError, as is a ``tail_sq`` that is not a finite nonnegative real.
 
     ``coeffs`` is a read-only float64 copy of the 1-D sequence it is given,
     so ``tails_sq``, read-only too, cannot go stale.  It is one reverse
@@ -299,12 +306,16 @@ class SpectralFunction(_Record):
         coeffs = np.array(coeffs, dtype=float)
         if coeffs.ndim != 1:
             raise ValueError(f"coefficients must be a 1-D sequence c_0..c_n, got shape {coeffs.shape}")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite, got a nan or an infinity")
+        if not isinstance(tail_sq, numbers.Real) or not 0 <= tail_sq <= sys.float_info.max:  # nan fails too
+            raise ValueError(f"tail_sq must be a finite nonnegative real, got {_shown(tail_sq, repr)}")
         with np.errstate(over="ignore"):  # an inf tail is refused where it is read, by _require_finite
             tails_sq = np.append(np.cumsum(coeffs[::-1] ** 2)[::-1], 0.0)
         for array in (coeffs, tails_sq):
             array.setflags(write=False)
         _set(self, "coeffs", coeffs)
-        _set(self, "tail_sq", tail_sq)
+        _set(self, "tail_sq", float(tail_sq))
         _set(self, "tails_sq", tails_sq)
 
     def coefficient(self, index: int) -> float:
@@ -330,15 +341,17 @@ def solve_weight(f: SpectralFunction, n: int, manifold: FlatTorus) -> GalerkinSo
     psi_j = c_j / lambda_j for 1 <= j <= n (mode 0 never divides: the
     compatibility condition is mode-0 data and is carried by the reference
     metric).  The residual against the full f is the tail norm, and the
-    spectral H2 norm of psi is reported.  A nan or infinite norm, residual
-    or c_0 is refused with a ValueError; a finite norm bounds every psi_j.
+    spectral H2 norm of psi is reported.  An n that is not an int, a bool
+    among them, is refused with a TypeError, and a nan or infinite norm or
+    residual with a ValueError; a finite norm bounds every psi_j.
     """
+    _require_ints("truncation order", n)
     if n < 0:
         raise ValueError("truncation order must be nonnegative")
     c, lam, psi, terms = _mode_terms(f, n, manifold)
     kept = c != 0.0
     h2_sq, tail_sq = _rung_sums(f, n, terms[0][kept])
-    _require_finite(f"solve_weight at n={n}", squared_h2_norm=h2_sq, squared_residual=tail_sq, c_0=f.coefficient(0))
+    _require_finite(f"solve_weight at n={_shown(n)}", squared_h2_norm=h2_sq, squared_residual=tail_sq)
     return GalerkinSolution(
         truncation=n,
         modes=np.flatnonzero(kept) + 1,
@@ -398,8 +411,9 @@ def _gap_sums(terms: np.ndarray, m: int, n: int) -> tuple[float, float]:
 
 def spectral_h2_gap(f: SpectralFunction, m: int, n: int, manifold: FlatTorus) -> float:
     """Exact squared spectral H2 distance between psi_n and psi_m; ValueError if it is nan or infinite."""
+    _require_ints("truncation order", n, m)
     _, gap = _gap_sums(_mode_terms(f, n, manifold)[3], m, n)
-    _require_finite(f"spectral_h2_gap for n={n}, m={m}", gap=gap)
+    _require_finite(f"spectral_h2_gap for n={_shown(n)}, m={_shown(m)}", gap=gap)
     return gap
 
 
@@ -412,10 +426,11 @@ def h2_cauchy_gap(f: SpectralFunction, n: int, m_idx: int, manifold: FlatTorus) 
     the bound is twice the gap up to rounding, so no InvariantError checks
     it; a nan or infinite bound or gap raises ValueError.
     """
+    _require_ints("truncation order", n, m_idx)
     if not n > m_idx >= 0:
         raise ValueError("need n > m >= 0")
     bound, gap = _gap_sums(_mode_terms(f, n, manifold)[3], m_idx, n)
-    _require_finite(f"h2_cauchy_gap for n={n}, m={m_idx}", bound=bound, gap=gap)
+    _require_finite(f"h2_cauchy_gap for n={_shown(n)}, m={_shown(m_idx)}", bound=bound, gap=gap)
     return bound, gap
 
 
@@ -430,22 +445,23 @@ def galerkin_ladder(
     truncation; a rung sums a prefix of the H2 terms of the modes with
     c_j != 0, and a pair a slice of both rows, as the per-call functions do.
     """
+    _require_ints("truncation order", *truncations)
     c, _, _, terms = _mode_terms(f, max(truncations, default=0), manifold)
     kept = c != 0.0
-    kept_h2, c_0 = terms[0][kept], f.coefficient(0)
+    kept_h2 = terms[0][kept]
     rungs = []
     for n in truncations:
         if n < 0:
             raise ValueError("truncation order must be nonnegative")
         h2_sq, tail_sq = _rung_sums(f, n, kept_h2[: np.count_nonzero(kept[:n])])
-        _require_finite(f"solve_weight at n={n}", squared_h2_norm=h2_sq, squared_residual=tail_sq, c_0=c_0)
+        _require_finite(f"solve_weight at n={_shown(n)}", squared_h2_norm=h2_sq, squared_residual=tail_sq)
         rungs.append((n, math.sqrt(tail_sq), math.sqrt(h2_sq)))
     pairs = []
     for m, n in zip(truncations, truncations[1:]):
         if not n > m >= 0:
             raise ValueError("need n > m >= 0")
         bound, gap = _gap_sums(terms, m, n)
-        _require_finite(f"h2_cauchy_gap for n={n}, m={m}", bound=bound, gap=gap)
+        _require_finite(f"h2_cauchy_gap for n={_shown(n)}, m={_shown(m)}", bound=bound, gap=gap)
         pairs.append((m, n, bound, gap))
     return rungs, pairs
 

@@ -1,10 +1,22 @@
 from __future__ import annotations
 
+import os
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from parabolica import build_parabolic, build_root_system
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter: this checkout's ``src/``
+    first on ``PYTHONPATH``, then the caller's entries, so a hook that
+    ``tests/coverage_map.py`` puts there still loads in the child."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def cached_system(name: str):

@@ -99,6 +99,13 @@ MUTANTS = (
         ("tests/test_kernel.py::test_levi_is_built_only_by_requests_that_read_it",),
     ),
     Mutant(
+        "parabolic-compares-its-levi",
+        "src/parabolica/parabolic.py",
+        '_compared = ("rs", "levi_nodes")',
+        '_compared = ("rs", "levi_nodes", "levi")',
+        ("tests/test_kernel.py::test_parabolics_compare_without_building_the_levi",),
+    ),
+    Mutant(
         "lambda-e-negated",
         "src/parabolica/bundle.py",
         "lambda_e = {beta: rank * (c - det * lam[beta])",
@@ -326,6 +333,18 @@ MUTANTS = (
         "if other.__class__ is self.__class__:",
         "if isinstance(other, _Record):",
         ("tests/test_rootsys.py::test_records_of_different_classes_are_unequal",),
+    ),
+    Mutant(
+        "record-copied-past-its-constructor",
+        "src/parabolica/rootsys.py",
+        "def __reduce__(self) -> tuple:\n        return type(self), self._values()",
+        "def __setstate__(self, state: tuple) -> None:\n"
+        "        for name, value in state[1].items():\n"
+        "            _set(self, name, value)",
+        (
+            "tests/test_kernel.py::test_copies_rerun_the_constructor",
+            "tests/test_kernel.py::test_parabolics_compare_without_building_the_levi",
+        ),
     ),
     Mutant(
         "weyl-dim-integral-check-dropped",

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +24,7 @@ from parabolica import (
 )
 from parabolica import bundle, parabolic
 
-from conftest import cached_parabolic, cached_system
+from conftest import cached_parabolic, cached_system, child_env
 from oracles import combine, det
 
 
@@ -297,7 +295,5 @@ def test_bundle_invariants_survive_optimized_mode():
         "    raise SystemExit(0 if 'residue identity' in str(exc) else 2)\n"
         "raise SystemExit(1)\n"
     )
-    src = str(Path(bundle.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +31,7 @@ from parabolica.cli import (
 )
 from parabolica.spectral import SingularProfile
 
+from conftest import child_env
 from oracles import argparse_parser, check_report
 
 
@@ -447,15 +447,13 @@ def test_closed_stdout_exits_one_without_traceback():
     # fails with EPIPE whatever the pipe's buffer size.
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     try:
         done = subprocess.run(
             [sys.executable, "-m", "parabolica.cli", "dump-roots", "--type=E8"],
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env=env,
+            env=child_env(),
         )
     finally:
         os.close(write_end)

@@ -44,7 +44,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import pickle
 import random
 import subprocess
@@ -52,7 +51,6 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,7 +59,9 @@ from hypothesis import strategies as st
 from parabolica import (
     BundleSpec,
     EndomorphismSpectrum,
+    FullSetNotParabolicError,
     KahlerClass,
+    NotKahlerError,
     ParabolicData,
     Weight,
     build_root_system,
@@ -77,7 +77,7 @@ from parabolica import (
 from parabolica.parabolic import build_parabolic
 from parabolica.rootsys import SimpleLieType, _Record, _root_system, cartan_matrix, root_system_from_cartan
 
-from conftest import cached_parabolic, cached_system
+from conftest import cached_parabolic, cached_system, child_env
 from oracles import (
     coroot_coefficients,
     cramer_ratios_fold,
@@ -284,9 +284,9 @@ def test_lazy_levi_matches_the_eager_restriction():
 def test_parabolic_records_work_before_and_after_the_levi_is_built():
     """==, hash, copy.copy and pickle give the same answers on a parabolic
     whose Levi is not built yet as after its first read; a copy or an
-    unpickled parabolic has every table of the original, an unpickled
-    Levi rebuilt and so re-checked.  Reading a name that is no field raises
-    AttributeError and builds nothing."""
+    unpickled parabolic has every table of the original, and a Levi built,
+    and so checked, on its own first read.  Reading a name that is no field
+    raises AttributeError and builds nothing."""
 
     def same(q: ParabolicData, p: ParabolicData) -> bool:
         tables = ("levi_roots", "picard_nodes", "complement_columns")
@@ -315,6 +315,21 @@ def test_parabolic_records_work_before_and_after_the_levi_is_built():
             assert check(p), (name, what, "before the first read")
             p.levi
             assert check(p), (name, what, "after the first read")
+
+
+def test_parabolics_compare_without_building_the_levi():
+    """==, hash and repr of a parabolic read its root system and Levi nodes
+    only, and leave its Levi unbuilt; a copy or an unpickled parabolic is
+    rebuilt from those two, so it carries no Levi even once the original's
+    is built."""
+    for name, nodes in (("B3", (1, 2)), ("E8", (0, 2, 3, 4)), ("A3", ())):
+        p, q = (build_parabolic(cached_system(name), nodes) for _ in range(2))
+        assert p == q and not p != q and hash(p) == hash(q), (name, nodes)
+        assert repr(p) == f"ParabolicData(rs={p.rs!r}, levi_nodes={nodes!r})"
+        assert not levi_built(p) and not levi_built(q), (name, nodes)
+        p.levi
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and not levi_built(twin), (name, nodes)
 
 
 # Warm requests: the same Levi with a single Picard node and with three.
@@ -418,6 +433,31 @@ def test_records_are_frozen():
             assert getattr(record, name) is before, (type(record), name)
         with pytest.raises(AttributeError):
             record.not_a_field = None
+
+
+def test_records_round_trip_through_their_constructor():
+    """copy.copy, copy.deepcopy and pickle rebuild every record, through its
+    constructor, equal to the original; a record holding arrays compares by
+    repr, as its == is by identity or elementwise."""
+    for record in record_instances():
+        by_repr = any(hasattr(value, "shape") for value in record._values())
+        for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is type(record) and twin is not record, type(record)
+            assert repr(twin) == repr(record) if by_repr else twin == record, type(record)
+
+
+def test_copies_rerun_the_constructor():
+    """A field that breaks its record's check, written past the constructor
+    through object.__setattr__, is refused by the copy, the deep copy and
+    the pickle round trip, each of which runs that check."""
+    omega0 = KahlerClass((1, 2))
+    object.__setattr__(omega0, "coeffs", (Fraction(1), Fraction(0)))
+    p = build_parabolic(cached_system("B3"), (1, 2))
+    object.__setattr__(p, "levi_nodes", (0, 1, 2))
+    for record, refusal in ((omega0, NotKahlerError), (p, FullSetNotParabolicError)):
+        for twin in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            with pytest.raises(refusal):
+                twin(record)
 
 
 # The records whose class writes no __init__: _Record writes theirs from __slots__.
@@ -1068,7 +1108,7 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "spec = lambda p: pb.BundleSpec(p, pb.Weight.of(0, 0, 1))\n"
         # the stored adjugate of C_I^T gives the Cramer ratios, which the residue identity re-checks
         "p = fresh()\n"
-        "p = replace(p, levi=replace(p.levi, cartan_t_adjugate=bump(p.levi.cartan_t_adjugate)))\n"
+        "p = replace(p, _levi=replace(p.levi, cartan_t_adjugate=bump(p.levi.cartan_t_adjugate)))\n"
         "expect('residue identity failed', lambda: pb.splitting_report(spec(p)))\n"
         # the full system's stored inverse gives the residue identity
         "p = fresh()\n"
@@ -1079,7 +1119,7 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "table = dict(p.levi.coroots)\n"
         "first = next(iter(table))\n"
         "table[first] = tuple(k + 1 for k in table[first])\n"
-        "p = replace(p, levi=replace(p.levi, coroots=types.MappingProxyType(table)))\n"
+        "p = replace(p, _levi=replace(p.levi, coroots=types.MappingProxyType(table)))\n"
         "expect('Weyl dimension', lambda: pb.weyl_dim(p, pb.Weight.of(0, 0, 1)))\n"
         # a negated complement coroot breaks Kahler positivity when the parabolic is built
         "rs = pb.build_root_system('B3')\n"
@@ -1098,7 +1138,5 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "p = pb.build_parabolic(ambient, [1, 2])\n"
         "expect('C^T X = I', lambda: p.levi)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

@@ -8,7 +8,6 @@ interpreter, since this test session has long since imported numpy.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import parabolica
+from conftest import child_env
 from test_cli import SPECTRAL_REQUESTS, SPECTRAL_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -83,9 +83,9 @@ print(codes, sorted(name for name in {names!r} if name in sys.modules))
 
 
 def _bare_exact(names: tuple[str, ...], *flags: str) -> str:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
     script = BARE_EXACT.format(requests=[list(tokens) for tokens in EXACT_REQUESTS], names=names)
-    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    command = [sys.executable, *flags, "-c", script]
+    done = subprocess.run(command, env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -115,8 +115,8 @@ print(json.dumps({"codes": codes, "binding_sites": t.binding_sites, "layers": t.
 
 
 def _run(script: str, *args: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+    command = [sys.executable, "-c", script, *args]
+    done = subprocess.run(command, env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
 

@@ -4,8 +4,9 @@
 and the ``ParabolicData`` constructor it calls,
 ``SimpleLieType.from_string`` and ``fundamental_weight``, and on the
 spectral side ``SingularProfile``, the mode count of
-``distance_profile_coefficients`` and ``compatibility_constant``, each
-either return, or raise from a ``raise`` statement under
+``distance_profile_coefficients``, ``SpectralFunction``, the truncation
+orders of ``solve_weight``, ``spectral_h2_gap``, ``h2_cauchy_gap`` and
+``galerkin_ladder``, and ``compatibility_constant``, each either return, or raise from a ``raise`` statement under
 ``src/parabolica/``: never from inside ``int()``, ``%``, ``sorted`` or
 ``str()`` of a huge int on the way.  The innermost traceback frame of the
 exception must be such a line, and the exception must be of the class that
@@ -14,13 +15,17 @@ and mode counts are drawn from bools, floats (nan and +-inf among them),
 strings, ``None``, small ``Fraction``s and huge ints, as well as the values
 that build; the arguments keep their shape (a type or its name, a list of
 rows, a list of nodes).  A value that is returned must be the right one:
-a fundamental weight for an index in range only, and a finite float from
+a fundamental weight for an index in range only, a spectral function for
+finite coefficients and a finite nonnegative real tail only, a Galerkin
+result for int truncation orders only, and a finite float from
 ``compatibility_constant``.
 """
 from __future__ import annotations
 
 import linecache
 import math
+import numbers
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +43,17 @@ from parabolica import (
     fundamental_weight,
 )
 from parabolica.rootsys import root_system_from_cartan
-from parabolica.spectral import FlatTorus, SingularProfile, compatibility_constant, distance_profile_coefficients
+from parabolica.spectral import (
+    FlatTorus,
+    SingularProfile,
+    SpectralFunction,
+    compatibility_constant,
+    distance_profile_coefficients,
+    galerkin_ladder,
+    h2_cauchy_gap,
+    solve_weight,
+    spectral_h2_gap,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "parabolica"
 CONTRACT = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -224,6 +239,54 @@ def test_singular_profiles_build_or_refuse_from_a_raise(ambient_dim, codim, expo
 def test_mode_counts_are_refused_from_a_raise(n):
     """On a 64-point grid, so every accepted count is cheap."""
     _returns_or_refuses(distance_profile_coefficients, SingularProfile(1, 1, 0.25), FlatTorus((1.0,)), n, 64)
+
+
+_COEFFICIENTS = st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e200, 5e-324]), max_size=4)
+
+
+@CONTRACT
+@given(_COEFFICIENTS, st.floats() | _ODD)
+@example([math.nan], 0.0)
+@example([1.0, -math.inf], 0.0)
+@example([1.0], math.nan)
+@example([1.0], -1.0)
+@example([1.0], "a")
+@example([1.0], Fraction(1, 3))
+@example([0.0, 1e200], 0.0)  # whose tails_sq overflows: refused where it is read
+def test_spectral_functions_build_or_refuse_from_a_raise(coeffs, tail_sq):
+    f = _returns_or_refuses(SpectralFunction, coeffs, tail_sq)
+    real_tail = isinstance(tail_sq, numbers.Real) and 0 <= tail_sq <= sys.float_info.max
+    assert (f is not None) == (all(map(math.isfinite, coeffs)) and real_tail), (coeffs, tail_sq)
+    assert f is None or (f.coeffs.tolist() == coeffs and f.tail_sq == float(tail_sq)), (coeffs, tail_sq)
+
+
+_ORDERS = st.integers(-2, 5) | _ODD
+
+
+@CONTRACT
+@given(_ORDERS, _ORDERS)
+@example(2.5, 0)
+@example("a", 0)
+@example(0, "a")
+@example(True, 0)
+@example(10**5000, 0)
+def test_truncation_orders_are_refused_from_a_raise(n, m):
+    """Every call that takes a truncation order refuses one that is not an
+    int, a bool among them, with a TypeError; an int order returns or is
+    refused as before."""
+    f, torus = SpectralFunction([1.0, 0.5, 0.25, 0.125]), FlatTorus((1.0,))
+    for call, args, orders in (
+        (solve_weight, (f, n, torus), (n,)),
+        (spectral_h2_gap, (f, m, n, torus), (m, n)),
+        (h2_cauchy_gap, (f, n, m, torus), (n, m)),
+        (galerkin_ladder, (f, [m, n], torus), (m, n)),
+    ):
+        if all(type(k) is int for k in orders):
+            _returns_or_refuses(call, *args)
+        else:
+            with pytest.raises(TypeError, match="^truncation order must be an integer, got "):
+                call(*args)
+            assert _returns_or_refuses(call, *args) is None, (call.__name__, n, m)
 
 
 _MEANS = st.floats() | st.integers(-(10**6), 10**6) | _ODD

@@ -43,6 +43,7 @@ class ChernData(_Record):
 
 class SplittingReport(_Record):
     __slots__ = _compared = ("chern", "criterion_values", "splits", "lambda_L0", "lambda_E0_check", "split")
+    __hash__ = None  # criterion_values is a dict
 
 
 def weyl_dim(p: ParabolicData, lambda_s: Weight) -> int:

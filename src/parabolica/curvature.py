@@ -47,6 +47,7 @@ class EndomorphismSpectrum(_Record):
     """Eigenvalue of omega^-1 o psi per complementary positive root."""
 
     __slots__ = _compared = ("eigenvalues",)
+    __hash__ = None  # eigenvalues is a dict
 
     def trace(self) -> Fraction:
         """The sum of the eigenvalues: integer numerators over the lcm of
@@ -70,7 +71,8 @@ def _kahler_denominators(omega0: KahlerClass, p: ParabolicData) -> tuple[list[in
     """(denominators, d) with <omega0, beta^vee> = denominators[k] / d for
     the k-th root beta of Phi_I^+: the coefficients of omega0 as integers
     over their lcm d, swept over the columns of the Picard nodes.  Each sum
-    is positive: ``build_parabolic`` checked the columns."""
+    is positive: the closure checked every coroot nonnegative with its
+    root's support, and each root here has a Picard coefficient."""
     coeffs = omega0.coeffs
     nodes = p.picard_nodes
     if len(coeffs) != len(nodes):

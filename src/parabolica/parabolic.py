@@ -9,13 +9,13 @@ which is the anticanonical weight of the flag variety.  The coroots of the
 complementary roots are also stored column by column, one column per node,
 for the curvature pairings.
 
-Each table is checked once, here: delta by its vanishing on I, and the
-coroot columns, so that every Kahler pairing <omega0, beta^vee> is
-positive, by having no negative entry and a positive sum over the Picard
-nodes for every root, when the parabolic is built; the Levi adjugate by
-``_inverse_transpose`` when the Levi factor is built, on its first read:
-the curvature constants are sums over the complementary roots alone and
-never read it.
+Each table is checked once: delta by its vanishing on I, when the
+parabolic is built; the Levi adjugate by ``_inverse_transpose`` when the
+Levi factor is built, on its first read: the curvature constants are sums
+over the complementary roots alone and never read it.  The closure checked
+each ambient coroot nonnegative with its root's support, and a
+complementary root has a Picard coefficient, so every Kahler pairing
+<omega0, beta^vee> is positive with no check here.
 
 The Levi subsystem is read off the ambient root system by restriction, with
 no second root closure: its positive roots are the ambient positive roots
@@ -87,21 +87,12 @@ class ParabolicData(_Record):
         delta = rs.root_as_weight(tuple(map(sum, zip(*complement))))
         if any(delta[i] != 0 for i in nodes):
             raise InvariantError(f"delta must vanish on the Levi nodes {nodes} of {rs.lie_type}: delta {delta}")
-        columns = tuple(zip(*complement_coroots))
-        if min(map(min, columns)) < 0 or min(map(sum, zip(*(columns[i] for i in picard)))) <= 0:
-            root, coroot = next(
-                (r, c) for r, c in zip(complement, complement_coroots) if min(c) < 0 or not any(c[i] for i in picard)
-            )
-            raise InvariantError(
-                f"Kahler positivity needs every complement coroot nonnegative with a Picard entry: "
-                f"{rs.lie_type}, Levi nodes {nodes}, root {root}, coroot {coroot}"
-            )
         _set(self, "rs", rs)
         _set(self, "levi_nodes", nodes)
         _set(self, "complement_roots", tuple(complement))
         _set(self, "delta", delta)
         _set(self, "picard_nodes", picard)
-        _set(self, "complement_columns", columns)
+        _set(self, "complement_columns", tuple(zip(*complement_coroots)))
         _set(self, "levi_roots", tuple(levi_roots))
 
     @property

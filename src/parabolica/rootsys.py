@@ -15,22 +15,24 @@ All arithmetic in this module is exact.  The integer tables a query needs
 computed once, when the root system is built, and checked there.  So is
 the table of each positive root's report label, such as ``a1+2a2``, which a
 request would otherwise re-derive root by root.  A Levi system, built from
-a coroot table read off its ambient system, carries none.  One
-closure under the simple reflections yields the positive roots with their
-coroots, which pair to 2 with them as each step keeps <beta, beta^vee>, and
-refuses a Cartan matrix that is not of finite type once a root coefficient
-passes 6.  Root lengths, the symmetrizer of C, are not computed: pairings
-read the coroot table instead of 2 (lambda, beta) / (beta, beta).
+a coroot table read off its ambient system, carries none.  One closure
+under the simple reflections yields the positive roots with their coroots,
+which pair to 2 with them as each step keeps <beta, beta^vee>, and refuses
+a Cartan matrix that is not of finite type once a root coefficient passes
+6; each coroot is then checked nonnegative with its root's support, which
+a Levi table restricted from it inherits.  Root lengths, the symmetrizer
+of C, are not computed: pairings read the coroot table instead of
+2 (lambda, beta) / (beta, beta).
 
 ``build_root_system`` memoizes every simple type, keyed by
 ``SimpleLieType``: each is built once per process and kept for its life.
 ``MAX_CLASSICAL_RANK`` leaves 129 types, about 26 MB if every one is built
 (E8 43 KiB, A32 433 KiB, B32 882 KiB, of which the label table is about a
-fifth).  ``root_system_from_cartan``
-validates its input and builds afresh on every call: custom matrices have
-no finite key set.  Memoized systems are shared by every caller, so their
-tables are read-only: tuples, and a ``MappingProxyType`` for ``coroots``
-and ``labels``.
+fifth).  ``root_system_from_cartan`` validates its input and builds afresh
+on every call: custom matrices have no finite key set; a simple type's
+generated matrix is not validated.  Memoized systems are shared by every
+caller, so their tables are read-only: tuples, and a ``MappingProxyType``
+for ``coroots`` and ``labels``.
 """
 from __future__ import annotations
 
@@ -190,13 +192,27 @@ def positive_root_count(t: SimpleLieType) -> int:
 
 
 class Weight(_Record):
-    """Point of the weight lattice (or its rational span), fw coordinates."""
+    """Point of the weight lattice (or its rational span), fw coordinates:
+    a tuple of ints and Fractions, and nothing else, not even a bool.
+    ``Weight.of`` reads any value ``Fraction`` reads."""
 
     __slots__ = _compared = ("coords",)
 
+    def __init__(self, coords: tuple[int | Fraction, ...]) -> None:
+        if type(coords) is not tuple:
+            raise TypeError(f"weight coordinates must be a tuple, got {type(coords).__name__}")
+        for c in coords:
+            if type(c) is not Fraction and type(c) is not int:
+                raise TypeError(f"a weight coordinate must be an int or a Fraction, got {type(c).__name__}")
+        _set(self, "coords", coords)
+
     @classmethod
     def of(cls, *coords: int | Fraction | str) -> "Weight":
-        return cls(tuple(Fraction(c) for c in coords))
+        try:
+            coords = tuple(map(Fraction, coords))
+        except (TypeError, ValueError, OverflowError) as exc:  # Fraction's refusals, raised from inside fractions
+            raise ValueError(f"cannot read a weight coordinate as a rational: {exc}") from None
+        return cls(coords)
 
     @property
     def rank(self) -> int:
@@ -422,11 +438,17 @@ def _root_system(
     """The RootSystem of C with its checked det C and adj(C^T), and its
     coroot table: the given one, sorted by (height, coefficients), with no
     label table; or else the closure over C, run only after det C > 0 has
-    been checked, with its label table."""
+    been checked, with its label table and its coroots checked."""
     det, adjugate = _inverse_transpose(cartan)
     labels = None
     if coroots is None:
         coroots = _positive_roots(cartan)
+        for root, coroot in coroots.items():
+            if min(coroot) < 0 or list(map(bool, coroot)) != list(map(bool, root)):
+                raise InvariantError(
+                    f"a positive coroot must be nonnegative with its root's support: Cartan matrix {cartan}, "
+                    f"root {root}, coroot {coroot}"
+                )
         labels = MappingProxyType({root: _root_label(root) for root in coroots})
     return RootSystem(lie_type, cartan, tuple(coroots), MappingProxyType(coroots), det, adjugate, labels)
 
@@ -439,9 +461,7 @@ def root_system_from_cartan(cartan: Sequence[Sequence[int]]) -> RootSystem:
 
 @functools.cache
 def _memoized_root_system(t: SimpleLieType) -> RootSystem:
-    cartan = cartan_matrix(t)
-    _validate_cartan(cartan)
-    rs = _root_system(tuple(map(tuple, cartan)), t)
+    rs = _root_system(tuple(map(tuple, cartan_matrix(t))), t)
     expected = positive_root_count(t)
     if len(rs.positive_roots) != expected:
         raise InvariantError(f"positive-root count of {t}: enumerated {len(rs.positive_roots)}, expected {expected}")

@@ -187,6 +187,8 @@ class _ModeTable(_Record):
     apart by _is_sine."""
 
     __slots__ = _compared = ("eigenvalues", "frequencies")
+    __eq__ = object.__eq__  # by identity, as for SpectralFunction
+    __hash__ = object.__hash__
 
 
 def _is_sine(index):
@@ -282,8 +284,9 @@ def _require_ints(what: str, *values: object) -> None:
 class SpectralFunction(_Record):
     """Eigen-coefficients c_0..c_n plus ``tail_sq``, the squared L2 mass
     past c_n, and ``tails_sq``, where tails_sq[k] = sum_{j >= k} c_j^2 for
-    k = 0..n + 1.  A nan or infinite coefficient is refused with a
-    ValueError, as is a ``tail_sq`` that is not a finite nonnegative real.
+    k = 0..n + 1.  A coefficient that does not convert to float64, or is
+    nan or infinite, is refused with a ValueError, as is a ``tail_sq`` that
+    is not a finite nonnegative real.
 
     ``coeffs`` is a read-only float64 copy of the 1-D sequence it is given,
     so ``tails_sq``, read-only too, cannot go stale.  It is one reverse
@@ -303,7 +306,10 @@ class SpectralFunction(_Record):
     def __init__(self, coeffs: np.ndarray, tail_sq: float = 0.0) -> None:
         if isinstance(coeffs, Mapping):
             raise TypeError("coefficients must be a dense sequence c_0..c_n, not a mapping from index to value")
-        coeffs = np.array(coeffs, dtype=float)
+        try:
+            coeffs = np.array(coeffs, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # numpy's refusals, raised from inside np.array
+            raise ValueError(f"coefficients must convert to float64: {exc}") from None
         if coeffs.ndim != 1:
             raise ValueError(f"coefficients must be a 1-D sequence c_0..c_n, got shape {coeffs.shape}")
         if not np.isfinite(coeffs).all():

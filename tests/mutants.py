@@ -85,6 +85,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "closure-coroot-check-dropped",
+        "src/parabolica/rootsys.py",
+        "if min(coroot) < 0 or list(map(bool, coroot)) != list(map(bool, root)):",
+        "if False:",
+        (
+            "tests/test_kernel.py::test_corrupted_tables_raise_under_optimized_mode",
+            "tests/test_rootsys.py::test_coroot_support_check_raises_invariant_error",
+        ),
+    ),
+    Mutant(
         "levi-restriction-reads-roots",
         "src/parabolica/parabolic.py",
         "zip(*(coroot_rows[i] for i in nodes))",

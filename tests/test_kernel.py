@@ -446,6 +446,23 @@ def test_records_round_trip_through_their_constructor():
             assert repr(twin) == repr(record) if by_repr else twin == record, type(record)
 
 
+def test_records_compare_and_hash_or_refuse():
+    """== against a deep copy returns a bool for every record, and hash()
+    returns or raises TypeError: the records that hold a dict are
+    unhashable, and those that hold arrays compare and hash by identity."""
+    unhashable = set()
+    for record in record_instances():
+        twin = copy.deepcopy(record)
+        assert type(record == twin) is bool and type(record != twin) is bool, type(record)
+        try:
+            hash(record)
+        except TypeError:
+            unhashable.add(type(record).__qualname__)
+        if any(hasattr(value, "shape") for value in record._values()):
+            assert record != twin and record == record and hash(record) == object.__hash__(record), type(record)
+    assert unhashable == {"SplittingReport", "EndomorphismSpectrum"}
+
+
 def test_copies_rerun_the_constructor():
     """A field that breaks its record's check, written past the constructor
     through object.__setattr__, is refused by the copy, the deep copy and
@@ -462,7 +479,6 @@ def test_copies_rerun_the_constructor():
 
 # The records whose class writes no __init__: _Record writes theirs from __slots__.
 PLAIN_RECORDS = {
-    "Weight",
     "RootSystem",
     "WeightSplit",
     "ChernData",
@@ -1075,12 +1091,12 @@ def test_trace_matches_fraction_sum():
 def test_corrupted_tables_raise_under_optimized_mode():
     """Each corruption must be caught by an explicit raise, not an assert:
     the residue identity (for a wrong Levi or ambient adjugate),
-    Weyl-dimension integrality, the coroot-column check of a parabolic build
-    and the C^T X = I check of a root-system build and of a Levi build,
-    which runs on the first read of ``levi``.  Memoized root systems
+    Weyl-dimension integrality, the coroot sign and support check of the
+    closure, and the C^T X = I check of a root-system build and of a Levi
+    build, which runs on the first read of ``levi``.  Memoized root systems
     are shared and read-only, so each corruption builds a copy of the
-    parabolic or root system with one corrupted table, and each build starts
-    from a cleared memo."""
+    parabolic or root system with one corrupted table, or wraps the closure
+    or the elimination, and each build starts from a cleared memo."""
     script = (
         "import copy, sys, types\n"
         "import parabolica as pb\n"
@@ -1121,13 +1137,17 @@ def test_corrupted_tables_raise_under_optimized_mode():
         "table[first] = tuple(k + 1 for k in table[first])\n"
         "p = replace(p, _levi=replace(p.levi, coroots=types.MappingProxyType(table)))\n"
         "expect('Weyl dimension', lambda: pb.weyl_dim(p, pb.Weight.of(0, 0, 1)))\n"
-        # a negated complement coroot breaks Kahler positivity when the parabolic is built
-        "rs = pb.build_root_system('B3')\n"
-        "coroots = dict(rs.coroots)\n"
-        "root = next(r for r in coroots if r[0])\n"
-        "coroots[root] = tuple(-k for k in coroots[root])\n"
-        "rs = replace(rs, coroots=types.MappingProxyType(coroots))\n"
-        "expect('Kahler positivity', lambda: pb.build_parabolic(rs, [1, 2]))\n"
+        # a negated coroot out of the closure is caught when the system is built
+        "closure = rootsys._positive_roots\n"
+        "def negated(cartan):\n"
+        "    table = closure(cartan)\n"
+        "    root = next(r for r in table if r[0])\n"
+        "    table[root] = tuple(-k for k in table[root])\n"
+        "    return table\n"
+        "rootsys._positive_roots = negated\n"
+        "rootsys._memoized_root_system.cache_clear()\n"
+        "expect('coroot must be nonnegative', lambda: pb.build_root_system('B3'))\n"
+        "rootsys._positive_roots = closure\n"
         # a wrong adjugate out of the elimination is caught when the system is built
         "ambient = fresh().rs\n"
         "genuine = pb.linalg.adjugate\n"

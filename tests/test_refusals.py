@@ -2,22 +2,25 @@
 
 ``build_root_system``, ``root_system_from_cartan``, ``build_parabolic``
 and the ``ParabolicData`` constructor it calls,
-``SimpleLieType.from_string`` and ``fundamental_weight``, and on the
-spectral side ``SingularProfile``, the mode count of
-``distance_profile_coefficients``, ``SpectralFunction``, the truncation
-orders of ``solve_weight``, ``spectral_h2_gap``, ``h2_cauchy_gap`` and
-``galerkin_ladder``, and ``compatibility_constant``, each either return, or raise from a ``raise`` statement under
-``src/parabolica/``: never from inside ``int()``, ``%``, ``sorted`` or
-``str()`` of a huge int on the way.  The innermost traceback frame of the
-exception must be such a line, and the exception must be of the class that
-line names.  Ranks, nodes, indices, Cartan entries, dimensions, exponents
-and mode counts are drawn from bools, floats (nan and +-inf among them),
-strings, ``None``, small ``Fraction``s and huge ints, as well as the values
-that build; the arguments keep their shape (a type or its name, a list of
-rows, a list of nodes).  A value that is returned must be the right one:
-a fundamental weight for an index in range only, a spectral function for
-finite coefficients and a finite nonnegative real tail only, a Galerkin
-result for int truncation orders only, and a finite float from
+``SimpleLieType.from_string``, ``fundamental_weight``, the ``Weight``
+constructor and ``Weight.of``, and on the spectral side
+``SingularProfile``, the mode count of ``distance_profile_coefficients``,
+``SpectralFunction``, the truncation orders of ``solve_weight``,
+``spectral_h2_gap``, ``h2_cauchy_gap`` and ``galerkin_ladder``, and
+``compatibility_constant``, each either return, or raise from a ``raise``
+statement under ``src/parabolica/``: never from inside ``int()``, ``%``,
+``sorted``, ``Fraction()``, ``np.array`` or ``str()`` of a huge int on the
+way.  The innermost traceback frame of the exception must be such a line,
+and the exception must be of the class that line names.  Ranks, nodes,
+indices, Cartan entries, dimensions, exponents, weight coordinates,
+coefficients and mode counts are drawn from bools, floats (nan and +-inf
+among them), strings, ``None``, small ``Fraction``s and huge ints, as well
+as the values that build; the arguments keep their shape (a type or its
+name, a list of rows, a list of nodes).  A value that is returned must be
+the right one: a fundamental weight for an index in range only, a weight
+for a tuple of ints and Fractions only, a spectral function for finite
+coefficients and a finite nonnegative real tail only, a Galerkin result
+for int truncation orders only, and a finite float from
 ``compatibility_constant``.
 """
 from __future__ import annotations
@@ -38,6 +41,7 @@ from parabolica import (
     InvalidTypeError,
     ParabolicData,
     SimpleLieType,
+    Weight,
     build_parabolic,
     build_root_system,
     fundamental_weight,
@@ -138,6 +142,37 @@ def test_fundamental_weights_build_or_refuse_from_a_raise(rank, index):
         assert weight.coords == tuple(int(i == index) for i in range(rank))
     else:
         assert weight is None, (rank, index)
+
+
+_COORDINATES = st.lists(st.integers(-3, 3) | _ODD, max_size=4)
+
+
+@CONTRACT
+@given(_COORDINATES)
+@example([0, 0, 2.5])
+@example(["a"])
+@example([True])
+@example([Fraction(1, 2), -(10**5000)])
+def test_weights_build_or_refuse_from_a_raise(coords):
+    """A tuple of ints and Fractions builds a weight whose pairings can be
+    read; a list, or any other coordinate, a bool among them, is refused."""
+    for given_coords in (tuple(coords), coords):
+        weight = _returns_or_refuses(Weight, given_coords)
+        accepted = type(given_coords) is tuple and all(type(c) in (int, Fraction) for c in coords)
+        assert (weight is not None) == accepted, coords
+        assert weight is None or (weight.coords is given_coords and len(weight.cleared()[0]) == len(coords))
+
+
+@CONTRACT
+@given(_COORDINATES)
+@example(["x"])
+@example(["1/2", "9" * 5000])
+@example([math.nan, 1])
+@example([None])
+def test_weight_tokens_read_or_refuse_from_a_raise(tokens):
+    weight = _returns_or_refuses(Weight.of, *tokens)
+    if weight is not None:
+        assert all(type(c) is Fraction for c in weight.coords) and weight.coords == tuple(map(Fraction, tokens))
 
 
 def test_fundamental_weight_rank_must_be_an_integer():
@@ -258,6 +293,22 @@ def test_spectral_functions_build_or_refuse_from_a_raise(coeffs, tail_sq):
     real_tail = isinstance(tail_sq, numbers.Real) and 0 <= tail_sq <= sys.float_info.max
     assert (f is not None) == (all(map(math.isfinite, coeffs)) and real_tail), (coeffs, tail_sq)
     assert f is None or (f.coeffs.tolist() == coeffs and f.tail_sq == float(tail_sq)), (coeffs, tail_sq)
+
+
+@CONTRACT
+@given(st.lists(st.floats(allow_nan=False) | _ODD, max_size=4))
+@example(["a"])
+@example([10**400])
+@example([1.0, 1j])
+@example([[1.0], [1.0, 2.0]])
+@example(["1.5", Fraction(1, 3), True])
+def test_odd_coefficients_build_or_refuse_from_a_raise(coeffs):
+    """Coefficients that are not floats, strings among them, huge ints and
+    None (read as nan), are refused from a raise, or read as float()
+    reads them."""
+    f = _returns_or_refuses(SpectralFunction, coeffs)
+    if f is not None:
+        assert f.coeffs.tolist() == [float(c) for c in coeffs], coeffs
 
 
 _ORDERS = st.integers(-2, 5) | _ODD

@@ -288,6 +288,24 @@ def test_positive_root_count_check_raises_invariant_error(monkeypatch):
         build_root_system("G2")
 
 
+def test_coroot_support_check_raises_invariant_error(monkeypatch):
+    """A coroot out of the closure whose support is not its root's is
+    refused by the build; a custom matrix is not memoized, so no memo is
+    cleared."""
+    from parabolica import InvariantError, rootsys
+
+    closure = rootsys._positive_roots
+
+    def wrong_support(cartan):
+        table = closure(cartan)
+        table[1, 1] = (1, 0)
+        return table
+
+    monkeypatch.setattr(rootsys, "_positive_roots", wrong_support)
+    with pytest.raises(InvariantError, match=r"its root's support: .* root \(1, 1\), coroot \(1, 0\)"):
+        root_system_from_cartan([[2, -1], [-1, 2]])
+
+
 # ---------------------------------------------------------------------------
 # The root-system memo
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 
 from .parabolic import NotDominantError, ParabolicData, decompose_weight
-from .rootsys import InvariantError, Weight, _Record, _set
+from .rootsys import InvariantError, Weight, _Record, _rationals, _set
 
 
 class BundleSpec(_Record):
@@ -206,6 +206,6 @@ def line_bundle_weight(coeffs: Sequence[int | Fraction], p: ParabolicData) -> We
     if len(coeffs) != len(nodes):
         raise ValueError(f"expected {len(nodes)} value(s) over the Picard nodes, got {len(coeffs)}")
     coords = [Fraction(0)] * p.rs.rank
-    for value, node in zip(coeffs, nodes):
-        coords[node] = Fraction(value)
+    for value, node in zip(_rationals(coeffs, "a line degree"), nodes):
+        coords[node] = value
     return Weight(tuple(coords))

@@ -31,7 +31,7 @@ from . import __version__, spectral
 from .bundle import BundleSpec, SplittingReport, line_bundle_weight, splitting_report
 from .curvature import KahlerClass, NotKahlerError, einstein_class, hym_constant, spectrum_and_traces
 from .parabolic import NotDominantError, ParabolicData, build_parabolic
-from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, _Record, build_root_system
+from .rootsys import InvalidTypeError, InvariantError, SimpleLieType, Weight, _Record, _rationals, build_root_system
 
 SCHEMA_VERSION = "1"
 
@@ -83,15 +83,10 @@ def _split_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _split_fractions(text: str, what: str) -> tuple[Fraction, ...]:
-    """Integers, p/q or plain decimals.  Exponent notation is refused before
-    a Fraction is built: nine characters, 1e3000000, would make a
-    three-million-digit integer."""
-    tokens = text.split(",")
+    """Integers, p/q or plain decimals, each read by ``rootsys._rationals``."""
     try:
-        if any("e" in tok.lower() for tok in tokens):
-            raise ValueError("exponent notation")
-        return tuple(Fraction(tok) for tok in tokens)
-    except (ValueError, ZeroDivisionError) as exc:
+        return _rationals(text.split(","), what)
+    except ValueError as exc:
         raise ParseError(f"{what}: expected comma-separated integers, p/q or decimals, got {text!r}") from exc
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 
 from .parabolic import ParabolicData
-from .rootsys import Weight, _Record, _set, fundamental_weight
+from .rootsys import Weight, _Record, _rationals, _set, _shown, fundamental_weight
 
 
 class NotKahlerError(ValueError):
@@ -37,7 +37,7 @@ class KahlerClass(_Record):
     __slots__ = _compared = ("coeffs",)
 
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
-        coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        coeffs = _rationals(tuple(coeffs), "a Kahler coefficient")  # any iterable; _rationals reads a sequence
         if any(c <= 0 for c in coeffs):
             raise NotKahlerError("all generator coefficients must be positive")
         _set(self, "coeffs", coeffs)
@@ -148,7 +148,7 @@ def spectrum_and_traces(
 def omega_trace(alpha: int, omega0: KahlerClass, p: ParabolicData) -> Fraction:
     """omega-trace of the Picard generator form attached to node alpha."""
     if alpha not in p.picard_nodes:
-        raise ValueError(f"node {alpha} is not a Picard generator")
+        raise ValueError(f"node {_shown(alpha)} is not a Picard generator")
     return hym_constant(fundamental_weight(p.rs.rank, alpha), omega0, p)
 
 

@@ -50,9 +50,11 @@ from . import linalg
 Root = tuple[int, ...]
 
 # Rank budget of the classical families A-D, the only ones without a rank
-# of their own.  A build costs about rank^4 (dump-roots A120 took 12.6 s and
-# 121 MB); at the budget a cold build takes about 80 ms (A32) to 115 ms (B32,
-# C32), and a whole dump-roots process under 0.4 s and 34 MB (Python 3.11).
+# of their own, and of a custom Cartan matrix or a fundamental weight, which
+# is checked before the matrix is read or a coordinate is built.  A build
+# costs about rank^4 (dump-roots A120 took 12.6 s and 121 MB); at the budget
+# a cold build takes about 80 ms (A32) to 115 ms (B32, C32), and a whole
+# dump-roots process under 0.4 s and 34 MB (Python 3.11).
 MAX_CLASSICAL_RANK = 32
 
 # Largest coefficient of a positive root of a finite root system, that of
@@ -191,10 +193,29 @@ def positive_root_count(t: SimpleLieType) -> int:
     return {6: 36, 7: 63, 8: 120}[n]
 
 
+def _require_ints(what: str, *values: object) -> None:
+    """TypeError for a value that is not an int, a bool among them."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
+
+
+def _rationals(values: Sequence[object], what: str) -> tuple[Fraction, ...]:
+    """Each value of a sequence as a Fraction, a Fraction as it is, or a ValueError naming ``what``.  A str with
+    an e is refused before any Fraction is built: nine characters, 1e3000000, make a three-million-digit integer."""
+    try:
+        for value in values:  # a loop, not any(): no generator to start on the request path
+            if isinstance(value, str) and "e" in value.lower():
+                raise ValueError("a str with an e is refused (exponent notation)")
+        return tuple([value if type(value) is Fraction else Fraction(value) for value in values])
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:  # the refusal above, or Fraction's
+        raise ValueError(f"cannot read {what} as a rational: {exc}") from None
+
+
 class Weight(_Record):
     """Point of the weight lattice (or its rational span), fw coordinates:
     a tuple of ints and Fractions, and nothing else, not even a bool.
-    ``Weight.of`` reads any value ``Fraction`` reads."""
+    ``Weight.of`` reads each value through ``_rationals``."""
 
     __slots__ = _compared = ("coords",)
 
@@ -208,11 +229,7 @@ class Weight(_Record):
 
     @classmethod
     def of(cls, *coords: int | Fraction | str) -> "Weight":
-        try:
-            coords = tuple(map(Fraction, coords))
-        except (TypeError, ValueError, OverflowError) as exc:  # Fraction's refusals, raised from inside fractions
-            raise ValueError(f"cannot read a weight coordinate as a rational: {exc}") from None
-        return cls(coords)
+        return cls(_rationals(coords, "a weight coordinate"))
 
     @property
     def rank(self) -> int:
@@ -243,10 +260,11 @@ class Weight(_Record):
 
 
 def fundamental_weight(rank: int, index: int) -> Weight:
-    """omega_index of a rank-``rank`` weight lattice, for an integer 0 <= index < rank."""
-    for name, value in (("rank", rank), ("index", index)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"fundamental weight {name} must be an integer, got {type(value).__name__}")
+    """omega_index of a rank-``rank`` weight lattice, for integers 0 <= index < rank <= ``MAX_CLASSICAL_RANK``."""
+    _require_ints("fundamental weight rank", rank)
+    _require_ints("fundamental weight index", index)
+    if rank > MAX_CLASSICAL_RANK:
+        raise ValueError(f"fundamental weight rank {_shown(rank)} is over the rank budget {MAX_CLASSICAL_RANK}")
     if not 0 <= index < rank:
         raise IndexError(f"fundamental weight index {_shown(index)} out of range for rank {_shown(rank)}")
     coords = [Fraction(0)] * rank
@@ -454,7 +472,10 @@ def _root_system(
 
 
 def root_system_from_cartan(cartan: Sequence[Sequence[int]]) -> RootSystem:
-    """Root system of any finite-type (possibly reducible) Cartan matrix, validated and built on every call."""
+    """Root system of any finite-type (possibly reducible) Cartan matrix of rank at most
+    ``MAX_CLASSICAL_RANK``, validated and built on every call."""
+    if len(cartan) > MAX_CLASSICAL_RANK:
+        raise ValueError(f"a Cartan matrix of rank {len(cartan)} is over the rank budget {MAX_CLASSICAL_RANK}")
     _validate_cartan(cartan)
     return _root_system(tuple(tuple(int(x) for x in row) for row in cartan))
 

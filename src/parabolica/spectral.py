@@ -38,7 +38,7 @@ from functools import reduce
 
 import numpy as np
 
-from .rootsys import _Record, _set, _shown
+from .rootsys import _Record, _require_ints, _set, _shown
 
 
 class NotL2Error(ValueError):
@@ -110,7 +110,10 @@ class FlatTorus(_Record):
     __slots__ = _compared = ("side_lengths",)
 
     def __init__(self, side_lengths: tuple[float, ...]) -> None:
-        sides = tuple(float(s) for s in side_lengths)
+        try:
+            sides = tuple(float(s) for s in side_lengths)
+        except (TypeError, ValueError, OverflowError) as exc:  # float()'s refusals, raised inside float
+            raise ValueError(f"side lengths must be real numbers in float range: {exc}") from None
         if not sides or any(s <= 0 for s in sides):
             raise ValueError("side lengths must be positive")
         if not all(map(math.isfinite, sides)):
@@ -166,11 +169,13 @@ class FlatTorus(_Record):
         return np.stack(mesh, axis=-1).reshape(-1, self.dimension)
 
     def _grid_size(self, points_per_axis: int) -> int:
-        """Node count points_per_axis^d of a midpoint grid; ValueError over the budget."""
+        """Node count points_per_axis^d of a midpoint grid; TypeError for a
+        points_per_axis that is not an int, a bool among them, ValueError over the budget."""
+        _require_ints("points per axis", points_per_axis)
         total = points_per_axis**self.dimension
         if points_per_axis < 1 or total > _MAX_GRID_POINTS:
             raise _OverBudget(
-                f"a grid of {points_per_axis}^{self.dimension} points is outside "
+                f"a grid of {_shown(points_per_axis)}^{self.dimension} points is outside "
                 f"1..{_MAX_GRID_POINTS} points"
             )
         return total
@@ -263,8 +268,8 @@ def _quadrature_grid(manifold: FlatTorus, n: int, points_per_axis: int | None = 
     """(points_per_axis, total, table) for modes 0..n: the default side if
     none is given, the grid budget, n below the N^d node count and the table
     budget, each refused with an _OverBudget, which the CLI's spectral reader
-    reports under the flag that set the refused value; an n that is not an
-    int, a bool among them, with a TypeError."""
+    reports under the flag that set the refused value; an n or a
+    points_per_axis that is not an int, a bool among them, with a TypeError."""
     _require_ints("mode count n", n)
     if points_per_axis is None:
         points_per_axis = _default_points_per_axis(manifold.dimension)
@@ -272,13 +277,6 @@ def _quadrature_grid(manifold: FlatTorus, n: int, points_per_axis: int | None = 
     if not 0 <= n < total:
         raise _OverBudget(f"modes {_shown(n)} is outside 0..{total - 1} for a {total}-point grid")
     return points_per_axis, total, _table_for(manifold.side_lengths, n)
-
-
-def _require_ints(what: str, *values: object) -> None:
-    """TypeError for a value that is not an int, a bool among them."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{what} must be an integer, got {type(value).__name__}")
 
 
 class SpectralFunction(_Record):

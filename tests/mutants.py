@@ -370,6 +370,23 @@ MUTANTS = (
         "if not 0 <= alpha < p.rs.rank:",
         ("tests/test_curvature.py::test_curvature_refusals",),
     ),
+    Mutant(
+        "rationals-exponent-check-dropped",
+        "src/parabolica/rootsys.py",
+        'if isinstance(value, str) and "e" in value.lower():',
+        "if False:",
+        (
+            "tests/test_refusals.py::test_exponent_notation_is_refused_by_every_reader",
+            "tests/test_refusals.py::test_outside_rationals_read_or_refuse_from_a_raise",
+        ),
+    ),
+    Mutant(
+        "cartan-rank-budget-dropped",
+        "src/parabolica/rootsys.py",
+        "if len(cartan) > MAX_CLASSICAL_RANK:",
+        "if False:",
+        ("tests/test_refusals.py::test_ranks_over_the_budget_are_refused_before_the_matrix_is_read",),
+    ),
 )
 
 

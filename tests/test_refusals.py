@@ -1,27 +1,32 @@
-"""The refusal contract of the Lie-side builders and of the spectral inputs.
+"""The refusal contract of the Lie-side builders, the readers of outside
+rationals and the spectral inputs.
 
 ``build_root_system``, ``root_system_from_cartan``, ``build_parabolic``
 and the ``ParabolicData`` constructor it calls,
 ``SimpleLieType.from_string``, ``fundamental_weight``, the ``Weight``
-constructor and ``Weight.of``, and on the spectral side
-``SingularProfile``, the mode count of ``distance_profile_coefficients``,
+constructor, the readers of outside rationals ``Weight.of``,
+``KahlerClass`` and ``line_bundle_weight``, the node of ``omega_trace``,
+and on the spectral side ``FlatTorus``, ``SingularProfile``, the mode
+count and grid side of ``distance_profile_coefficients``,
 ``SpectralFunction``, the truncation orders of ``solve_weight``,
 ``spectral_h2_gap``, ``h2_cauchy_gap`` and ``galerkin_ladder``, and
 ``compatibility_constant``, each either return, or raise from a ``raise``
 statement under ``src/parabolica/``: never from inside ``int()``, ``%``,
-``sorted``, ``Fraction()``, ``np.array`` or ``str()`` of a huge int on the
-way.  The innermost traceback frame of the exception must be such a line,
-and the exception must be of the class that line names.  Ranks, nodes,
-indices, Cartan entries, dimensions, exponents, weight coordinates,
-coefficients and mode counts are drawn from bools, floats (nan and +-inf
-among them), strings, ``None``, small ``Fraction``s and huge ints, as well
-as the values that build; the arguments keep their shape (a type or its
-name, a list of rows, a list of nodes).  A value that is returned must be
-the right one: a fundamental weight for an index in range only, a weight
-for a tuple of ints and Fractions only, a spectral function for finite
-coefficients and a finite nonnegative real tail only, a Galerkin result
-for int truncation orders only, and a finite float from
-``compatibility_constant``.
+``sorted``, ``Fraction()``, ``float()``, ``np.array`` or ``str()`` of a
+huge int on the way.  The innermost traceback frame of the exception must
+be such a line, and the exception must be of the class that line names.
+Ranks, nodes, indices, Cartan entries, dimensions, exponents, weight
+coordinates, rationals, side lengths, coefficients and mode counts are
+drawn from bools, floats (nan and +-inf among them), strings, ``None``,
+small ``Fraction``s and huge ints, as well as the values that build; the
+arguments keep their shape (a type or its name, a list of rows, a list of
+nodes).  A value that is returned must be the right one: a fundamental
+weight for an index in range and a rank within the budget only, a weight
+for a tuple of ints and Fractions only, ``Fraction(value)`` for an outside
+rational that ``Fraction`` reads and that is no string in exponent
+notation, a spectral function for finite coefficients and a finite
+nonnegative real tail only, a Galerkin result for int truncation orders
+only, and a finite float from ``compatibility_constant``.
 """
 from __future__ import annotations
 
@@ -39,15 +44,20 @@ from hypothesis import strategies as st
 
 from parabolica import (
     InvalidTypeError,
+    KahlerClass,
     ParabolicData,
     SimpleLieType,
     Weight,
     build_parabolic,
     build_root_system,
+    einstein_class,
     fundamental_weight,
+    line_bundle_weight,
 )
-from parabolica.rootsys import root_system_from_cartan
+from parabolica.curvature import omega_trace
+from parabolica.rootsys import MAX_CLASSICAL_RANK, root_system_from_cartan
 from parabolica.spectral import (
+    _MAX_GRID_POINTS,
     FlatTorus,
     SingularProfile,
     SpectralFunction,
@@ -129,16 +139,24 @@ def test_type_names_must_be_strings():
         SimpleLieType.from_string(3)
 
 
-# Valid ranks only: a rank past sys.maxsize fails inside the list repeat.
+# Ranks over the budget are drawn from 33 and from 2^64 up, never such as
+# 10^9: with the budget dropped, that would allocate 8 GB of coordinates,
+# while a rank of 2^64 or more fails at once.
+_WEIGHT_RANKS = st.integers(-1, 8) | st.sampled_from([MAX_CLASSICAL_RANK, MAX_CLASSICAL_RANK + 1, 2**64]) | _ODD
+
+
 @CONTRACT
-@given(st.integers(1, 8), st.integers(-3, 10) | _ODD)
+@given(_WEIGHT_RANKS, st.integers(-3, 10) | _ODD)
 @example(3, 9)
 @example(3, -1)
 @example(3, True)
 @example(3, 1.0)
+@example(10**5000, 0)
+@example(33, 0)
+@example(32, 31)
 def test_fundamental_weights_build_or_refuse_from_a_raise(rank, index):
     weight = _returns_or_refuses(fundamental_weight, rank, index)
-    if type(index) is int and 0 <= index < rank:
+    if type(rank) is type(index) is int and 0 <= index < rank <= MAX_CLASSICAL_RANK:
         assert weight.coords == tuple(int(i == index) for i in range(rank))
     else:
         assert weight is None, (rank, index)
@@ -175,6 +193,45 @@ def test_weight_tokens_read_or_refuse_from_a_raise(tokens):
         assert all(type(c) is Fraction for c in weight.coords) and weight.coords == tuple(map(Fraction, tokens))
 
 
+_P = build_parabolic(build_root_system("B3"), [1])  # Picard nodes 0 and 2
+_READERS = {
+    "Weight.of": lambda value: Weight.of(value, 0).coords[0],
+    "KahlerClass": lambda value: KahlerClass((value, 1)).coeffs[0],
+    "line_bundle_weight": lambda value: line_bundle_weight((value, 0), _P).coords[0],
+}
+_OUTSIDE = st.sampled_from(["x", "1/0", "1e3", "1E-3", math.nan, math.inf, -math.inf, None, "9" * 5000, 10**400])
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@CONTRACT
+@given(_OUTSIDE | st.integers(-3, 3) | st.sampled_from(["1/2", " -0.5 ", "3_0"]) | _ODD)
+@example("1e3")
+@example("1E-3")
+@example("1/0")
+@example(Fraction(1, 2))
+def test_outside_rationals_read_or_refuse_from_a_raise(reader, value):
+    """A weight coordinate, a Kahler coefficient or a line degree reads as
+    Fraction(value), a Fraction as itself; a string with an e is refused
+    before a Fraction is built, and so is every value Fraction refuses, or
+    a Kahler coefficient that is not positive."""
+    read = _returns_or_refuses(_READERS[reader], value)
+    try:
+        expected = None if isinstance(value, str) and "e" in value.lower() else Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        expected = None
+    if reader == "KahlerClass" and expected is not None and expected <= 0:
+        expected = None
+    assert read == expected and (read is None or type(read) is Fraction), (reader, value, read)
+    assert type(value) is not Fraction or read is None or read is value, (reader, value)
+
+
+def test_exponent_notation_is_refused_by_every_reader():
+    for reader in _READERS.values():
+        for token in ("1e3", "1E-3", "2e0"):
+            with pytest.raises(ValueError, match=r"as a rational: a str with an e is refused \(exponent notation\)"):
+                reader(token)
+
+
 def test_fundamental_weight_rank_must_be_an_integer():
     for rank in ("3", 3.0, True, None):
         with pytest.raises(TypeError, match="rank must be an integer"):
@@ -195,6 +252,27 @@ _CARTANS = st.integers(0, 4).flatmap(
 @example([[2, None], [None, 2]])
 def test_cartan_matrices_build_or_refuse_from_a_raise(cartan):
     _returns_or_refuses(root_system_from_cartan, cartan)
+
+
+class _UnreadMatrix:
+    """A Cartan matrix of rank 10^9 whose rows must not be read."""
+
+    def __len__(self):
+        return 10**9
+
+    def __getitem__(self, i):
+        raise AssertionError("a row was read past the rank budget")
+
+
+def test_ranks_over_the_budget_are_refused_before_the_matrix_is_read():
+    """A custom Cartan matrix of rank 33, a valid one of type A33 among
+    them, is refused as its simple type is, before any row is read."""
+    a33 = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(33)] for i in range(33)]
+    for cartan in (a33, _UnreadMatrix()):
+        with pytest.raises(ValueError, match=f"rank {len(cartan)} is over the rank budget {MAX_CLASSICAL_RANK}"):
+            root_system_from_cartan(cartan)
+    with pytest.raises(ValueError, match="fundamental weight rank a int too large to print is over the rank budget"):
+        fundamental_weight(10**5000, 0)
 
 
 def test_huge_fractions_are_refused_from_a_raise():
@@ -274,6 +352,53 @@ def test_singular_profiles_build_or_refuse_from_a_raise(ambient_dim, codim, expo
 def test_mode_counts_are_refused_from_a_raise(n):
     """On a 64-point grid, so every accepted count is cheap."""
     _returns_or_refuses(distance_profile_coefficients, SingularProfile(1, 1, 0.25), FlatTorus((1.0,)), n, 64)
+
+
+@CONTRACT
+@given(st.integers(-2, 70) | _ODD)
+@example(2.5)
+@example(True)
+@example("a")
+@example(-(10**5000))
+def test_grid_sides_are_refused_from_a_raise(points_per_axis):
+    """An explicit grid side is an int, a bool among them refused, and an
+    absent one is the default; 5 points are the fewest that carry 4 modes."""
+    f = _returns_or_refuses(
+        distance_profile_coefficients, SingularProfile(1, 1, 0.25), FlatTorus((1.0,)), 4, points_per_axis
+    )
+    accepted = points_per_axis is None or type(points_per_axis) is int and 4 < points_per_axis <= _MAX_GRID_POINTS
+    assert (f is not None) == accepted, points_per_axis
+
+
+@CONTRACT
+@given(st.lists(st.floats() | _ODD, max_size=3))
+@example(["a"])
+@example([10**400])
+@example([1j])
+@example(["1.5", Fraction(1, 3), 2])
+def test_torus_sides_build_or_refuse_from_a_raise(sides):
+    """A side is read as float() reads it, strings among them, or refused
+    from a raise: a value float() refuses, and then any side not positive,
+    finite and within the range a mode table can serve."""
+    torus = _returns_or_refuses(FlatTorus, sides)
+    assert torus is None or torus.side_lengths == tuple(map(float, sides)), sides
+
+
+@CONTRACT
+@given(st.integers(-2, 4) | _ODD)
+@example(10**5000)
+@example(False)
+@example(2.0)
+def test_omega_trace_nodes_are_read_or_refused_from_a_raise(alpha):
+    """Only an int Picard node has an omega-trace; any other node is
+    refused, a huge one named without printing it."""
+    trace = _returns_or_refuses(omega_trace, alpha, einstein_class(_P), _P)
+    assert (trace is not None) == (type(alpha) is int and alpha in _P.picard_nodes), alpha
+
+
+def test_a_huge_node_is_named_without_printing_it():
+    with pytest.raises(ValueError, match="^node a int too large to print is not a Picard generator$"):
+        omega_trace(10**5000, einstein_class(_P), _P)
 
 
 _COEFFICIENTS = st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e200, 5e-324]), max_size=4)

@@ -88,10 +88,11 @@ def criterion_ratios(p: ParabolicData, lambda_s: Weight) -> tuple[tuple[int, ...
     over d * det(C_I); for an integral lambda_s, d = 1.
     """
     nums, denom = p.levi_coords(lambda_s).cleared()
-    # not p.levi.simple_root_numerators: _verify's residue identity checks this
+    levi = p.levi
+    # not levi.simple_root_numerators: _verify's residue identity checks this
     # product with RootSystem.simple_root_numerators, so a fault there must not
     # reach both sides
-    return tuple(sum(map(mul, row, nums)) for row in p.levi.cartan_t_adjugate), denom * p.levi.cartan_det
+    return tuple(sum(map(mul, row, nums)) for row in levi.cartan_t_adjugate), denom * levi.cartan_det
 
 
 def cramer_coefficients(spec: BundleSpec) -> tuple[Fraction, ...]:

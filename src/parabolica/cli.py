@@ -190,11 +190,12 @@ def _weight_json(w: Weight | None) -> list[str] | None:
 
 
 def _parabolic_block(p: ParabolicData) -> dict:
+    levi = p.levi
     return {
         "levi_nodes": [i + 1 for i in p.levi_nodes],
         "picard_nodes": [i + 1 for i in p.picard_nodes],
-        "levi_cartan": [list(row) for row in p.levi.cartan],
-        "det_levi_cartan": str(p.levi.cartan_det),
+        "levi_cartan": [list(row) for row in levi.cartan],
+        "det_levi_cartan": str(levi.cartan_det),
         "phi_I_plus": [list(r) for r in p.complement_roots],
         "delta": _weight_json(p.delta),
     }

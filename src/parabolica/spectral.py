@@ -17,12 +17,14 @@ Re and Im of exp(2 pi i nu.k / N) exp(i pi sum(nu) / N), so every
 quadrature sum against them is a phase-shifted entry F[nu mod N] of the
 DFT F of the profile sampled on the N^d grid.  The profile depends only on
 the k coordinates its singular set cuts, so it is sampled on the N^k grid
-of those axes, and no (N^d, d) point array is built.  A point profile
-(k = d) is transformed in rfftn's passes, one axis at a time from the last:
-an rfft along the last axis of the N^d grid, run on blocks of lines and
-keeping only the columns the requested modes read, then on each earlier
-axis an fft of only the lines that hold an entry some requested mode
-reads.  A subtorus profile (k < d) is constant along the d - k free axes,
+of those axes, and no (N^d, d) point array is built; when the first cut
+axis's folded squares are bit-symmetric under x -> L - x, the power is
+taken on its first ceil(N/2) rows only and mirrored onto the rest.  A
+point profile (k = d) is transformed in rfftn's passes, one axis at a time
+from the last: an rfft along the last axis of the N^d grid, run on blocks
+of lines and keeping only the columns the requested modes read, then on
+each earlier axis an fft of only the lines that hold an entry some
+requested mode reads.  A subtorus profile (k < d) is constant along the d - k free axes,
 so F is N^(d-k) times the DFT of the N^k cut grid where every free
 frequency is 0 (mod N) and 0 elsewhere; only the cut grid is transformed.
 Grids are bounded: by default N^d stays at most 512^2 points for d >= 2
@@ -172,13 +174,18 @@ class FlatTorus(_Record):
         """Node count points_per_axis^d of a midpoint grid; TypeError for a
         points_per_axis that is not an int, a bool among them, ValueError over the budget."""
         _require_ints("points per axis", points_per_axis)
-        total = points_per_axis**self.dimension
-        if points_per_axis < 1 or total > _MAX_GRID_POINTS:
+        # the side, then the dimension, is compared before N^d is computed,
+        # so a huge side or torus is refused at once
+        if (
+            not 1 <= points_per_axis <= _MAX_GRID_POINTS
+            or (points_per_axis > 1 and self.dimension >= _MAX_GRID_POINTS.bit_length())
+            or points_per_axis**self.dimension > _MAX_GRID_POINTS
+        ):
             raise _OverBudget(
                 f"a grid of {_shown(points_per_axis)}^{self.dimension} points is outside "
                 f"1..{_MAX_GRID_POINTS} points"
             )
-        return total
+        return points_per_axis**self.dimension
 
     def _midpoint_axis(self, axis: int, points_per_axis: int) -> np.ndarray:
         """The midpoint nodes (k + 1/2) L / N of one axis."""
@@ -550,20 +557,33 @@ def _profile_values(p: SingularProfile, manifold: FlatTorus, points_per_axis: in
 
     The profile depends only on the k cut coordinates.  Their folded squares
     min(x, L - x)^2 are summed axis by axis as an outer sum over the N^k grid
-    and the power is taken there, in place.  A point profile returns that
-    grid; a subtorus profile repeats each value along the d - k free
-    (trailing) axes, so values[::N^(d-k)] is the cut grid in C order.  Every
-    node gets the same float operations, in the same order, as a fold over
-    the full (N^d, d) point array.  The array is new and the caller's to
-    overwrite.  It feeds the mean and the L2 norm for every profile, but the
-    FFT only for a point profile.
+    and the power is taken there, in place.  When the first axis's squares
+    equal their own reverse bit for bit (a unit side with a power-of-two N
+    does), only its first ceil(N/2) rows are summed and powered, and row i
+    >= ceil(N/2) is copied from row N - 1 - i; any other grid sums and
+    powers every row.  A point profile returns that grid; a subtorus
+    profile repeats each value along the d - k free (trailing) axes, so
+    values[::N^(d-k)] is the cut grid in C order.  Every node gets the same
+    float operations, in the same order, as a fold over the full (N^d, d)
+    point array.  The array is new and the caller's to overwrite.  It feeds
+    the mean and the L2 norm for every profile, but the FFT only for a
+    point profile.
     """
     squares = []
     for axis in range(p.codim):
         nodes = manifold._midpoint_axis(axis, points_per_axis)
         squares.append(np.minimum(nodes, manifold.side_lengths[axis] - nodes) ** 2)
-    values = reduce(np.add.outer, squares).reshape(-1)
-    values **= -p.exponent / 2.0
+    first = squares[0]
+    rows = (points_per_axis + 1) // 2 if np.array_equal(first, first[::-1]) else points_per_axis
+    if p.codim == 1:
+        values = first
+    else:
+        values = np.empty((points_per_axis,) * p.codim)
+        np.add.outer(reduce(np.add.outer, squares[1:-1], first[:rows]), squares[-1], out=values[:rows])
+    top = values[:rows]
+    top **= -p.exponent / 2.0
+    values[rows:] = top[: points_per_axis - rows][::-1]  # disjoint rows: no buffered copy
+    values = values.reshape(-1)
     if p.codim == p.ambient_dim:
         return values
     return np.repeat(values, points_per_axis ** (p.ambient_dim - p.codim))

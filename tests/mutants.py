@@ -170,8 +170,8 @@ MUTANTS = (
     Mutant(
         "cramer-through-simple-root-numerators",
         "src/parabolica/bundle.py",
-        "return tuple(sum(map(mul, row, nums)) for row in p.levi.cartan_t_adjugate), denom",
-        "return p.levi.simple_root_numerators(nums), denom",
+        "return tuple(sum(map(mul, row, nums)) for row in levi.cartan_t_adjugate), denom",
+        "return levi.simple_root_numerators(nums), denom",
         (
             "tests/test_bundle.py::test_broken_residue_identity_raises_invariant_error",
             "tests/test_bundle.py::test_bundle_invariants_survive_optimized_mode",
@@ -196,6 +196,20 @@ MUTANTS = (
         "src/parabolica/spectral.py",
         "return np.repeat(values, points_per_axis ** (p.ambient_dim - p.codim))",
         "return np.tile(values, points_per_axis ** (p.ambient_dim - p.codim))",
+        ("tests/test_spectral.py::test_profile_values_match_point_reference",),
+    ),
+    Mutant(
+        "profile-mirror-unguarded",
+        "src/parabolica/spectral.py",
+        "if np.array_equal(first, first[::-1]) else points_per_axis",
+        "if True else points_per_axis",
+        ("tests/test_spectral.py::test_profile_values_match_point_reference",),
+    ),
+    Mutant(
+        "profile-mirror-starts-a-row-early",
+        "src/parabolica/spectral.py",
+        "rows = (points_per_axis + 1) // 2 if",
+        "rows = points_per_axis // 2 if",
         ("tests/test_spectral.py::test_profile_values_match_point_reference",),
     ),
     Mutant(

@@ -370,6 +370,24 @@ def test_grid_sides_are_refused_from_a_raise(points_per_axis):
     assert (f is not None) == accepted, points_per_axis
 
 
+@pytest.mark.parametrize("points_per_axis", [10**5000, _MAX_GRID_POINTS + 1, 2], ids=["huge", "past-budget", "two"])
+def test_grids_of_a_large_torus_are_refused_from_a_raise(points_per_axis):
+    """The side, then the dimension, is compared with the grid budget before
+    N^d is computed, so a huge side on a 1000-torus is refused at once."""
+    args = SingularProfile(1000, 1000, 0.25), FlatTorus((1.0,) * 1000), 4, points_per_axis
+    assert _returns_or_refuses(distance_profile_coefficients, *args) is None
+    with pytest.raises(ValueError, match=rf"\^1000 points is outside 1\.\.{_MAX_GRID_POINTS} points"):
+        distance_profile_coefficients(*args)
+
+
+def test_the_dimension_bound_on_a_grid_is_exact():
+    # 2^22 points fill the budget; one more axis, or a side of 1, decides it
+    assert FlatTorus((1.0,) * 22)._grid_size(2) == _MAX_GRID_POINTS
+    assert FlatTorus((1.0,) * 1000)._grid_size(1) == 1
+    with pytest.raises(ValueError, match="outside"):
+        FlatTorus((1.0,) * 23)._grid_size(2)
+
+
 @CONTRACT
 @given(st.lists(st.floats() | _ODD, max_size=3))
 @example(["a"])

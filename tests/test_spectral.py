@@ -585,14 +585,21 @@ def _reference_profile_values(profile, torus, points):
     [
         ((1.0,), (1, 2, 7, 64, 8191, 8192)),
         ((0.7,), (3, 1000, 8192)),
+        ((3.0,), (3,)),
         ((1.0, 1.0), (1, 3, 64, 255, 2048)),
         ((0.7, 1.3), (2, 17, 512)),
+        ((1.0, 0.7), (64,)),
+        ((5.0, 5.0), (5,)),
         ((1.0, 1.0, 1.0), (1, 5, 64)),
         ((0.7, 1.3, 1.0), (4, 33, 161)),
     ],
 )
 def test_profile_values_match_point_reference(sides, sizes):
-    # the tensor-grid sampler and the fold over the point array agree bit for bit
+    # the tensor-grid sampler and the fold over the point array agree bit for
+    # bit, on grids whose first axis is mirrored (unit sides with a
+    # power-of-two N; sides equal to an odd N, with an unpaired middle row;
+    # (1.0, 0.7), whose second axis is not symmetric) and on grids summed
+    # and powered in full (side 0.7, odd N on a unit side)
     torus = FlatTorus(sides)
     for points_per_axis in sizes:
         grid = torus.midpoint_grid(points_per_axis)
@@ -612,6 +619,28 @@ def test_profile_sampling_builds_no_point_cloud(monkeypatch):
     for codim in (1, 2, 3):
         profile = SingularProfile(ambient_dim=3, codim=codim, exponent=0.3)
         distance_profile_coefficients(profile, torus, 20, points_per_axis=16)
+
+
+def _first_axis_folds(torus, points_per_axis):
+    nodes = torus._midpoint_axis(0, points_per_axis)
+    squares = np.minimum(nodes, torus.side_lengths[0] - nodes) ** 2
+    return np.array_equal(squares, squares[::-1])
+
+
+@pytest.mark.parametrize(
+    "sides, points_per_axis, folds",
+    [((1.0,), 8192, True), ((3.0,), 3, True), ((5.0, 5.0), 5, True), ((1.0, 0.7), 64, True)]
+    + [((1.0,), 7, False), ((0.7,), 1000, False), ((0.7, 1.3), 512, False)],
+)
+def test_the_bit_test_grids_take_the_branch_they_name(sides, points_per_axis, folds):
+    assert _first_axis_folds(FlatTorus(sides), points_per_axis) == folds
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_the_default_grid_of_the_unit_torus_is_mirrored(dimension):
+    # every CLI request samples this grid, so each takes the half-grid power
+    torus = FlatTorus((1.0,) * dimension)
+    assert _first_axis_folds(torus, spectral._default_points_per_axis(dimension))
 
 
 def _quadrature_coefficients(profile, torus, n, points_per_axis):

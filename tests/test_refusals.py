@@ -381,7 +381,8 @@ def test_grids_of_a_large_torus_are_refused_from_a_raise(points_per_axis):
 
 
 def test_the_dimension_bound_on_a_grid_is_exact():
-    # 2^22 points fill the budget; one more axis, or a side of 1, decides it
+    # side 2 fills the budget on the 22-torus and is over it on the 23-torus;
+    # side 1 is one point on any torus
     assert FlatTorus((1.0,) * 22)._grid_size(2) == _MAX_GRID_POINTS
     assert FlatTorus((1.0,) * 1000)._grid_size(1) == 1
     with pytest.raises(ValueError, match="outside"):

@@ -629,18 +629,14 @@ def _first_axis_folds(torus, points_per_axis):
 
 @pytest.mark.parametrize(
     "sides, points_per_axis, folds",
-    [((1.0,), 8192, True), ((3.0,), 3, True), ((5.0, 5.0), 5, True), ((1.0, 0.7), 64, True)]
+    # the default grids of the unit torus, which every CLI request samples
+    [((1.0,) * d, spectral._default_points_per_axis(d), True) for d in (1, 2, 3, 4)]
+    # grids of test_profile_values_match_point_reference, on each branch
+    + [((3.0,), 3, True), ((5.0, 5.0), 5, True), ((1.0, 0.7), 64, True)]
     + [((1.0,), 7, False), ((0.7,), 1000, False), ((0.7, 1.3), 512, False)],
 )
-def test_the_bit_test_grids_take_the_branch_they_name(sides, points_per_axis, folds):
+def test_profile_power_is_mirrored_on_the_grids_named(sides, points_per_axis, folds):
     assert _first_axis_folds(FlatTorus(sides), points_per_axis) == folds
-
-
-@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
-def test_the_default_grid_of_the_unit_torus_is_mirrored(dimension):
-    # every CLI request samples this grid, so each takes the half-grid power
-    torus = FlatTorus((1.0,) * dimension)
-    assert _first_axis_folds(torus, spectral._default_points_per_axis(dimension))
 
 
 def _quadrature_coefficients(profile, torus, n, points_per_axis):
